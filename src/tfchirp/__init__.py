@@ -17,7 +17,6 @@ from .metrics import ot_if_metric, rel_error, snr_db, wasserstein1_1d
 from .pipeline import crossing_study, ct_ridges, random_study, run_sct, sct_ridges
 from .reassign import (
     ReassignmentField,
-    SqueezeParams,
     inverse_sct_neighborhood,
     reassignment_field,
     sst1,

@@ -214,7 +214,7 @@ def cmd_reconstruct(args) -> int:
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     analysis = run_sct(
         signal, config.family(), grid,
-        half_len=_half_len(config, signal), convention=config.convention,
+        half_len=_half_len(config, signal), convention=config.convention, nu_rel=config.nu_rel,
     )
     ridges = sct_ridges(analysis, config.n_components, config.ridge_params())
     recon_family = WindowFamily(args.recon_n, args.recon_alpha)

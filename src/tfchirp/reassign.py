@@ -8,6 +8,11 @@ chirp rate ``lam`` of the evaluated slot:
     M1 = T*T2 - 2a*T*U1 - a*T^2 + a^2*T*V - T1^2 - a^2*U^2 + 2a*T1*U
     M2 = 2j*pi * (-T*U1 + a*T*V + U*T1 - a*U^2)
 
+which ``_mu_omega`` evaluates in the exactly equivalent reduced form
+
+    P = U*T1 - T*U1,  Q = T*V - U^2,  R = P + a*Q
+    M1 = T*T2 - T1^2 - a*T^2 + a*(P + R),  M2 = 2j*pi * R
+
     mu    = Re(M1 / M2)                                  [Hz/s]
     omega = freq(m) + Im(-T1/(2*pi*T) + 1j*(lam - M1/M2) * U/T)   [Hz]
 
@@ -53,18 +58,6 @@ class ReassignmentField:
                 raise ShapeError(f"{name} shape does not match grid")
 
 
-@dataclass(frozen=True)
-class SqueezeParams:
-    """Knobs of the squeezing step; reassignments leaving the grid are dropped."""
-
-    nu: float = 0.0
-    out_of_range: str = "drop"
-
-    def __post_init__(self):
-        if self.out_of_range != "drop":
-            raise ParameterError("only the 'drop' out-of-range policy is supported")
-
-
 def default_threshold(tensor_h: TfcTensor, rel: float = DEFAULT_NU_REL) -> float:
     """Scale-free default threshold: a small fraction of the peak magnitude.
 
@@ -78,17 +71,12 @@ def default_threshold(tensor_h: TfcTensor, rel: float = DEFAULT_NU_REL) -> float
 
 def _mu_omega(T, T1, T2, U, U1, V, lam, freqs, nu):
     """Reassignment estimates for one block; lam/freqs broadcast over it."""
-    T = np.asarray(T, dtype=np.complex128)
-    T1 = np.asarray(T1, dtype=np.complex128)
-    T2 = np.asarray(T2, dtype=np.complex128)
-    U = np.asarray(U, dtype=np.complex128)
-    U1 = np.asarray(U1, dtype=np.complex128)
-    V = np.asarray(V, dtype=np.complex128)
+    T, T1, T2, U, U1, V = (np.asarray(x, dtype=np.complex128) for x in (T, T1, T2, U, U1, V))
     a = 2j * np.pi * lam
-    TT = T * T
-    UU = U * U
-    m1 = T * T2 - 2 * a * T * U1 - a * TT + a * a * T * V - T1 * T1 - a * a * UU + 2 * a * T1 * U
-    m2 = 2j * np.pi * (-T * U1 + a * T * V + U * T1 - a * UU)
+    P = U * T1 - T * U1
+    R = P + a * (T * V - U * U)
+    m1 = T * T2 - T1 * T1 - a * (T * T) + a * (P + R)
+    m2 = 2j * np.pi * R
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = m1 / m2
         mu = ratio.real
@@ -128,50 +116,60 @@ def reassignment_field(
     ``None`` applies the relative default against the peak of ``banks.h``.
     """
     grid = banks.grid
-    shapes = {t.values.shape for t in (banks.h, banks.h_prime, banks.h_second, banks.th, banks.th_prime, banks.t2h)}
-    if len(shapes) != 1:
+    tensors = (banks.h, banks.h_prime, banks.h_second, banks.th, banks.th_prime, banks.t2h)
+    if len({t.values.shape for t in tensors}) != 1:
         raise ShapeError("bank tensors disagree in shape")
     if nu is None:
         nu = default_threshold(banks.h)
     if not (nu > 0):
         raise ParameterError("nu must be positive")
-    slot_ok = resolvable_slots(grid, banks.bank, alias_tol)[:, :, None]
+    # aliased slots are undefined whatever the bank values: evaluate the
+    # resolvable (chirp, frequency) rows of the volume only
+    rows_ok = np.flatnonzero(resolvable_slots(grid, banks.bank, alias_tol))
+    lam = np.repeat(grid.chirps_hzps, grid.n_freq)[:, None]
+    freqs = np.tile(grid.freqs_hz, grid.n_chirp)[:, None]
+    # the left-edge phase reference shears each chirp slice in frequency;
+    # undo it so omega estimates the center-referenced IF
+    shear_s = banks.bank.half_len * banks.bank.dt_s if banks.convention == "left" else 0.0
+    rows_of = [t.values.reshape(-1, grid.n_time) for t in tensors]
+    # rows per block: ~64k entries keep the many temporaries cache-resident
+    block = max(1, (1 << 16) // grid.n_time)
 
-    lam = grid.chirps_hzps[:, None, None]
-    freqs = grid.freqs_hz[None, :, None]
-    n_entries = grid.n_chirp * grid.n_freq
-    block = max(1, (1 << 22) // n_entries)  # bound temporaries to a few tens of MB
-
-    omega = np.empty((grid.n_chirp, grid.n_freq, grid.n_time))
-    mu = np.empty_like(omega)
-    defined = np.empty(omega.shape, dtype=bool)
-    for lo in range(0, grid.n_time, block):
-        sl = slice(lo, min(lo + block, grid.n_time))
-        mu_b, om_b, def_b = _mu_omega(
-            banks.h.values[:, :, sl],
-            banks.h_prime.values[:, :, sl],
-            banks.h_second.values[:, :, sl],
-            banks.th.values[:, :, sl],
-            banks.th_prime.values[:, :, sl],
-            banks.t2h.values[:, :, sl],
-            lam,
-            freqs,
-            nu,
-        )
-        if banks.convention == "left":
-            # left-edge phase reference shears each chirp slice in frequency;
-            # undo it so omega estimates the center-referenced IF
-            om_b = om_b + lam * (banks.bank.half_len * banks.bank.dt_s)
-        def_b &= slot_ok
-        mu[:, :, sl] = np.where(def_b, mu_b, np.nan)
-        omega[:, :, sl] = np.where(def_b, om_b, np.nan)
-        defined[:, :, sl] = def_b
-    return ReassignmentField(omega=omega, mu=mu, defined=defined, nu=float(nu), grid=grid)
+    shape = (grid.n_chirp * grid.n_freq, grid.n_time)
+    omega = np.full(shape, np.nan)
+    mu = np.full(shape, np.nan)
+    defined = np.zeros(shape, dtype=bool)
+    for lo in range(0, rows_ok.size, block):
+        rows = rows_ok[lo : lo + block]
+        mu_b, om_b, def_b = _mu_omega(*(t[rows] for t in rows_of), lam[rows], freqs[rows], nu)
+        mu[rows] = mu_b
+        omega[rows] = om_b + lam[rows] * shear_s
+        defined[rows] = def_b
+    shape = (grid.n_chirp, grid.n_freq, grid.n_time)
+    return ReassignmentField(
+        omega=omega.reshape(shape), mu=mu.reshape(shape), defined=defined.reshape(shape), nu=float(nu), grid=grid
+    )
 
 
-def synchrosqueeze(
-    tensor_h: TfcTensor, field: ReassignmentField, params: SqueezeParams | None = None
-) -> TfcTensor:
+def squeeze_destinations(field: ReassignmentField) -> tuple:
+    """Flat source and destination indices of every entry the squeeze moves.
+
+    Sources are the defined entries whose rounded (omega, mu) lands inside
+    the grid, as ascending flat indices into the volume; each destination is
+    the flat index of its bin in the same frame.
+    """
+    grid = field.grid
+    src = np.flatnonzero(field.defined)
+    m_dest = round_half_away(field.omega.ravel()[src] / grid.freq_step_hz)
+    l_dest = round_half_away(field.mu.ravel()[src] / grid.chirp_step_hzps) + (grid.M - 1)
+    ok = (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
+    src = src[ok]
+    dest = (l_dest[ok].astype(np.intp) * grid.n_freq + m_dest[ok].astype(np.intp)) * grid.n_time
+    dest += src % grid.n_time
+    return src, dest
+
+
+def synchrosqueeze(tensor_h: TfcTensor, field: ReassignmentField) -> TfcTensor:
     """Scatter T^h onto the bins nearest its reassigned coordinates.
 
     Every defined entry whose rounded (omega, mu) lands inside the grid
@@ -185,16 +183,9 @@ def synchrosqueeze(
         or field.grid.n_time != grid.n_time
     ):
         raise ShapeError("field and tensor grids disagree")
-    sel = field.defined
-    m_dest = round_half_away(field.omega[sel] / grid.freq_step_hz)
-    l_dest = round_half_away(field.mu[sel] / grid.chirp_step_hzps) + (grid.M - 1)
-    frames = np.broadcast_to(np.arange(grid.n_time), sel.shape)[sel]
-    vals = tensor_h.values[sel]
-
-    ok = (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
-    flat = (l_dest[ok].astype(np.intp) * grid.n_freq + m_dest[ok].astype(np.intp)) * grid.n_time + frames[ok]
+    src, dest = squeeze_destinations(field)
     out = np.zeros(grid.n_chirp * grid.n_freq * grid.n_time, dtype=np.complex128)
-    np.add.at(out, flat, vals[ok])
+    np.add.at(out, dest, tensor_h.values.ravel()[src])
     return TfcTensor(out.reshape(grid.n_chirp, grid.n_freq, grid.n_time), grid, tensor_h.convention)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.sparse.linalg import eigsh
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
@@ -20,7 +20,8 @@ from .errors import (
     ExtractionError,
     ParameterError,
 )
-from .signal import TfcGrid, round_half_away
+from .reassign import squeeze_destinations
+from .signal import TfcGrid
 from .transform import TfcTensor
 
 
@@ -31,7 +32,9 @@ class TfcPointCloud:
     ``points`` holds per-axis affinely rescaled coordinates in [0, 1]^3 (the
     scaling used for all distance computations); ``physical`` the raw
     (t_s, freq_hz, chirp_hzps) triples; ``axis_offset``/``axis_scale`` record
-    the affine maps so the normalization is reproducible.
+    the affine maps so the normalization is reproducible.  ``core`` marks the
+    points above the global energy quantile when per-frame peaks were
+    admitted as well (``None``: every point is a core point).
     """
 
     points: np.ndarray  # [n, 3] normalized
@@ -40,9 +43,21 @@ class TfcPointCloud:
     frames: np.ndarray  # [n] time index
     axis_offset: np.ndarray
     axis_scale: np.ndarray
+    core: np.ndarray | None = None  # [n] bool
 
     def __len__(self):
         return self.points.shape[0]
+
+    def core_cloud(self) -> "TfcPointCloud":
+        """The core points as a cloud of their own, normalized over themselves.
+
+        Equal to the selection without per-frame peaks.
+        """
+        if self.core is None:
+            return self
+        if not self.core.any():
+            raise EmptyCloudError("no entries above the energy quantile")
+        return _normalized_cloud(self.physical[self.core], self.weights[self.core], self.frames[self.core])
 
 
 @dataclass(frozen=True)
@@ -86,22 +101,29 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
 
     ``min_per_frame`` additionally admits each frame's strongest nonzero
     entries, so that frames whose ridge mass falls below the global
-    threshold (the threshold chases the loudest spikes) still contribute.
+    threshold (the threshold chases the loudest spikes) still contribute;
+    the quantile entries are then marked in ``core``.
     """
     if not (0 <= q < 1):
         raise ParameterError("q must lie in [0, 1)")
     grid = tensor.grid
     mags = np.abs(tensor.values)
-    thr = np.quantile(mags, q)
-    keep = mags > thr
+    keep = mags > np.quantile(mags, q)
+    core = None
     if min_per_frame > 0:
+        core = keep.copy()
         _admit_frame_peaks(mags, keep, min_per_frame)
     l_idx, m_idx, n_idx = np.nonzero(keep)
     if l_idx.size == 0:
         raise EmptyCloudError("no entries above the energy quantile")
     t = n_idx / grid.sample_rate_hz  # seconds from the first frame
     physical = np.column_stack((t, grid.freqs_hz[m_idx], grid.chirps_hzps[l_idx]))
-    weights = mags[l_idx, m_idx, n_idx]
+    return _normalized_cloud(
+        physical, mags[l_idx, m_idx, n_idx], n_idx, None if core is None else core[l_idx, m_idx, n_idx]
+    )
+
+
+def _normalized_cloud(physical, weights, frames, core=None) -> TfcPointCloud:
     # scale each axis by the weighted central range rather than min-max:
     # a handful of heavy-tailed outliers must not compress the axis where
     # the components actually separate
@@ -109,14 +131,14 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
     span = hi - lo
     fallback = physical.max(axis=0) - physical.min(axis=0)
     span = np.where(span > 0, span, np.where(fallback > 0, fallback, 1.0))
-    points = (physical - lo) / span
     return TfcPointCloud(
-        points=points,
+        points=(physical - lo) / span,
         physical=physical,
         weights=weights,
-        frames=n_idx,
+        frames=frames,
         axis_offset=lo,
         axis_scale=span,
+        core=core,
     )
 
 
@@ -126,18 +148,25 @@ def _admit_frame_peaks(mags: np.ndarray, keep: np.ndarray, count: int, suppress=
     Peaks are peeled greedily with a suppression neighborhood of
     ``suppress`` (chirp, frequency) bins, so a frame whose weaker component
     falls below the global threshold still contributes its ridge point.
+    All frames are peeled at once; a frame whose maximum is not positive
+    has no peaks left.
     """
     n_chirp, n_freq, n_time = mags.shape
     dl, dm = suppress
-    for n in range(n_time):
-        frame = mags[:, :, n].copy()
-        for _ in range(count):
-            idx = np.argmax(frame)
-            l, m = divmod(idx, n_freq)
-            if frame[l, m] <= 0:
-                break
-            keep[l, m, n] = True
-            frame[max(0, l - dl) : l + dl + 1, max(0, m - dm) : m + dm + 1] = 0.0
+    frames = np.ascontiguousarray(np.moveaxis(mags, 2, 0)).reshape(n_time, n_chirp * n_freq)
+    for _ in range(count):
+        idx = np.argmax(frames, axis=1)
+        live = np.flatnonzero(~(frames[np.arange(n_time), idx] <= 0))
+        if live.size == 0:
+            break
+        idx = idx[live]
+        l, m = np.divmod(idx, n_freq)
+        keep[l, m, live] = True
+        ll = l[:, None, None] + np.arange(-dl, dl + 1)[:, None]
+        mm = m[:, None, None] + np.arange(-dm, dm + 1)
+        inside = (ll >= 0) & (ll < n_chirp) & (mm >= 0) & (mm < n_freq)
+        rows = np.broadcast_to(live[:, None, None], inside.shape)
+        frames[rows[inside], (ll * n_freq + mm)[inside]] = 0.0
 
 
 def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs) -> tuple:
@@ -168,19 +197,22 @@ def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = 1
     if n_components < 2:
         raise ParameterError("spectral embedding needs at least two clusters")
     n_dim = 2 * (n_components - 1)
-    if len(cloud) < n_dim + 1:
+    if len(cloud) < n_dim + 2:
         raise ParameterError(f"cloud of {len(cloud)} points cannot support a {n_dim}-dim embedding")
     dists = pdist(cloud.points)
     sigma = np.percentile(dists, sigma_pct)
     if sigma <= 0:
         raise DegenerateCloudError("all selected points coincide")
-    W = np.exp(-squareform(dists) ** 2 / (2 * sigma**2))
-    d = W.sum(axis=1)
-    d_isqrt = 1.0 / np.sqrt(d)
-    sym = W * d_isqrt[:, None] * d_isqrt[None, :]
-    n = len(cloud)
-    vals, vecs = eigh(sym, subset_by_index=(n - n_dim - 1, n - 1))
-    # eigh returns ascending order; drop the trivial top eigenvector
+    sym = squareform(np.exp(-(dists**2) / (2 * sigma**2)))
+    np.fill_diagonal(sym, 1.0)
+    d_isqrt = 1.0 / np.sqrt(sym.sum(axis=1))
+    sym *= d_isqrt[:, None]  # W -> D^-1/2 W D^-1/2 in place
+    sym *= d_isqrt
+    # Lanczos for the top n_dim+1 eigenpairs; the fixed start vector makes
+    # the result repeatable and is not the trivial eigenvector sqrt(d)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(cloud))
+    _, vecs = eigsh(sym, k=n_dim + 1, which="LA", v0=v0)
+    # ascending order; drop the trivial top eigenvector
     vecs = vecs[:, ::-1][:, 1:]
     embedding = d_isqrt[:, None] * vecs
     norms = np.linalg.norm(embedding, axis=1, keepdims=True)
@@ -189,7 +221,9 @@ def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = 1
 
 def kmeans_cluster(embedding: np.ndarray, n_clusters: int, seed: int = 0, restarts: int = 50) -> np.ndarray:
     """Seeded k-means++ with restarts; returns the best-inertia labeling."""
-    pts = np.asarray(embedding, dtype=float)
+    # column-major: the sums over the few coordinates of each point and the
+    # cluster means then run along contiguous columns (about twice as fast)
+    pts = np.asfortranarray(embedding, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     n = pts.shape[0]
@@ -339,33 +373,31 @@ def ridges_from_sources(
     labels = np.asarray(labels)
     if labels.shape != (len(cloud),):
         raise ParameterError("labels must cover the cloud")
-    defined = field.defined
-    m_dest = round_half_away(field.omega[defined] / grid.freq_step_hz)
-    l_dest = round_half_away(field.mu[defined] / grid.chirp_step_hzps) + (grid.M - 1)
-    frames_src = np.broadcast_to(np.arange(grid.n_time), defined.shape)[defined]
-    in_range = (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
-    w_src = np.abs(tensor_h.values[defined])
-    om_src = field.omega[defined]
-    mu_src = field.mu[defined]
-    l_pt = np.rint(cloud.physical[:, 2] / grid.chirp_step_hzps).astype(int) + grid.M - 1
-    m_pt = np.rint(cloud.physical[:, 1] / grid.freq_step_hz).astype(int)
-
-    ids = np.unique(labels)
+    ids, rows = np.unique(labels, return_inverse=True)
+    if ids.size > np.iinfo(np.int8).max:
+        raise ParameterError("at most 127 clusters")
     n_time = grid.n_time
+    # one label volume over the clusters' bins (-1 elsewhere), looked up at
+    # every source's destination; only the sources that land on a bin stay
+    owner = np.full(grid.n_chirp * grid.n_freq * n_time, -1, dtype=np.int8)
+    l_pt = np.rint(cloud.physical[:, 2] / grid.chirp_step_hzps).astype(np.intp) + grid.M - 1
+    m_pt = np.rint(cloud.physical[:, 1] / grid.freq_step_hz).astype(np.intp)
+    owner[(l_pt * grid.n_freq + m_pt) * n_time + cloud.frames] = rows
+    src, dest = squeeze_destinations(field)
+    src_row = owner[dest]
+    landed = src_row >= 0
+    src, src_row = src[landed], src_row[landed]
+    frames_src = src % n_time
+    w_src = np.abs(tensor_h.values.ravel()[src])
+    om_src = field.omega.ravel()[src]
+    mu_src = field.mu.ravel()[src]
+
     t_axis = np.arange(n_time) / grid.sample_rate_hz
     omega = np.full((ids.size, n_time), np.nan)
     mu = np.full_like(omega, np.nan)
     observed = np.zeros(omega.shape, dtype=bool)
     for row, cid in enumerate(ids):
-        sel = labels == cid
-        member = np.zeros((grid.n_chirp, grid.n_freq, n_time), dtype=bool)
-        member[l_pt[sel], m_pt[sel], cloud.frames[sel]] = True
-        hit = np.zeros(w_src.shape, dtype=bool)
-        hit[in_range] = member[
-            l_dest[in_range].astype(np.intp),
-            m_dest[in_range].astype(np.intp),
-            frames_src[in_range],
-        ]
+        hit = src_row == row
         if not hit.any():
             raise ExtractionError(f"cluster {cid} received no source entries")
         t_hit = frames_src[hit] / grid.sample_rate_hz
@@ -377,7 +409,7 @@ def ridges_from_sources(
             t_hit, mu_src[hit], w_src[hit], t_axis,
             params.fit_half_width_s, params.fit_iters, params.fit_clip,
         )
-        observed[row] = np.bincount(cloud.frames[sel], minlength=n_time) > 0
+        observed[row] = np.bincount(cloud.frames[rows == row], minlength=n_time) > 0
         for curve in (omega, mu):
             good = np.isfinite(curve[row])
             if not good.any():
@@ -401,6 +433,7 @@ def extract_ridges(
 ) -> RidgeSet:
     """Full extraction: select, embed, cluster, aggregate.
 
+    Returns exactly ``n_components`` curves or raises ``ExtractionError``.
     ``n_components == 1`` bypasses the clustering and treats every selected
     point as one ridge.  When the reassignment ``field`` and the pre-squeeze
     ``source`` tensor are supplied, the curves are aggregated from the
@@ -408,19 +441,21 @@ def extract_ridges(
     they are the per-frame centroids of the selected bins themselves.
     """
     params = params or RidgeParams()
-    cloud = select_high_energy(tensor, params.q)
+    # per-frame peaks keep starved stretches represented in the curve fit,
+    # but only the clean quantile (core) cloud votes on cluster identity:
+    # the extra points inherit labels from their nearest clustered point
+    cloud = select_high_energy(tensor, params.q, params.min_per_frame)
+    core = cloud.core_cloud()
     if n_components == 1:
-        labels = np.zeros(len(cloud), dtype=int)
+        labels = np.zeros(len(core), dtype=int)
     else:
-        embedding = spectral_embed(cloud, n_components, params.sigma_pct)
+        embedding = spectral_embed(core, n_components, params.sigma_pct)
         labels = kmeans_cluster(embedding, n_components, seed=params.seed, restarts=params.restarts)
-    if params.min_per_frame > 0:
-        # per-frame peaks keep starved stretches represented in the curve
-        # fit, but only the clean quantile cloud votes on cluster identity:
-        # the extra points inherit labels from their nearest clustered point
-        cloud_aug = select_high_energy(tensor, params.q, params.min_per_frame)
-        labels = _propagate_labels(cloud, labels, cloud_aug)
-        cloud = cloud_aug
+        found = np.unique(labels).size
+        if found != n_components:
+            raise ExtractionError(f"clustering found {found} of {n_components} ridges")
+    if core is not cloud:
+        labels = _propagate_labels(core, labels, cloud)
     if field is not None and source is not None:
         return ridges_from_sources(cloud, labels, field, source, params)
     return ridges_from_clusters(cloud, labels, tensor.grid)

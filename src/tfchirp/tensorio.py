@@ -142,6 +142,9 @@ def read_wav(path: str, downsample: int = 1) -> Signal:
 
 def write_wav(path: str, samples: np.ndarray, sample_rate_hz: float):
     """Minimal mono PCM16 writer (used by tests and synth output)."""
+    if not (sample_rate_hz > 0 and float(sample_rate_hz).is_integer()):
+        raise ParameterError(f"WAV sample rate must be a positive integer, got {sample_rate_hz}")
+    rate = int(sample_rate_hz)
     pcm = np.clip(np.round(np.asarray(samples, dtype=float) * 32768.0), -32768, 32767).astype("<i2")
     payload = pcm.tobytes()
 
@@ -149,7 +152,7 @@ def write_wav(path: str, samples: np.ndarray, sample_rate_hz: float):
         fh.write(b"RIFF")
         fh.write(struct.pack("<I", 36 + len(payload)))
         fh.write(b"WAVE")
-        fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, int(sample_rate_hz), int(sample_rate_hz) * 2, 2, 16))
+        fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16))
         fh.write(b"data" + struct.pack("<I", len(payload)))
         fh.write(payload)
 

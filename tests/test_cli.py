@@ -235,3 +235,26 @@ def test_transform_left_convention_differs(tmp_path):
                      "--output", str(out)]) == 0
         outs[conv], _ = read_tensor(str(out))
     assert not np.allclose(outs["centered"].values, outs["left"].values)
+
+
+def test_reconstruct_honours_nu_rel(crossing_csv, tmp_path):
+    csvs = {}
+    for nu_rel in (1e-4, 0.2):
+        cfg = write_config(tmp_path, nu_rel=nu_rel)
+        out = tmp_path / f"ridges-{nu_rel}.csv"
+        code = main(["--config", cfg, "reconstruct", "--input", crossing_csv, "--rate", "100",
+                     "--ridge-csv", str(out), "--mode-prefix", str(tmp_path / f"mode-{nu_rel}-")])
+        assert code == 0
+        csvs[nu_rel] = out.read_bytes()
+    assert csvs[1e-4] != csvs[0.2]
+
+
+def test_ridge_emptied_cluster_exits_3(crossing_csv, tmp_path, monkeypatch):
+    from tfchirp import ridge
+
+    tensor = tmp_path / "sct.tfc1"
+    assert main(["sct", "--input", crossing_csv, "--rate", "100", "--output", str(tensor)]) == 0
+    monkeypatch.setattr(ridge, "kmeans_cluster", lambda emb, k, **kw: np.zeros(len(emb), dtype=int))
+    out = tmp_path / "r.csv"
+    assert main(["ridge", "--tensor", str(tensor), "--output", str(out)]) == 3
+    assert not out.exists()

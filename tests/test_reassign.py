@@ -279,3 +279,61 @@ def test_left_convention_field_compensates_shear():
     true_if = np.broadcast_to(xi0 + lam0 * x, mags.shape)
     assert np.nanmax(np.abs(field.mu[sel] - lam0)) <= 2 * grid.chirp_step_hzps
     assert np.nanmax(np.abs(field.omega[sel] - true_if[sel])) <= grid.freq_step_hz
+
+
+def _field_oracle(banks, nu):
+    """The 17-product reassignment rule over the whole volume."""
+    from tfchirp.reassign import M2_GUARD, resolvable_slots
+
+    grid = banks.grid
+    T, T1, T2, U, U1, V = (
+        t.values.astype(complex)
+        for t in (banks.h, banks.h_prime, banks.h_second, banks.th, banks.th_prime, banks.t2h)
+    )
+    lam = grid.chirps_hzps[:, None, None]
+    a = 2j * np.pi * lam
+    m1 = T * T2 - 2 * a * T * U1 - a * T * T + a * a * T * V - T1 * T1 - a * a * U * U + 2 * a * T1 * U
+    m2 = 2j * np.pi * (-T * U1 + a * T * V + U * T1 - a * U * U)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = m1 / m2
+        mu = ratio.real
+        omega = grid.freqs_hz[None, :, None] + (-T1 / (2 * np.pi * T) + 1j * (lam - ratio) * U / T).imag
+    if banks.convention == "left":
+        omega = omega + lam * (banks.bank.half_len * banks.bank.dt_s)
+    defined = (np.abs(T) > nu) & (np.abs(m2) >= M2_GUARD * np.abs(m1))
+    defined &= np.isfinite(mu) & np.isfinite(omega) & resolvable_slots(grid, banks.bank)[:, :, None]
+    return mu, omega, defined
+
+
+@pytest.mark.parametrize("convention", ["centered", "left"])
+def test_field_matches_full_product_formula(convention):
+    from tfchirp.transform import BankTensors, TfcTensor
+
+    rng = np.random.default_rng(11)
+    fs, n = 20.0, 90
+    grid = grid_from_resolution(0.05, n, fs)
+    fam = WindowFamily(2, 1.0)
+    bank = make_window_bank(fam, 30, 1 / fs)
+    shape = (grid.n_chirp, grid.n_freq, n)
+    tensors = [
+        TfcTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid, convention)
+        for _ in range(6)
+    ]
+    banks = BankTensors(*tensors, bank=bank, grid=grid, convention=convention)
+    nu = 0.3  # leaves some entries below threshold
+    field = reassignment_field(banks, nu=nu)
+    mu, omega, defined = _field_oracle(banks, nu)
+    assert 0 < defined.sum() < defined.size
+    assert np.array_equal(field.defined, defined)
+    assert np.isnan(field.mu[~defined]).all() and np.isnan(field.omega[~defined]).all()
+    assert np.max(np.abs(field.mu[defined] - mu[defined])) <= 1e-6 * grid.chirp_step_hzps
+    assert np.max(np.abs(field.omega[defined] - omega[defined])) <= 1e-6 * grid.freq_step_hz
+
+
+def test_squeeze_takes_no_parameter_object():
+    import inspect
+
+    import tfchirp
+
+    assert not hasattr(tfchirp, "SqueezeParams")
+    assert list(inspect.signature(synchrosqueeze).parameters) == ["tensor_h", "field"]

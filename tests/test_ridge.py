@@ -240,3 +240,96 @@ def test_extraction_deterministic(crossing_sct_g2):
     b = sct_ridges(crossing_sct_g2, 2, p)
     assert np.array_equal(a.omega_hz, b.omega_hz)
     assert np.array_equal(a.mu_hzps, b.mu_hzps)
+
+
+def _dense_embedding(cloud, n_components, sigma_pct):
+    """Oracle: the Ng-Jordan-Weiss embedding through a dense eigendecomposition."""
+    from scipy.linalg import eigh
+    from scipy.spatial.distance import pdist, squareform
+
+    d = pdist(cloud.points)
+    sigma = np.percentile(d, sigma_pct)
+    W = np.exp(-squareform(d) ** 2 / (2 * sigma**2))
+    d_isqrt = 1.0 / np.sqrt(W.sum(axis=1))
+    n, n_dim = len(cloud), 2 * (n_components - 1)
+    _, vecs = eigh(W * d_isqrt[:, None] * d_isqrt[None, :], subset_by_index=(n - n_dim - 1, n - 1))
+    emb = d_isqrt[:, None] * vecs[:, ::-1][:, 1:]
+    return emb / np.linalg.norm(emb, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n_components", [2, 3])
+def test_spectral_embed_matches_dense_eigh(crossing_sct_g2, n_components):
+    cloud = select_high_energy(crossing_sct_g2.squeezed, 0.9995)
+    emb = spectral_embed(cloud, n_components, 15.0)
+    want = _dense_embedding(cloud, n_components, 15.0)
+    signs = np.sign((emb * want).sum(axis=0))
+    assert np.max(np.abs(emb * signs - want)) <= 1e-10
+    again = spectral_embed(cloud, n_components, 15.0)
+    assert np.array_equal(emb, again)  # fixed start vector: repeatable to the bit
+
+
+def test_spectral_embed_needs_one_point_beyond_the_embedding():
+    cloud = blob_cloud(n=2)  # 4 points: k = n_dim + 1 = 3 eigenpairs need n >= 4
+    assert spectral_embed(cloud, 2).shape == (4, 2)
+    from tfchirp.ridge import TfcPointCloud
+
+    three = TfcPointCloud(
+        cloud.points[:3], cloud.physical[:3], cloud.weights[:3], cloud.frames[:3],
+        cloud.axis_offset, cloud.axis_scale,
+    )
+    with pytest.raises(ParameterError):
+        spectral_embed(three, 2)
+
+
+def _admit_frame_peaks_loop(mags, keep, count, suppress=(3, 2)):
+    """Oracle: the greedy per-frame peeling, one frame at a time."""
+    n_chirp, n_freq, n_time = mags.shape
+    dl, dm = suppress
+    for n in range(n_time):
+        frame = mags[:, :, n].copy()
+        for _ in range(count):
+            idx = np.argmax(frame)
+            l, m = divmod(idx, n_freq)
+            if frame[l, m] <= 0:
+                break
+            keep[l, m, n] = True
+            frame[max(0, l - dl) : l + dl + 1, max(0, m - dm) : m + dm + 1] = 0.0
+
+
+@pytest.mark.parametrize("count", [1, 3, 6])
+def test_admit_frame_peaks_matches_per_frame_loop(count):
+    from tfchirp.ridge import _admit_frame_peaks
+
+    rng = np.random.default_rng(count)
+    mags = np.abs(rng.standard_normal((9, 7, 40)))
+    mags[:, :, 3] = 0.0  # silent frame
+    mags[:, :, 5] = 0.0
+    mags[0, 0, 5] = 2.0  # one peak in the corner, then silence
+    mags[:, :, 7] = 1.0  # flat frame: ties resolve to the first index
+    mags[rng.random(mags.shape) < 0.3] = 0.0
+    want = rng.random(mags.shape) < 0.05
+    got = want.copy()
+    _admit_frame_peaks_loop(mags, want, count)
+    _admit_frame_peaks(mags, got, count)
+    assert np.array_equal(got, want)
+
+
+def test_core_cloud_equals_selection_without_peaks(crossing_sct_g2):
+    tensor = crossing_sct_g2.squeezed
+    aug = select_high_energy(tensor, 0.9995, min_per_frame=3)
+    core = select_high_energy(tensor, 0.9995)
+    assert len(aug) > len(core) and aug.core.sum() == len(core)
+    sub = aug.core_cloud()
+    for name in ("points", "physical", "weights", "frames", "axis_offset", "axis_scale"):
+        assert np.array_equal(getattr(sub, name), getattr(core, name)), name
+
+
+def test_emptied_cluster_raises_extraction_error(crossing_sct_g2, monkeypatch):
+    from tfchirp import ridge
+    from tfchirp.errors import ExtractionError
+
+    monkeypatch.setattr(ridge, "kmeans_cluster", lambda emb, k, **kw: np.zeros(len(emb), dtype=int))
+    with pytest.raises(ExtractionError):
+        sct_ridges(crossing_sct_g2, 2, RidgeParams(seed=0))
+    with pytest.raises(ExtractionError):
+        extract_ridges(crossing_sct_g2.squeezed, 2, RidgeParams(seed=0, min_per_frame=2))

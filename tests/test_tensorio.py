@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tfchirp.errors import FormatError
+from tfchirp.errors import FormatError, ParameterError
 from tfchirp.signal import Signal, grid_from_resolution
 from tfchirp.tensorio import (
     read_signal_csv,
@@ -136,3 +136,13 @@ def test_tensor_rejects_nonfinite_payload(tmp_path):
     write_tensor(str(path), TfcTensor(values, tensor.grid))
     with pytest.raises(FormatError):
         read_tensor(str(path))
+
+
+def test_wav_rejects_non_integer_rate(tmp_path):
+    path = tmp_path / "tone.wav"
+    for rate in (8000.5, 0, -8000, float("nan")):
+        with pytest.raises(ParameterError):
+            write_wav(str(path), np.zeros(16), rate)
+    assert not path.exists()
+    write_wav(str(path), np.zeros(16), 8000.0)  # an integral float is a valid rate
+    assert read_wav(str(path)).sample_rate_hz == 8000
