@@ -9,6 +9,7 @@ from .errors import (
     ParameterError,
     RangeError,
     ReconstructionError,
+    ResourceError,
     ShapeError,
     TfchirpError,
     UnsupportedWindowError,
@@ -63,6 +64,7 @@ from .synth import (
 )
 from .transform import (
     BankTensors,
+    StreamedBank,
     TfcTensor,
     TfMatrix,
     analytic_ct_linear_chirp,
@@ -75,6 +77,7 @@ from .transform import (
     g_check,
     project_tfc_to_tf,
     stft,
+    streamed_bank_transform,
 )
 
 __version__ = "0.1.0"

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensorio
-from .errors import FormatError, ParameterError, TfchirpError
+from .errors import FormatError, ParameterError, ResourceError, TfchirpError
 from .metrics import rel_error
 from .pipeline import random_study, run_sct, sct_ridges
 from .reassign import squeeze_conservation
@@ -120,6 +121,26 @@ def _half_len(config: RunConfig, signal: Signal) -> int:
     return config.family().default_half_len(signal.dt_s)
 
 
+@contextmanager
+def _memory_guard(grid):
+    """Turn a ``MemoryError`` into a one-line error naming the grid and the knob."""
+    try:
+        yield
+    except MemoryError:
+        volume = grid.n_chirp * grid.n_freq * grid.n_time * np.dtype(np.complex128).itemsize
+        raise ResourceError(
+            f"out of memory on the {grid.n_chirp}x{grid.n_freq}x{grid.n_time} grid "
+            f"({volume} bytes per complex volume); raise alpha_sq (now {grid.alpha_sq}) for a coarser grid"
+        ) from None
+
+
+def _run_sct(config: RunConfig, signal: Signal, grid):
+    return run_sct(
+        signal, config.family(), grid,
+        half_len=_half_len(config, signal), convention=config.convention, nu_rel=config.nu_rel,
+    )
+
+
 def _write_slice_csv(path: str, tensor, t0_s: float, at_time: float):
     grid = tensor.grid
     frame = int(round((at_time - t0_s) * grid.sample_rate_hz))
@@ -140,18 +161,19 @@ def cmd_transform(args) -> int:
     signal = _read_signal(args, config)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     bank = make_window_bank(config.family(), _half_len(config, signal), signal.dt_s)
-    tensor = chirplet_transform(signal, bank.h, grid, config.convention)
-    tensorio.write_tensor(args.output, tensor, signal.t0_s)
-    if args.tf_csv:
-        tf = project_tfc_to_tf(tensor)
-        rows = [
-            (signal.t0_s + n / grid.sample_rate_hz, grid.freqs_hz[m], tf.values[m, n])
-            for m in range(grid.n_freq)
-            for n in range(grid.n_time)
-        ]
-        tensorio.write_csv_table(args.tf_csv, ("t_s", "freq_hz", "projection"), rows)
-    if args.slice is not None:
-        _write_slice_csv(args.slice_csv, tensor, signal.t0_s, args.slice)
+    with _memory_guard(grid):
+        tensor = chirplet_transform(signal, bank.h, grid, config.convention)
+        tensorio.write_tensor(args.output, tensor, signal.t0_s)
+        if args.tf_csv:
+            tf = project_tfc_to_tf(tensor)
+            rows = [
+                (signal.t0_s + n / grid.sample_rate_hz, grid.freqs_hz[m], tf.values[m, n])
+                for m in range(grid.n_freq)
+                for n in range(grid.n_time)
+            ]
+            tensorio.write_csv_table(args.tf_csv, ("t_s", "freq_hz", "projection"), rows)
+        if args.slice is not None:
+            _write_slice_csv(args.slice_csv, tensor, signal.t0_s, args.slice)
     return 0
 
 
@@ -161,24 +183,18 @@ def cmd_sct(args) -> int:
         config = replace(config, seed=args.seed)
     signal = _read_signal(args, config)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
-    result = run_sct(
-        signal,
-        config.family(),
-        grid,
-        half_len=_half_len(config, signal),
-        convention=config.convention,
-        nu_rel=config.nu_rel,
-    )
-    tensorio.write_tensor(args.output, result.squeezed, signal.t0_s)
-    if args.summary:
-        residual = squeeze_conservation(result.banks.h, result.field, result.squeezed)
-        rows = [
-            (signal.t0_s + n / grid.sample_rate_hz, residual[n])
-            for n in range(grid.n_time)
-        ]
-        tensorio.write_csv_table(args.summary, ("t_s", "conservation_residual"), rows)
-    if args.slice is not None:
-        _write_slice_csv(args.slice_csv, result.squeezed, signal.t0_s, args.slice)
+    with _memory_guard(grid):
+        result = _run_sct(config, signal, grid)
+        tensorio.write_tensor(args.output, result.squeezed, signal.t0_s)
+        if args.summary:
+            residual = squeeze_conservation(result.banks.h, result.field, result.squeezed)
+            rows = [
+                (signal.t0_s + n / grid.sample_rate_hz, residual[n])
+                for n in range(grid.n_time)
+            ]
+            tensorio.write_csv_table(args.summary, ("t_s", "conservation_residual"), rows)
+        if args.slice is not None:
+            _write_slice_csv(args.slice_csv, result.squeezed, signal.t0_s, args.slice)
     return 0
 
 
@@ -212,11 +228,8 @@ def cmd_reconstruct(args) -> int:
         config = replace(config, seed=args.seed)
     signal = _read_signal(args, config)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
-    analysis = run_sct(
-        signal, config.family(), grid,
-        half_len=_half_len(config, signal), convention=config.convention, nu_rel=config.nu_rel,
-    )
-    ridges = sct_ridges(analysis, config.n_components, config.ridge_params())
+    with _memory_guard(grid):
+        ridges = sct_ridges(_run_sct(config, signal, grid), config.n_components, config.ridge_params())
     recon_family = WindowFamily(args.recon_n, args.recon_alpha)
     recon_bank = make_window_bank(recon_family, recon_family.default_half_len(signal.dt_s), signal.dt_s)
     modes = reconstruct_modes(signal, ridges, recon_family, recon_bank)

@@ -41,5 +41,9 @@ class MetricError(TfchirpError):
     """A metric is undefined for the given inputs."""
 
 
+class ResourceError(TfchirpError):
+    """An analysis does not fit in the memory available."""
+
+
 class FormatError(TfchirpError):
     """A file does not conform to the expected on-disk format."""

@@ -12,12 +12,12 @@ from .reconstruct import reconstruct_modes, sst_band_reconstruct
 from .ridge import RidgeParams, RidgeSet, extract_ridges
 from .signal import Signal, TfcGrid, WindowFamily, grid_from_resolution, make_window_bank
 from .synth import SyntheticScene, add_student_t_noise
-from .transform import BankTensors, TfcTensor, chirplet_bank_transform
+from .transform import StreamedBank, TfcTensor, streamed_bank_transform
 
 
 @dataclass(frozen=True)
 class SctResult:
-    banks: BankTensors
+    banks: StreamedBank
     field: ReassignmentField
     squeezed: TfcTensor
 
@@ -30,11 +30,14 @@ def run_sct(
     convention: str = "centered",
     nu: float | None = None,
     nu_rel: float | None = None,
-    companion_dtype=None,
 ) -> SctResult:
-    """Bank transforms, reassignment field and squeezed volume in one go."""
+    """T^h, reassignment field and squeezed volume in one go.
+
+    T^h is the only bank volume kept; the field sums the companion
+    transforms block by block over its resolvable rows.
+    """
     bank = make_window_bank(family, half_len or family.default_half_len(signal.dt_s), signal.dt_s)
-    banks = chirplet_bank_transform(signal, bank, grid, convention, companion_dtype)
+    banks = streamed_bank_transform(signal, bank, grid, convention)
     if nu is None and nu_rel is not None:
         peak = float(np.abs(banks.h.values).max())
         nu = nu_rel * peak if peak > 0 else None
@@ -106,8 +109,7 @@ def crossing_study(
     params = ridge_params or RidgeParams(seed=seed)
     k = scene.components.shape[0]
 
-    companion_dtype = np.complex64 if grid.n_chirp * grid.n_freq * grid.n_time > 8_000_000 else None
-    result = run_sct(signal, analysis_family, grid, half_len=half_len, companion_dtype=companion_dtype)
+    result = run_sct(signal, analysis_family, grid, half_len=half_len)
     ridges_sct = sct_ridges(result, k, params)
     ridges_ct = ct_ridges(result, k, params)
 

@@ -34,11 +34,13 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .signal import Signal, TfcGrid, WindowBank, round_half_away
-from .transform import BankTensors, TfcTensor, TfMatrix, _padded_segments
+from .transform import BankTensors, StreamedBank, TfcTensor, TfMatrix, _padded_segments
 
 M2_GUARD = 1e-12
 DEFAULT_NU_REL = 1e-4
 ALIAS_TOL = 1e-3
+FETCH_BLOCKS = 8  # field blocks whose companion rows are summed in one product
+SQUEEZE_BLOCK = 1 << 20  # entries per block of the squeeze: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -99,26 +101,29 @@ def resolvable_slots(grid: TfcGrid, bank: WindowBank, tol: float = ALIAS_TOL) ->
     j = np.arange(-bank.half_len, bank.half_len + 1)
     w = np.abs(bank.h)
     total = w.sum()
-    nu_atom = (
-        grid.chirp_indices[:, None, None] / (4 * grid.M**2) * j[None, None, :]
-        + (np.arange(grid.n_freq) / (2 * grid.M))[None, :, None]
-    )
-    aliased = (np.abs(nu_atom) > 0.5) @ w
-    return aliased <= tol * total
+    freq_term = (np.arange(grid.n_freq) / (2 * grid.M))[:, None]
+    ok = np.empty((grid.n_chirp, grid.n_freq), dtype=bool)
+    # one chirp slice at a time: a [n_chirp, n_freq, 2K+1] map would rival
+    # the volume itself
+    for i, l in enumerate(grid.chirp_indices):
+        nu_atom = l / (4 * grid.M**2) * j[None, :] + freq_term
+        ok[i] = (np.abs(nu_atom) > 0.5) @ w <= tol * total
+    return ok
 
 
 def reassignment_field(
-    banks: BankTensors, nu: float | None = None, alias_tol: float = ALIAS_TOL
+    banks: BankTensors | StreamedBank, nu: float | None = None, alias_tol: float = ALIAS_TOL
 ) -> ReassignmentField:
     """Frequency and chirp-rate reassignment estimates over a TFC volume.
 
-    ``nu`` is the hard modulus threshold below which entries are undefined;
-    ``None`` applies the relative default against the peak of ``banks.h``.
+    ``banks`` is a ``BankTensors`` (six stored transforms) or a
+    ``StreamedBank`` (T^h stored, companions summed per row block); either
+    supplies the companion rows through ``companion_rows()``.  ``nu`` is the
+    hard modulus threshold below which entries are undefined; ``None``
+    applies the relative default against the peak of ``banks.h``.
     """
     grid = banks.grid
-    tensors = (banks.h, banks.h_prime, banks.h_second, banks.th, banks.th_prime, banks.t2h)
-    if len({t.values.shape for t in tensors}) != 1:
-        raise ShapeError("bank tensors disagree in shape")
+    companions = banks.companion_rows()
     if nu is None:
         nu = default_threshold(banks.h)
     if not (nu > 0):
@@ -131,24 +136,45 @@ def reassignment_field(
     # the left-edge phase reference shears each chirp slice in frequency;
     # undo it so omega estimates the center-referenced IF
     shear_s = banks.bank.half_len * banks.bank.dt_s if banks.convention == "left" else 0.0
-    rows_of = [t.values.reshape(-1, grid.n_time) for t in tensors]
-    # rows per block: ~64k entries keep the many temporaries cache-resident
+    T_rows = banks.h.values.reshape(-1, grid.n_time)
+    # rows per block: ~64k entries keep the many temporaries cache-resident;
+    # a streamed bank's sums run FETCH_BLOCKS blocks at a time, since one
+    # block is too small a matrix product to run at full speed
     block = max(1, (1 << 16) // grid.n_time)
 
     shape = (grid.n_chirp * grid.n_freq, grid.n_time)
     omega = np.full(shape, np.nan)
     mu = np.full(shape, np.nan)
     defined = np.zeros(shape, dtype=bool)
-    for lo in range(0, rows_ok.size, block):
-        rows = rows_ok[lo : lo + block]
-        mu_b, om_b, def_b = _mu_omega(*(t[rows] for t in rows_of), lam[rows], freqs[rows], nu)
-        mu[rows] = mu_b
-        omega[rows] = om_b + lam[rows] * shear_s
-        defined[rows] = def_b
+    for lo in range(0, rows_ok.size, FETCH_BLOCKS * block):
+        fetched = rows_ok[lo : lo + FETCH_BLOCKS * block]
+        companions_of = companions(fetched)
+        for sub in range(0, fetched.size, block):
+            part = slice(sub, sub + block)
+            rows = fetched[part]
+            mu_b, om_b, def_b = _mu_omega(T_rows[rows], *companions_of(part), lam[rows], freqs[rows], nu)
+            mu[rows] = mu_b
+            omega[rows] = om_b + lam[rows] * shear_s
+            defined[rows] = def_b
     shape = (grid.n_chirp, grid.n_freq, grid.n_time)
     return ReassignmentField(
         omega=omega.reshape(shape), mu=mu.reshape(shape), defined=defined.reshape(shape), nu=float(nu), grid=grid
     )
+
+
+def _destination_blocks(field: ReassignmentField):
+    """``squeeze_destinations`` in ascending blocks of bounded size."""
+    grid = field.grid
+    defined, omega, mu = (x.reshape(-1) for x in (field.defined, field.omega, field.mu))
+    for lo in range(0, defined.size, SQUEEZE_BLOCK):
+        src = np.flatnonzero(defined[lo : lo + SQUEEZE_BLOCK]) + lo
+        m_dest = round_half_away(omega[src] / grid.freq_step_hz)
+        l_dest = round_half_away(mu[src] / grid.chirp_step_hzps) + (grid.M - 1)
+        ok = (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
+        src = src[ok]
+        dest = (l_dest[ok].astype(np.intp) * grid.n_freq + m_dest[ok].astype(np.intp)) * grid.n_time
+        dest += src % grid.n_time
+        yield src, dest
 
 
 def squeeze_destinations(field: ReassignmentField) -> tuple:
@@ -158,15 +184,14 @@ def squeeze_destinations(field: ReassignmentField) -> tuple:
     the grid, as ascending flat indices into the volume; each destination is
     the flat index of its bin in the same frame.
     """
-    grid = field.grid
-    src = np.flatnonzero(field.defined)
-    m_dest = round_half_away(field.omega.ravel()[src] / grid.freq_step_hz)
-    l_dest = round_half_away(field.mu.ravel()[src] / grid.chirp_step_hzps) + (grid.M - 1)
-    ok = (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
-    src = src[ok]
-    dest = (l_dest[ok].astype(np.intp) * grid.n_freq + m_dest[ok].astype(np.intp)) * grid.n_time
-    dest += src % grid.n_time
-    return src, dest
+    size = int(np.count_nonzero(field.defined))
+    src, dest = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
+    k = 0
+    for src_b, dest_b in _destination_blocks(field):
+        src[k : k + src_b.size] = src_b
+        dest[k : k + src_b.size] = dest_b
+        k += src_b.size
+    return src[:k], dest[:k]
 
 
 def synchrosqueeze(tensor_h: TfcTensor, field: ReassignmentField) -> TfcTensor:
@@ -183,25 +208,20 @@ def synchrosqueeze(tensor_h: TfcTensor, field: ReassignmentField) -> TfcTensor:
         or field.grid.n_time != grid.n_time
     ):
         raise ShapeError("field and tensor grids disagree")
-    src, dest = squeeze_destinations(field)
-    out = np.zeros(grid.n_chirp * grid.n_freq * grid.n_time, dtype=np.complex128)
-    np.add.at(out, dest, tensor_h.values.ravel()[src])
+    values = tensor_h.values.reshape(-1)
+    out = np.zeros(values.size, dtype=np.complex128)
+    # blocks in ascending source order keep the scatter order of one pass
+    for src, dest in _destination_blocks(field):
+        np.add.at(out, dest, values[src])
     return TfcTensor(out.reshape(grid.n_chirp, grid.n_freq, grid.n_time), grid, tensor_h.convention)
 
 
 def squeeze_conservation(tensor_h: TfcTensor, field: ReassignmentField, squeezed: TfcTensor) -> np.ndarray:
     """Per-frame |sum S - sum of contributing T| / max(|sum of contributing T|, eps)."""
-    grid = tensor_h.grid
-    m_dest = round_half_away(np.where(field.defined, field.omega, np.nan) / grid.freq_step_hz)
-    l_dest = round_half_away(np.where(field.defined, field.mu, np.nan) / grid.chirp_step_hzps) + (grid.M - 1)
-    with np.errstate(invalid="ignore"):
-        contrib = (
-            field.defined
-            & (l_dest >= 0)
-            & (l_dest < grid.n_chirp)
-            & (m_dest >= 0)
-            & (m_dest < grid.n_freq)
-        )
+    contrib = np.zeros(tensor_h.values.shape, dtype=bool)
+    flat = contrib.reshape(-1)
+    for src, _ in _destination_blocks(field):
+        flat[src] = True
     lhs = squeezed.values.sum(axis=(0, 1))
     rhs = np.where(contrib, tensor_h.values, 0).sum(axis=(0, 1))
     scale = np.maximum(np.abs(rhs), 1e-300)

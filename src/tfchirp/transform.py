@@ -64,6 +64,10 @@ class TfMatrix:
             raise ShapeError(f"matrix shape {self.values.shape} != grid shape {expected}")
 
 
+# the companions in the argument order of the reassignment rule: T1, T2, U, U1, V
+_COMPANIONS = ("h_prime", "h_second", "th", "th_prime", "t2h")
+
+
 @dataclass(frozen=True)
 class BankTensors:
     """The six chirplet transforms of one signal against a window bank."""
@@ -78,6 +82,75 @@ class BankTensors:
     grid: TfcGrid
     convention: str
 
+    def companion_rows(self):
+        """Row source of the companions: ``fetch(rows)(part)`` is the tuple
+        (T1, T2, U, U1, V) of the flat (chirp, frequency) rows ``rows[part]``."""
+        companions = [getattr(self, name).values for name in _COMPANIONS]
+        if len({t.shape for t in companions} | {self.h.values.shape}) != 1:
+            raise ShapeError("bank tensors disagree in shape")
+        flat = [t.reshape(-1, self.grid.n_time) for t in companions]
+        return lambda rows: lambda part: tuple(t[rows[part]] for t in flat)
+
+
+@dataclass(frozen=True)
+class StreamedBank:
+    """T^h of a signal, with the companion transforms summed per row block.
+
+    For ``g = x**n * e`` with ``e = exp(-pi*a*x**2)`` the companions are exact
+    linear combinations of fewer windows:
+
+        th'  = n*h - 2*pi*a*t2h
+        h'   = n*x**(n-1)*e - 2*pi*a*th
+        h''  = n*(n-1)*x**(n-2)*e - 2*pi*a*(2n+1)*h + 4*pi**2*a**2*t2h
+
+    so a block of rows sums the signal against ``th``, ``t2h`` and the basis
+    windows ``x**(n-1)*e`` (n >= 1) and ``x**(n-2)*e`` (n >= 2) only, and no
+    companion volume is ever stored.
+    """
+
+    h: TfcTensor
+    signal: Signal
+    bank: WindowBank
+    grid: TfcGrid
+    convention: str
+
+    def companion_rows(self):
+        """Row source of the companions: ``fetch(rows)(part)`` is the tuple
+        (T1, T2, U, U1, V) of the flat (chirp, frequency) rows ``rows[part]``.
+
+        ``fetch`` sums all of ``rows`` in one matrix product; ``part`` combines
+        a slice of them into the companions.  The windowed segments are built
+        once per call and released with the returned function.
+        """
+        grid, bank = self.grid, self.bank
+        n, a = bank.family.n, bank.family.alpha_w
+        x = bank.offsets_s
+        e = np.exp(-np.pi * a * x * x)
+        windows = [bank.th, bank.t2h] + [x ** (n - d) * e for d in (1, 2) if n >= d]
+        chirp_phase, freq_phase = _phase_factors(grid, bank.half_len, self.convention)
+        S = _padded_segments(self.signal, bank.half_len)
+        stacked = np.hstack([w[:, None] * S for w in windows])
+        T_flat = self.h.values.reshape(-1, grid.n_time)
+        c1, c2 = -2 * np.pi * a, 4 * np.pi**2 * a**2
+
+        def fetch(rows):
+            E = chirp_phase[rows // grid.n_freq] * freq_phase[rows % grid.n_freq]
+            sums = (E @ stacked).reshape(rows.size, len(windows), grid.n_time)
+
+            def part(sl):
+                T, U, V = T_flat[rows[sl]], sums[sl, 0], sums[sl, 1]
+                T1 = c1 * U
+                T2 = (c1 * (2 * n + 1)) * T + c2 * V
+                if n >= 1:
+                    T1 += n * sums[sl, 2]
+                if n >= 2:
+                    T2 += (n * (n - 1)) * sums[sl, 3]
+                return T1, T2, U, n * T + c1 * V, V
+
+            return part
+
+        return fetch
+
 
 def _check_transform_args(signal: Signal, window: np.ndarray, grid: TfcGrid):
     if grid.n_time != len(signal):
@@ -88,8 +161,8 @@ def _check_transform_args(signal: Signal, window: np.ndarray, grid: TfcGrid):
     return window
 
 
-def _phase_matrix(grid: TfcGrid, half_len: int, convention: str) -> np.ndarray:
-    """exp factors of shape [n_chirp * n_freq, 2K+1], window not included."""
+def _phase_factors(grid: TfcGrid, half_len: int, convention: str) -> tuple:
+    """The chirp and frequency phase factors whose product is the phase matrix."""
     if convention not in CONVENTIONS:
         raise ParameterError(f"unknown convention {convention!r}")
     M = grid.M
@@ -99,8 +172,14 @@ def _phase_matrix(grid: TfcGrid, half_len: int, convention: str) -> np.ndarray:
     l = grid.chirp_indices
     freq_phase = np.exp(-2j * np.pi * np.outer(m, p) / (2 * M))  # [n_freq, 2K+1]
     chirp_phase = np.exp(-1j * np.pi * np.outer(l, p**2) / (4 * M**2))  # [n_chirp, 2K+1]
+    return chirp_phase, freq_phase
+
+
+def _phase_matrix(grid: TfcGrid, half_len: int, convention: str) -> np.ndarray:
+    """exp factors of shape [n_chirp * n_freq, 2K+1], window not included."""
+    chirp_phase, freq_phase = _phase_factors(grid, half_len, convention)
     E = chirp_phase[:, None, :] * freq_phase[None, :, :]
-    return E.reshape(grid.n_chirp * grid.n_freq, k.size)
+    return E.reshape(grid.n_chirp * grid.n_freq, -1)
 
 
 def _padded_segments(signal: Signal, half_len: int) -> np.ndarray:
@@ -128,35 +207,33 @@ def chirplet_transform(
     return TfcTensor(values=values, grid=grid, convention=convention)
 
 
-def chirplet_bank_transform(
-    signal: Signal,
-    bank: WindowBank,
-    grid: TfcGrid,
-    convention: str = "centered",
-    companion_dtype=None,
-) -> BankTensors:
-    """All six bank transforms, sharing one phase matrix.
-
-    ``companion_dtype`` (e.g. ``np.complex64``) stores the five companion
-    tensors at reduced precision; the reassignment ratios they feed only
-    need a handful of digits, and halving them keeps large grids in memory.
-    The main tensor stays complex128.
-    """
+def _bank_sums(signal: Signal, bank: WindowBank, grid: TfcGrid, convention: str, windows: dict) -> dict:
+    """Transforms against the named windows of a bank, sharing one phase matrix."""
     if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
         raise ShapeError("window bank dt_s does not match the signal sample rate")
-    half_len = bank.half_len
-    E = _phase_matrix(grid, half_len, convention)
-    S = _padded_segments(signal, half_len)
-    names = ("h", "h_prime", "h_second", "th", "th_prime", "t2h")
-    windows = bank.sequences()
+    E = _phase_matrix(grid, bank.half_len, convention)
+    S = _padded_segments(signal, bank.half_len)
     shape = (grid.n_chirp, grid.n_freq, grid.n_time)
-    tensors = {}
-    for name in names:
-        out = (E @ (windows[name][:, None] * S)).reshape(shape)
-        if name != "h" and companion_dtype is not None:
-            out = out.astype(companion_dtype)
-        tensors[name] = TfcTensor(out, grid, convention)
+    return {
+        name: TfcTensor((E @ (window[:, None] * S)).reshape(shape), grid, convention)
+        for name, window in windows.items()
+    }
+
+
+def chirplet_bank_transform(
+    signal: Signal, bank: WindowBank, grid: TfcGrid, convention: str = "centered"
+) -> BankTensors:
+    """All six bank transforms, sharing one phase matrix."""
+    tensors = _bank_sums(signal, bank, grid, convention, bank.sequences())
     return BankTensors(bank=bank, grid=grid, convention=convention, **tensors)
+
+
+def streamed_bank_transform(
+    signal: Signal, bank: WindowBank, grid: TfcGrid, convention: str = "centered"
+) -> StreamedBank:
+    """T^h, equal to ``chirplet_bank_transform(...).h``, and the companions on demand."""
+    h = _bank_sums(signal, bank, grid, convention, {"h": bank.h})["h"]
+    return StreamedBank(h, signal, bank, grid, convention)
 
 
 def stft(

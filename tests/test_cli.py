@@ -258,3 +258,22 @@ def test_ridge_emptied_cluster_exits_3(crossing_csv, tmp_path, monkeypatch):
     out = tmp_path / "r.csv"
     assert main(["ridge", "--tensor", str(tensor), "--output", str(out)]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sct", "reconstruct"])
+def test_memory_error_exits_3_with_grid_and_knob(crossing_csv, tmp_path, monkeypatch, capsys, command):
+    from tfchirp import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_sct", out_of_memory)
+    outputs = {
+        "sct": ["--output", str(tmp_path / "sct.tfc1")],
+        "reconstruct": ["--ridge-csv", str(tmp_path / "r.csv"), "--mode-prefix", str(tmp_path / "mode")],
+    }
+    code = main([command, "--input", crossing_csv, "--rate", "100", *outputs[command]])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "100x51x401" in err and str(100 * 51 * 401 * 16) in err and "alpha_sq" in err

@@ -1,0 +1,166 @@
+"""The streamed SCT core: T^h as the only bank volume, companions summed per row block."""
+
+import inspect
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tfchirp import reassign
+from tfchirp.pipeline import run_sct
+from tfchirp.reassign import (
+    reassignment_field,
+    resolvable_slots,
+    squeeze_conservation,
+    squeeze_destinations,
+    synchrosqueeze,
+)
+from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank, round_half_away
+from tfchirp.synth import add_student_t_noise
+from tfchirp.transform import (
+    BankTensors,
+    TfcTensor,
+    chirplet_bank_transform,
+    streamed_bank_transform,
+)
+
+FS = 20.0
+
+
+@st.composite
+def small_analyses(draw):
+    """A random signal, grid, window bank, convention and threshold."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_time = draw(st.integers(8, 60))
+    samples = rng.standard_normal(n_time) + 1j * rng.standard_normal(n_time)
+    grid = grid_from_resolution(draw(st.sampled_from([0.05, 0.1, 0.125, 0.25])), n_time, FS)
+    family = WindowFamily(draw(st.integers(0, 2)), draw(st.floats(0.3, 4.0)))
+    bank = make_window_bank(family, draw(st.integers(2, 25)), 1 / FS)
+    convention = draw(st.sampled_from(["centered", "left"]))
+    nu_rel = 10 ** draw(st.floats(-6.0, -0.3))
+    return Signal(samples, FS), grid, bank, convention, nu_rel
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_analyses())
+def test_streamed_field_matches_stored_bank(analysis):
+    signal, grid, bank, convention, nu_rel = analysis
+    stored = chirplet_bank_transform(signal, bank, grid, convention)
+    streamed = streamed_bank_transform(signal, bank, grid, convention)
+    assert np.array_equal(streamed.h.values, stored.h.values)
+    nu = nu_rel * np.abs(stored.h.values).max()
+    ref = reassignment_field(stored, nu=nu)
+    field = reassignment_field(streamed, nu=nu)
+    assert np.array_equal(field.defined, ref.defined)
+    d = ref.defined
+    assert np.all(np.abs(field.omega[d] - ref.omega[d]) <= 1e-6 * grid.freq_step_hz)
+    assert np.all(np.abs(field.mu[d] - ref.mu[d]) <= 1e-6 * grid.chirp_step_hzps)
+    assert np.isnan(field.omega[~d]).all() and np.isnan(field.mu[~d]).all()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(small_analyses())
+def test_run_sct_keeps_bank_h_and_conserves_mass(analysis):
+    # criterion 06 over random grids, windows, conventions and thresholds
+    signal, grid, bank, convention, nu_rel = analysis
+    result = run_sct(signal, bank.family, grid, bank.half_len, convention, nu_rel=nu_rel)
+    assert np.array_equal(result.banks.h.values, chirplet_bank_transform(signal, bank, grid, convention).h.values)
+    assert squeeze_conservation(result.banks.h, result.field, result.squeezed).max() <= 1e-10
+
+
+@pytest.mark.parametrize("n, convention", [(0, "centered"), (2, "left")])
+def test_streamed_field_on_the_crossing_grid(crossing_scene, crossing_grid, n, convention):
+    # several row fetches and field blocks per call, unlike the small grids
+    # above; noisy, as the CLI sees it (on the noise-free scene, far off-ridge
+    # entries are so ill-conditioned that the stored bank's own estimates
+    # there are off by 0.1 bin)
+    noisy, _ = add_student_t_noise(crossing_scene.components.sum(axis=0), 4.0, 0.1, seed=51)
+    signal, grid = Signal(noisy, crossing_grid.sample_rate_hz), crossing_grid
+    family = WindowFamily(n, 1.0)
+    bank = make_window_bank(family, family.default_half_len(0.01), 0.01)
+    ref = reassignment_field(chirplet_bank_transform(signal, bank, grid, convention))
+    field = reassignment_field(streamed_bank_transform(signal, bank, grid, convention))
+    d = ref.defined
+    assert np.array_equal(field.defined, d) and d.any()
+    assert np.max(np.abs(field.omega[d] - ref.omega[d])) <= 1e-6 * grid.freq_step_hz
+    assert np.max(np.abs(field.mu[d] - ref.mu[d])) <= 1e-6 * grid.chirp_step_hzps
+
+
+def test_blocked_squeeze_equals_one_pass(chirp_f1_sct, monkeypatch):
+    _, _, result = chirp_f1_sct
+    h, field = result.banks.h, result.field
+    src, dest = squeeze_destinations(field)
+    squeezed = synchrosqueeze(h, field)
+    residual = squeeze_conservation(h, field, squeezed)
+    monkeypatch.setattr(reassign, "SQUEEZE_BLOCK", 997)
+    src_b, dest_b = squeeze_destinations(field)
+    assert src.size > 10 * 997
+    assert np.array_equal(src_b, src) and np.array_equal(dest_b, dest)
+    assert np.array_equal(synchrosqueeze(h, field).values, squeezed.values)
+    assert np.array_equal(squeeze_conservation(h, field, squeezed), residual)
+
+
+@pytest.mark.parametrize("alpha_sq, half_len", [(0.01, 430), (0.05, 40)])
+def test_resolvable_slots_match_the_whole_volume_formula(alpha_sq, half_len):
+    grid = grid_from_resolution(alpha_sq, 100, 100.0)
+    bank = make_window_bank(WindowFamily(2, 1.0), half_len, 0.01)
+    j = np.arange(-half_len, half_len + 1)
+    w = np.abs(bank.h)
+    nu_atom = (
+        grid.chirp_indices[:, None, None] / (4 * grid.M**2) * j[None, None, :]
+        + (np.arange(grid.n_freq) / (2 * grid.M))[None, :, None]
+    )
+    expected = (np.abs(nu_atom) > 0.5) @ w <= 1e-3 * w.sum()
+    assert np.array_equal(resolvable_slots(grid, bank), expected)
+
+
+def test_companion_dtype_is_gone():
+    assert "companion_dtype" not in inspect.signature(chirplet_bank_transform).parameters
+    assert "companion_dtype" not in inspect.signature(run_sct).parameters
+
+
+def _conservation_full_volume(tensor_h, field, squeezed):
+    """The per-frame residual with the contributing set rounded over the whole volume."""
+    grid = tensor_h.grid
+    m_dest = round_half_away(np.where(field.defined, field.omega, np.nan) / grid.freq_step_hz)
+    l_dest = round_half_away(np.where(field.defined, field.mu, np.nan) / grid.chirp_step_hzps) + (grid.M - 1)
+    with np.errstate(invalid="ignore"):
+        contrib = field.defined & (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
+    lhs = squeezed.values.sum(axis=(0, 1))
+    rhs = np.where(contrib, tensor_h.values, 0).sum(axis=(0, 1))
+    return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+
+
+def test_conservation_matches_full_volume_formula():
+    rng = np.random.default_rng(5)
+    grid = grid_from_resolution(0.05, 70, FS)
+    bank = make_window_bank(WindowFamily(1, 1.0), 20, 1 / FS)
+    shape = (grid.n_chirp, grid.n_freq, grid.n_time)
+    tensors = [TfcTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid) for _ in range(6)]
+    banks = BankTensors(*tensors, bank=bank, grid=grid, convention="centered")
+    field = reassignment_field(banks, nu=0.3)
+    squeezed = synchrosqueeze(banks.h, field)
+    new = squeeze_conservation(banks.h, field, squeezed)
+    old = _conservation_full_volume(banks.h, field, squeezed)
+    assert 0 < field.defined.sum() < field.defined.size
+    assert np.max(np.abs(new - old)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_run_sct_memory_budget(crossing_scene, crossing_grid, n):
+    signal = crossing_scene.signal()
+    grid = crossing_grid
+    assert (grid.n_chirp, grid.n_freq, grid.n_time) == (100, 51, 401)
+    volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = run_sct(signal, WindowFamily(n, 1.0), grid)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.squeezed.values.shape == (100, 51, 401)
+    assert (peak - base) / volume <= 5.0
+    assert (current - base) / volume <= 3.2
