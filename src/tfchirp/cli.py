@@ -67,6 +67,8 @@ _CONFIG_TYPES = {
     "seed": int,
     "convention": str,
 }
+# 0 means "automatic" / "none" for these; a negative value is a mistake
+_NON_NEGATIVE = ("half_len", "min_per_frame")
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -90,6 +92,8 @@ def load_config(path: str | None) -> RunConfig:
                     values[key] = _CONFIG_TYPES[key](val.strip())
                 except ValueError as exc:
                     raise ParameterError(f"{path}:{lineno}: {exc}") from exc
+                if key in _NON_NEGATIVE and values[key] < 0:
+                    raise ParameterError(f"{path}:{lineno}: {key} must be >= 0, got {values[key]}")
     except OSError as exc:
         raise FormatError(f"cannot read config: {exc}") from exc
     config = replace(config, **values)
@@ -216,7 +220,8 @@ def cmd_ridge(args) -> int:
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     tensor, t0 = tensorio.read_tensor(args.tensor)
-    ridges = extract_ridges(tensor, config.n_components, config.ridge_params())
+    with _memory_guard(tensor.grid):
+        ridges = extract_ridges(tensor, config.n_components, config.ridge_params())
     header, rows = _ridge_rows(ridges, tensor.grid, t0)
     tensorio.write_csv_table(args.output, header, rows)
     return 0

@@ -20,7 +20,7 @@ from .errors import (
     ExtractionError,
     ParameterError,
 )
-from .reassign import squeeze_destinations
+from .reassign import _destination_blocks
 from .signal import TfcGrid
 from .transform import TfcTensor
 
@@ -108,7 +108,7 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
         raise ParameterError("q must lie in [0, 1)")
     grid = tensor.grid
     mags = np.abs(tensor.values)
-    keep = mags > np.quantile(mags, q)
+    keep = mags > _volume_quantile(mags, q)
     core = None
     if min_per_frame > 0:
         core = keep.copy()
@@ -121,6 +121,42 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
     return _normalized_cloud(
         physical, mags[l_idx, m_idx, n_idx], n_idx, None if core is None else core[l_idx, m_idx, n_idx]
     )
+
+
+def _volume_quantile(mags: np.ndarray, q: float) -> float:
+    """``np.quantile(mags, q)`` without copying or partitioning the volume.
+
+    A strided sample of at most 2^17 entries gives a bound a few standard
+    deviations below the target rank; only the entries at or above it are
+    copied and partitioned at numpy's two order statistics, and the value
+    is interpolated with numpy's ``linear`` formula.  Whenever the
+    candidates cannot hold both order statistics (a misleading sample, too
+    small a sample, NaN entries), this is ``np.quantile`` itself.
+    """
+    flat = mags.reshape(-1)
+    n = flat.size
+    virtual = (n - 1) * q
+    prev = int(np.floor(virtual))
+    nxt = min(prev + 1, n - 1)
+    sample = flat[:: max(1, n >> 16)]
+    above = (n - prev) * sample.size / n  # sample entries expected at or above rank prev
+    k = int(prev * sample.size / n - 4 * np.sqrt(above) - 1)
+    if k < 0:
+        return np.quantile(mags, q)
+    bound = np.partition(sample, k)[k]
+    mask = flat < bound
+    below = np.count_nonzero(mask)
+    if below > prev:
+        return np.quantile(mags, q)
+    cand = flat[np.logical_not(mask, out=mask)]
+    if np.isnan(cand).any():
+        return np.quantile(mags, q)
+    cand.partition((prev - below, nxt - below))
+    lo, hi = cand[prev - below], cand[nxt - below]
+    # numpy's _lerp, branch for branch
+    gamma = virtual - np.floor(virtual)
+    diff = hi - lo
+    return hi - diff * (1 - gamma) if gamma >= 0.5 else lo + diff * gamma
 
 
 def _normalized_cloud(physical, weights, frames, core=None) -> TfcPointCloud:
@@ -142,31 +178,38 @@ def _normalized_cloud(physical, weights, frames, core=None) -> TfcPointCloud:
     )
 
 
+FRAME_CHUNK = 64  # frames peeled together: a frame-major copy of this many frames
+
+
 def _admit_frame_peaks(mags: np.ndarray, keep: np.ndarray, count: int, suppress=(3, 2)):
     """Mark each frame's strongest separated peaks as kept (in place).
 
     Peaks are peeled greedily with a suppression neighborhood of
     ``suppress`` (chirp, frequency) bins, so a frame whose weaker component
     falls below the global threshold still contributes its ridge point.
-    All frames are peeled at once; a frame whose maximum is not positive
-    has no peaks left.
+    The frames of one chunk are peeled at once, from a frame-major copy of
+    that chunk only; a frame whose maximum is not positive has no peaks
+    left.
     """
     n_chirp, n_freq, n_time = mags.shape
     dl, dm = suppress
-    frames = np.ascontiguousarray(np.moveaxis(mags, 2, 0)).reshape(n_time, n_chirp * n_freq)
-    for _ in range(count):
-        idx = np.argmax(frames, axis=1)
-        live = np.flatnonzero(~(frames[np.arange(n_time), idx] <= 0))
-        if live.size == 0:
-            break
-        idx = idx[live]
-        l, m = np.divmod(idx, n_freq)
-        keep[l, m, live] = True
-        ll = l[:, None, None] + np.arange(-dl, dl + 1)[:, None]
-        mm = m[:, None, None] + np.arange(-dm, dm + 1)
-        inside = (ll >= 0) & (ll < n_chirp) & (mm >= 0) & (mm < n_freq)
-        rows = np.broadcast_to(live[:, None, None], inside.shape)
-        frames[rows[inside], (ll * n_freq + mm)[inside]] = 0.0
+    for c0 in range(0, n_time, FRAME_CHUNK):
+        frames = np.ascontiguousarray(np.moveaxis(mags[:, :, c0 : c0 + FRAME_CHUNK], 2, 0))
+        frames = frames.reshape(-1, n_chirp * n_freq)
+        n_chunk = frames.shape[0]
+        for _ in range(count):
+            idx = np.argmax(frames, axis=1)
+            live = np.flatnonzero(~(frames[np.arange(n_chunk), idx] <= 0))
+            if live.size == 0:
+                break
+            idx = idx[live]
+            l, m = np.divmod(idx, n_freq)
+            keep[l, m, c0 + live] = True
+            ll = l[:, None, None] + np.arange(-dl, dl + 1)[:, None]
+            mm = m[:, None, None] + np.arange(-dm, dm + 1)
+            inside = (ll >= 0) & (ll < n_chirp) & (mm >= 0) & (mm < n_freq)
+            rows = np.broadcast_to(live[:, None, None], inside.shape)
+            frames[rows[inside], (ll * n_freq + mm)[inside]] = 0.0
 
 
 def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs) -> tuple:
@@ -328,31 +371,69 @@ def _local_linear_curve(t_pts, y_pts, w_pts, t_eval, half_width, iters, clip):
     out = np.full(t_eval.shape, np.nan)
     lo = np.searchsorted(t_pts, t_eval - half_width)
     hi = np.searchsorted(t_pts, t_eval + half_width)
+    # scratch rows for the residuals, their magnitudes and the weights
+    scratch = np.empty((3, int((hi - lo).max(initial=0))))
     for i, tc in enumerate(t_eval):
-        sl = slice(lo[i], hi[i])
-        ts = t_pts[sl] - tc
-        ys = y_pts[sl]
-        base = w_pts[sl] * (1 - (ts / half_width) ** 2)
-        if ts.size == 0 or base.sum() <= 0:
+        n = hi[i] - lo[i]
+        if n <= 0:
             continue
-        ws = base
-        a = None
-        for _ in range(iters + 1):
-            w0, w1, w2 = ws.sum(), (ws * ts).sum(), (ws * ts * ts).sum()
-            y0, y1 = (ws * ys).sum(), (ws * ts * ys).sum()
+        ts = t_pts[lo[i] : hi[i]] - tc
+        ys = y_pts[lo[i] : hi[i]]
+        base = w_pts[lo[i] : hi[i]] * (1 - (ts / half_width) ** 2)
+        w0 = base.sum()
+        if w0 <= 0:
+            continue
+        ts2, tys = ts * ts, ts * ys
+        resid, abs_resid, ws = scratch[0, :n], scratch[1, :n], scratch[2, :n]
+        mid = (n - 1) // 2  # the median's lower order statistic
+        w = base
+        for it in range(iters + 1):
+            w1, w2, y0, y1 = w @ ts, w @ ts2, w @ ys, w @ tys
             den = w0 * w2 - w1 * w1
             if den > 0:
                 a = (w2 * y0 - w1 * y1) / den
                 b = (w0 * y1 - w1 * y0) / den
             else:
                 a, b = y0 / w0, 0.0
-            resid = ys - (a + b * ts)
-            scale = np.median(np.abs(resid)) + 1e-12
-            ws = base * np.clip(1 - (resid / (clip * scale)) ** 2, 0, 1) ** 2
-            if ws.sum() <= 0:
-                ws = base
+            if it == iters:
+                break  # the last fit's reweighting would never be used
+            np.multiply(ts, b, out=resid)
+            resid += a
+            np.subtract(ys, resid, out=resid)
+            np.abs(resid, out=abs_resid)
+            # np.median to the bit: one partition, the upper order statistic
+            # of an even count is the least entry above the lower one (a
+            # third of the time of partitioning at both)
+            abs_resid.partition(mid)
+            upper = abs_resid[mid] if n % 2 else abs_resid[mid + 1 :].min()
+            scale = (abs_resid[mid] + upper) / 2 + 1e-12
+            # bisquare in place: base * max(1 - (resid / (clip * scale))^2, 0)^2
+            np.divide(resid, clip * scale, out=ws)
+            np.square(ws, out=ws)
+            np.subtract(1, ws, out=ws)
+            np.maximum(ws, 0, out=ws)
+            np.square(ws, out=ws)
+            ws *= base
+            w, w0 = ws, ws.sum()
+            if w0 <= 0:
+                w, w0 = base, base.sum()
         out[i] = a
     return out
+
+
+def _landed_sources(field, owner: np.ndarray) -> tuple:
+    """Flat sources whose squeeze destination has an owner, and that owner.
+
+    The destinations are walked in ascending blocks, so only the sources
+    that land on an owned bin are ever held, in ascending order.
+    """
+    src, row = [], []
+    for src_b, dest_b in _destination_blocks(field):
+        row_b = owner[dest_b]
+        hit = row_b >= 0
+        src.append(src_b[hit])
+        row.append(row_b[hit])
+    return np.concatenate(src), np.concatenate(row)
 
 
 def ridges_from_sources(
@@ -383,10 +464,7 @@ def ridges_from_sources(
     l_pt = np.rint(cloud.physical[:, 2] / grid.chirp_step_hzps).astype(np.intp) + grid.M - 1
     m_pt = np.rint(cloud.physical[:, 1] / grid.freq_step_hz).astype(np.intp)
     owner[(l_pt * grid.n_freq + m_pt) * n_time + cloud.frames] = rows
-    src, dest = squeeze_destinations(field)
-    src_row = owner[dest]
-    landed = src_row >= 0
-    src, src_row = src[landed], src_row[landed]
+    src, src_row = _landed_sources(field, owner)
     frames_src = src % n_time
     w_src = np.abs(tensor_h.values.ravel()[src])
     om_src = field.omega.ravel()[src]

@@ -81,6 +81,14 @@ def read_tensor(path: str):
             raise FormatError(f"unknown dtype code {code}")
         dtype = np.dtype(_DTYPES[code]).newbyteorder("<")
         count = n_chirp * n_freq * n_time
+        # check the claimed payload against the file before reading it: an
+        # oversized header must not turn into a huge allocation
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if count * dtype.itemsize > left:
+            raise FormatError(
+                f"TFC1 payload truncated: the header claims {n_chirp}x{n_freq}x{n_time} entries "
+                f"({count * dtype.itemsize} bytes), the file holds {left}"
+            )
         payload = fh.read(count * dtype.itemsize)
         if len(payload) != count * dtype.itemsize:
             raise FormatError("TFC1 payload truncated")

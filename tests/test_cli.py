@@ -277,3 +277,53 @@ def test_memory_error_exits_3_with_grid_and_knob(crossing_csv, tmp_path, monkeyp
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "100x51x401" in err and str(100 * 51 * 401 * 16) in err and "alpha_sq" in err
+
+
+@pytest.mark.parametrize("dims", [(2**31, 2**31, 2**31), (1000, 1000, 100000)])
+@pytest.mark.parametrize("command", ["info", "ridge"])
+def test_oversized_tfc1_header_exits_2(tmp_path, capsys, dims, command):
+    import struct
+
+    path = tmp_path / "huge.tfc1"
+    path.write_bytes(struct.pack("<4sHH3Iddd", b"TFC1", 1, 1, *dims, 0.01, 100.0, 0.0) + b"\0" * 64)
+    args = {"info": [], "ridge": ["--output", str(tmp_path / "r.csv")]}[command]
+    assert main([command, "--tensor", str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "truncated" in err
+
+
+def test_ridge_memory_error_exits_3_with_grid(tmp_path, monkeypatch, capsys):
+    from tfchirp import cli
+    from tfchirp.signal import grid_from_resolution
+    from tfchirp.tensorio import write_tensor
+    from tfchirp.transform import TfcTensor
+
+    grid = grid_from_resolution(0.1, 20, 10.0)
+    tensor = tmp_path / "t.tfc1"
+    write_tensor(str(tensor), TfcTensor(np.ones((grid.n_chirp, grid.n_freq, 20), dtype=complex), grid))
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "extract_ridges", out_of_memory)
+    out = tmp_path / "r.csv"
+    assert main(["ridge", "--tensor", str(tensor), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "10x6x20" in err and "alpha_sq" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["half_len", "min_per_frame"])
+def test_negative_config_values_are_rejected(crossing_csv, tmp_path, capsys, key):
+    from tfchirp.cli import load_config
+    from tfchirp.errors import ParameterError
+
+    cfg = write_config(tmp_path, **{key: -3})
+    with pytest.raises(ParameterError, match=key):
+        load_config(cfg)
+    code = main(["--config", cfg, "sct", "--input", crossing_csv, "--rate", "100",
+                 "--output", str(tmp_path / "s.tfc1")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+    assert load_config(write_config(tmp_path, **{key: 0})) is not None

@@ -1,6 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tfchirp import reassign, ridge
 from tfchirp.errors import DegenerateCloudError, EmptyCloudError, ParameterError
 from tfchirp.pipeline import sct_ridges
 from tfchirp.ridge import (
@@ -298,14 +303,17 @@ def _admit_frame_peaks_loop(mags, keep, count, suppress=(3, 2)):
 
 @pytest.mark.parametrize("count", [1, 3, 6])
 def test_admit_frame_peaks_matches_per_frame_loop(count):
-    from tfchirp.ridge import _admit_frame_peaks
+    from tfchirp.ridge import FRAME_CHUNK, _admit_frame_peaks
 
     rng = np.random.default_rng(count)
-    mags = np.abs(rng.standard_normal((9, 7, 40)))
+    # more than two chunks of frames, the last one partial
+    mags = np.abs(rng.standard_normal((9, 7, 2 * FRAME_CHUNK + 21)))
     mags[:, :, 3] = 0.0  # silent frame
     mags[:, :, 5] = 0.0
     mags[0, 0, 5] = 2.0  # one peak in the corner, then silence
     mags[:, :, 7] = 1.0  # flat frame: ties resolve to the first index
+    mags[:, :, FRAME_CHUNK - 1] = 0.0  # silent last frame of a chunk
+    mags[8, 6, FRAME_CHUNK] = 3.0  # a corner peak opening the next chunk
     mags[rng.random(mags.shape) < 0.3] = 0.0
     want = rng.random(mags.shape) < 0.05
     got = want.copy()
@@ -333,3 +341,144 @@ def test_emptied_cluster_raises_extraction_error(crossing_sct_g2, monkeypatch):
         sct_ridges(crossing_sct_g2, 2, RidgeParams(seed=0))
     with pytest.raises(ExtractionError):
         extract_ridges(crossing_sct_g2.squeezed, 2, RidgeParams(seed=0, min_per_frame=2))
+
+
+def _local_linear_curve_loop(t_pts, y_pts, w_pts, t_eval, half_width, iters, clip):
+    """Oracle: the bisquare IRLS as first written (sums, np.median, a reweight after every fit)."""
+    order = np.argsort(t_pts, kind="stable")
+    t_pts, y_pts, w_pts = t_pts[order], y_pts[order], w_pts[order]
+    out = np.full(t_eval.shape, np.nan)
+    lo = np.searchsorted(t_pts, t_eval - half_width)
+    hi = np.searchsorted(t_pts, t_eval + half_width)
+    for i, tc in enumerate(t_eval):
+        sl = slice(lo[i], hi[i])
+        ts = t_pts[sl] - tc
+        ys = y_pts[sl]
+        base = w_pts[sl] * (1 - (ts / half_width) ** 2)
+        if ts.size == 0 or base.sum() <= 0:
+            continue
+        ws = base
+        a = None
+        for _ in range(iters + 1):
+            w0, w1, w2 = ws.sum(), (ws * ts).sum(), (ws * ts * ts).sum()
+            y0, y1 = (ws * ys).sum(), (ws * ts * ys).sum()
+            den = w0 * w2 - w1 * w1
+            if den > 0:
+                a = (w2 * y0 - w1 * y1) / den
+                b = (w0 * y1 - w1 * y0) / den
+            else:
+                a, b = y0 / w0, 0.0
+            resid = ys - (a + b * ts)
+            scale = np.median(np.abs(resid)) + 1e-12
+            ws = base * np.clip(1 - (resid / (clip * scale)) ** 2, 0, 1) ** 2
+            if ws.sum() <= 0:
+                ws = base
+        out[i] = a
+    return out
+
+
+def _curve_fit_cases():
+    """(t, y, w, t_eval, clip) series that between them take every branch of the fit.
+
+    The random windows are centered inside the record: a window reaching
+    past its end extrapolates from a few points to one side, an
+    ill-conditioned fit whose rounding either loop magnifies alike.
+    """
+    cases = []
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        n = 300
+        t = rng.uniform(0.0, 4.0, n)
+        y = 10.0 + 2.0 * t + 0.3 * rng.standard_normal(n)
+        y[rng.random(n) < 0.1] += 20.0  # outliers the bisquare rejects
+        w = rng.uniform(0.2, 2.0, n)
+        # empty windows beyond both ends of the record
+        cases.append((t, y, w, np.r_[-2.0, -1.0, np.linspace(0.5, 3.5, 61), 5.0, 6.0], 4.0))
+    rng = np.random.default_rng(7)
+    # zero base weight
+    cases.append((rng.uniform(0.0, 1.0, 9), rng.normal(3.0, 1.0, 9), np.zeros(9), np.array([0.5]), 4.0))
+    # den <= 0: every point of the window sits exactly at its center
+    cases.append((np.full(5, 8.0), rng.normal(3.0, 1.0, 5), rng.uniform(0.5, 1.0, 5), np.array([7.0, 8.0, 9.0]), 4.0))
+    # residuals of equal size, all clipped to zero weight: the fit falls back to the base weights
+    t = np.array([7.875, 7.875, 8.125, 8.125])
+    cases.append((t, np.array([4.0, 2.0, 4.0, 2.0]), np.ones(4), np.array([8.0]), 0.5))
+    return cases
+
+
+def test_local_linear_curve_matches_the_first_loop():
+    from tfchirp.ridge import _local_linear_curve
+
+    sizes = []
+    for t, y, w, t_eval, clip in _curve_fit_cases():
+        want = _local_linear_curve_loop(t, y, w, t_eval, 0.5, 4, clip)
+        got = _local_linear_curve(t, y, w, t_eval, 0.5, 4, clip)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        ts = np.sort(t)
+        sizes.extend(np.searchsorted(ts, t_eval + 0.5) - np.searchsorted(ts, t_eval - 0.5))
+    sizes = np.array(sizes)
+    assert (sizes == 0).any() and (sizes % 2 == 1).any() and (sizes[sizes > 0] % 2 == 0).any()
+
+
+@st.composite
+def energy_volumes(draw):
+    """|S|-like magnitudes: ties, mostly zeros as in a squeezed volume, sizes from 1 upward."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.one_of(st.integers(1, 64), st.integers(65, 5000), st.integers(1 << 17, 300_000)))
+    levels = draw(st.sampled_from([0, 1, 3, 50]))  # 0: continuous values; else ties among a few levels
+    values = rng.exponential(1.0, size) if levels == 0 else rng.integers(1, levels + 1, size).astype(float)
+    values[rng.random(size) < draw(st.sampled_from([0.0, 0.5, 0.9, 0.999, 1.0]))] = 0.0
+    q = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.5, 0.9995, 1 - 2**-53])))
+    return values, q
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(energy_volumes())
+def test_volume_quantile_is_numpys_quantile(volume):
+    values, q = volume
+    got = ridge._volume_quantile(values, q)
+    assert np.float64(got).tobytes() == np.float64(np.quantile(values, q)).tobytes()
+
+
+def test_volume_quantile_falls_back_on_a_misleading_sample(monkeypatch):
+    plain = np.random.default_rng(0).random(1 << 18)  # the sample takes every 4th entry
+    misleading = plain.copy()
+    misleading[::4] += 10.0  # the sample sees only the largest quarter
+    want = [np.quantile(values, 0.5) for values in (plain, misleading)]
+    calls = []
+    quantile = np.quantile
+    monkeypatch.setattr(np, "quantile", lambda *a, **k: calls.append(a) or quantile(*a, **k))
+    assert ridge._volume_quantile(plain, 0.5) == want[0]
+    assert not calls
+    assert ridge._volume_quantile(misleading, 0.5) == want[1]
+    assert len(calls) == 1
+
+
+def test_select_high_energy_memory_budget(crossing_sct_g2):
+    tensor = crossing_sct_g2.squeezed
+    assert tensor.values.shape == (100, 51, 401)
+    volume = tensor.values.size * 8  # one float64 volume
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cloud = select_high_energy(tensor, 0.9995, min_per_frame=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cloud.core is not None and cloud.core.any()
+    assert (peak - base) / volume <= 1.75
+
+
+def test_landed_sources_match_squeeze_destinations(crossing_sct_g2, monkeypatch):
+    field = crossing_sct_g2.field
+    rng = np.random.default_rng(3)
+    size = field.defined.size
+    owner = np.where(rng.random(size) < 0.2, rng.integers(0, 3, size), -1).astype(np.int8)
+    src, dest = reassign.squeeze_destinations(field)
+    row = owner[dest]
+    want_src, want_row = src[row >= 0], row[row >= 0]
+    assert want_src.size > 1000
+    for block in (reassign.SQUEEZE_BLOCK, 99_991):
+        monkeypatch.setattr(reassign, "SQUEEZE_BLOCK", block)
+        got_src, got_row = ridge._landed_sources(field, owner)
+        assert np.array_equal(got_src, want_src) and np.array_equal(got_row, want_row)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tfchirp.errors import UnsupportedWindowError
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
@@ -157,6 +159,73 @@ def test_chirp_covariance():
         lhs = np.abs(mult[c:, fshift:, nn])
         rhs = np.abs(base[: grid.n_chirp - c, : grid.n_freq - fshift, nn])
         assert np.max(np.abs(lhs - rhs)) <= 1e-6 * max(np.max(rhs), 1e-30)
+
+
+@st.composite
+def covariance_cases(draw):
+    """A random signal, small grid, window of order 0-2 and phase convention."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fs = draw(st.sampled_from([1.0, 16.0, 32.0]))
+    half_len = draw(st.integers(1, 12))
+    n_time = draw(st.integers(half_len + 1, 48))
+    grid = grid_from_resolution(0.5 / draw(st.integers(2, 10)), n_time, fs)
+    family = WindowFamily(draw(st.integers(0, 2)), draw(st.floats(0.5, 2.0)))
+    window = make_window_bank(family, half_len, 1 / fs).h
+    convention = draw(st.sampled_from(["centered", "left"]))
+    samples = rng.standard_normal(n_time) + 1j * rng.standard_normal(n_time)
+    return Signal(samples, fs), grid, window, convention
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(covariance_cases(), st.data())
+def test_modulation_covariance_property(case, data):
+    """Modulation by kf frequency bins shifts |T| by kf bins; both conventions.
+
+    The modulated transform is T[l, m - kf, n] times a unit phase
+    exp(2j*pi*kf*(n + c)/(2M)), c = 0 centered and -K left.
+    """
+    signal, grid, window, convention = case
+    kf = data.draw(st.integers(1, grid.M))
+    x = np.arange(len(signal)) / signal.sample_rate_hz
+    modulated = Signal(signal.samples * np.exp(2j * np.pi * kf * grid.freq_step_hz * x), signal.sample_rate_hz)
+    base = np.abs(chirplet_transform(signal, window, grid, convention).values)
+    shifted = np.abs(chirplet_transform(modulated, window, grid, convention).values)
+    err = np.abs(shifted[:, kf:, :] - base[:, : grid.n_freq - kf, :]).max()
+    assert err <= 1e-9 * base.max()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(covariance_cases(), st.data())
+def test_chirp_covariance_property(case, data):
+    """Chirp multiplication by kc chirp bins shifts |T| by kc chirp bins; both conventions.
+
+    In frame n the frequency shifts by kc*(n + c)/(2M) bins, c = 0 centered
+    and -K left, so the identity holds on the grid in the frames where that
+    is an integer (negative shifts included).
+    """
+    signal, grid, window, convention = case
+    kc = data.draw(st.integers(1, grid.n_chirp - 1)) * data.draw(st.sampled_from([1, -1]))
+    c = 0 if convention == "centered" else -(window.size // 2)
+    x = np.arange(len(signal)) / signal.sample_rate_hz
+    lam1 = kc * grid.chirp_step_hzps
+    multiplied = Signal(signal.samples * np.exp(1j * np.pi * lam1 * x**2), signal.sample_rate_hz)
+    base = np.abs(chirplet_transform(signal, window, grid, convention).values)
+    mult = np.abs(chirplet_transform(multiplied, window, grid, convention).values)
+    chirps = slice(max(kc, 0), grid.n_chirp + min(kc, 0))
+    chirps_base = slice(max(-kc, 0), grid.n_chirp + min(-kc, 0))
+    compared = 0
+    for n in range(len(signal)):
+        if kc * (n + c) % (2 * grid.M):
+            continue
+        fshift = kc * (n + c) // (2 * grid.M)
+        if abs(fshift) >= grid.n_freq:
+            continue
+        freqs = slice(max(fshift, 0), grid.n_freq + min(fshift, 0))
+        freqs_base = slice(max(-fshift, 0), grid.n_freq + min(-fshift, 0))
+        err = np.abs(mult[chirps, freqs, n] - base[chirps_base, freqs_base, n]).max()
+        assert err <= 1e-9 * base.max()
+        compared += 1
+    assert compared >= 1
 
 
 def test_bank_transform_matches_single_calls():
