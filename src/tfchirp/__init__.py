@@ -25,14 +25,7 @@ from .reassign import (
     squeeze_conservation,
     synchrosqueeze,
 )
-from .reconstruct import (
-    CtRidgeEvaluator,
-    MixingSystem,
-    ReconstructedModes,
-    build_mixing_system,
-    reconstruct_modes,
-    sst_band_reconstruct,
-)
+from .reconstruct import ReconstructedModes, reconstruct_modes, sst_band_reconstruct
 from .ridge import (
     RidgeParams,
     RidgeSet,

@@ -67,8 +67,8 @@ _CONFIG_TYPES = {
     "seed": int,
     "convention": str,
 }
-# 0 means "automatic" / "none" for these; a negative value is a mistake
-_NON_NEGATIVE = ("half_len", "min_per_frame")
+# 0 means "automatic" / "none" for the first two; a negative value is a mistake
+_NON_NEGATIVE = ("half_len", "min_per_frame", "seed")
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -373,6 +373,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ParameterError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .signal import Signal, TfcGrid, WindowBank, round_half_away
-from .transform import BankTensors, StreamedBank, TfcTensor, TfMatrix, _padded_segments
+from .transform import BankTensors, StreamedBank, TfcTensor, TfMatrix, _windowed_sums, _zero_chirp_rows
 
 M2_GUARD = 1e-12
 DEFAULT_NU_REL = 1e-4
@@ -232,17 +232,9 @@ def squeeze_conservation(tensor_h: TfcTensor, field: ReassignmentField, squeezed
 # STFT-based SST baselines
 
 
-def _stft_bank(signal: Signal, bank: WindowBank, grid: TfcGrid, convention: str, names) -> dict:
-    half_len = bank.half_len
-    M = grid.M
-    k = np.arange(2 * half_len + 1)
-    p = k - half_len if convention == "centered" else k
-    E = np.exp(-2j * np.pi * np.outer(np.arange(grid.n_freq), p) / (2 * M))
-    S = _padded_segments(signal, half_len)
-    windows = bank.sequences()
-    stacked = np.hstack([windows[name][:, None] * S for name in names])
-    out = (E @ stacked).reshape(grid.n_freq, len(names), grid.n_time)
-    return {name: np.ascontiguousarray(out[:, i, :]) for i, name in enumerate(names)}
+def _stfts(signal: Signal, grid: TfcGrid, convention: str, windows) -> np.ndarray:
+    """The STFTs against ``windows``, [len(windows), n_freq, n_time]: zero-chirp rows."""
+    return _windowed_sums(signal, windows, grid, convention)(_zero_chirp_rows(grid)).transpose(1, 0, 2)
 
 
 def _squeeze_matrix(W: np.ndarray, omega: np.ndarray, defined: np.ndarray, grid: TfcGrid) -> np.ndarray:
@@ -264,8 +256,7 @@ def sst1(
     nu: float | None = None,
 ) -> TfMatrix:
     """First-order synchrosqueezed STFT (frequency-axis squeeze only)."""
-    mats = _stft_bank(signal, bank, grid, convention, ("h", "h_prime"))
-    W, W1 = mats["h"], mats["h_prime"]
+    W, W1 = _stfts(signal, grid, convention, [bank.h, bank.h_prime])
     if nu is None:
         nu = DEFAULT_NU_REL * np.abs(W).max()
     freqs = grid.freqs_hz[:, None]
@@ -287,16 +278,11 @@ def sst2(
     Identical to the zero-chirp slice of the TFC reassignment rule, so on an
     exact linear chirp the reassigned frequency is exact.
     """
-    names = ("h", "h_prime", "h_second", "th", "th_prime", "t2h")
-    mats = _stft_bank(signal, bank, grid, convention, names)
-    W = mats["h"]
+    W, W1, W2, U, U1, V = _stfts(signal, grid, convention, list(bank.sequences().values()))
     if nu is None:
         nu = DEFAULT_NU_REL * np.abs(W).max()
     freqs = grid.freqs_hz[:, None]
-    mu, omega, defined = _mu_omega(
-        W, mats["h_prime"], mats["h_second"], mats["th"], mats["th_prime"], mats["t2h"],
-        0.0, freqs, nu,
-    )
+    mu, omega, defined = _mu_omega(W, W1, W2, U, U1, V, 0.0, freqs, nu)
     return TfMatrix(_squeeze_matrix(W, omega, defined, grid), grid)
 
 

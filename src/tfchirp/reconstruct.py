@@ -2,9 +2,10 @@
 
 At each frame the K transform samples taken at the ridge coordinates are a
 mixing of the K component values through the window's joint
-frequency-chirp transform evaluated at ridge differences; solving that K x K
-system frame by frame recovers the components.  A band-integration baseline
-around a single frequency ridge of a squeezed STFT is also provided.
+frequency-chirp transform evaluated at ridge differences; solving the K x K
+systems of all frames in one stacked solve recovers the components.  A
+band-integration baseline around a single frequency ridge of a squeezed STFT
+is also provided.
 """
 
 from __future__ import annotations
@@ -16,18 +17,9 @@ import numpy as np
 from .errors import ParameterError, ReconstructionError, UnsupportedWindowError
 from .ridge import RidgeSet
 from .signal import Signal, WindowBank, WindowFamily
-from .transform import TfMatrix, g_check
+from .transform import PHASE_BLOCK, TfMatrix, _padded_segments, g_check
 
 COND_LIMIT = 1e6
-
-
-@dataclass(frozen=True)
-class MixingSystem:
-    """K x K ridge-coupling matrix and the transform samples at the ridges."""
-
-    A: np.ndarray
-    x_hat: np.ndarray
-    condition: float
 
 
 @dataclass(frozen=True)
@@ -39,62 +31,24 @@ class ReconstructedModes:
     degraded: np.ndarray  # [n_time] bool; True where the solve was ill-conditioned
 
 
-class CtRidgeEvaluator:
-    """Chirplet transform of one signal at exact (freq, chirp) coordinates.
+def _ridge_samples(signal: Signal, bank: WindowBank, frames, om, mu) -> np.ndarray:
+    """Chirplet transform at exact off-grid (freq, chirp) points, [frames, K].
 
-    Evaluates the windowed sum directly at the requested off-grid points
-    (center-referenced phases, integral scaling), so reconstruction carries
-    no grid-quantization bias.
+    Evaluates the windowed sum directly at each frame's ridge coordinates
+    ``om``, ``mu`` [frames, K] (center-referenced phases, integral scaling),
+    so reconstruction carries no grid-quantization bias.  The coordinates
+    change from frame to frame, so this is a per-point sum and not one
+    product over the grid.
     """
-
-    def __init__(self, signal: Signal, bank: WindowBank):
-        if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
-            raise ParameterError("window bank dt_s does not match the signal sample rate")
-        self._half_len = bank.half_len
-        self._offsets = bank.offsets_s
-        self._window = bank.h
-        self._dt = signal.dt_s
-        n = len(signal)
-        self._padded = np.zeros(n + 2 * bank.half_len, dtype=np.complex128)
-        self._padded[bank.half_len : bank.half_len + n] = signal.samples
-        self.n_time = n
-
-    def __call__(self, frame: int, freq_hz, chirp_hzps):
-        """CT values at one frame; freq/chirp may be arrays of equal shape."""
-        freq_hz = np.atleast_1d(np.asarray(freq_hz, dtype=float))
-        chirp_hzps = np.atleast_1d(np.asarray(chirp_hzps, dtype=float))
-        seg = self._padded[frame : frame + 2 * self._half_len + 1]
-        u = self._offsets
-        phase = np.exp(
-            -2j * np.pi * freq_hz[:, None] * u[None, :]
-            - 1j * np.pi * chirp_hzps[:, None] * u[None, :] ** 2
-        )
-        return (phase * (self._window * seg)[None, :]).sum(axis=1) * self._dt
-
-
-def build_mixing_system(
-    omega_hz: np.ndarray,
-    mu_hzps: np.ndarray,
-    ct_at: CtRidgeEvaluator,
-    frame: int,
-    family: WindowFamily,
-) -> MixingSystem:
-    """Mixing system of one frame from ridge coordinates.
-
-    ``A[i, j] = g_check(omega_i - omega_j, mu_i - mu_j)``; the diagonal is
-    g_check(0, 0).  ``x_hat`` holds the CT samples at the ridge points.
-    """
-    omega_hz = np.asarray(omega_hz, dtype=float)
-    mu_hzps = np.asarray(mu_hzps, dtype=float)
-    if omega_hz.shape != mu_hzps.shape or omega_hz.ndim != 1:
-        raise ParameterError("ridge coordinate arrays must be 1-d and equal length")
-    if not (np.all(np.isfinite(omega_hz)) and np.all(np.isfinite(mu_hzps))):
-        raise ParameterError("ridge coordinates must be finite")
-    dxi = omega_hz[:, None] - omega_hz[None, :]
-    dlam = mu_hzps[:, None] - mu_hzps[None, :]
-    A = g_check(family, dxi, dlam)
-    x_hat = ct_at(frame, omega_hz, mu_hzps)
-    return MixingSystem(A=A, x_hat=x_hat, condition=float(np.linalg.cond(A)))
+    u = bank.offsets_s
+    segments = _padded_segments(signal, bank.half_len).T  # row n is f[n - K : n + K + 1]
+    block = max(1, PHASE_BLOCK // (om.shape[1] * bank.length))
+    out = np.empty(om.shape, dtype=np.complex128)
+    for lo in range(0, frames.size, block):
+        sl = slice(lo, lo + block)
+        phase = np.exp(-2j * np.pi * om[sl, :, None] * u - 1j * np.pi * mu[sl, :, None] * u**2)
+        out[sl] = (phase * (bank.h * segments[frames[sl]])[:, None, :]).sum(axis=-1) * signal.dt_s
+    return out
 
 
 def reconstruct_modes(
@@ -103,40 +57,43 @@ def reconstruct_modes(
     family: WindowFamily,
     bank: WindowBank,
 ) -> ReconstructedModes:
-    """Solve the per-frame mixing system along the ridge curves.
+    """Solve the per-frame mixing systems along the ridge curves.
 
-    Frames where any ridge value is invalid are skipped (zeros, valid False).
-    Frames whose system condition exceeds 1e6 fall back to the least-squares
+    At frame n, ``A[i, j] = g_check(omega_i - omega_j, mu_i - mu_j)`` couples
+    the K chirplet-transform samples at the ridge points to the K component
+    values.  Frames where any ridge value is invalid are skipped (zeros,
+    valid False).  The systems of all other frames are solved in one stacked
+    solve; frames whose condition exceeds 1e6 fall back to the least-squares
     pseudo-solution and are flagged degraded.
     """
-    ct_at = CtRidgeEvaluator(signal, bank)
+    if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
+        raise ParameterError("window bank dt_s does not match the signal sample rate")
     K = ridges.n_components
     n = ridges.n_time
     if n != len(signal):
         raise ParameterError("ridge set does not span the signal")
+    frames = np.flatnonzero(ridges.valid.all(axis=0))
+    if frames.size == 0:
+        raise ReconstructionError("no frame had a full set of valid ridges")
+    om, mu = (np.asarray(c, dtype=float)[:, frames].T for c in (ridges.omega_hz, ridges.mu_hzps))
+    if not (np.all(np.isfinite(om)) and np.all(np.isfinite(mu))):
+        raise ParameterError("ridge coordinates must be finite")
+    A = g_check(family, om[:, :, None] - om[:, None, :], mu[:, :, None] - mu[:, None, :])
+    x_hat = _ridge_samples(signal, bank, frames, om, mu)
+    cond = np.linalg.cond(A)
+    bad = (cond > COND_LIMIT) | ~np.isfinite(cond)
+    if bad.all():
+        raise ReconstructionError("every frame was degraded")
+    sol = np.empty_like(x_hat)
+    sol[~bad] = np.linalg.solve(A[~bad], x_hat[~bad][:, :, None])[:, :, 0]
+    for i in np.flatnonzero(bad):
+        sol[i] = np.linalg.lstsq(A[i], x_hat[i], rcond=None)[0]
     modes = np.zeros((K, n), dtype=np.complex128)
     valid = np.zeros((K, n), dtype=bool)
     degraded = np.zeros(n, dtype=bool)
-    solved = 0
-    for frame in range(n):
-        if not ridges.valid[:, frame].all():
-            continue
-        system = build_mixing_system(
-            ridges.omega_hz[:, frame], ridges.mu_hzps[:, frame], ct_at, frame, family
-        )
-        if system.condition > COND_LIMIT or not np.isfinite(system.condition):
-            sol = np.linalg.lstsq(system.A, system.x_hat, rcond=None)[0]
-            degraded[frame] = True
-        else:
-            sol = np.linalg.solve(system.A, system.x_hat)
-        modes[:, frame] = sol
-        valid[:, frame] = True
-        if not degraded[frame]:
-            solved += 1
-    if valid.any() and solved == 0:
-        raise ReconstructionError("every frame was degraded")
-    if not valid.any():
-        raise ReconstructionError("no frame had a full set of valid ridges")
+    modes[:, frames] = sol.T
+    valid[:, frames] = True
+    degraded[frames] = bad
     return ReconstructedModes(modes=modes, valid=valid, degraded=degraded)
 
 

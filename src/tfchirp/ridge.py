@@ -239,6 +239,8 @@ def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = 1
     """
     if n_components < 2:
         raise ParameterError("spectral embedding needs at least two clusters")
+    if not (0 < sigma_pct <= 100):
+        raise ParameterError(f"sigma_pct must lie in (0, 100], got {sigma_pct}")
     n_dim = 2 * (n_components - 1)
     if len(cloud) < n_dim + 2:
         raise ParameterError(f"cloud of {len(cloud)} points cannot support a {n_dim}-dim embedding")

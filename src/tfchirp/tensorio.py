@@ -61,7 +61,8 @@ def write_tensor(path: str, tensor: TfcTensor, t0_s: float = 0.0):
 
     def emit(fh):
         fh.write(header)
-        fh.write(values.astype(values.dtype.newbyteorder("<"), copy=False).tobytes())
+        # the contiguous little-endian buffer itself, not a bytes copy of it
+        fh.write(values.astype(values.dtype.newbyteorder("<"), copy=False).reshape(-1).view(np.uint8))
 
     _atomic_write(path, emit)
 
@@ -89,12 +90,10 @@ def read_tensor(path: str):
                 f"TFC1 payload truncated: the header claims {n_chirp}x{n_freq}x{n_time} entries "
                 f"({count * dtype.itemsize} bytes), the file holds {left}"
             )
-        payload = fh.read(count * dtype.itemsize)
-        if len(payload) != count * dtype.itemsize:
+        values = np.fromfile(fh, dtype=dtype, count=count)
+        if values.size != count:
             raise FormatError("TFC1 payload truncated")
-        values = np.frombuffer(payload, dtype=dtype).astype(_DTYPES[code]).reshape(
-            n_chirp, n_freq, n_time
-        )
+        values = values.astype(_DTYPES[code], copy=False).reshape(n_chirp, n_freq, n_time)
     if not np.all(np.isfinite(values.view(values.real.dtype))):
         raise FormatError("TFC1 payload contains non-finite entries")
     grid = grid_from_resolution(alpha_sq, n_time, fs)

@@ -29,6 +29,7 @@ from .errors import ParameterError, ShapeError, UnsupportedWindowError
 from .signal import Signal, TfcGrid, WindowBank, WindowFamily
 
 CONVENTIONS = ("centered", "left")
+PHASE_BLOCK = 1 << 17  # phase entries (rows x taps) per block of a full volume
 
 
 @dataclass(frozen=True)
@@ -127,15 +128,12 @@ class StreamedBank:
         x = bank.offsets_s
         e = np.exp(-np.pi * a * x * x)
         windows = [bank.th, bank.t2h] + [x ** (n - d) * e for d in (1, 2) if n >= d]
-        chirp_phase, freq_phase = _phase_factors(grid, bank.half_len, self.convention)
-        S = _padded_segments(self.signal, bank.half_len)
-        stacked = np.hstack([w[:, None] * S for w in windows])
+        sums_of = _windowed_sums(self.signal, windows, grid, self.convention)
         T_flat = self.h.values.reshape(-1, grid.n_time)
         c1, c2 = -2 * np.pi * a, 4 * np.pi**2 * a**2
 
         def fetch(rows):
-            E = chirp_phase[rows // grid.n_freq] * freq_phase[rows % grid.n_freq]
-            sums = (E @ stacked).reshape(rows.size, len(windows), grid.n_time)
+            sums = sums_of(rows)
 
             def part(sl):
                 T, U, V = T_flat[rows[sl]], sums[sl, 0], sums[sl, 1]
@@ -152,9 +150,7 @@ class StreamedBank:
         return fetch
 
 
-def _check_transform_args(signal: Signal, window: np.ndarray, grid: TfcGrid):
-    if grid.n_time != len(signal):
-        raise ShapeError(f"grid.n_time={grid.n_time} != signal length {len(signal)}")
+def _check_window(window: np.ndarray) -> np.ndarray:
     window = np.asarray(window, dtype=float)
     if window.ndim != 1 or window.size % 2 != 1:
         raise ParameterError("window must be a 1-d sequence of odd length")
@@ -162,7 +158,7 @@ def _check_transform_args(signal: Signal, window: np.ndarray, grid: TfcGrid):
 
 
 def _phase_factors(grid: TfcGrid, half_len: int, convention: str) -> tuple:
-    """The chirp and frequency phase factors whose product is the phase matrix."""
+    """The chirp and frequency phase factors whose product is a row's phases."""
     if convention not in CONVENTIONS:
         raise ParameterError(f"unknown convention {convention!r}")
     M = grid.M
@@ -175,13 +171,6 @@ def _phase_factors(grid: TfcGrid, half_len: int, convention: str) -> tuple:
     return chirp_phase, freq_phase
 
 
-def _phase_matrix(grid: TfcGrid, half_len: int, convention: str) -> np.ndarray:
-    """exp factors of shape [n_chirp * n_freq, 2K+1], window not included."""
-    chirp_phase, freq_phase = _phase_factors(grid, half_len, convention)
-    E = chirp_phase[:, None, :] * freq_phase[None, :, :]
-    return E.reshape(grid.n_chirp * grid.n_freq, -1)
-
-
 def _padded_segments(signal: Signal, half_len: int) -> np.ndarray:
     """Matrix S[k, n] = f[n + k - K] with zero padding, shape [2K+1, N]."""
     n = len(signal)
@@ -190,41 +179,70 @@ def _padded_segments(signal: Signal, half_len: int) -> np.ndarray:
     return sliding_window_view(fp, n)  # row k is fp[k : k + n]
 
 
+def _windowed_sums(signal: Signal, windows, grid: TfcGrid, convention: str):
+    """The module docstring's sum against several windows of one length.
+
+    Returns ``sums(rows)``, of shape [rows.size, len(windows), n_time]: the
+    transforms of the flat (chirp, frequency) rows ``rows`` (flat row
+    ``l_slot * n_freq + m``) against each window, in one matrix product of
+    the requested rows' phases with the windowed segments ``hstack(w * S)``.
+    The segments are stacked once; the phases exist only for the rows of a
+    call, never for the whole grid.
+    """
+    if grid.n_time != len(signal):
+        raise ShapeError(f"grid.n_time={grid.n_time} != signal length {len(signal)}")
+    half_len = (windows[0].size - 1) // 2
+    chirp_phase, freq_phase = _phase_factors(grid, half_len, convention)
+    S = _padded_segments(signal, half_len)
+    stacked = np.hstack([w[:, None] * S for w in windows])
+
+    def sums(rows):
+        E = chirp_phase[rows // grid.n_freq]
+        E *= freq_phase[rows % grid.n_freq]
+        return (E @ stacked).reshape(rows.size, len(windows), grid.n_time)
+
+    return sums
+
+
+def _volume(signal: Signal, window: np.ndarray, grid: TfcGrid, convention: str) -> TfcTensor:
+    """The transform against one window over the whole grid, a row block at a time.
+
+    One window per product: stacking windows changes how BLAS blocks the
+    product and with it the last bits of each volume.
+    """
+    sums = _windowed_sums(signal, [window], grid, convention)
+    n_rows = grid.n_chirp * grid.n_freq
+    values = np.empty((n_rows, grid.n_time), dtype=np.complex128)
+    block = max(1, PHASE_BLOCK // window.size)
+    for lo in range(0, n_rows, block):
+        hi = min(lo + block, n_rows)
+        values[lo:hi] = sums(np.arange(lo, hi))[:, 0]
+    return TfcTensor(values.reshape(grid.n_chirp, grid.n_freq, grid.n_time), grid, convention)
+
+
 def chirplet_transform(
     signal: Signal, window: np.ndarray, grid: TfcGrid, convention: str = "centered"
 ) -> TfcTensor:
     """Chirplet transform of a signal against one window sequence.
 
-    Direct summation over the window support (one complex matmul per call);
-    no FFT factorization.  Output entries are plain sums, i.e. carry a 1/dt
-    scale relative to the continuous-integral transform.
+    Direct summation over the window support (matrix products over blocks
+    of rows); no FFT factorization.  Output entries are plain sums, i.e.
+    carry a 1/dt scale relative to the continuous-integral transform.
     """
-    window = _check_transform_args(signal, window, grid)
-    half_len = (window.size - 1) // 2
-    E = _phase_matrix(grid, half_len, convention) * window[None, :]
-    S = _padded_segments(signal, half_len)
-    values = (E @ S).reshape(grid.n_chirp, grid.n_freq, grid.n_time)
-    return TfcTensor(values=values, grid=grid, convention=convention)
+    return _volume(signal, _check_window(window), grid, convention)
 
 
-def _bank_sums(signal: Signal, bank: WindowBank, grid: TfcGrid, convention: str, windows: dict) -> dict:
-    """Transforms against the named windows of a bank, sharing one phase matrix."""
+def _check_bank(signal: Signal, bank: WindowBank):
     if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
         raise ShapeError("window bank dt_s does not match the signal sample rate")
-    E = _phase_matrix(grid, bank.half_len, convention)
-    S = _padded_segments(signal, bank.half_len)
-    shape = (grid.n_chirp, grid.n_freq, grid.n_time)
-    return {
-        name: TfcTensor((E @ (window[:, None] * S)).reshape(shape), grid, convention)
-        for name, window in windows.items()
-    }
 
 
 def chirplet_bank_transform(
     signal: Signal, bank: WindowBank, grid: TfcGrid, convention: str = "centered"
 ) -> BankTensors:
-    """All six bank transforms, sharing one phase matrix."""
-    tensors = _bank_sums(signal, bank, grid, convention, bank.sequences())
+    """All six bank transforms."""
+    _check_bank(signal, bank)
+    tensors = {name: _volume(signal, w, grid, convention) for name, w in bank.sequences().items()}
     return BankTensors(bank=bank, grid=grid, convention=convention, **tensors)
 
 
@@ -232,22 +250,21 @@ def streamed_bank_transform(
     signal: Signal, bank: WindowBank, grid: TfcGrid, convention: str = "centered"
 ) -> StreamedBank:
     """T^h, equal to ``chirplet_bank_transform(...).h``, and the companions on demand."""
-    h = _bank_sums(signal, bank, grid, convention, {"h": bank.h})["h"]
-    return StreamedBank(h, signal, bank, grid, convention)
+    _check_bank(signal, bank)
+    return StreamedBank(_volume(signal, bank.h, grid, convention), signal, bank, grid, convention)
+
+
+def _zero_chirp_rows(grid: TfcGrid) -> np.ndarray:
+    """Flat rows of the zero-chirp slice (chirp slot M-1), in frequency order."""
+    return (grid.M - 1) * grid.n_freq + np.arange(grid.n_freq)
 
 
 def stft(
     signal: Signal, window: np.ndarray, grid: TfcGrid, convention: str = "centered"
 ) -> TfMatrix:
     """Short-time Fourier transform: the zero-chirp slice of the same sum."""
-    window = _check_transform_args(signal, window, grid)
-    half_len = (window.size - 1) // 2
-    M = grid.M
-    k = np.arange(2 * half_len + 1)
-    p = k - half_len if convention == "centered" else k
-    E = np.exp(-2j * np.pi * np.outer(np.arange(grid.n_freq), p) / (2 * M)) * window[None, :]
-    values = E @ _padded_segments(signal, half_len)
-    return TfMatrix(values=values, grid=grid)
+    sums = _windowed_sums(signal, [_check_window(window)], grid, convention)
+    return TfMatrix(values=sums(_zero_chirp_rows(grid))[:, 0], grid=grid)
 
 
 def project_tfc_to_tf(tensor: TfcTensor) -> TfMatrix:

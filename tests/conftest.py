@@ -1,11 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tfchirp.pipeline import run_sct
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution
 from tfchirp.synth import crossing_chirp_pair
 
 FS = 100.0
+
+# every property test is repeatable: a test's @settings sets max_examples only
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +54,19 @@ def interior_mask(n_time: int, sample_rate_hz: float, margin_s: float) -> np.nda
     k = int(round(margin_s * sample_rate_hz))
     mask[k : n_time - k] = True
     return mask
+
+
+def traced_volumes(fn, volume_bytes: int):
+    """``fn()``, with its ``tracemalloc`` peak and retained memory in volumes.
+
+    Returns ``(result, peak, retained)``; both counts are relative to the
+    traced memory when the call starts, divided by ``volume_bytes``.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, (peak - base) / volume_bytes, (current - base) / volume_bytes

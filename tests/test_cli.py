@@ -313,7 +313,7 @@ def test_ridge_memory_error_exits_3_with_grid(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["half_len", "min_per_frame"])
+@pytest.mark.parametrize("key", ["half_len", "min_per_frame", "seed"])
 def test_negative_config_values_are_rejected(crossing_csv, tmp_path, capsys, key):
     from tfchirp.cli import load_config
     from tfchirp.errors import ParameterError
@@ -327,3 +327,25 @@ def test_negative_config_values_are_rejected(crossing_csv, tmp_path, capsys, key
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key in err
     assert load_config(write_config(tmp_path, **{key: 0})) is not None
+
+
+def test_bad_seed_and_sigma_pct_exit_1_naming_them(tmp_path, capsys):
+    fs = 50.0
+    x = np.arange(300) / fs
+    src = tmp_path / "chirps.csv"
+    write_signal_csv(str(src), Signal(np.exp(2j * np.pi * 4 * x) + np.exp(2j * np.pi * (12 * x - 0.5 * x**2)), fs))
+    sct_path = str(tmp_path / "s.tfc1")
+    assert main(["--config", write_config(tmp_path, alpha_sq=0.02), "sct", "--input", str(src), "--rate", "50",
+                 "--output", sct_path]) == 0
+    ridge = ["ridge", "--tensor", sct_path, "--output", str(tmp_path / "r.csv")]
+    cases = [
+        (["--seed", "-1", *ridge], "--seed"),
+        (["--seed", "-1", "synth", "--scene", "random", "--output", str(tmp_path / "x.csv")], "--seed"),
+        (["--config", write_config(tmp_path, alpha_sq=0.02, sigma_pct=150), *ridge], "sigma_pct"),
+    ]
+    for argv, name in cases:
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and name in err
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "x.csv").exists()

@@ -57,7 +57,7 @@ def test_w1_matches_lp_on_random_instances():
         assert wasserstein1_1d(xa, wa, xb, wb) == pytest.approx(lp_transport(xa, wa, xb, wb), abs=1e-9)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=5), st.lists(st.floats(-50, 50), min_size=1, max_size=5), st.lists(st.floats(-50, 50), min_size=1, max_size=5))
 def test_w1_metric_axioms(xs, ys, zs):
     d_xy = wasserstein1_1d(xs, None, ys, None)

@@ -4,15 +4,10 @@ import pytest
 from tfchirp.errors import ParameterError, ReconstructionError, UnsupportedWindowError
 from tfchirp.metrics import rel_error
 from tfchirp.reassign import sst2
-from tfchirp.reconstruct import (
-    CtRidgeEvaluator,
-    build_mixing_system,
-    reconstruct_modes,
-    sst_band_reconstruct,
-)
+from tfchirp.reconstruct import COND_LIMIT, reconstruct_modes, sst_band_reconstruct
 from tfchirp.ridge import RidgeSet
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
-from tfchirp.transform import g_check
+from tfchirp.transform import PHASE_BLOCK, g_check
 
 from conftest import interior_mask
 
@@ -23,16 +18,105 @@ def truth_ridges(ifs, chirps):
     return RidgeSet(omega_hz=np.asarray(ifs, float), mu_hzps=np.asarray(chirps, float), valid=ones, observed=ones)
 
 
+# ---------------------------------------------------------------------------
+# The per-frame reconstruction loop, kept as the reference of the stacked solve
+
+
+class CtRidgeEvaluator:
+    """Chirplet transform of one signal at exact (freq, chirp) coordinates."""
+
+    def __init__(self, signal, bank):
+        self._half_len = bank.half_len
+        self._offsets = bank.offsets_s
+        self._window = bank.h
+        self._dt = signal.dt_s
+        n = len(signal)
+        self._padded = np.zeros(n + 2 * bank.half_len, dtype=np.complex128)
+        self._padded[bank.half_len : bank.half_len + n] = signal.samples
+
+    def __call__(self, frame, freq_hz, chirp_hzps):
+        freq_hz = np.atleast_1d(np.asarray(freq_hz, dtype=float))
+        chirp_hzps = np.atleast_1d(np.asarray(chirp_hzps, dtype=float))
+        seg = self._padded[frame : frame + 2 * self._half_len + 1]
+        u = self._offsets
+        phase = np.exp(
+            -2j * np.pi * freq_hz[:, None] * u[None, :]
+            - 1j * np.pi * chirp_hzps[:, None] * u[None, :] ** 2
+        )
+        return (phase * (self._window * seg)[None, :]).sum(axis=1) * self._dt
+
+
+def build_mixing_system(omega_hz, mu_hzps, ct_at, frame, family):
+    """(A, x_hat, condition) of one frame."""
+    dxi = omega_hz[:, None] - omega_hz[None, :]
+    dlam = mu_hzps[:, None] - mu_hzps[None, :]
+    A = g_check(family, dxi, dlam)
+    return A, ct_at(frame, omega_hz, mu_hzps), float(np.linalg.cond(A))
+
+
+def reconstruct_modes_loop(signal, ridges, family, bank):
+    ct_at = CtRidgeEvaluator(signal, bank)
+    K, n = ridges.n_components, ridges.n_time
+    modes = np.zeros((K, n), dtype=np.complex128)
+    valid = np.zeros((K, n), dtype=bool)
+    degraded = np.zeros(n, dtype=bool)
+    for frame in range(n):
+        if not ridges.valid[:, frame].all():
+            continue
+        A, x_hat, condition = build_mixing_system(
+            ridges.omega_hz[:, frame], ridges.mu_hzps[:, frame], ct_at, frame, family
+        )
+        if condition > COND_LIMIT or not np.isfinite(condition):
+            sol = np.linalg.lstsq(A, x_hat, rcond=None)[0]
+            degraded[frame] = True
+        else:
+            sol = np.linalg.solve(A, x_hat)
+        modes[:, frame] = sol
+        valid[:, frame] = True
+    return modes, valid, degraded
+
+
+@pytest.mark.parametrize("n_win", [0, 1, 2])
+def test_stacked_solve_matches_per_frame_loop(n_win):
+    fs = 50.0
+    fam = WindowFamily(n_win, 1.3)
+    bank = make_window_bank(fam, fam.default_half_len(1 / fs), 1 / fs)
+    K = 3
+    n = 3 * (PHASE_BLOCK // (K * bank.length)) + 17  # several frame blocks
+    x = np.arange(n) / fs
+    rng = np.random.default_rng(n_win)
+    signal = Signal(
+        sum(np.exp(2j * np.pi * (f * x + 0.5 * c * x**2)) for f, c in ((4, 1.2), (12, -0.8), (19, 0.3)))
+        + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+        fs,
+    )
+    # ridges 0.6 Hz apart keep the systems well conditioned for every order,
+    # the odd window's included (its g_check vanishes on the diagonal)
+    om = np.array([[8.0], [8.6], [9.2]]) + 0.5 * np.sin(x) + rng.normal(0, 0.2, (K, n))
+    mu = np.array([[1.2], [-0.8], [0.3]]) + rng.normal(0, 0.1, (K, n))
+    coincide = rng.random(n) < 0.05  # ridges 0 and 1 meet: singular, solved by lstsq
+    om[1, coincide], mu[1, coincide] = om[0, coincide], mu[0, coincide]
+    valid = rng.random((K, n)) > 0.03  # frames with a missing ridge are skipped
+    ridges = RidgeSet(om, mu, valid, valid)
+    got = reconstruct_modes(signal, ridges, fam, bank)
+    modes, ok, degraded = reconstruct_modes_loop(signal, ridges, fam, bank)
+    assert degraded.any() and (ok.all(axis=0) & ~degraded).any() and not ok.all()
+    np.testing.assert_array_equal(got.modes, modes)
+    np.testing.assert_array_equal(got.valid, ok)
+    np.testing.assert_array_equal(got.degraded, degraded)
+
+
 def test_mixing_system_k1_diagonal():
     fs, n = 50.0, 100
     x = np.arange(n) / fs
     signal = Signal(np.exp(2j * np.pi * 5 * x), fs)
     fam = WindowFamily(0, 2.0)
     bank = make_window_bank(fam, fam.default_half_len(1 / fs), 1 / fs)
-    ct = CtRidgeEvaluator(signal, bank)
-    system = build_mixing_system(np.array([5.0]), np.array([0.0]), ct, n // 2, fam)
-    assert system.A.shape == (1, 1)
-    assert system.A[0, 0] == pytest.approx(2.0**-0.5)
+    assert g_check(fam, 0.0, 0.0) == pytest.approx(2.0**-0.5)
+    # with one ridge the system is the diagonal alone: mode = sample / g_check(0, 0)
+    modes = reconstruct_modes(signal, truth_ridges(np.full((1, n), 5.0), np.zeros((1, n))), fam, bank)
+    x_hat = CtRidgeEvaluator(signal, bank)(n // 2, 5.0, 0.0)[0]
+    assert modes.modes[0, n // 2] == pytest.approx(x_hat / g_check(fam, 0.0, 0.0), rel=1e-12)
 
 
 def test_mixing_system_identical_ridges_singular():
@@ -40,9 +124,16 @@ def test_mixing_system_identical_ridges_singular():
     signal = Signal(np.ones(n), fs)
     fam = WindowFamily(0, 1.0)
     bank = make_window_bank(fam, 60, 1 / fs)
-    ct = CtRidgeEvaluator(signal, bank)
-    system = build_mixing_system(np.array([5.0, 5.0]), np.array([1.0, 1.0]), ct, 50, fam)
-    assert system.condition > 1e12
+    om = np.vstack((np.full(n, 5.0), np.full(n, 9.0)))
+    mu = np.ones((2, n))
+    om[1, 40:60] = 5.0  # the ridges coincide on these frames
+    modes = reconstruct_modes(signal, truth_ridges(om, mu), fam, bank)
+    assert modes.degraded[40:60].all()
+    assert not modes.degraded[:40].any() and not modes.degraded[60:].any()
+    assert modes.valid.all()
+    om[1] = 5.0
+    with pytest.raises(ReconstructionError, match="every frame was degraded"):
+        reconstruct_modes(signal, truth_ridges(om, mu), fam, bank)
 
 
 def test_mixing_entry_matches_quadrature():

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,7 @@ from tfchirp.ridge import (
 from tfchirp.signal import grid_from_resolution
 from tfchirp.transform import TfcTensor
 
-from conftest import interior_mask
+from conftest import interior_mask, traced_volumes
 
 
 def tensor_from(values, fs=10.0):
@@ -432,7 +430,7 @@ def energy_volumes(draw):
     return values, q
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 @given(energy_volumes())
 def test_volume_quantile_is_numpys_quantile(volume):
     values, q = volume
@@ -458,15 +456,9 @@ def test_select_high_energy_memory_budget(crossing_sct_g2):
     tensor = crossing_sct_g2.squeezed
     assert tensor.values.shape == (100, 51, 401)
     volume = tensor.values.size * 8  # one float64 volume
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        cloud = select_high_energy(tensor, 0.9995, min_per_frame=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    cloud, peak, _ = traced_volumes(lambda: select_high_energy(tensor, 0.9995, min_per_frame=3), volume)
     assert cloud.core is not None and cloud.core.any()
-    assert (peak - base) / volume <= 1.75
+    assert peak <= 1.75
 
 
 def test_landed_sources_match_squeeze_destinations(crossing_sct_g2, monkeypatch):

@@ -1,7 +1,6 @@
 """The streamed SCT core: T^h as the only bank volume, companions summed per row block."""
 
 import inspect
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +25,8 @@ from tfchirp.transform import (
     streamed_bank_transform,
 )
 
+from conftest import traced_volumes
+
 FS = 20.0
 
 
@@ -43,7 +44,7 @@ def small_analyses(draw):
     return Signal(samples, FS), grid, bank, convention, nu_rel
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(small_analyses())
 def test_streamed_field_matches_stored_bank(analysis):
     signal, grid, bank, convention, nu_rel = analysis
@@ -60,7 +61,7 @@ def test_streamed_field_matches_stored_bank(analysis):
     assert np.isnan(field.omega[~d]).all() and np.isnan(field.mu[~d]).all()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(small_analyses())
 def test_run_sct_keeps_bank_h_and_conserves_mass(analysis):
     # criterion 06 over random grids, windows, conventions and thresholds
@@ -154,13 +155,7 @@ def test_run_sct_memory_budget(crossing_scene, crossing_grid, n):
     grid = crossing_grid
     assert (grid.n_chirp, grid.n_freq, grid.n_time) == (100, 51, 401)
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        result = run_sct(signal, WindowFamily(n, 1.0), grid)
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    result, peak, retained = traced_volumes(lambda: run_sct(signal, WindowFamily(n, 1.0), grid), volume)
     assert result.squeezed.values.shape == (100, 51, 401)
-    assert (peak - base) / volume <= 5.0
-    assert (current - base) / volume <= 3.2
+    assert peak <= 5.0
+    assert retained <= 3.2

@@ -14,6 +14,8 @@ from tfchirp.tensorio import (
 )
 from tfchirp.transform import TfcTensor
 
+from conftest import traced_volumes
+
 
 def random_tensor(seed=0, dtype=np.complex128):
     rng = np.random.default_rng(seed)
@@ -35,6 +37,22 @@ def test_tensor_round_trip(tmp_path, dtype):
     # byte-identical rewrite
     write_tensor(str(tmp_path / "b.tfc1"), tensor, t0_s=1.5)
     assert (tmp_path / "a.tfc1").read_bytes() == (tmp_path / "b.tfc1").read_bytes()
+
+
+def test_tensor_io_memory_budget(tmp_path):
+    """Writing copies nothing; reading holds the payload once."""
+    grid = grid_from_resolution(0.01, 401, 100.0)
+    shape = (grid.n_chirp, grid.n_freq, grid.n_time)
+    values = np.exp(1j * np.arange(np.prod(shape)).reshape(shape))
+    tensor = TfcTensor(values, grid)
+    path = str(tmp_path / "big.tfc1")
+    _, peak, _ = traced_volumes(lambda: write_tensor(path, tensor, t0_s=2.0), values.nbytes)
+    assert peak <= 0.1
+    with open(path, "rb") as fh:
+        assert fh.read()[44:] == values.tobytes()  # the payload bytes are unchanged
+    (back, t0), peak, _ = traced_volumes(lambda: read_tensor(path), values.nbytes)
+    assert peak <= 1.2
+    assert t0 == 2.0 and np.array_equal(back.values, values)
 
 
 def test_tensor_file_length(tmp_path):

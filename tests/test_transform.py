@@ -14,11 +14,12 @@ from tfchirp.transform import (
     ct_quadrature,
     fresnel_segment,
     g_check,
+    _windowed_sums,
     project_tfc_to_tf,
     stft,
 )
 
-from conftest import interior_mask
+from conftest import FS, interior_mask, traced_volumes
 
 
 def naive_transform(samples, window, grid, convention):
@@ -176,7 +177,7 @@ def covariance_cases(draw):
     return Signal(samples, fs), grid, window, convention
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(covariance_cases(), st.data())
 def test_modulation_covariance_property(case, data):
     """Modulation by kf frequency bins shifts |T| by kf bins; both conventions.
@@ -194,7 +195,7 @@ def test_modulation_covariance_property(case, data):
     assert err <= 1e-9 * base.max()
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(covariance_cases(), st.data())
 def test_chirp_covariance_property(case, data):
     """Chirp multiplication by kc chirp bins shifts |T| by kc chirp bins; both conventions.
@@ -226,6 +227,46 @@ def test_chirp_covariance_property(case, data):
         assert err <= 1e-9 * base.max()
         compared += 1
     assert compared >= 1
+
+
+@settings(max_examples=40)
+@given(covariance_cases(), st.data())
+def test_windowed_sums_match_the_docstring_sum(case, data):
+    """Any rows of the kernel, in any order and against several windows,
+    equal the module docstring's sum evaluated by a plain loop."""
+    signal, grid, window, convention = case
+    K = window.size // 2
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    windows = [window] + [rng.standard_normal(window.size) for _ in range(data.draw(st.integers(0, 2)))]
+    rows = np.array(
+        data.draw(st.lists(st.integers(0, grid.n_chirp * grid.n_freq - 1), min_size=1, max_size=12, unique=True))
+    )
+    got = _windowed_sums(signal, windows, grid, convention)(rows)
+
+    f = np.concatenate((np.zeros(K), signal.samples, np.zeros(K)))
+    p = np.arange(2 * K + 1) - (K if convention == "centered" else 0)
+    want = np.zeros((rows.size, len(windows), grid.n_time), dtype=complex)
+    for i, row in enumerate(rows):
+        l, m = grid.chirp_indices[row // grid.n_freq], row % grid.n_freq
+        phase = np.exp(-2j * np.pi * p * m / (2 * grid.M)) * np.exp(-1j * np.pi * l * p**2 / (4 * grid.M**2))
+        for j, w in enumerate(windows):
+            for n in range(grid.n_time):
+                want[i, j, n] = np.sum(f[n : n + 2 * K + 1] * w * phase)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_chirplet_transform_memory_budget(crossing_scene, crossing_grid, n):
+    """The phases of one block of rows at a time: never the whole grid's."""
+    signal, grid = crossing_scene.signal(), crossing_grid
+    assert (grid.n_chirp, grid.n_freq, grid.n_time) == (100, 51, 401)
+    family = WindowFamily(n, 1.0)
+    window = make_window_bank(family, family.default_half_len(1 / FS), 1 / FS).h
+    volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
+    tensor, peak, _ = traced_volumes(lambda: chirplet_transform(signal, window, grid), volume)
+    assert tensor.values.shape == (100, 51, 401)
+    assert peak <= 1.5
 
 
 def test_bank_transform_matches_single_calls():
