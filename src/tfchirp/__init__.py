@@ -7,7 +7,6 @@ from .errors import (
     FormatError,
     MetricError,
     ParameterError,
-    RangeError,
     ReconstructionError,
     ResourceError,
     ShapeError,
@@ -18,7 +17,6 @@ from .metrics import ot_if_metric, rel_error, snr_db, wasserstein1_1d
 from .pipeline import crossing_study, ct_ridges, random_study, run_sct, sct_ridges
 from .reassign import (
     ReassignmentField,
-    inverse_sct_neighborhood,
     reassignment_field,
     sst1,
     sst2,
@@ -41,10 +39,8 @@ from .signal import (
     TfcGrid,
     WindowBank,
     WindowFamily,
-    bin_to_physical,
     grid_from_resolution,
     make_window_bank,
-    physical_to_bin,
 )
 from .synth import (
     RandomProcessSpec,
@@ -56,17 +52,10 @@ from .synth import (
     smoothed_brownian,
 )
 from .transform import (
-    BankTensors,
     StreamedBank,
     TfcTensor,
     TfMatrix,
-    analytic_ct_linear_chirp,
-    analytic_ct_linear_chirp_mag,
-    chirp_transform_1d,
-    chirplet_bank_transform,
     chirplet_transform,
-    ct_quadrature,
-    fresnel_segment,
     g_check,
     project_tfc_to_tf,
     stft,

@@ -15,11 +15,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensorio
-from .errors import FormatError, ParameterError, ResourceError, TfchirpError
+from .errors import FormatError, ParameterError, ResourceError, TfchirpError, UnsupportedWindowError
 from .metrics import rel_error
 from .pipeline import random_study, run_sct, sct_ridges
 from .reassign import squeeze_conservation
-from .reconstruct import reconstruct_modes
+from .reconstruct import check_window_condition, reconstruct_modes
 from .ridge import RidgeParams, extract_ridges
 from .signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from .synth import crossing_chirp_pair, random_ict_scene
@@ -231,11 +231,15 @@ def cmd_reconstruct(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
+    recon_family = WindowFamily(args.recon_n, args.recon_alpha)
+    try:
+        check_window_condition(recon_family)
+    except UnsupportedWindowError as exc:
+        raise ParameterError(f"--recon-n {args.recon_n}: {exc}") from None
     signal = _read_signal(args, config)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     with _memory_guard(grid):
         ridges = sct_ridges(_run_sct(config, signal, grid), config.n_components, config.ridge_params())
-    recon_family = WindowFamily(args.recon_n, args.recon_alpha)
     recon_bank = make_window_bank(recon_family, recon_family.default_half_len(signal.dt_s), signal.dt_s)
     modes = reconstruct_modes(signal, ridges, recon_family, recon_bank)
     header, rows = _ridge_rows(ridges, grid, signal.t0_s)

@@ -13,10 +13,6 @@ class ShapeError(TfchirpError):
     """Array shapes are inconsistent with each other or with a grid."""
 
 
-class RangeError(TfchirpError):
-    """A physical value falls outside the grid it is being mapped onto."""
-
-
 class UnsupportedWindowError(TfchirpError):
     """The requested window family cannot be used for this operation."""
 

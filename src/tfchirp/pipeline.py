@@ -7,7 +7,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import ot_if_metric, rel_error
-from .reassign import ReassignmentField, reassignment_field, sst2, synchrosqueeze
+from .reassign import (
+    DEFAULT_NU_REL,
+    ReassignmentField,
+    default_threshold,
+    reassignment_field,
+    sst2,
+    synchrosqueeze,
+)
 from .reconstruct import reconstruct_modes, sst_band_reconstruct
 from .ridge import RidgeParams, RidgeSet, extract_ridges
 from .signal import Signal, TfcGrid, WindowFamily, grid_from_resolution, make_window_bank
@@ -28,20 +35,17 @@ def run_sct(
     grid: TfcGrid,
     half_len: int | None = None,
     convention: str = "centered",
-    nu: float | None = None,
-    nu_rel: float | None = None,
+    nu_rel: float = DEFAULT_NU_REL,
 ) -> SctResult:
     """T^h, reassignment field and squeezed volume in one go.
 
     T^h is the only bank volume kept; the field sums the companion
-    transforms block by block over its resolvable rows.
+    transforms block by block over its resolvable rows.  Entries at or
+    below ``nu_rel`` times the peak of |T^h| are undefined.
     """
     bank = make_window_bank(family, half_len or family.default_half_len(signal.dt_s), signal.dt_s)
     banks = streamed_bank_transform(signal, bank, grid, convention)
-    if nu is None and nu_rel is not None:
-        peak = float(np.abs(banks.h.values).max())
-        nu = nu_rel * peak if peak > 0 else None
-    field = reassignment_field(banks, nu=nu)
+    field = reassignment_field(banks, nu=default_threshold(banks.h.values, nu_rel))
     squeezed = synchrosqueeze(banks.h, field)
     return SctResult(banks=banks, field=field, squeezed=squeezed)
 

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .signal import Signal, TfcGrid, WindowBank, round_half_away
-from .transform import BankTensors, StreamedBank, TfcTensor, TfMatrix, _windowed_sums, _zero_chirp_rows
+from .transform import StreamedBank, TfcTensor, TfMatrix, _windowed_sums, _zero_chirp_rows
 
 M2_GUARD = 1e-12
 DEFAULT_NU_REL = 1e-4
@@ -60,14 +60,14 @@ class ReassignmentField:
                 raise ShapeError(f"{name} shape does not match grid")
 
 
-def default_threshold(tensor_h: TfcTensor, rel: float = DEFAULT_NU_REL) -> float:
-    """Scale-free default threshold: a small fraction of the peak magnitude.
+def default_threshold(values: np.ndarray, rel: float = DEFAULT_NU_REL) -> float:
+    """Scale-free threshold: the fraction ``rel`` of the peak magnitude of ``values``.
 
-    An all-zero volume has no workable scale; the threshold degenerates to
+    An all-zero array has no workable scale; the threshold degenerates to
     +inf so that every entry is undefined and the squeeze of silence is
     silence.
     """
-    peak = float(np.abs(tensor_h.values).max())
+    peak = float(np.abs(values).max())
     return rel * peak if peak > 0 else np.inf
 
 
@@ -112,20 +112,18 @@ def resolvable_slots(grid: TfcGrid, bank: WindowBank, tol: float = ALIAS_TOL) ->
 
 
 def reassignment_field(
-    banks: BankTensors | StreamedBank, nu: float | None = None, alias_tol: float = ALIAS_TOL
+    banks: StreamedBank, nu: float | None = None, alias_tol: float = ALIAS_TOL
 ) -> ReassignmentField:
     """Frequency and chirp-rate reassignment estimates over a TFC volume.
 
-    ``banks`` is a ``BankTensors`` (six stored transforms) or a
-    ``StreamedBank`` (T^h stored, companions summed per row block); either
-    supplies the companion rows through ``companion_rows()``.  ``nu`` is the
-    hard modulus threshold below which entries are undefined; ``None``
-    applies the relative default against the peak of ``banks.h``.
+    ``banks`` holds T^h and supplies the companion rows through
+    ``companion_rows()``.  ``nu`` is the hard modulus threshold below which
+    entries are undefined; ``None`` applies ``default_threshold`` to T^h.
     """
     grid = banks.grid
     companions = banks.companion_rows()
     if nu is None:
-        nu = default_threshold(banks.h)
+        nu = default_threshold(banks.h.values)
     if not (nu > 0):
         raise ParameterError("nu must be positive")
     # aliased slots are undefined whatever the bank values: evaluate the
@@ -163,7 +161,13 @@ def reassignment_field(
 
 
 def _destination_blocks(field: ReassignmentField):
-    """``squeeze_destinations`` in ascending blocks of bounded size."""
+    """Flat source and destination indices of every entry the squeeze moves.
+
+    Sources are the defined entries whose rounded (omega, mu) lands inside
+    the grid, as ascending flat indices into the volume, yielded in blocks
+    of bounded size; each destination is the flat index of its bin in the
+    same frame.
+    """
     grid = field.grid
     defined, omega, mu = (x.reshape(-1) for x in (field.defined, field.omega, field.mu))
     for lo in range(0, defined.size, SQUEEZE_BLOCK):
@@ -175,23 +179,6 @@ def _destination_blocks(field: ReassignmentField):
         dest = (l_dest[ok].astype(np.intp) * grid.n_freq + m_dest[ok].astype(np.intp)) * grid.n_time
         dest += src % grid.n_time
         yield src, dest
-
-
-def squeeze_destinations(field: ReassignmentField) -> tuple:
-    """Flat source and destination indices of every entry the squeeze moves.
-
-    Sources are the defined entries whose rounded (omega, mu) lands inside
-    the grid, as ascending flat indices into the volume; each destination is
-    the flat index of its bin in the same frame.
-    """
-    size = int(np.count_nonzero(field.defined))
-    src, dest = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
-    k = 0
-    for src_b, dest_b in _destination_blocks(field):
-        src[k : k + src_b.size] = src_b
-        dest[k : k + src_b.size] = dest_b
-        k += src_b.size
-    return src[:k], dest[:k]
 
 
 def synchrosqueeze(tensor_h: TfcTensor, field: ReassignmentField) -> TfcTensor:
@@ -258,7 +245,7 @@ def sst1(
     """First-order synchrosqueezed STFT (frequency-axis squeeze only)."""
     W, W1 = _stfts(signal, grid, convention, [bank.h, bank.h_prime])
     if nu is None:
-        nu = DEFAULT_NU_REL * np.abs(W).max()
+        nu = default_threshold(W)
     freqs = grid.freqs_hz[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = freqs + (-W1 / (2 * np.pi * W)).imag
@@ -280,39 +267,7 @@ def sst2(
     """
     W, W1, W2, U, U1, V = _stfts(signal, grid, convention, list(bank.sequences().values()))
     if nu is None:
-        nu = DEFAULT_NU_REL * np.abs(W).max()
+        nu = default_threshold(W)
     freqs = grid.freqs_hz[:, None]
     mu, omega, defined = _mu_omega(W, W1, W2, U, U1, V, 0.0, freqs, nu)
     return TfMatrix(_squeeze_matrix(W, omega, defined, grid), grid)
-
-
-# ---------------------------------------------------------------------------
-# Inverse-SCT neighborhood map
-
-
-def inverse_sct_neighborhood(
-    field: ReassignmentField,
-    tensor_h: TfcTensor,
-    frame: int,
-    freq_bin: int,
-    chirp_bin: int,
-    eps1_hz: float,
-    eps2_hzps: float,
-):
-    """Entries of one frame whose reassigned coordinates fall near a bin.
-
-    Returns ``(chirp_bins, freq_bins, weights)`` where weights are |T^h| at
-    the selected entries; either epsilon may be ``inf``.
-    """
-    if not (eps1_hz > 0 and eps2_hzps > 0):
-        raise ParameterError("eps1_hz and eps2_hzps must be positive")
-    grid = field.grid
-    xi = grid.freq_hz(freq_bin)
-    lam = grid.chirp_hzps(chirp_bin)
-    om = field.omega[:, :, frame]
-    mu = field.mu[:, :, frame]
-    with np.errstate(invalid="ignore"):
-        sel = field.defined[:, :, frame] & (np.abs(om - xi) < eps1_hz) & (np.abs(mu - lam) < eps2_hzps)
-    l_idx, m_idx = np.nonzero(sel)
-    weights = np.abs(tensor_h.values[l_idx, m_idx, frame])
-    return l_idx, m_idx, weights

@@ -51,6 +51,20 @@ def _ridge_samples(signal: Signal, bank: WindowBank, frames, om, mu) -> np.ndarr
     return out
 
 
+def check_window_condition(family: WindowFamily) -> None:
+    """Raise ``UnsupportedWindowError`` unless ``family`` can reconstruct modes.
+
+    The mixing systems come from ``g_check``, whose closed form covers
+    n <= 2, and recover the components only where the window condition
+    ``g_check(0, 0) != 0`` holds; every odd window vanishes there.
+    """
+    if family.n > 2 or g_check(family, 0.0, 0.0) == 0:
+        raise UnsupportedWindowError(
+            f"window order n={family.n} fails the reconstruction window condition "
+            "g_check(0, 0) != 0 (n = 0 or 2 are admissible)"
+        )
+
+
 def reconstruct_modes(
     signal: Signal,
     ridges: RidgeSet,
@@ -64,8 +78,10 @@ def reconstruct_modes(
     values.  Frames where any ridge value is invalid are skipped (zeros,
     valid False).  The systems of all other frames are solved in one stacked
     solve; frames whose condition exceeds 1e6 fall back to the least-squares
-    pseudo-solution and are flagged degraded.
+    pseudo-solution and are flagged degraded.  A window that fails
+    ``check_window_condition`` is rejected before any work.
     """
+    check_window_condition(family)
     if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
         raise ParameterError("window bank dt_s does not match the signal sample rate")
     K = ridges.n_components

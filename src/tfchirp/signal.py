@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError, RangeError
+from .errors import ParameterError
 
 # Half-window policy: ceil(4.3 / sqrt(alpha_w) / dt) samples puts the Gaussian
 # factor at the window edge far below 1e-8 of its peak, so truncation is
@@ -237,23 +237,3 @@ def grid_from_resolution(alpha_sq: float, n_time: int, sample_rate_hz: float) ->
 def round_half_away(x):
     """Deterministic round-half-away-from-zero (scalar or array)."""
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
-
-
-def physical_to_bin(grid: TfcGrid, freq_hz: float, chirp_hzps: float) -> tuple:
-    """Map physical (frequency, chirp rate) to the nearest (m, l) bin pair."""
-    m = int(round_half_away(freq_hz / grid.freq_step_hz))
-    l_signed = int(round_half_away(chirp_hzps / grid.chirp_step_hzps))
-    if not (0 <= m < grid.n_freq):
-        raise RangeError(f"frequency {freq_hz} Hz outside [0, fs/2]")
-    if not (-(grid.M - 1) <= l_signed <= grid.M):
-        raise RangeError(f"chirp rate {chirp_hzps} Hz/s outside grid")
-    return m, l_signed + grid.M - 1
-
-
-def bin_to_physical(grid: TfcGrid, m: int, l: int) -> tuple:
-    """Map a (m, l) bin pair to its physical (frequency, chirp rate) center."""
-    if not (0 <= m < grid.n_freq):
-        raise RangeError(f"frequency bin {m} out of range")
-    if not (0 <= l < grid.n_chirp):
-        raise RangeError(f"chirp bin {l} out of range")
-    return grid.freq_hz(m), grid.chirp_hzps(l)

@@ -1,4 +1,4 @@
-"""Discrete chirplet transform, STFT baseline, and analytic oracles.
+"""Discrete chirplet transform, STFT baseline, and the window transform ``g_check``.
 
 The discrete transform of a length-N signal against a window of 2K+1 samples
 is, for chirp index l, frequency bin m and frame n,
@@ -22,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import quad
-from scipy.special import fresnel
 
 from .errors import ParameterError, ShapeError, UnsupportedWindowError
 from .signal import Signal, TfcGrid, WindowBank, WindowFamily
@@ -47,10 +45,6 @@ class TfcTensor:
         if self.convention not in CONVENTIONS:
             raise ParameterError(f"unknown convention {self.convention!r}")
 
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.values)
-
 
 @dataclass(frozen=True)
 class TfMatrix:
@@ -63,34 +57,6 @@ class TfMatrix:
         expected = (self.grid.n_freq, self.grid.n_time)
         if self.values.shape != expected:
             raise ShapeError(f"matrix shape {self.values.shape} != grid shape {expected}")
-
-
-# the companions in the argument order of the reassignment rule: T1, T2, U, U1, V
-_COMPANIONS = ("h_prime", "h_second", "th", "th_prime", "t2h")
-
-
-@dataclass(frozen=True)
-class BankTensors:
-    """The six chirplet transforms of one signal against a window bank."""
-
-    h: TfcTensor
-    h_prime: TfcTensor
-    h_second: TfcTensor
-    th: TfcTensor
-    th_prime: TfcTensor
-    t2h: TfcTensor
-    bank: WindowBank
-    grid: TfcGrid
-    convention: str
-
-    def companion_rows(self):
-        """Row source of the companions: ``fetch(rows)(part)`` is the tuple
-        (T1, T2, U, U1, V) of the flat (chirp, frequency) rows ``rows[part]``."""
-        companions = [getattr(self, name).values for name in _COMPANIONS]
-        if len({t.shape for t in companions} | {self.h.values.shape}) != 1:
-            raise ShapeError("bank tensors disagree in shape")
-        flat = [t.reshape(-1, self.grid.n_time) for t in companions]
-        return lambda rows: lambda part: tuple(t[rows[part]] for t in flat)
 
 
 @dataclass(frozen=True)
@@ -232,25 +198,12 @@ def chirplet_transform(
     return _volume(signal, _check_window(window), grid, convention)
 
 
-def _check_bank(signal: Signal, bank: WindowBank):
-    if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
-        raise ShapeError("window bank dt_s does not match the signal sample rate")
-
-
-def chirplet_bank_transform(
-    signal: Signal, bank: WindowBank, grid: TfcGrid, convention: str = "centered"
-) -> BankTensors:
-    """All six bank transforms."""
-    _check_bank(signal, bank)
-    tensors = {name: _volume(signal, w, grid, convention) for name, w in bank.sequences().items()}
-    return BankTensors(bank=bank, grid=grid, convention=convention, **tensors)
-
-
 def streamed_bank_transform(
     signal: Signal, bank: WindowBank, grid: TfcGrid, convention: str = "centered"
 ) -> StreamedBank:
-    """T^h, equal to ``chirplet_bank_transform(...).h``, and the companions on demand."""
-    _check_bank(signal, bank)
+    """T^h, equal to ``chirplet_transform(signal, bank.h, ...)``, and the companions on demand."""
+    if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
+        raise ShapeError("window bank dt_s does not match the signal sample rate")
     return StreamedBank(_volume(signal, bank.h, grid, convention), signal, bank, grid, convention)
 
 
@@ -274,25 +227,7 @@ def project_tfc_to_tf(tensor: TfcTensor) -> TfMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Closed forms
-
-
-def analytic_ct_linear_chirp(xi0, lambda0, alpha_w, t, xi, lam):
-    """Continuous chirplet transform of exp(2i*pi*xi0*x + i*pi*lambda0*x^2)
-    with window exp(-pi*alpha_w*x^2), principal square root."""
-    if not np.all(np.asarray(alpha_w) > 0):
-        raise ParameterError("alpha_w must be positive")
-    z = alpha_w + 1j * (np.asarray(lam) - lambda0)
-    head = np.exp(2j * np.pi * xi0 * np.asarray(t) + 1j * np.pi * lambda0 * np.asarray(t) ** 2)
-    shift = np.asarray(xi) - xi0 - lambda0 * np.asarray(t)
-    return head / np.sqrt(z) * np.exp(-np.pi * shift**2 / z)
-
-
-def analytic_ct_linear_chirp_mag(xi0, lambda0, alpha_w, t, xi, lam):
-    """Magnitude of the above: (a^2+(l-l0)^2)^(-1/4) * gaussian in frequency."""
-    d2 = alpha_w**2 + (np.asarray(lam) - lambda0) ** 2
-    shift = np.asarray(xi) - xi0 - lambda0 * np.asarray(t)
-    return d2**-0.25 * np.exp(-np.pi * alpha_w * shift**2 / d2)
+# Closed form
 
 
 def g_check(family: WindowFamily, xi, lam):
@@ -311,90 +246,3 @@ def g_check(family: WindowFamily, xi, lam):
     if family.n == 1:
         return -1j * xi / z * base
     return (1.0 / (2 * np.pi * z) - xi**2 / z**2) * base
-
-
-def chirp_transform_1d(f, lam: float, support: tuple, rtol: float = 1e-9) -> complex:
-    """Quadrature of integral f(x) * exp(-1j*pi*lam*x**2) dx over a support.
-
-    ``f`` is a callable.  For large ``lam`` the quadratic phase is absorbed
-    by the substitution u = x**2 on each side of the origin, which turns the
-    integrand into a linearly oscillating one that scipy's weighted
-    Clenshaw-Curtis rule handles at any frequency.
-    """
-    a, b = support
-    if not (a < b):
-        raise ParameterError("support must satisfy a < b")
-    lam = float(lam)
-    if abs(lam) < 1e-12:
-        re = quad(lambda x: np.real(f(x)), a, b, limit=400)[0]
-        im = quad(lambda x: np.imag(f(x)), a, b, limit=400)[0]
-        return complex(re, im)
-
-    omega = np.pi * lam
-
-    tol = dict(epsabs=1e-13, epsrel=1e-10)
-
-    def one_side(fn, upper):
-        # integral_0^upper fn(x) exp(-1j*omega*x^2) dx, upper > 0
-        total = 0.0 + 0.0j
-        # near the origin the phase turns by at most ~pi: plain quadrature
-        x_split = min(upper, 1.0 / np.sqrt(abs(lam)))
-        total += complex(
-            quad(lambda x: np.real(fn(x) * np.exp(-1j * omega * x * x)), 0.0, x_split, limit=200, **tol)[0],
-            quad(lambda x: np.imag(fn(x) * np.exp(-1j * omega * x * x)), 0.0, x_split, limit=200, **tol)[0],
-        )
-        if x_split < upper:
-            # u = x^2: integral fn(sqrt(u)) / (2 sqrt(u)) exp(-1j*omega*u) du
-            def gu(u):
-                su = np.sqrt(u)
-                return fn(su) / (2.0 * su)
-
-            u_lo, u_hi = x_split**2, upper**2
-            kw = dict(wvar=omega, limit=2000, maxp1=200, **tol)
-            c = quad(lambda u: np.real(gu(u)), u_lo, u_hi, weight="cos", **kw)[0]
-            s = quad(lambda u: np.real(gu(u)), u_lo, u_hi, weight="sin", **kw)[0]
-            ci = quad(lambda u: np.imag(gu(u)), u_lo, u_hi, weight="cos", **kw)[0]
-            si = quad(lambda u: np.imag(gu(u)), u_lo, u_hi, weight="sin", **kw)[0]
-            # exp(-1j*omega*u) = cos(omega u) - 1j sin(omega u)
-            total += complex(c + si, ci - s)
-        return total
-
-    total = 0.0 + 0.0j
-    if b > 0:
-        total += one_side(f, b)
-    if a < 0:
-        total += one_side(lambda x: f(-x), -a)
-    if a > 0:  # support entirely right of the origin
-        total -= one_side(f, a)
-    if b < 0:  # entirely left
-        total -= one_side(lambda x: f(-x), -b)
-    return total
-
-
-def fresnel_segment(a: float, b: float, lam: float) -> complex:
-    """integral_a^b exp(-1j*pi*lam*x**2) dx via the Fresnel integrals."""
-    if lam <= 0:
-        raise ParameterError("lam must be positive")
-    s = np.sqrt(2.0 * lam)
-
-    def antider(x):
-        sv, cv = fresnel(x * s)
-        return (cv - 1j * sv) / s
-
-    return complex(antider(b) - antider(a))
-
-
-def ct_quadrature(signal_fn, window_fn, t, xi, lam, half_width: float, rtol=1e-10) -> complex:
-    """Adaptive quadrature of the continuous chirplet transform.
-
-    Independent oracle for the discrete path: integrates
-    f(x) g(x-t) exp(-2i pi xi (x-t)) exp(-i pi lam (x-t)^2) over
-    |x - t| <= half_width.
-    """
-
-    def integrand(u):
-        return signal_fn(t + u) * window_fn(u) * np.exp(-2j * np.pi * xi * u - 1j * np.pi * lam * u * u)
-
-    re = quad(lambda u: np.real(integrand(u)), -half_width, half_width, limit=800, epsabs=1e-13, epsrel=rtol)[0]
-    im = quad(lambda u: np.imag(integrand(u)), -half_width, half_width, limit=800, epsabs=1e-13, epsrel=rtol)[0]
-    return complex(re, im)

@@ -1,0 +1,201 @@
+"""Independent references for the tests: the stored bank and the quadrature oracles.
+
+The library computes one bank path, the streamed bank of
+``transform.streamed_bank_transform``.  The references here are the
+straightforward forms it is checked against:
+
+- ``BankTensors`` / ``chirplet_bank_transform``: all six bank transforms as
+  stored volumes, each one call of ``chirplet_transform``;
+- ``squeeze_destinations`` and ``conservation_full_volume``: the squeeze's
+  rounding and the conservation residual over the whole volume in one pass;
+- the closed-form transform of a linear chirp, the Fresnel segment, and
+  adaptive quadratures of the 1-d chirp transform and of the continuous
+  chirplet transform.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.integrate import quad
+from scipy.special import fresnel
+
+from tfchirp.errors import ParameterError, ShapeError
+from tfchirp.signal import TfcGrid, WindowBank, round_half_away
+from tfchirp.transform import TfcTensor, chirplet_transform
+
+# the companions in the argument order of the reassignment rule: T1, T2, U, U1, V
+_COMPANIONS = ("h_prime", "h_second", "th", "th_prime", "t2h")
+
+
+@dataclass(frozen=True)
+class BankTensors:
+    """The six chirplet transforms of one signal against a window bank."""
+
+    h: TfcTensor
+    h_prime: TfcTensor
+    h_second: TfcTensor
+    th: TfcTensor
+    th_prime: TfcTensor
+    t2h: TfcTensor
+    bank: WindowBank
+    grid: TfcGrid
+    convention: str
+
+    def companion_rows(self):
+        """Row source of the companions, as ``StreamedBank.companion_rows``:
+        ``fetch(rows)(part)`` is the tuple (T1, T2, U, U1, V) of the flat
+        (chirp, frequency) rows ``rows[part]``."""
+        companions = [getattr(self, name).values for name in _COMPANIONS]
+        if len({t.shape for t in companions} | {self.h.values.shape}) != 1:
+            raise ShapeError("bank tensors disagree in shape")
+        flat = [t.reshape(-1, self.grid.n_time) for t in companions]
+        return lambda rows: lambda part: tuple(t[rows[part]] for t in flat)
+
+
+def chirplet_bank_transform(signal, bank: WindowBank, grid: TfcGrid, convention: str = "centered") -> BankTensors:
+    """All six bank transforms, stored."""
+    tensors = {name: chirplet_transform(signal, w, grid, convention) for name, w in bank.sequences().items()}
+    return BankTensors(bank=bank, grid=grid, convention=convention, **tensors)
+
+
+# ---------------------------------------------------------------------------
+# The squeeze over the whole volume
+
+
+def squeeze_destinations(field):
+    """Flat source and destination indices of every entry the squeeze moves, in one pass.
+
+    Sources are the defined entries whose rounded (omega, mu) lands inside
+    the grid, ascending; each destination is the flat index of its bin in
+    the same frame.
+    """
+    grid = field.grid
+    shape = field.defined.shape
+    l_src, m_src, frame = np.nonzero(field.defined)
+    m_dest = round_half_away(field.omega[l_src, m_src, frame] / grid.freq_step_hz)
+    l_dest = round_half_away(field.mu[l_src, m_src, frame] / grid.chirp_step_hzps) + (grid.M - 1)
+    ok = (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
+    src = np.ravel_multi_index((l_src[ok], m_src[ok], frame[ok]), shape)
+    dest = np.ravel_multi_index((l_dest[ok].astype(np.intp), m_dest[ok].astype(np.intp), frame[ok]), shape)
+    return src, dest
+
+
+def conservation_full_volume(tensor_h, field, squeezed):
+    """The per-frame residual with the contributing set rounded over the whole volume."""
+    grid = tensor_h.grid
+    m_dest = round_half_away(np.where(field.defined, field.omega, np.nan) / grid.freq_step_hz)
+    l_dest = round_half_away(np.where(field.defined, field.mu, np.nan) / grid.chirp_step_hzps) + (grid.M - 1)
+    with np.errstate(invalid="ignore"):
+        contrib = field.defined & (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
+    lhs = squeezed.values.sum(axis=(0, 1))
+    rhs = np.where(contrib, tensor_h.values, 0).sum(axis=(0, 1))
+    return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# Closed forms and quadratures
+
+
+def analytic_ct_linear_chirp(xi0, lambda0, alpha_w, t, xi, lam):
+    """Continuous chirplet transform of exp(2i*pi*xi0*x + i*pi*lambda0*x^2)
+    with window exp(-pi*alpha_w*x^2), principal square root."""
+    if not np.all(np.asarray(alpha_w) > 0):
+        raise ParameterError("alpha_w must be positive")
+    z = alpha_w + 1j * (np.asarray(lam) - lambda0)
+    head = np.exp(2j * np.pi * xi0 * np.asarray(t) + 1j * np.pi * lambda0 * np.asarray(t) ** 2)
+    shift = np.asarray(xi) - xi0 - lambda0 * np.asarray(t)
+    return head / np.sqrt(z) * np.exp(-np.pi * shift**2 / z)
+
+
+def analytic_ct_linear_chirp_mag(xi0, lambda0, alpha_w, t, xi, lam):
+    """Magnitude of the above: (a^2+(l-l0)^2)^(-1/4) * gaussian in frequency."""
+    d2 = alpha_w**2 + (np.asarray(lam) - lambda0) ** 2
+    shift = np.asarray(xi) - xi0 - lambda0 * np.asarray(t)
+    return d2**-0.25 * np.exp(-np.pi * alpha_w * shift**2 / d2)
+
+
+def chirp_transform_1d(f, lam: float, support: tuple, rtol: float = 1e-9) -> complex:
+    """Quadrature of integral f(x) * exp(-1j*pi*lam*x**2) dx over a support.
+
+    ``f`` is a callable.  For large ``lam`` the quadratic phase is absorbed
+    by the substitution u = x**2 on each side of the origin, which turns the
+    integrand into a linearly oscillating one that scipy's weighted
+    Clenshaw-Curtis rule handles at any frequency.
+    """
+    a, b = support
+    if not (a < b):
+        raise ParameterError("support must satisfy a < b")
+    lam = float(lam)
+    if abs(lam) < 1e-12:
+        re = quad(lambda x: np.real(f(x)), a, b, limit=400)[0]
+        im = quad(lambda x: np.imag(f(x)), a, b, limit=400)[0]
+        return complex(re, im)
+
+    omega = np.pi * lam
+
+    tol = dict(epsabs=1e-13, epsrel=1e-10)
+
+    def one_side(fn, upper):
+        # integral_0^upper fn(x) exp(-1j*omega*x^2) dx, upper > 0
+        total = 0.0 + 0.0j
+        # near the origin the phase turns by at most ~pi: plain quadrature
+        x_split = min(upper, 1.0 / np.sqrt(abs(lam)))
+        total += complex(
+            quad(lambda x: np.real(fn(x) * np.exp(-1j * omega * x * x)), 0.0, x_split, limit=200, **tol)[0],
+            quad(lambda x: np.imag(fn(x) * np.exp(-1j * omega * x * x)), 0.0, x_split, limit=200, **tol)[0],
+        )
+        if x_split < upper:
+            # u = x^2: integral fn(sqrt(u)) / (2 sqrt(u)) exp(-1j*omega*u) du
+            def gu(u):
+                su = np.sqrt(u)
+                return fn(su) / (2.0 * su)
+
+            u_lo, u_hi = x_split**2, upper**2
+            kw = dict(wvar=omega, limit=2000, maxp1=200, **tol)
+            c = quad(lambda u: np.real(gu(u)), u_lo, u_hi, weight="cos", **kw)[0]
+            s = quad(lambda u: np.real(gu(u)), u_lo, u_hi, weight="sin", **kw)[0]
+            ci = quad(lambda u: np.imag(gu(u)), u_lo, u_hi, weight="cos", **kw)[0]
+            si = quad(lambda u: np.imag(gu(u)), u_lo, u_hi, weight="sin", **kw)[0]
+            # exp(-1j*omega*u) = cos(omega u) - 1j sin(omega u)
+            total += complex(c + si, ci - s)
+        return total
+
+    total = 0.0 + 0.0j
+    if b > 0:
+        total += one_side(f, b)
+    if a < 0:
+        total += one_side(lambda x: f(-x), -a)
+    if a > 0:  # support entirely right of the origin
+        total -= one_side(f, a)
+    if b < 0:  # entirely left
+        total -= one_side(lambda x: f(-x), -b)
+    return total
+
+
+def fresnel_segment(a: float, b: float, lam: float) -> complex:
+    """integral_a^b exp(-1j*pi*lam*x**2) dx via the Fresnel integrals."""
+    if lam <= 0:
+        raise ParameterError("lam must be positive")
+    s = np.sqrt(2.0 * lam)
+
+    def antider(x):
+        sv, cv = fresnel(x * s)
+        return (cv - 1j * sv) / s
+
+    return complex(antider(b) - antider(a))
+
+
+def ct_quadrature(signal_fn, window_fn, t, xi, lam, half_width: float, rtol=1e-10) -> complex:
+    """Adaptive quadrature of the continuous chirplet transform.
+
+    Independent oracle for the discrete path: integrates
+    f(x) g(x-t) exp(-2i pi xi (x-t)) exp(-i pi lam (x-t)^2) over
+    |x - t| <= half_width.
+    """
+
+    def integrand(u):
+        return signal_fn(t + u) * window_fn(u) * np.exp(-2j * np.pi * xi * u - 1j * np.pi * lam * u * u)
+
+    re = quad(lambda u: np.real(integrand(u)), -half_width, half_width, limit=800, epsabs=1e-13, epsrel=rtol)[0]
+    im = quad(lambda u: np.imag(integrand(u)), -half_width, half_width, limit=800, epsabs=1e-13, epsrel=rtol)[0]
+    return complex(re, im)

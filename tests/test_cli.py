@@ -249,6 +249,24 @@ def test_reconstruct_honours_nu_rel(crossing_csv, tmp_path):
     assert csvs[1e-4] != csvs[0.2]
 
 
+@pytest.mark.parametrize("recon_n", [1, 3])
+def test_reconstruct_rejects_inadmissible_window_before_the_sct(crossing_csv, tmp_path, monkeypatch, capsys,
+                                                                 recon_n):
+    from tfchirp import cli
+
+    def no_sct(*args, **kwargs):
+        raise AssertionError("the SCT ran")
+
+    monkeypatch.setattr(cli, "run_sct", no_sct)
+    ridges = tmp_path / "r.csv"
+    code = main(["reconstruct", "--input", crossing_csv, "--rate", "100", "--ridge-csv", str(ridges),
+                 "--mode-prefix", str(tmp_path / "mode"), "--recon-n", str(recon_n)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: --recon-n") and "window condition" in err
+    assert not ridges.exists()
+
+
 def test_ridge_emptied_cluster_exits_3(crossing_csv, tmp_path, monkeypatch):
     from tfchirp import ridge
 

@@ -4,7 +4,6 @@ import pytest
 from tfchirp.errors import ParameterError
 from tfchirp.reassign import (
     default_threshold,
-    inverse_sct_neighborhood,
     reassignment_field,
     sst1,
     sst2,
@@ -12,9 +11,10 @@ from tfchirp.reassign import (
     synchrosqueeze,
 )
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
-from tfchirp.transform import chirplet_bank_transform, g_check
+from tfchirp.transform import TfcTensor
 
 from conftest import interior_mask
+from reference import BankTensors, chirplet_bank_transform
 
 
 def small_pipeline(samples, fs, n_win=0, alpha=1.0, alpha_sq=0.02, nu=None, half_len=None):
@@ -106,7 +106,7 @@ def test_scaling_equivariance():
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     c = 3.7
     _, grid, banks, field = small_pipeline(samples, fs, half_len=25)
-    nu = default_threshold(banks.h)
+    nu = default_threshold(banks.h.values)
     _, _, banks_c, field_c = small_pipeline(c * samples, fs, half_len=25, nu=c * nu)
     assert np.array_equal(field.defined, field_c.defined)
     sel = field.defined
@@ -236,31 +236,6 @@ def test_sst2_degrades_at_crossing(crossing_scene, crossing_grid):
     assert at_cross > 2 * away
 
 
-# ---------------------------------------------------------------------------
-# inverse map
-
-
-def test_inverse_neighborhood(chirp_f1_sct):
-    signal, grid, result = chirp_f1_sct
-    field, banks = result.field, result.banks
-    frame = 200  # t = 3 s, IF = 24 Hz, chirp 8
-    m_bin = 24
-    l_bin = 8 + grid.M - 1
-    l_idx, m_idx, w = inverse_sct_neighborhood(field, banks.h, frame, m_bin, l_bin, np.inf, np.inf)
-    assert l_idx.size == field.defined[:, :, frame].sum()
-    l_idx, m_idx, w = inverse_sct_neighborhood(field, banks.h, frame, m_bin, l_bin, 1.0, 1.0)
-    assert l_idx.size > 0
-    mags = np.abs(banks.h.values[:, :, frame])
-    mags = np.where(field.defined[:, :, frame], mags, 0.0)
-    lmax, mmax = np.unravel_index(np.argmax(mags), mags.shape)
-    assert (lmax, mmax) in set(zip(l_idx, m_idx))
-    # far outside the band: nothing
-    far_l, far_m, _ = inverse_sct_neighborhood(field, banks.h, frame, grid.n_freq - 1, grid.n_chirp - 1, 0.6, 0.6)
-    assert far_l.size == 0
-    with pytest.raises(ParameterError):
-        inverse_sct_neighborhood(field, banks.h, frame, m_bin, l_bin, -1.0, 1.0)
-
-
 def test_left_convention_field_compensates_shear():
     # left-edge-referenced phases shear each chirp slice in frequency; the
     # reassignment field must still estimate the physical IF
@@ -307,8 +282,6 @@ def _field_oracle(banks, nu):
 
 @pytest.mark.parametrize("convention", ["centered", "left"])
 def test_field_matches_full_product_formula(convention):
-    from tfchirp.transform import BankTensors, TfcTensor
-
     rng = np.random.default_rng(11)
     fs, n = 20.0, 90
     grid = grid_from_resolution(0.05, n, fs)

@@ -4,7 +4,7 @@ import pytest
 from tfchirp.errors import ParameterError, ReconstructionError, UnsupportedWindowError
 from tfchirp.metrics import rel_error
 from tfchirp.reassign import sst2
-from tfchirp.reconstruct import COND_LIMIT, reconstruct_modes, sst_band_reconstruct
+from tfchirp.reconstruct import COND_LIMIT, check_window_condition, reconstruct_modes, sst_band_reconstruct
 from tfchirp.ridge import RidgeSet
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from tfchirp.transform import PHASE_BLOCK, g_check
@@ -90,20 +90,39 @@ def test_stacked_solve_matches_per_frame_loop(n_win):
         + 0.1 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
         fs,
     )
-    # ridges 0.6 Hz apart keep the systems well conditioned for every order,
-    # the odd window's included (its g_check vanishes on the diagonal)
+    # ridges 0.6 Hz apart keep the systems well conditioned for every order
     om = np.array([[8.0], [8.6], [9.2]]) + 0.5 * np.sin(x) + rng.normal(0, 0.2, (K, n))
     mu = np.array([[1.2], [-0.8], [0.3]]) + rng.normal(0, 0.1, (K, n))
     coincide = rng.random(n) < 0.05  # ridges 0 and 1 meet: singular, solved by lstsq
     om[1, coincide], mu[1, coincide] = om[0, coincide], mu[0, coincide]
     valid = rng.random((K, n)) > 0.03  # frames with a missing ridge are skipped
     ridges = RidgeSet(om, mu, valid, valid)
+    if n_win % 2:
+        # the odd window's g_check vanishes on the diagonal: no solve is made
+        with pytest.raises(UnsupportedWindowError, match="window condition"):
+            reconstruct_modes(signal, ridges, fam, bank)
+        return
     got = reconstruct_modes(signal, ridges, fam, bank)
     modes, ok, degraded = reconstruct_modes_loop(signal, ridges, fam, bank)
     assert degraded.any() and (ok.all(axis=0) & ~degraded).any() and not ok.all()
     np.testing.assert_array_equal(got.modes, modes)
     np.testing.assert_array_equal(got.valid, ok)
     np.testing.assert_array_equal(got.degraded, degraded)
+
+
+@pytest.mark.parametrize("n_win", [1, 3])
+def test_windows_failing_the_window_condition_are_rejected_first(n_win):
+    # n=1: g_check(0, 0) = 0, and the solve would divide by the cross terms;
+    # n=3: no closed form.  Either is refused before the bank is even checked.
+    fs, n = 50.0, 100
+    signal = Signal(np.exp(2j * np.pi * 5 * np.arange(n) / fs), fs)
+    fam = WindowFamily(n_win, 1.0)
+    mismatched_bank = make_window_bank(fam, 20, 2 / fs)
+    ridges = truth_ridges(np.vstack((np.full(n, 5.0), np.full(n, 9.0))), np.zeros((2, n)))
+    with pytest.raises(UnsupportedWindowError, match="window condition"):
+        reconstruct_modes(signal, ridges, fam, mismatched_bank)
+    check_window_condition(WindowFamily(0, 1.0))
+    check_window_condition(WindowFamily(2, 1.0))
 
 
 def test_mixing_system_k1_diagonal():

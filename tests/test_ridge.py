@@ -18,6 +18,7 @@ from tfchirp.signal import grid_from_resolution
 from tfchirp.transform import TfcTensor
 
 from conftest import interior_mask, traced_volumes
+from reference import squeeze_destinations
 
 
 def tensor_from(values, fs=10.0):
@@ -466,7 +467,7 @@ def test_landed_sources_match_squeeze_destinations(crossing_sct_g2, monkeypatch)
     rng = np.random.default_rng(3)
     size = field.defined.size
     owner = np.where(rng.random(size) < 0.2, rng.integers(0, 3, size), -1).astype(np.int8)
-    src, dest = reassign.squeeze_destinations(field)
+    src, dest = squeeze_destinations(field)
     row = owner[dest]
     want_src, want_row = src[row >= 0], row[row >= 0]
     assert want_src.size > 1000

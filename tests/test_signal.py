@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from tfchirp.errors import ParameterError, RangeError
-from tfchirp.signal import (
-    Signal,
-    WindowFamily,
-    bin_to_physical,
-    grid_from_resolution,
-    make_window_bank,
-    physical_to_bin,
-    round_half_away,
-)
+from tfchirp.errors import ParameterError
+from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank, round_half_away
 
 
 def test_signal_validation():
@@ -87,19 +79,6 @@ def test_grid_bin_mappings():
     assert grid.freq_hz(24) == pytest.approx(24.0)
     # signed chirp index 8 sits at 8 Hz/s
     assert grid.chirps_hzps[8 + grid.M - 1] == pytest.approx(8.0)
-
-
-def test_bin_round_trips():
-    grid = grid_from_resolution(0.04, 32, 40.0)
-    assert physical_to_bin(grid, 0.0, 0.0) == (0, grid.M - 1)
-    for m in range(grid.n_freq):
-        for l in range(grid.n_chirp):
-            freq, chirp = bin_to_physical(grid, m, l)
-            assert physical_to_bin(grid, freq, chirp) == (m, l)
-    with pytest.raises(RangeError):
-        physical_to_bin(grid, grid.sample_rate_hz, 0.0)
-    with pytest.raises(RangeError):
-        bin_to_physical(grid, grid.n_freq, 0)
 
 
 def test_grid_mappings_monotone():

@@ -9,23 +9,13 @@ from hypothesis import strategies as st
 
 from tfchirp import reassign
 from tfchirp.pipeline import run_sct
-from tfchirp.reassign import (
-    reassignment_field,
-    resolvable_slots,
-    squeeze_conservation,
-    squeeze_destinations,
-    synchrosqueeze,
-)
-from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank, round_half_away
+from tfchirp.reassign import reassignment_field, resolvable_slots, squeeze_conservation, synchrosqueeze
+from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from tfchirp.synth import add_student_t_noise
-from tfchirp.transform import (
-    BankTensors,
-    TfcTensor,
-    chirplet_bank_transform,
-    streamed_bank_transform,
-)
+from tfchirp.transform import TfcTensor, streamed_bank_transform
 
 from conftest import traced_volumes
+from reference import BankTensors, chirplet_bank_transform, conservation_full_volume, squeeze_destinations
 
 FS = 20.0
 
@@ -95,12 +85,13 @@ def test_blocked_squeeze_equals_one_pass(chirp_f1_sct, monkeypatch):
     src, dest = squeeze_destinations(field)
     squeezed = synchrosqueeze(h, field)
     residual = squeeze_conservation(h, field, squeezed)
-    monkeypatch.setattr(reassign, "SQUEEZE_BLOCK", 997)
-    src_b, dest_b = squeeze_destinations(field)
     assert src.size > 10 * 997
-    assert np.array_equal(src_b, src) and np.array_equal(dest_b, dest)
-    assert np.array_equal(synchrosqueeze(h, field).values, squeezed.values)
-    assert np.array_equal(squeeze_conservation(h, field, squeezed), residual)
+    for block in (reassign.SQUEEZE_BLOCK, 997):
+        monkeypatch.setattr(reassign, "SQUEEZE_BLOCK", block)
+        src_b, dest_b = (np.concatenate(part) for part in zip(*reassign._destination_blocks(field)))
+        assert np.array_equal(src_b, src) and np.array_equal(dest_b, dest)
+        assert np.array_equal(synchrosqueeze(h, field).values, squeezed.values)
+        assert np.array_equal(squeeze_conservation(h, field, squeezed), residual)
 
 
 @pytest.mark.parametrize("alpha_sq, half_len", [(0.01, 430), (0.05, 40)])
@@ -118,20 +109,7 @@ def test_resolvable_slots_match_the_whole_volume_formula(alpha_sq, half_len):
 
 
 def test_companion_dtype_is_gone():
-    assert "companion_dtype" not in inspect.signature(chirplet_bank_transform).parameters
     assert "companion_dtype" not in inspect.signature(run_sct).parameters
-
-
-def _conservation_full_volume(tensor_h, field, squeezed):
-    """The per-frame residual with the contributing set rounded over the whole volume."""
-    grid = tensor_h.grid
-    m_dest = round_half_away(np.where(field.defined, field.omega, np.nan) / grid.freq_step_hz)
-    l_dest = round_half_away(np.where(field.defined, field.mu, np.nan) / grid.chirp_step_hzps) + (grid.M - 1)
-    with np.errstate(invalid="ignore"):
-        contrib = field.defined & (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
-    lhs = squeezed.values.sum(axis=(0, 1))
-    rhs = np.where(contrib, tensor_h.values, 0).sum(axis=(0, 1))
-    return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
 
 
 def test_conservation_matches_full_volume_formula():
@@ -144,7 +122,7 @@ def test_conservation_matches_full_volume_formula():
     field = reassignment_field(banks, nu=0.3)
     squeezed = synchrosqueeze(banks.h, field)
     new = squeeze_conservation(banks.h, field, squeezed)
-    old = _conservation_full_volume(banks.h, field, squeezed)
+    old = conservation_full_volume(banks.h, field, squeezed)
     assert 0 < field.defined.sum() < field.defined.size
     assert np.max(np.abs(new - old)) <= 1e-12
 

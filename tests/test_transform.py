@@ -6,20 +6,22 @@ from hypothesis import strategies as st
 from tfchirp.errors import UnsupportedWindowError
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from tfchirp.transform import (
-    analytic_ct_linear_chirp,
-    analytic_ct_linear_chirp_mag,
-    chirp_transform_1d,
-    chirplet_bank_transform,
     chirplet_transform,
-    ct_quadrature,
-    fresnel_segment,
     g_check,
     _windowed_sums,
     project_tfc_to_tf,
     stft,
+    streamed_bank_transform,
 )
 
 from conftest import FS, interior_mask, traced_volumes
+from reference import (
+    analytic_ct_linear_chirp,
+    analytic_ct_linear_chirp_mag,
+    chirp_transform_1d,
+    ct_quadrature,
+    fresnel_segment,
+)
 
 
 def naive_transform(samples, window, grid, convention):
@@ -275,10 +277,13 @@ def test_bank_transform_matches_single_calls():
     signal = Signal(samples, 10.0)
     grid = grid_from_resolution(0.1, 30, 10.0)
     bank = make_window_bank(WindowFamily(1, 1.0), 5, 0.1)
-    banks = chirplet_bank_transform(signal, bank, grid)
-    for name, seq in bank.sequences().items():
-        direct = chirplet_transform(signal, seq, grid).values
-        assert np.allclose(getattr(banks, name).values, direct, atol=1e-10)
+    banks = streamed_bank_transform(signal, bank, grid)
+    assert np.array_equal(banks.h.values, chirplet_transform(signal, bank.h, grid).values)
+    rows = np.arange(grid.n_chirp * grid.n_freq)
+    companions = banks.companion_rows()(rows)(slice(None))
+    for name, got in zip(("h_prime", "h_second", "th", "th_prime", "t2h"), companions):
+        direct = chirplet_transform(signal, getattr(bank, name), grid).values
+        assert np.allclose(got.reshape(direct.shape), direct, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
