@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -54,21 +54,10 @@ class RunConfig:
         )
 
 
-_CONFIG_TYPES = {
-    "window_n": int,
-    "alpha_w": float,
-    "half_len": int,
-    "alpha_sq": float,
-    "nu_rel": float,
-    "q": float,
-    "sigma_pct": float,
-    "min_per_frame": int,
-    "n_components": int,
-    "seed": int,
-    "convention": str,
-}
-# 0 means "automatic" / "none" for the first two; a negative value is a mistake
-_NON_NEGATIVE = ("half_len", "min_per_frame", "seed")
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+# 0 means "automatic" / "none" for half_len and min_per_frame; a negative value is a mistake
+_NON_NEGATIVE = ("window_n", "half_len", "min_per_frame", "seed")
+_POSITIVE = ("alpha_w", "nu_rel")  # NaN fails too
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -94,12 +83,20 @@ def load_config(path: str | None) -> RunConfig:
                     raise ParameterError(f"{path}:{lineno}: {exc}") from exc
                 if key in _NON_NEGATIVE and values[key] < 0:
                     raise ParameterError(f"{path}:{lineno}: {key} must be >= 0, got {values[key]}")
+                if key in _POSITIVE and not values[key] > 0:
+                    raise ParameterError(f"{path}:{lineno}: {key} must be positive, got {values[key]}")
     except OSError as exc:
         raise FormatError(f"cannot read config: {exc}") from exc
     config = replace(config, **values)
     if config.convention not in ("centered", "left"):
         raise ParameterError("convention must be 'centered' or 'left'")
     return config
+
+
+def _config(args) -> RunConfig:
+    """The ``--config`` file's values, with ``--seed`` applied."""
+    config = load_config(args.config)
+    return config if args.seed is None else replace(config, seed=args.seed)
 
 
 def _read_signal(args, config: RunConfig) -> Signal:
@@ -145,11 +142,20 @@ def _run_sct(config: RunConfig, signal: Signal, grid):
     )
 
 
-def _write_slice_csv(path: str, tensor, t0_s: float, at_time: float):
+def _slice_frame(args, signal: Signal) -> int | None:
+    """The frame of ``--slice``, checked against the record before any analysis."""
+    if args.slice is None:
+        return None
+    position = (args.slice - signal.t0_s) * signal.sample_rate_hz
+    frame = int(round(position)) if np.isfinite(position) else -1
+    if not (0 <= frame < len(signal)):
+        end_s = signal.t0_s + (len(signal) - 1) / signal.sample_rate_hz
+        raise ParameterError(f"--slice {args.slice}: not a time inside the record [{signal.t0_s}, {end_s}] s")
+    return frame
+
+
+def _write_slice_csv(path: str, tensor, frame: int):
     grid = tensor.grid
-    frame = int(round((at_time - t0_s) * grid.sample_rate_hz))
-    if not (0 <= frame < grid.n_time):
-        raise ParameterError(f"--slice time {at_time} outside the record")
     mags = np.abs(tensor.values[:, :, frame])
     rows = []
     for li, lam in enumerate(grid.chirps_hzps):
@@ -159,10 +165,9 @@ def _write_slice_csv(path: str, tensor, t0_s: float, at_time: float):
 
 
 def cmd_transform(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _config(args)
     signal = _read_signal(args, config)
+    frame = _slice_frame(args, signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     bank = make_window_bank(config.family(), _half_len(config, signal), signal.dt_s)
     with _memory_guard(grid):
@@ -176,16 +181,15 @@ def cmd_transform(args) -> int:
                 for n in range(grid.n_time)
             ]
             tensorio.write_csv_table(args.tf_csv, ("t_s", "freq_hz", "projection"), rows)
-        if args.slice is not None:
-            _write_slice_csv(args.slice_csv, tensor, signal.t0_s, args.slice)
+        if frame is not None:
+            _write_slice_csv(args.slice_csv, tensor, frame)
     return 0
 
 
 def cmd_sct(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _config(args)
     signal = _read_signal(args, config)
+    frame = _slice_frame(args, signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     with _memory_guard(grid):
         result = _run_sct(config, signal, grid)
@@ -197,8 +201,8 @@ def cmd_sct(args) -> int:
                 for n in range(grid.n_time)
             ]
             tensorio.write_csv_table(args.summary, ("t_s", "conservation_residual"), rows)
-        if args.slice is not None:
-            _write_slice_csv(args.slice_csv, result.squeezed, signal.t0_s, args.slice)
+        if frame is not None:
+            _write_slice_csv(args.slice_csv, result.squeezed, frame)
     return 0
 
 
@@ -216,9 +220,7 @@ def _ridge_rows(ridges, grid, t0_s):
 
 
 def cmd_ridge(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _config(args)
     tensor, t0 = tensorio.read_tensor(args.tensor)
     with _memory_guard(tensor.grid):
         ridges = extract_ridges(tensor, config.n_components, config.ridge_params())
@@ -228,14 +230,20 @@ def cmd_ridge(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
+    config = _config(args)
+    if args.recon_n < 0:
+        raise ParameterError(f"--recon-n must be >= 0, got {args.recon_n}")
+    if not args.recon_alpha > 0:
+        raise ParameterError(f"--recon-alpha must be positive, got {args.recon_alpha}")
     recon_family = WindowFamily(args.recon_n, args.recon_alpha)
     try:
         check_window_condition(recon_family)
     except UnsupportedWindowError as exc:
         raise ParameterError(f"--recon-n {args.recon_n}: {exc}") from None
+    if args.truth and len(args.truth) > config.n_components:
+        raise ParameterError(
+            f"--truth: {len(args.truth)} files for {config.n_components} modes (n_components)"
+        )
     signal = _read_signal(args, config)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     with _memory_guard(grid):

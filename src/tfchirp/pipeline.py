@@ -18,8 +18,10 @@ from .reassign import (
 from .reconstruct import reconstruct_modes, sst_band_reconstruct
 from .ridge import RidgeParams, RidgeSet, extract_ridges
 from .signal import Signal, TfcGrid, WindowFamily, grid_from_resolution, make_window_bank
-from .synth import SyntheticScene, add_student_t_noise
+from .synth import SyntheticScene, add_student_t_noise, random_ict_scene
 from .transform import StreamedBank, TfcTensor, streamed_bank_transform
+
+SST_DELTA_HZ = 3.0
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,6 @@ def crossing_study(
     alpha_sq: float = 0.01,
     noise_scale: float = 0.0,
     seed: int = 0,
-    sst_delta_hz: float = 3.0,
     ridge_params: RidgeParams | None = None,
     half_len: int | None = None,
 ):
@@ -102,9 +103,10 @@ def crossing_study(
 
     Returns per-method rows with relative reconstruction errors of each
     component's real part over ``score_mask`` and the mean per-frame W1
-    between estimated and true IF curves.
+    between estimated and true IF curves.  The SST2 baseline integrates a
+    band of ``SST_DELTA_HZ`` around each true IF.
     """
-    mixed = scene.components.sum(axis=0)
+    mixed = scene.mixed
     snr_db = np.inf
     if noise_scale > 0:
         mixed, snr_db = add_student_t_noise(mixed, dof=4.0, scale=noise_scale, seed=seed)
@@ -143,7 +145,7 @@ def crossing_study(
 
     rel_sst = []
     for comp in range(k):
-        est = sst_band_reconstruct(s2, scene.ifs_hz[comp], sst_delta_hz, recon_family)
+        est = sst_band_reconstruct(s2, scene.ifs_hz[comp], SST_DELTA_HZ, recon_family)
         rel_sst.append(rel_error(est.real, scene.components[comp].real, score_mask))
     rows.append(StudyRow("sst2", seed, tuple(rel_sst), ()))
     return rows, snr_db
@@ -159,27 +161,19 @@ STUDY_CLOUD_SIZE = 3000
 STUDY_SIGMA_PCT = 30.0
 STUDY_MIN_PER_FRAME = 3
 STUDY_NOISE_SCALE = 1.0
+STUDY_ANALYSIS_FAMILY = WindowFamily(2, 1.0)
+STUDY_RECON_FAMILY = WindowFamily(0, 1.0)
 
 
-def random_study(
-    seeds,
-    analysis_family: WindowFamily | None = None,
-    recon_family: WindowFamily | None = None,
-    scene_factory=None,
-):
+def random_study(seeds):
     """The multi-seed noisy-scene comparison at the study configuration.
 
     Returns (rows, summary) where rows hold one StudyRow per method and
     seed, and summary maps method -> dict of mean/sd arrays per mode.
     """
-    from .synth import random_ict_scene
-
-    analysis_family = analysis_family or WindowFamily(2, 1.0)
-    recon_family = recon_family or WindowFamily(0, 1.0)
-    scene_factory = scene_factory or random_ict_scene
     all_rows = []
     for seed in seeds:
-        scene = scene_factory(seed)
+        scene = random_ict_scene(seed)
         x = scene.times_s
         score = (x >= 1.0) & (x <= x[-1] - 1.0)
         n = len(x)
@@ -191,8 +185,8 @@ def random_study(
         rows, _ = crossing_study(
             scene,
             score,
-            analysis_family,
-            recon_family,
+            STUDY_ANALYSIS_FAMILY,
+            STUDY_RECON_FAMILY,
             alpha_sq=STUDY_ALPHA_SQ,
             noise_scale=STUDY_NOISE_SCALE,
             seed=seed,

@@ -91,12 +91,12 @@ def _mu_omega(T, T1, T2, U, U1, V, lam, freqs, nu):
     return mu, omega, defined
 
 
-def resolvable_slots(grid: TfcGrid, bank: WindowBank, tol: float = ALIAS_TOL) -> np.ndarray:
+def resolvable_slots(grid: TfcGrid, bank: WindowBank) -> np.ndarray:
     """Boolean [n_chirp, n_freq] map of slots whose atom the window resolves.
 
     A slot is resolvable when the window mass carried by samples where the
     atom's instantaneous frequency lies outside [-1/2, 1/2] cycles/sample is
-    at most ``tol`` of the total window mass.
+    at most ``ALIAS_TOL`` of the total window mass.
     """
     j = np.arange(-bank.half_len, bank.half_len + 1)
     w = np.abs(bank.h)
@@ -107,20 +107,18 @@ def resolvable_slots(grid: TfcGrid, bank: WindowBank, tol: float = ALIAS_TOL) ->
     # the volume itself
     for i, l in enumerate(grid.chirp_indices):
         nu_atom = l / (4 * grid.M**2) * j[None, :] + freq_term
-        ok[i] = (np.abs(nu_atom) > 0.5) @ w <= tol * total
+        ok[i] = (np.abs(nu_atom) > 0.5) @ w <= ALIAS_TOL * total
     return ok
 
 
-def reassignment_field(
-    banks: StreamedBank, nu: float | None = None, alias_tol: float = ALIAS_TOL
-) -> ReassignmentField:
+def reassignment_field(banks: StreamedBank, nu: float | None = None) -> ReassignmentField:
     """Frequency and chirp-rate reassignment estimates over a TFC volume.
 
     ``banks`` holds T^h and supplies the companion rows through
     ``companion_rows()``.  ``nu`` is the hard modulus threshold below which
     entries are undefined; ``None`` applies ``default_threshold`` to T^h.
     """
-    grid = banks.grid
+    grid = banks.h.grid
     companions = banks.companion_rows()
     if nu is None:
         nu = default_threshold(banks.h.values)
@@ -128,12 +126,12 @@ def reassignment_field(
         raise ParameterError("nu must be positive")
     # aliased slots are undefined whatever the bank values: evaluate the
     # resolvable (chirp, frequency) rows of the volume only
-    rows_ok = np.flatnonzero(resolvable_slots(grid, banks.bank, alias_tol))
+    rows_ok = np.flatnonzero(resolvable_slots(grid, banks.bank))
     lam = np.repeat(grid.chirps_hzps, grid.n_freq)[:, None]
     freqs = np.tile(grid.freqs_hz, grid.n_chirp)[:, None]
     # the left-edge phase reference shears each chirp slice in frequency;
     # undo it so omega estimates the center-referenced IF
-    shear_s = banks.bank.half_len * banks.bank.dt_s if banks.convention == "left" else 0.0
+    shear_s = banks.bank.half_len * banks.bank.dt_s if banks.h.convention == "left" else 0.0
     T_rows = banks.h.values.reshape(-1, grid.n_time)
     # rows per block: ~64k entries keep the many temporaries cache-resident;
     # a streamed bank's sums run FETCH_BLOCKS blocks at a time, since one
@@ -219,9 +217,9 @@ def squeeze_conservation(tensor_h: TfcTensor, field: ReassignmentField, squeezed
 # STFT-based SST baselines
 
 
-def _stfts(signal: Signal, grid: TfcGrid, convention: str, windows) -> np.ndarray:
-    """The STFTs against ``windows``, [len(windows), n_freq, n_time]: zero-chirp rows."""
-    return _windowed_sums(signal, windows, grid, convention)(_zero_chirp_rows(grid)).transpose(1, 0, 2)
+def _stfts(signal: Signal, grid: TfcGrid, windows) -> np.ndarray:
+    """The centered STFTs against ``windows``, [len(windows), n_freq, n_time]: zero-chirp rows."""
+    return _windowed_sums(signal, windows, grid, "centered")(_zero_chirp_rows(grid)).transpose(1, 0, 2)
 
 
 def _squeeze_matrix(W: np.ndarray, omega: np.ndarray, defined: np.ndarray, grid: TfcGrid) -> np.ndarray:
@@ -235,17 +233,13 @@ def _squeeze_matrix(W: np.ndarray, omega: np.ndarray, defined: np.ndarray, grid:
     return out.reshape(grid.n_freq, grid.n_time)
 
 
-def sst1(
-    signal: Signal,
-    bank: WindowBank,
-    grid: TfcGrid,
-    convention: str = "centered",
-    nu: float | None = None,
-) -> TfMatrix:
-    """First-order synchrosqueezed STFT (frequency-axis squeeze only)."""
-    W, W1 = _stfts(signal, grid, convention, [bank.h, bank.h_prime])
-    if nu is None:
-        nu = default_threshold(W)
+def sst1(signal: Signal, bank: WindowBank, grid: TfcGrid) -> TfMatrix:
+    """First-order synchrosqueezed STFT (frequency-axis squeeze only).
+
+    Entries at or below ``default_threshold`` of the STFT are undefined.
+    """
+    W, W1 = _stfts(signal, grid, [bank.h, bank.h_prime])
+    nu = default_threshold(W)
     freqs = grid.freqs_hz[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = freqs + (-W1 / (2 * np.pi * W)).imag
@@ -253,21 +247,14 @@ def sst1(
     return TfMatrix(_squeeze_matrix(W, omega, defined, grid), grid)
 
 
-def sst2(
-    signal: Signal,
-    bank: WindowBank,
-    grid: TfcGrid,
-    convention: str = "centered",
-    nu: float | None = None,
-) -> TfMatrix:
+def sst2(signal: Signal, bank: WindowBank, grid: TfcGrid) -> TfMatrix:
     """Second-order SST: the chirp-rate estimate corrects the squeeze target.
 
     Identical to the zero-chirp slice of the TFC reassignment rule, so on an
-    exact linear chirp the reassigned frequency is exact.
+    exact linear chirp the reassigned frequency is exact.  Entries at or
+    below ``default_threshold`` of the STFT are undefined.
     """
-    W, W1, W2, U, U1, V = _stfts(signal, grid, convention, list(bank.sequences().values()))
-    if nu is None:
-        nu = default_threshold(W)
+    W, W1, W2, U, U1, V = _stfts(signal, grid, list(bank.sequences().values()))
     freqs = grid.freqs_hz[:, None]
-    mu, omega, defined = _mu_omega(W, W1, W2, U, U1, V, 0.0, freqs, nu)
+    mu, omega, defined = _mu_omega(W, W1, W2, U, U1, V, 0.0, freqs, default_threshold(W))
     return TfMatrix(_squeeze_matrix(W, omega, defined, grid), grid)

@@ -88,12 +88,14 @@ class RidgeParams:
     q: float = 0.9995
     sigma_pct: float = 15.0
     seed: int = 0
-    restarts: int = 50
     min_per_frame: int = 0
-    # robust local-linear smoothing of the curves built from source entries
-    fit_half_width_s: float = 0.5
-    fit_iters: int = 4
-    fit_clip: float = 4.0
+
+
+KMEANS_RESTARTS = 50
+# robust local-linear smoothing of the curves built from source entries
+FIT_HALF_WIDTH_S = 0.5
+FIT_ITERS = 4
+FIT_CLIP = 4.0
 
 
 def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> TfcPointCloud:
@@ -264,7 +266,7 @@ def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = 1
     return embedding / np.where(norms > 0, norms, 1.0)
 
 
-def kmeans_cluster(embedding: np.ndarray, n_clusters: int, seed: int = 0, restarts: int = 50) -> np.ndarray:
+def kmeans_cluster(embedding: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:
     """Seeded k-means++ with restarts; returns the best-inertia labeling."""
     # column-major: the sums over the few coordinates of each point and the
     # cluster means then run along contiguous columns (about twice as fast)
@@ -280,7 +282,7 @@ def kmeans_cluster(embedding: np.ndarray, n_clusters: int, seed: int = 0, restar
         return np.zeros(n, dtype=int)
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(restarts):
+    for _ in range(KMEANS_RESTARTS):
         centers = _kmeans_pp_init(pts, n_clusters, rng)
         labels, inertia = _lloyd(pts, centers)
         if best_labels is None or inertia < best_inertia:
@@ -443,7 +445,6 @@ def ridges_from_sources(
     labels: np.ndarray,
     field,
     tensor_h: TfcTensor,
-    params: RidgeParams,
 ) -> RidgeSet:
     """Curves from the pre-squeeze entries feeding each cluster's bins.
 
@@ -482,12 +483,10 @@ def ridges_from_sources(
             raise ExtractionError(f"cluster {cid} received no source entries")
         t_hit = frames_src[hit] / grid.sample_rate_hz
         omega[row] = _local_linear_curve(
-            t_hit, om_src[hit], w_src[hit], t_axis,
-            params.fit_half_width_s, params.fit_iters, params.fit_clip,
+            t_hit, om_src[hit], w_src[hit], t_axis, FIT_HALF_WIDTH_S, FIT_ITERS, FIT_CLIP
         )
         mu[row] = _local_linear_curve(
-            t_hit, mu_src[hit], w_src[hit], t_axis,
-            params.fit_half_width_s, params.fit_iters, params.fit_clip,
+            t_hit, mu_src[hit], w_src[hit], t_axis, FIT_HALF_WIDTH_S, FIT_ITERS, FIT_CLIP
         )
         observed[row] = np.bincount(cloud.frames[rows == row], minlength=n_time) > 0
         for curve in (omega, mu):
@@ -530,14 +529,14 @@ def extract_ridges(
         labels = np.zeros(len(core), dtype=int)
     else:
         embedding = spectral_embed(core, n_components, params.sigma_pct)
-        labels = kmeans_cluster(embedding, n_components, seed=params.seed, restarts=params.restarts)
+        labels = kmeans_cluster(embedding, n_components, seed=params.seed)
         found = np.unique(labels).size
         if found != n_components:
             raise ExtractionError(f"clustering found {found} of {n_components} ridges")
     if core is not cloud:
         labels = _propagate_labels(core, labels, cloud)
     if field is not None and source is not None:
-        return ridges_from_sources(cloud, labels, field, source, params)
+        return ridges_from_sources(cloud, labels, field, source)
     return ridges_from_clusters(cloud, labels, tensor.grid)
 
 

@@ -58,11 +58,8 @@ class WindowFamily:
 
     n: int = 0
     alpha_w: float = 1.0
-    kind: str = "gaussian_power"
 
     def __post_init__(self):
-        if self.kind != "gaussian_power":
-            raise ParameterError(f"unknown window kind {self.kind!r}")
         if not (self.alpha_w > 0):
             raise ParameterError("alpha_w must be positive")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 0):
@@ -214,12 +211,6 @@ class TfcGrid:
     @property
     def chirps_hzps(self) -> np.ndarray:
         return self.chirp_indices * self.chirp_step_hzps
-
-    def freq_hz(self, m: int) -> float:
-        return m * self.freq_step_hz
-
-    def chirp_hzps(self, l: int) -> float:
-        return (l - (self.M - 1)) * self.chirp_step_hzps
 
 
 def grid_from_resolution(alpha_sq: float, n_time: int, sample_rate_hz: float) -> TfcGrid:

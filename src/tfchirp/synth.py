@@ -55,14 +55,10 @@ class SyntheticScene:
     ifs_hz: np.ndarray  # [K, N]
     chirps_hzps: np.ndarray  # [K, N]
     sample_rate_hz: float
-    noise: np.ndarray | None = None
 
     @property
     def mixed(self) -> np.ndarray:
-        total = self.components.sum(axis=0)
-        if self.noise is not None:
-            total = total + self.noise
-        return total
+        return self.components.sum(axis=0)
 
     def signal(self) -> Signal:
         return Signal(self.mixed, self.sample_rate_hz, float(self.times_s[0]))
@@ -182,20 +178,15 @@ PHASE1_ZETA = (0.0, 1.0, 1.6, 0.0, 0.0, 0.2, 400.0)
 PHASE2_ZETA = (0.0, 20.0, -0.9, 0.0, 0.0, 0.25, 300.0)
 
 
-def random_ict_scene(
-    seed: int,
-    sample_rate_hz: float = 100.0,
-    duration_s: float = 10.0,
-    amplitude_zeta=AMPLITUDE_ZETA,
-    phase_zetas=(PHASE1_ZETA, PHASE2_ZETA),
-) -> SyntheticScene:
+def random_ict_scene(seed: int, sample_rate_hz: float = 100.0, duration_s: float = 10.0) -> SyntheticScene:
     """Two-component scene with smoothly varying AM, IF and chirp rate."""
     dt = 1.0 / sample_rate_hz
+    phase_zetas = (PHASE1_ZETA, PHASE2_ZETA)
     children = np.random.SeedSequence(seed).spawn(2 * len(phase_zetas))
     comps, amps, ifs, chirps = [], [], [], []
     for i, pz in enumerate(phase_zetas):
-        amp_spec = RandomProcessSpec(tuple(amplitude_zeta), duration_s, dt, seed=children[2 * i])
-        phase_spec = RandomProcessSpec(tuple(pz), duration_s, dt, seed=children[2 * i + 1])
+        amp_spec = RandomProcessSpec(AMPLITUDE_ZETA, duration_s, dt, seed=children[2 * i])
+        phase_spec = RandomProcessSpec(pz, duration_s, dt, seed=children[2 * i + 1])
         amp = random_process(amp_spec).values
         phase = random_process(phase_spec)
         comps.append(amp * np.exp(2j * np.pi * phase.values))

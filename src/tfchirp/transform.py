@@ -78,8 +78,6 @@ class StreamedBank:
     h: TfcTensor
     signal: Signal
     bank: WindowBank
-    grid: TfcGrid
-    convention: str
 
     def companion_rows(self):
         """Row source of the companions: ``fetch(rows)(part)`` is the tuple
@@ -89,12 +87,12 @@ class StreamedBank:
         a slice of them into the companions.  The windowed segments are built
         once per call and released with the returned function.
         """
-        grid, bank = self.grid, self.bank
+        grid, bank = self.h.grid, self.bank
         n, a = bank.family.n, bank.family.alpha_w
         x = bank.offsets_s
         e = np.exp(-np.pi * a * x * x)
         windows = [bank.th, bank.t2h] + [x ** (n - d) * e for d in (1, 2) if n >= d]
-        sums_of = _windowed_sums(self.signal, windows, grid, self.convention)
+        sums_of = _windowed_sums(self.signal, windows, grid, self.h.convention)
         T_flat = self.h.values.reshape(-1, grid.n_time)
         c1, c2 = -2 * np.pi * a, 4 * np.pi**2 * a**2
 
@@ -204,7 +202,7 @@ def streamed_bank_transform(
     """T^h, equal to ``chirplet_transform(signal, bank.h, ...)``, and the companions on demand."""
     if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
         raise ShapeError("window bank dt_s does not match the signal sample rate")
-    return StreamedBank(_volume(signal, bank.h, grid, convention), signal, bank, grid, convention)
+    return StreamedBank(_volume(signal, bank.h, grid, convention), signal, bank)
 
 
 def _zero_chirp_rows(grid: TfcGrid) -> np.ndarray:
@@ -212,11 +210,9 @@ def _zero_chirp_rows(grid: TfcGrid) -> np.ndarray:
     return (grid.M - 1) * grid.n_freq + np.arange(grid.n_freq)
 
 
-def stft(
-    signal: Signal, window: np.ndarray, grid: TfcGrid, convention: str = "centered"
-) -> TfMatrix:
-    """Short-time Fourier transform: the zero-chirp slice of the same sum."""
-    sums = _windowed_sums(signal, [_check_window(window)], grid, convention)
+def stft(signal: Signal, window: np.ndarray, grid: TfcGrid) -> TfMatrix:
+    """Short-time Fourier transform: the zero-chirp slice of the centered sum."""
+    sums = _windowed_sums(signal, [_check_window(window)], grid, "centered")
     return TfMatrix(values=sums(_zero_chirp_rows(grid))[:, 0], grid=grid)
 
 

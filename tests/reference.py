@@ -38,8 +38,6 @@ class BankTensors:
     th_prime: TfcTensor
     t2h: TfcTensor
     bank: WindowBank
-    grid: TfcGrid
-    convention: str
 
     def companion_rows(self):
         """Row source of the companions, as ``StreamedBank.companion_rows``:
@@ -48,14 +46,14 @@ class BankTensors:
         companions = [getattr(self, name).values for name in _COMPANIONS]
         if len({t.shape for t in companions} | {self.h.values.shape}) != 1:
             raise ShapeError("bank tensors disagree in shape")
-        flat = [t.reshape(-1, self.grid.n_time) for t in companions]
+        flat = [t.reshape(-1, self.h.grid.n_time) for t in companions]
         return lambda rows: lambda part: tuple(t[rows[part]] for t in flat)
 
 
 def chirplet_bank_transform(signal, bank: WindowBank, grid: TfcGrid, convention: str = "centered") -> BankTensors:
     """All six bank transforms, stored."""
     tensors = {name: chirplet_transform(signal, w, grid, convention) for name, w in bank.sequences().items()}
-    return BankTensors(bank=bank, grid=grid, convention=convention, **tensors)
+    return BankTensors(bank=bank, **tensors)
 
 
 # ---------------------------------------------------------------------------

@@ -331,7 +331,7 @@ def test_ridge_memory_error_exits_3_with_grid(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["half_len", "min_per_frame", "seed"])
+@pytest.mark.parametrize("key", ["window_n", "half_len", "min_per_frame", "seed"])
 def test_negative_config_values_are_rejected(crossing_csv, tmp_path, capsys, key):
     from tfchirp.cli import load_config
     from tfchirp.errors import ParameterError
@@ -367,3 +367,61 @@ def test_bad_seed_and_sigma_pct_exit_1_naming_them(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1 and name in err
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "x.csv").exists()
+
+
+def _no_analysis(monkeypatch):
+    from tfchirp import cli
+
+    def no_analysis(*args, **kwargs):
+        raise AssertionError("the analysis ran")
+
+    monkeypatch.setattr(cli, "run_sct", no_analysis)
+    monkeypatch.setattr(cli, "chirplet_transform", no_analysis)
+
+
+@pytest.mark.parametrize("at", ["nan", "inf", "-inf", "0.5", "5.5", "1e308"])
+@pytest.mark.parametrize("command", ["transform", "sct"])
+def test_bad_slice_exits_1_before_the_analysis(crossing_csv, tmp_path, monkeypatch, capsys, command, at):
+    _no_analysis(monkeypatch)
+    out, slice_csv = tmp_path / "out.tfc1", tmp_path / "slice.csv"
+    code = main([command, "--input", crossing_csv, "--rate", "100", "--t0", "1.0", "--output", str(out),
+                 f"--slice={at}", "--slice-csv", str(slice_csv)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --slice") and err.count("\n") == 1
+    assert not out.exists() and not slice_csv.exists()
+
+
+def test_reconstruct_rejects_more_truth_files_than_modes_before_the_sct(crossing_csv, tmp_path, monkeypatch, capsys):
+    _no_analysis(monkeypatch)
+    ridges = tmp_path / "r.csv"
+    code = main(["reconstruct", "--input", crossing_csv, "--rate", "100", "--ridge-csv", str(ridges),
+                 "--mode-prefix", str(tmp_path / "mode"), "--truth", crossing_csv, crossing_csv, crossing_csv])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --truth") and err.count("\n") == 1
+    assert not ridges.exists()
+
+
+@pytest.mark.parametrize(
+    "config, flags, name",
+    [
+        ({}, ["--recon-n", "-1"], "--recon-n"),
+        ({}, ["--recon-alpha", "0"], "--recon-alpha"),
+        ({}, ["--recon-alpha", "nan"], "--recon-alpha"),
+        ({"window_n": -1}, [], "window_n"),
+        ({"alpha_w": 0}, [], "alpha_w"),
+        ({"alpha_w": "nan"}, [], "alpha_w"),
+        ({"nu_rel": 0}, [], "nu_rel"),
+        ({"nu_rel": -1e-4}, [], "nu_rel"),
+        ({"nu_rel": "nan"}, [], "nu_rel"),
+    ],
+)
+def test_window_and_threshold_errors_name_their_flag_or_key(tmp_path, capsys, config, flags, name):
+    # the input does not exist: each error must come before the signal is read
+    argv = ["--config", write_config(tmp_path, **config)] if config else []
+    code = main([*argv, "reconstruct", "--input", str(tmp_path / "missing.csv"), "--rate", "100",
+                 "--ridge-csv", str(tmp_path / "r.csv"), "--mode-prefix", str(tmp_path / "mode"), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and name in err

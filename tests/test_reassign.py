@@ -150,7 +150,7 @@ def test_sst1_tone_concentrates_on_bin():
     x = np.arange(n) / fs
     tone_bin = 50
     grid = grid_from_resolution(0.005, n, fs)  # M=100, step 0.2 Hz
-    xi0 = grid.freq_hz(tone_bin)
+    xi0 = grid.freqs_hz[tone_bin]
     signal = Signal(np.exp(2j * np.pi * xi0 * x), fs)
     fam = WindowFamily(0, 4.0)
     bank = make_window_bank(fam, fam.default_half_len(1 / fs), 1 / fs)
@@ -260,7 +260,7 @@ def _field_oracle(banks, nu):
     """The 17-product reassignment rule over the whole volume."""
     from tfchirp.reassign import M2_GUARD, resolvable_slots
 
-    grid = banks.grid
+    grid = banks.h.grid
     T, T1, T2, U, U1, V = (
         t.values.astype(complex)
         for t in (banks.h, banks.h_prime, banks.h_second, banks.th, banks.th_prime, banks.t2h)
@@ -273,7 +273,7 @@ def _field_oracle(banks, nu):
         ratio = m1 / m2
         mu = ratio.real
         omega = grid.freqs_hz[None, :, None] + (-T1 / (2 * np.pi * T) + 1j * (lam - ratio) * U / T).imag
-    if banks.convention == "left":
+    if banks.h.convention == "left":
         omega = omega + lam * (banks.bank.half_len * banks.bank.dt_s)
     defined = (np.abs(T) > nu) & (np.abs(m2) >= M2_GUARD * np.abs(m1))
     defined &= np.isfinite(mu) & np.isfinite(omega) & resolvable_slots(grid, banks.bank)[:, :, None]
@@ -292,7 +292,7 @@ def test_field_matches_full_product_formula(convention):
         TfcTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid, convention)
         for _ in range(6)
     ]
-    banks = BankTensors(*tensors, bank=bank, grid=grid, convention=convention)
+    banks = BankTensors(*tensors, bank=bank)
     nu = 0.3  # leaves some entries below threshold
     field = reassignment_field(banks, nu=nu)
     mu, omega, defined = _field_oracle(banks, nu)

@@ -280,7 +280,7 @@ def test_band_reconstruct_tone():
     fs, n = 50.0, 300
     x = np.arange(n) / fs
     grid = grid_from_resolution(0.02, n, fs)
-    xi0 = grid.freq_hz(12)
+    xi0 = grid.freqs_hz[12]
     tone = np.exp(2j * np.pi * xi0 * x)
     signal = Signal(tone, fs)
     fam = WindowFamily(0, 1.0)

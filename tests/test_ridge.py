@@ -162,8 +162,8 @@ def test_ridge_through_single_points_per_frame():
     cloud = select_high_energy(tensor, 0.0)
     ridges = ridges_from_clusters(cloud, np.zeros(len(cloud), dtype=int), grid)
     for n, (l, m) in enumerate(bins):
-        assert ridges.omega_hz[0, n] == pytest.approx(grid.freq_hz(m))
-        assert ridges.mu_hzps[0, n] == pytest.approx(grid.chirp_hzps(l))
+        assert ridges.omega_hz[0, n] == pytest.approx(grid.freqs_hz[m])
+        assert ridges.mu_hzps[0, n] == pytest.approx(grid.chirps_hzps[l])
     assert ridges.observed.all()
 
 
@@ -176,7 +176,7 @@ def test_ridge_gap_interpolation():
     cloud = select_high_energy(tensor, 0.0)
     ridges = ridges_from_clusters(cloud, np.zeros(len(cloud), dtype=int), grid)
     assert not ridges.observed[0, 1:4].any()
-    assert np.allclose(ridges.omega_hz[0], np.linspace(grid.freq_hz(1), grid.freq_hz(3), 5))
+    assert np.allclose(ridges.omega_hz[0], np.linspace(grid.freqs_hz[1], grid.freqs_hz[3], 5))
     assert ridges.valid.all()
 
 

@@ -118,7 +118,7 @@ def test_conservation_matches_full_volume_formula():
     bank = make_window_bank(WindowFamily(1, 1.0), 20, 1 / FS)
     shape = (grid.n_chirp, grid.n_freq, grid.n_time)
     tensors = [TfcTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid) for _ in range(6)]
-    banks = BankTensors(*tensors, bank=bank, grid=grid, convention="centered")
+    banks = BankTensors(*tensors, bank=bank)
     field = reassignment_field(banks, nu=0.3)
     squeezed = synchrosqueeze(banks.h, field)
     new = squeeze_conservation(banks.h, field, squeezed)
