@@ -23,7 +23,7 @@ from .reconstruct import check_window_condition, reconstruct_modes
 from .ridge import RidgeParams, extract_ridges
 from .signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from .synth import crossing_chirp_pair, random_ict_scene
-from .transform import chirplet_transform, project_tfc_to_tf
+from .transform import CONVENTIONS, chirplet_transform, project_tfc_to_tf
 
 USAGE_ERROR, IO_ERROR, NUMERICAL_ERROR = 1, 2, 3
 
@@ -55,9 +55,21 @@ class RunConfig:
 
 
 _CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
-# 0 means "automatic" / "none" for half_len and min_per_frame; a negative value is a mistake
-_NON_NEGATIVE = ("window_n", "half_len", "min_per_frame", "seed")
-_POSITIVE = ("alpha_w", "nu_rel")  # NaN fails too
+# every key's domain, as a test and its words; NaN fails every test.  0 means
+# "automatic" / "none" for half_len and min_per_frame.
+_CONFIG_DOMAINS = {
+    "window_n": (lambda v: v >= 0, "must be >= 0"),
+    "alpha_w": (lambda v: 0 < v < np.inf, "must be positive and finite"),
+    "half_len": (lambda v: v >= 0, "must be >= 0"),
+    "alpha_sq": (lambda v: 0 < v <= 0.5, "must lie in (0, 0.5]"),
+    "nu_rel": (lambda v: v > 0, "must be positive"),
+    "q": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "sigma_pct": (lambda v: 0 < v <= 100, "must lie in (0, 100]"),
+    "min_per_frame": (lambda v: v >= 0, "must be >= 0"),
+    "n_components": (lambda v: v >= 1, "must be >= 1"),
+    "seed": (lambda v: v >= 0, "must be >= 0"),
+    "convention": (lambda v: v in CONVENTIONS, f"must be one of {', '.join(CONVENTIONS)}"),
+}
 
 
 def load_config(path: str | None) -> RunConfig:
@@ -81,16 +93,12 @@ def load_config(path: str | None) -> RunConfig:
                     values[key] = _CONFIG_TYPES[key](val.strip())
                 except ValueError as exc:
                     raise ParameterError(f"{path}:{lineno}: {exc}") from exc
-                if key in _NON_NEGATIVE and values[key] < 0:
-                    raise ParameterError(f"{path}:{lineno}: {key} must be >= 0, got {values[key]}")
-                if key in _POSITIVE and not values[key] > 0:
-                    raise ParameterError(f"{path}:{lineno}: {key} must be positive, got {values[key]}")
+                admits, domain = _CONFIG_DOMAINS[key]
+                if not admits(values[key]):
+                    raise ParameterError(f"{path}:{lineno}: {key} {domain}, got {values[key]}")
     except OSError as exc:
         raise FormatError(f"cannot read config: {exc}") from exc
-    config = replace(config, **values)
-    if config.convention not in ("centered", "left"):
-        raise ParameterError("convention must be 'centered' or 'left'")
-    return config
+    return replace(config, **values)
 
 
 def _config(args) -> RunConfig:
@@ -101,6 +109,10 @@ def _config(args) -> RunConfig:
 
 def _read_signal(args, config: RunConfig) -> Signal:
     fmt = args.format
+    if args.rate is not None and not 0 < args.rate < np.inf:
+        raise ParameterError(f"--rate must be positive and finite, got {args.rate}")
+    if not np.isfinite(args.t0):
+        raise ParameterError(f"--t0 must be finite, got {args.t0}")
     try:
         if fmt == "wav":
             return tensorio.read_wav(args.input, downsample=args.downsample)
@@ -233,8 +245,8 @@ def cmd_reconstruct(args) -> int:
     config = _config(args)
     if args.recon_n < 0:
         raise ParameterError(f"--recon-n must be >= 0, got {args.recon_n}")
-    if not args.recon_alpha > 0:
-        raise ParameterError(f"--recon-alpha must be positive, got {args.recon_alpha}")
+    if not 0 < args.recon_alpha < np.inf:
+        raise ParameterError(f"--recon-alpha must be positive and finite, got {args.recon_alpha}")
     recon_family = WindowFamily(args.recon_n, args.recon_alpha)
     try:
         check_window_condition(recon_family)

@@ -17,13 +17,13 @@ which ``_mu_omega`` evaluates in the exactly equivalent reduced form
     omega = freq(m) + Im(-T1/(2*pi*T) + 1j*(lam - M1/M2) * U/T)   [Hz]
 
 On an exact linear chirp both estimates are exact wherever defined.  Entries
-are marked undefined (NaN, with ``defined`` False) in three cases: |T| at or
+are marked undefined (NaN in both omega and mu) in three cases: |T| at or
 below the threshold; |M2| < 1e-12*|M1| (the degenerate denominator the
 accuracy guarantee excludes); and slots whose chirped atom is undersampled,
 i.e. the atom's instantaneous frequency m/(2M) + lam*j leaves the Nyquist
 band over a non-negligible part of the window support, where the quadratic
 phase aliases and the ratio estimates turn into noise.  Downstream consumers
-only ever read entries with ``defined`` True.
+only ever read entries whose estimates are not NaN.
 """
 
 from __future__ import annotations
@@ -45,19 +45,23 @@ SQUEEZE_BLOCK = 1 << 20  # entries per block of the squeeze: bounds its temporar
 
 @dataclass(frozen=True)
 class ReassignmentField:
-    """Per-entry frequency/chirp-rate estimates with a validity mask."""
+    """Per-entry frequency/chirp-rate estimates, NaN where undefined."""
 
-    omega: np.ndarray  # Hz, NaN where undefined
-    mu: np.ndarray  # Hz/s, NaN where undefined
-    defined: np.ndarray  # bool
+    omega: np.ndarray  # Hz
+    mu: np.ndarray  # Hz/s
     nu: float
     grid: TfcGrid
 
     def __post_init__(self):
         shape = (self.grid.n_chirp, self.grid.n_freq, self.grid.n_time)
-        for name in ("omega", "mu", "defined"):
+        for name in ("omega", "mu"):
             if getattr(self, name).shape != shape:
                 raise ShapeError(f"{name} shape does not match grid")
+
+    @property
+    def defined(self) -> np.ndarray:
+        """Boolean validity of every entry, computed on each access: a new volume."""
+        return ~np.isnan(self.omega)
 
 
 def default_threshold(values: np.ndarray, rel: float = DEFAULT_NU_REL) -> float:
@@ -86,9 +90,7 @@ def _mu_omega(T, T1, T2, U, U1, V, lam, freqs, nu):
         omega = freqs + corr.imag
     defined = (np.abs(T) > nu) & (np.abs(m2) >= M2_GUARD * np.abs(m1))
     defined &= np.isfinite(mu) & np.isfinite(omega)
-    mu = np.where(defined, mu, np.nan)
-    omega = np.where(defined, omega, np.nan)
-    return mu, omega, defined
+    return np.where(defined, mu, np.nan), np.where(defined, omega, np.nan)
 
 
 def resolvable_slots(grid: TfcGrid, bank: WindowBank) -> np.ndarray:
@@ -141,21 +143,16 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
     shape = (grid.n_chirp * grid.n_freq, grid.n_time)
     omega = np.full(shape, np.nan)
     mu = np.full(shape, np.nan)
-    defined = np.zeros(shape, dtype=bool)
     for lo in range(0, rows_ok.size, FETCH_BLOCKS * block):
         fetched = rows_ok[lo : lo + FETCH_BLOCKS * block]
         companions_of = companions(fetched)
         for sub in range(0, fetched.size, block):
             part = slice(sub, sub + block)
             rows = fetched[part]
-            mu_b, om_b, def_b = _mu_omega(T_rows[rows], *companions_of(part), lam[rows], freqs[rows], nu)
-            mu[rows] = mu_b
+            mu[rows], om_b = _mu_omega(T_rows[rows], *companions_of(part), lam[rows], freqs[rows], nu)
             omega[rows] = om_b + lam[rows] * shear_s
-            defined[rows] = def_b
     shape = (grid.n_chirp, grid.n_freq, grid.n_time)
-    return ReassignmentField(
-        omega=omega.reshape(shape), mu=mu.reshape(shape), defined=defined.reshape(shape), nu=float(nu), grid=grid
-    )
+    return ReassignmentField(omega=omega.reshape(shape), mu=mu.reshape(shape), nu=float(nu), grid=grid)
 
 
 def _destination_blocks(field: ReassignmentField):
@@ -167,9 +164,9 @@ def _destination_blocks(field: ReassignmentField):
     same frame.
     """
     grid = field.grid
-    defined, omega, mu = (x.reshape(-1) for x in (field.defined, field.omega, field.mu))
-    for lo in range(0, defined.size, SQUEEZE_BLOCK):
-        src = np.flatnonzero(defined[lo : lo + SQUEEZE_BLOCK]) + lo
+    omega, mu = field.omega.reshape(-1), field.mu.reshape(-1)
+    for lo in range(0, omega.size, SQUEEZE_BLOCK):
+        src = np.flatnonzero(~np.isnan(omega[lo : lo + SQUEEZE_BLOCK])) + lo
         m_dest = round_half_away(omega[src] / grid.freq_step_hz)
         l_dest = round_half_away(mu[src] / grid.chirp_step_hzps) + (grid.M - 1)
         ok = (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
@@ -208,7 +205,7 @@ def squeeze_conservation(tensor_h: TfcTensor, field: ReassignmentField, squeezed
     for src, _ in _destination_blocks(field):
         flat[src] = True
     lhs = squeezed.values.sum(axis=(0, 1))
-    rhs = np.where(contrib, tensor_h.values, 0).sum(axis=(0, 1))
+    rhs = np.sum(tensor_h.values, axis=(0, 1), where=contrib)  # no masked copy of the volume
     scale = np.maximum(np.abs(rhs), 1e-300)
     return np.abs(lhs - rhs) / scale
 
@@ -222,7 +219,8 @@ def _stfts(signal: Signal, grid: TfcGrid, windows) -> np.ndarray:
     return _windowed_sums(signal, windows, grid, "centered")(_zero_chirp_rows(grid)).transpose(1, 0, 2)
 
 
-def _squeeze_matrix(W: np.ndarray, omega: np.ndarray, defined: np.ndarray, grid: TfcGrid) -> np.ndarray:
+def _squeeze_matrix(W: np.ndarray, omega: np.ndarray, grid: TfcGrid) -> np.ndarray:
+    defined = ~np.isnan(omega)
     m_dest = round_half_away(omega[defined] / grid.freq_step_hz)
     frames = np.broadcast_to(np.arange(grid.n_time), defined.shape)[defined]
     vals = W[defined]
@@ -243,8 +241,8 @@ def sst1(signal: Signal, bank: WindowBank, grid: TfcGrid) -> TfMatrix:
     freqs = grid.freqs_hz[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         omega = freqs + (-W1 / (2 * np.pi * W)).imag
-    defined = (np.abs(W) > nu) & np.isfinite(omega)
-    return TfMatrix(_squeeze_matrix(W, omega, defined, grid), grid)
+    omega[~((np.abs(W) > nu) & np.isfinite(omega))] = np.nan
+    return TfMatrix(_squeeze_matrix(W, omega, grid), grid)
 
 
 def sst2(signal: Signal, bank: WindowBank, grid: TfcGrid) -> TfMatrix:
@@ -256,5 +254,5 @@ def sst2(signal: Signal, bank: WindowBank, grid: TfcGrid) -> TfMatrix:
     """
     W, W1, W2, U, U1, V = _stfts(signal, grid, list(bank.sequences().values()))
     freqs = grid.freqs_hz[:, None]
-    mu, omega, defined = _mu_omega(W, W1, W2, U, U1, V, 0.0, freqs, default_threshold(W))
-    return TfMatrix(_squeeze_matrix(W, omega, defined, grid), grid)
+    _, omega = _mu_omega(W, W1, W2, U, U1, V, 0.0, freqs, default_threshold(W))
+    return TfMatrix(_squeeze_matrix(W, omega, grid), grid)

@@ -110,19 +110,17 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
         raise ParameterError("q must lie in [0, 1)")
     grid = tensor.grid
     mags = np.abs(tensor.values)
-    keep = mags > _volume_quantile(mags, q)
-    core = None
+    threshold = _volume_quantile(mags, q)
+    keep = mags > threshold
     if min_per_frame > 0:
-        core = keep.copy()
         _admit_frame_peaks(mags, keep, min_per_frame)
     l_idx, m_idx, n_idx = np.nonzero(keep)
     if l_idx.size == 0:
         raise EmptyCloudError("no entries above the energy quantile")
     t = n_idx / grid.sample_rate_hz  # seconds from the first frame
     physical = np.column_stack((t, grid.freqs_hz[m_idx], grid.chirps_hzps[l_idx]))
-    return _normalized_cloud(
-        physical, mags[l_idx, m_idx, n_idx], n_idx, None if core is None else core[l_idx, m_idx, n_idx]
-    )
+    weights = mags[l_idx, m_idx, n_idx]
+    return _normalized_cloud(physical, weights, n_idx, weights > threshold if min_per_frame > 0 else None)
 
 
 def _volume_quantile(mags: np.ndarray, q: float) -> float:

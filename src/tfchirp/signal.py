@@ -35,8 +35,8 @@ class Signal:
             raise ParameterError("signal must be a 1-d series of length >= 2")
         if not np.all(np.isfinite(samples.view(np.float64))):
             raise ParameterError("signal samples must be finite")
-        if not (self.sample_rate_hz > 0):
-            raise ParameterError("sample_rate_hz must be positive")
+        if not (0 < self.sample_rate_hz < np.inf):
+            raise ParameterError("sample_rate_hz must be positive and finite")
         object.__setattr__(self, "samples", samples)
         samples.flags.writeable = False
 

@@ -148,7 +148,7 @@ def read_wav(path: str, downsample: int = 1) -> Signal:
 
 
 def write_wav(path: str, samples: np.ndarray, sample_rate_hz: float):
-    """Minimal mono PCM16 writer (used by tests and synth output)."""
+    """Minimal mono PCM16 writer; the WAV input path's tests write their files with it."""
     if not (sample_rate_hz > 0 and float(sample_rate_hz).is_integer()):
         raise ParameterError(f"WAV sample rate must be a positive integer, got {sample_rate_hz}")
     rate = int(sample_rate_hz)

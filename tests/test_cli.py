@@ -415,6 +415,19 @@ def test_reconstruct_rejects_more_truth_files_than_modes_before_the_sct(crossing
         ({"nu_rel": 0}, [], "nu_rel"),
         ({"nu_rel": -1e-4}, [], "nu_rel"),
         ({"nu_rel": "nan"}, [], "nu_rel"),
+        ({}, ["--recon-alpha", "inf"], "--recon-alpha"),
+        ({"alpha_w": "inf"}, [], "alpha_w"),
+        ({"alpha_sq": 0}, [], "alpha_sq"),
+        ({"alpha_sq": 0.6}, [], "alpha_sq"),
+        ({"alpha_sq": "nan"}, [], "alpha_sq"),
+        ({"q": 1.5}, [], "q must"),
+        ({"q": 1}, [], "q must"),
+        ({"q": -0.1}, [], "q must"),
+        ({"q": "nan"}, [], "q must"),
+        ({"sigma_pct": 0}, [], "sigma_pct"),
+        ({"sigma_pct": 101}, [], "sigma_pct"),
+        ({"sigma_pct": "nan"}, [], "sigma_pct"),
+        ({"n_components": 0}, [], "n_components"),
     ],
 )
 def test_window_and_threshold_errors_name_their_flag_or_key(tmp_path, capsys, config, flags, name):
@@ -425,3 +438,18 @@ def test_window_and_threshold_errors_name_their_flag_or_key(tmp_path, capsys, co
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1 and name in err
+
+
+@pytest.mark.parametrize(
+    "flags", ["--rate=inf", "--rate=0", "--rate=-5", "--rate=nan", "--rate=100 --t0=nan", "--rate=100 --t0=-inf"]
+)
+@pytest.mark.parametrize("command", ["transform", "sct", "reconstruct"])
+def test_bad_rate_or_t0_exits_1_before_the_input_is_read(tmp_path, capsys, command, flags):
+    # the input does not exist: each error must come before the signal is read
+    outputs = {"reconstruct": ["--ridge-csv", str(tmp_path / "r.csv"), "--mode-prefix", str(tmp_path / "mode")]}
+    code = main([command, "--input", str(tmp_path / "missing.csv"), *flags.split(),
+                 *outputs.get(command, ["--output", str(tmp_path / "out.tfc1")])])
+    assert code == 1
+    err = capsys.readouterr().err
+    bad_flag = flags.split()[-1].partition("=")[0]
+    assert err.startswith(f"error: {bad_flag} ") and err.count("\n") == 1

@@ -1,8 +1,13 @@
+import inspect
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from tfchirp import reassign
 from tfchirp.errors import ParameterError
 from tfchirp.reassign import (
+    ReassignmentField,
     default_threshold,
     reassignment_field,
     sst1,
@@ -10,7 +15,8 @@ from tfchirp.reassign import (
     squeeze_conservation,
     synchrosqueeze,
 )
-from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
+from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank, round_half_away
+from tfchirp.synth import add_student_t_noise
 from tfchirp.transform import TfcTensor
 
 from conftest import interior_mask
@@ -310,3 +316,53 @@ def test_squeeze_takes_no_parameter_object():
 
     assert not hasattr(tfchirp, "SqueezeParams")
     assert list(inspect.signature(synchrosqueeze).parameters) == ["tensor_h", "field"]
+
+
+def test_field_stores_no_mask(crossing_sct_g2):
+    # validity is the NaN pattern of the estimates; ``defined`` is read off it
+    assert "defined" not in {f.name for f in fields(ReassignmentField)}
+    field = crossing_sct_g2.field
+    defined = field.defined
+    assert 0 < defined.sum() < defined.size
+    assert np.array_equal(defined, ~np.isnan(field.omega))
+    assert np.array_equal(defined, ~np.isnan(field.mu))
+
+
+def _mask_sst(signal, bank, grid, order):
+    """``sst1`` (order 1) or ``sst2`` (order 2) squeezed through an explicit validity mask."""
+    freqs = grid.freqs_hz[:, None]
+    if order == 1:
+        W, W1 = reassign._stfts(signal, grid, [bank.h, bank.h_prime])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            omega = freqs + (-W1 / (2 * np.pi * W)).imag
+        defined = (np.abs(W) > default_threshold(W)) & np.isfinite(omega)
+    else:
+        W, W1, W2, U, U1, V = reassign._stfts(signal, grid, list(bank.sequences().values()))
+        a, lam = 2j * np.pi * 0.0, 0.0
+        P = U * W1 - W * U1
+        R = P + a * (W * V - U * U)
+        m1 = W * W2 - W1 * W1 - a * (W * W) + a * (P + R)
+        m2 = 2j * np.pi * R
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = m1 / m2
+            omega = freqs + (-W1 / (2 * np.pi * W) + 1j * (lam - ratio) * U / W).imag
+        defined = (np.abs(W) > default_threshold(W)) & (np.abs(m2) >= reassign.M2_GUARD * np.abs(m1))
+        defined &= np.isfinite(ratio.real) & np.isfinite(omega)
+    m_dest = round_half_away(omega[defined] / grid.freq_step_hz)
+    frames = np.broadcast_to(np.arange(grid.n_time), defined.shape)[defined]
+    ok = (m_dest >= 0) & (m_dest < grid.n_freq)
+    out = np.zeros(grid.n_freq * grid.n_time, dtype=np.complex128)
+    np.add.at(out, m_dest[ok].astype(np.intp) * grid.n_time + frames[ok], W[defined][ok])
+    return out.reshape(grid.n_freq, grid.n_time)
+
+
+def test_sst_squeeze_reads_the_nans(crossing_scene, crossing_grid):
+    assert "defined" not in inspect.signature(reassign._squeeze_matrix).parameters
+    noisy, _ = add_student_t_noise(crossing_scene.components.sum(axis=0), 4.0, 0.1, seed=51)
+    signal = Signal(noisy, crossing_grid.sample_rate_hz)
+    family = WindowFamily(2, 1.0)
+    bank = make_window_bank(family, family.default_half_len(signal.dt_s), signal.dt_s)
+    for order, sst in ((1, sst1), (2, sst2)):
+        want = _mask_sst(signal, bank, crossing_grid, order)
+        assert want.any()
+        assert np.array_equal(sst(signal, bank, crossing_grid).values, want)

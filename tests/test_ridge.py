@@ -462,6 +462,14 @@ def test_select_high_energy_memory_budget(crossing_sct_g2):
     assert peak <= 1.75
 
 
+def test_select_high_energy_copies_no_selection(crossing_sct_g2):
+    # |S| and the selection mask, with no second mask for the core
+    tensor = crossing_sct_g2.squeezed
+    cloud, peak, _ = traced_volumes(lambda: select_high_energy(tensor, 0.9995, min_per_frame=3), tensor.values.size * 8)
+    assert cloud.core is not None and 0 < cloud.core.sum() < len(cloud)
+    assert peak <= 1.5
+
+
 def test_landed_sources_match_squeeze_destinations(crossing_sct_g2, monkeypatch):
     field = crossing_sct_g2.field
     rng = np.random.default_rng(3)

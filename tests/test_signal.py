@@ -12,6 +12,8 @@ def test_signal_validation():
         Signal(np.array([1.0, np.nan]), 100.0)
     with pytest.raises(ParameterError):
         Signal(np.ones(4), -1.0)
+    with pytest.raises(ParameterError, match="sample_rate_hz"):
+        Signal(np.ones(4), np.inf)  # dt_s would be 0, and every window length divides by it
     sig = Signal(np.ones(4), 8.0, t0_s=2.0)
     assert sig.dt_s == 0.125
     assert np.allclose(sig.times_s, 2.0 + np.arange(4) / 8.0)

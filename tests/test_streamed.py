@@ -137,3 +137,25 @@ def test_run_sct_memory_budget(crossing_scene, crossing_grid, n):
     assert result.squeezed.values.shape == (100, 51, 401)
     assert peak <= 5.0
     assert retained <= 3.2
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_run_sct_retains_no_mask(crossing_scene, crossing_grid, n):
+    # T^h, S and the field's omega/mu: three volumes, and no boolean mask beside them
+    signal = crossing_scene.signal()
+    grid = crossing_grid
+    volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
+    _, _, retained = traced_volumes(lambda: run_sct(signal, WindowFamily(n, 1.0), grid), volume)
+    assert retained <= 3.02
+
+
+def test_squeeze_conservation_copies_no_volume(crossing_sct_g2):
+    # the contributing entries are summed in place, not through a masked copy of T^h
+    result = crossing_sct_g2
+    grid = result.squeezed.grid
+    volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
+    residual, peak, _ = traced_volumes(
+        lambda: squeeze_conservation(result.banks.h, result.field, result.squeezed), volume
+    )
+    assert residual.max() <= 1e-10
+    assert peak <= 0.9
