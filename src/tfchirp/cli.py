@@ -18,7 +18,7 @@ from . import tensorio
 from .errors import FormatError, ParameterError, ResourceError, TfchirpError, UnsupportedWindowError
 from .metrics import rel_error
 from .pipeline import random_study, run_sct, sct_ridges
-from .reassign import squeeze_conservation
+from .reassign import DEFAULT_NU_REL, squeeze_conservation
 from .reconstruct import check_window_condition, reconstruct_modes
 from .ridge import RidgeParams, extract_ridges
 from .signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
@@ -26,20 +26,21 @@ from .synth import crossing_chirp_pair, random_ict_scene
 from .transform import CONVENTIONS, chirplet_transform, project_tfc_to_tf
 
 USAGE_ERROR, IO_ERROR, NUMERICAL_ERROR = 1, 2, 3
+_FAMILY, _RIDGE = WindowFamily(), RidgeParams()  # the library defaults the config starts from
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    window_n: int = 0
-    alpha_w: float = 1.0
+    window_n: int = _FAMILY.n
+    alpha_w: float = _FAMILY.alpha_w
     half_len: int = 0  # 0 = automatic truncation policy
     alpha_sq: float = 0.01
-    nu_rel: float = 1e-4
-    q: float = 0.9995
-    sigma_pct: float = 15.0
-    min_per_frame: int = 0
+    nu_rel: float = DEFAULT_NU_REL
+    q: float = _RIDGE.q
+    sigma_pct: float = _RIDGE.sigma_pct
+    min_per_frame: int = _RIDGE.min_per_frame
     n_components: int = 2
-    seed: int = 0
+    seed: int = _RIDGE.seed
     convention: str = "centered"
 
     def family(self) -> WindowFamily:
@@ -134,16 +135,29 @@ def _half_len(config: RunConfig, signal: Signal) -> int:
     return config.family().default_half_len(signal.dt_s)
 
 
+def _analysis_window(config: RunConfig, signal: Signal) -> tuple:
+    """The analysis window as ``_memory_guard`` names it."""
+    if config.half_len > 0:
+        return "window", config.half_len, f"lower half_len (now {config.half_len})"
+    return "window", _half_len(config, signal), f"raise alpha_w (now {config.alpha_w})"
+
+
 @contextmanager
-def _memory_guard(grid):
-    """Turn a ``MemoryError`` into a one-line error naming the grid and the knob."""
+def _memory_guard(grid, *windows):
+    """Turn a ``MemoryError`` into a one-line error naming the grid and each window
+    built under the guard, given as (label, half length, the knob that shortens it)."""
     try:
         yield
     except MemoryError:
         volume = grid.n_chirp * grid.n_freq * grid.n_time * np.dtype(np.complex128).itemsize
+        names = " and ".join(f"the {2 * half_len + 1}-tap {label}" for label, half_len, _ in windows)
+        knobs = ", or ".join(
+            [f"raise alpha_sq (now {grid.alpha_sq}) for a coarser grid"]
+            + [f"{knob} for a shorter {label}" for label, _, knob in windows]
+        )
         raise ResourceError(
             f"out of memory on the {grid.n_chirp}x{grid.n_freq}x{grid.n_time} grid "
-            f"({volume} bytes per complex volume); raise alpha_sq (now {grid.alpha_sq}) for a coarser grid"
+            f"({volume} bytes per complex volume){f' with {names}' if windows else ''}; {knobs}"
         ) from None
 
 
@@ -181,8 +195,8 @@ def cmd_transform(args) -> int:
     signal = _read_signal(args, config)
     frame = _slice_frame(args, signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
-    bank = make_window_bank(config.family(), _half_len(config, signal), signal.dt_s)
-    with _memory_guard(grid):
+    with _memory_guard(grid, _analysis_window(config, signal)):
+        bank = make_window_bank(config.family(), _half_len(config, signal), signal.dt_s)
         tensor = chirplet_transform(signal, bank.h, grid, config.convention)
         tensorio.write_tensor(args.output, tensor, signal.t0_s)
         if args.tf_csv:
@@ -203,7 +217,7 @@ def cmd_sct(args) -> int:
     signal = _read_signal(args, config)
     frame = _slice_frame(args, signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
-    with _memory_guard(grid):
+    with _memory_guard(grid, _analysis_window(config, signal)):
         result = _run_sct(config, signal, grid)
         tensorio.write_tensor(args.output, result.squeezed, signal.t0_s)
         if args.summary:
@@ -241,6 +255,22 @@ def cmd_ridge(args) -> int:
     return 0
 
 
+def _read_truths(paths, signal: Signal) -> list:
+    """The ``--truth`` signals, each checked against the record's length."""
+    truths = []
+    for path in paths:
+        try:
+            truth = tensorio.read_signal_csv(path, signal.sample_rate_hz)
+        except OSError as exc:
+            raise FormatError(f"--truth: {exc}") from None
+        except ParameterError as exc:
+            raise ParameterError(f"--truth {path}: {exc}") from None
+        if len(truth) != len(signal):
+            raise ParameterError(f"--truth {path}: {len(truth)} samples, the record has {len(signal)}")
+        truths.append(truth)
+    return truths
+
+
 def cmd_reconstruct(args) -> int:
     config = _config(args)
     if args.recon_n < 0:
@@ -257,23 +287,22 @@ def cmd_reconstruct(args) -> int:
             f"--truth: {len(args.truth)} files for {config.n_components} modes (n_components)"
         )
     signal = _read_signal(args, config)
+    truths = _read_truths(args.truth or (), signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
-    with _memory_guard(grid):
+    recon_half_len = recon_family.default_half_len(signal.dt_s)
+    recon_window = ("reconstruction window", recon_half_len, f"raise --recon-alpha (now {args.recon_alpha})")
+    with _memory_guard(grid, _analysis_window(config, signal), recon_window):
+        recon_bank = make_window_bank(recon_family, recon_half_len, signal.dt_s)
         ridges = sct_ridges(_run_sct(config, signal, grid), config.n_components, config.ridge_params())
-    recon_bank = make_window_bank(recon_family, recon_family.default_half_len(signal.dt_s), signal.dt_s)
-    modes = reconstruct_modes(signal, ridges, recon_family, recon_bank)
+        modes = reconstruct_modes(signal, ridges, recon_family, recon_bank)
     header, rows = _ridge_rows(ridges, grid, signal.t0_s)
     tensorio.write_csv_table(args.ridge_csv, header, rows)
     for k in range(modes.modes.shape[0]):
         tensorio.write_signal_csv(
             f"{args.mode_prefix}{k}.csv", Signal(modes.modes[k], signal.sample_rate_hz, signal.t0_s)
         )
-    if args.truth:
-        lines = []
-        for k, path in enumerate(args.truth):
-            truth = tensorio.read_signal_csv(path, signal.sample_rate_hz)
-            err = rel_error(modes.modes[k].real, truth.samples.real)
-            lines.append((k, err))
+    if truths:
+        lines = [(k, rel_error(modes.modes[k].real, truth.samples.real)) for k, truth in enumerate(truths)]
         tensorio.write_csv_table(args.report, ("mode", "rel_error_real"), lines)
     return 0
 

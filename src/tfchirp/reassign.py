@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .signal import Signal, TfcGrid, WindowBank, round_half_away
-from .transform import StreamedBank, TfcTensor, TfMatrix, _windowed_sums, _zero_chirp_rows
+from .transform import StreamedBank, TfcTensor, TfMatrix, _companions, _windowed_sums, _zero_chirp_rows
 
 M2_GUARD = 1e-12
 DEFAULT_NU_REL = 1e-4
@@ -214,9 +214,11 @@ def squeeze_conservation(tensor_h: TfcTensor, field: ReassignmentField, squeezed
 # STFT-based SST baselines
 
 
-def _stfts(signal: Signal, grid: TfcGrid, windows) -> np.ndarray:
-    """The centered STFTs against ``windows``, [len(windows), n_freq, n_time]: zero-chirp rows."""
-    return _windowed_sums(signal, windows, grid, "centered")(_zero_chirp_rows(grid)).transpose(1, 0, 2)
+def _stft_transforms(signal: Signal, bank: WindowBank, grid: TfcGrid) -> tuple:
+    """The centered STFT and its companions (W, W1, W2, U, U1, V): the bank's zero-chirp rows."""
+    windows = [bank.h, bank.th, bank.t2h, *bank.basis]
+    sums = _windowed_sums(signal, windows, grid, "centered")(_zero_chirp_rows(grid))
+    return (sums[:, 0], *_companions(bank.family, sums[:, 0], sums[:, 1:]))
 
 
 def _squeeze_matrix(W: np.ndarray, omega: np.ndarray, grid: TfcGrid) -> np.ndarray:
@@ -236,7 +238,7 @@ def sst1(signal: Signal, bank: WindowBank, grid: TfcGrid) -> TfMatrix:
 
     Entries at or below ``default_threshold`` of the STFT are undefined.
     """
-    W, W1 = _stfts(signal, grid, [bank.h, bank.h_prime])
+    W, W1 = _stft_transforms(signal, bank, grid)[:2]
     nu = default_threshold(W)
     freqs = grid.freqs_hz[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -252,7 +254,7 @@ def sst2(signal: Signal, bank: WindowBank, grid: TfcGrid) -> TfMatrix:
     exact linear chirp the reassigned frequency is exact.  Entries at or
     below ``default_threshold`` of the STFT are undefined.
     """
-    W, W1, W2, U, U1, V = _stfts(signal, grid, list(bank.sequences().values()))
+    W, W1, W2, U, U1, V = _stft_transforms(signal, bank, grid)
     freqs = grid.freqs_hz[:, None]
     _, omega = _mu_omega(W, W1, W2, U, U1, V, 0.0, freqs, default_threshold(W))
     return TfMatrix(_squeeze_matrix(W, omega, grid), grid)

@@ -226,7 +226,7 @@ def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs) -> tuple:
     return tuple(out)
 
 
-def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = 15.0) -> np.ndarray:
+def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = RidgeParams.sigma_pct) -> np.ndarray:
     """Embed cloud points via the top nontrivial eigenvectors of D^-1 W.
 
     W is the Gaussian affinity with sigma at the given percentile of the

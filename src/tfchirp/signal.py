@@ -67,35 +67,7 @@ class WindowFamily:
 
     def g(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        return self._poly_term(x, self.n) * np.exp(-np.pi * self.alpha_w * x * x)
-
-    def g_prime(self, x: np.ndarray) -> np.ndarray:
-        """d/dx of g, in closed form."""
-        x = np.asarray(x, dtype=float)
-        n, a = self.n, self.alpha_w
-        poly = n * self._poly_term(x, n - 1) - 2 * np.pi * a * self._poly_term(x, n + 1)
-        return poly * np.exp(-np.pi * a * x * x)
-
-    def g_second(self, x: np.ndarray) -> np.ndarray:
-        """d2/dx2 of g, in closed form."""
-        x = np.asarray(x, dtype=float)
-        n, a = self.n, self.alpha_w
-        poly = (
-            n * (n - 1) * self._poly_term(x, n - 2)
-            - 2 * np.pi * a * (2 * n + 1) * self._poly_term(x, n)
-            + 4 * np.pi**2 * a**2 * self._poly_term(x, n + 2)
-        )
-        return poly * np.exp(-np.pi * a * x * x)
-
-    @staticmethod
-    def _poly_term(x, power):
-        # x**power with the convention 0**0 == 1; negative powers only occur
-        # with a zero coefficient and must not be evaluated.
-        if power < 0:
-            return np.zeros_like(x)
-        if power == 0:
-            return np.ones_like(x)
-        return x**power
+        return x**self.n * np.exp(-np.pi * self.alpha_w * x * x)
 
     def default_half_len(self, dt_s: float) -> int:
         return int(math.ceil(HALF_LEN_FACTOR / math.sqrt(self.alpha_w) / dt_s))
@@ -103,23 +75,21 @@ class WindowFamily:
 
 @dataclass(frozen=True)
 class WindowBank:
-    """A window and its five companions sampled on a symmetric grid.
+    """A window and the windows its companions are formed from, on a symmetric grid.
 
     ``h``, ``th``, ``t2h`` hold exact samples of ``g``, ``x*g``, ``x**2*g``
-    and ``h_prime``, ``h_second``, ``th_prime`` exact samples of ``g'``,
-    ``g''``, ``x*g'`` at ``x = j*dt_s`` for ``j = -half_len..half_len``.
-    Derivatives come from the closed forms, never from differencing.
+    and ``basis`` of ``x**(n-1)*e`` (n >= 1) and ``x**(n-2)*e`` (n >= 2),
+    with ``e`` the Gaussian factor of ``g``, at ``x = j*dt_s`` for
+    ``j = -half_len..half_len``.
     """
 
     family: WindowFamily
     half_len: int
     dt_s: float
     h: np.ndarray = field(repr=False, default=None)
-    h_prime: np.ndarray = field(repr=False, default=None)
-    h_second: np.ndarray = field(repr=False, default=None)
     th: np.ndarray = field(repr=False, default=None)
-    th_prime: np.ndarray = field(repr=False, default=None)
     t2h: np.ndarray = field(repr=False, default=None)
+    basis: tuple = field(repr=False, default=())
 
     @property
     def length(self) -> int:
@@ -129,19 +99,9 @@ class WindowBank:
     def offsets_s(self) -> np.ndarray:
         return np.arange(-self.half_len, self.half_len + 1) * self.dt_s
 
-    def sequences(self) -> dict:
-        return {
-            "h": self.h,
-            "h_prime": self.h_prime,
-            "h_second": self.h_second,
-            "th": self.th,
-            "th_prime": self.th_prime,
-            "t2h": self.t2h,
-        }
-
 
 def make_window_bank(family: WindowFamily, half_len: int, dt_s: float) -> WindowBank:
-    """Sample a window family and its companions analytically.
+    """Sample a window family's bank analytically.
 
     ``half_len`` is the number of samples on each side of the center; pass
     ``family.default_half_len(dt_s)`` for the library's truncation policy.
@@ -152,19 +112,17 @@ def make_window_bank(family: WindowFamily, half_len: int, dt_s: float) -> Window
         raise ParameterError("dt_s must be positive")
     x = np.arange(-half_len, half_len + 1) * dt_s
     g = family.g(x)
-    gp = family.g_prime(x)
+    e, n = np.exp(-np.pi * family.alpha_w * x * x), family.n
     bank = WindowBank(
         family=family,
         half_len=half_len,
         dt_s=dt_s,
         h=g,
-        h_prime=gp,
-        h_second=family.g_second(x),
         th=x * g,
-        th_prime=x * gp,
         t2h=x * x * g,
+        basis=tuple(x ** (n - d) * e for d in (1, 2) if n >= d),
     )
-    for seq in bank.sequences().values():
+    for seq in (bank.h, bank.th, bank.t2h, *bank.basis):
         seq.flags.writeable = False
     return bank
 

@@ -61,19 +61,7 @@ class TfMatrix:
 
 @dataclass(frozen=True)
 class StreamedBank:
-    """T^h of a signal, with the companion transforms summed per row block.
-
-    For ``g = x**n * e`` with ``e = exp(-pi*a*x**2)`` the companions are exact
-    linear combinations of fewer windows:
-
-        th'  = n*h - 2*pi*a*t2h
-        h'   = n*x**(n-1)*e - 2*pi*a*th
-        h''  = n*(n-1)*x**(n-2)*e - 2*pi*a*(2n+1)*h + 4*pi**2*a**2*t2h
-
-    so a block of rows sums the signal against ``th``, ``t2h`` and the basis
-    windows ``x**(n-1)*e`` (n >= 1) and ``x**(n-2)*e`` (n >= 2) only, and no
-    companion volume is ever stored.
-    """
+    """T^h of a signal; the companion transforms are formed per row block and never stored."""
 
     h: TfcTensor
     signal: Signal
@@ -88,30 +76,39 @@ class StreamedBank:
         once per call and released with the returned function.
         """
         grid, bank = self.h.grid, self.bank
-        n, a = bank.family.n, bank.family.alpha_w
-        x = bank.offsets_s
-        e = np.exp(-np.pi * a * x * x)
-        windows = [bank.th, bank.t2h] + [x ** (n - d) * e for d in (1, 2) if n >= d]
+        windows = [bank.th, bank.t2h, *bank.basis]
         sums_of = _windowed_sums(self.signal, windows, grid, self.h.convention)
         T_flat = self.h.values.reshape(-1, grid.n_time)
-        c1, c2 = -2 * np.pi * a, 4 * np.pi**2 * a**2
 
         def fetch(rows):
             sums = sums_of(rows)
-
-            def part(sl):
-                T, U, V = T_flat[rows[sl]], sums[sl, 0], sums[sl, 1]
-                T1 = c1 * U
-                T2 = (c1 * (2 * n + 1)) * T + c2 * V
-                if n >= 1:
-                    T1 += n * sums[sl, 2]
-                if n >= 2:
-                    T2 += (n * (n - 1)) * sums[sl, 3]
-                return T1, T2, U, n * T + c1 * V, V
-
-            return part
+            return lambda part: _companions(bank.family, T_flat[rows[part]], sums[part])
 
         return fetch
+
+
+def _companions(family: WindowFamily, T, sums) -> tuple:
+    """The companion transforms (T1, T2, U, U1, V) against g', g'', x*g, x*g', x**2*g.
+
+    ``T`` is the transform against ``h`` and ``sums[:, i]`` those against
+    ``th``, ``t2h`` and the bank's basis, in that order.  For
+    ``g = x**n * e`` with ``e = exp(-pi*a*x**2)`` the companions are exact
+    linear combinations of these:
+
+        th'  = n*h - 2*pi*a*t2h
+        h'   = n*x**(n-1)*e - 2*pi*a*th
+        h''  = n*(n-1)*x**(n-2)*e - 2*pi*a*(2n+1)*h + 4*pi**2*a**2*t2h
+    """
+    n, a = family.n, family.alpha_w
+    c1, c2 = -2 * np.pi * a, 4 * np.pi**2 * a**2
+    U, V = sums[:, 0], sums[:, 1]
+    T1 = c1 * U
+    T2 = (c1 * (2 * n + 1)) * T + c2 * V
+    if n >= 1:
+        T1 += n * sums[:, 2]
+    if n >= 2:
+        T2 += (n * (n - 1)) * sums[:, 3]
+    return T1, T2, U, n * T + c1 * V, V
 
 
 def _check_window(window: np.ndarray) -> np.ndarray:

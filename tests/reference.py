@@ -4,6 +4,8 @@ The library computes one bank path, the streamed bank of
 ``transform.streamed_bank_transform``.  The references here are the
 straightforward forms it is checked against:
 
+- ``g_prime`` / ``g_second`` / ``bank_windows``: the closed forms of the
+  window's derivatives, and the six bank windows sampled from them;
 - ``BankTensors`` / ``chirplet_bank_transform``: all six bank transforms as
   stored volumes, each one call of ``chirplet_transform``;
 - ``squeeze_destinations`` and ``conservation_full_volume``: the squeeze's
@@ -20,11 +22,57 @@ from scipy.integrate import quad
 from scipy.special import fresnel
 
 from tfchirp.errors import ParameterError, ShapeError
-from tfchirp.signal import TfcGrid, WindowBank, round_half_away
+from tfchirp.signal import TfcGrid, WindowBank, WindowFamily, round_half_away
 from tfchirp.transform import TfcTensor, chirplet_transform
 
 # the companions in the argument order of the reassignment rule: T1, T2, U, U1, V
 _COMPANIONS = ("h_prime", "h_second", "th", "th_prime", "t2h")
+
+
+def _poly_term(x, power):
+    # x**power with the convention 0**0 == 1; negative powers only occur
+    # with a zero coefficient and must not be evaluated.
+    if power < 0:
+        return np.zeros_like(x)
+    if power == 0:
+        return np.ones_like(x)
+    return x**power
+
+
+def g_prime(family: WindowFamily, x: np.ndarray) -> np.ndarray:
+    """d/dx of g, in closed form."""
+    x = np.asarray(x, dtype=float)
+    n, a = family.n, family.alpha_w
+    poly = n * _poly_term(x, n - 1) - 2 * np.pi * a * _poly_term(x, n + 1)
+    return poly * np.exp(-np.pi * a * x * x)
+
+
+def g_second(family: WindowFamily, x: np.ndarray) -> np.ndarray:
+    """d2/dx2 of g, in closed form."""
+    x = np.asarray(x, dtype=float)
+    n, a = family.n, family.alpha_w
+    poly = (
+        n * (n - 1) * _poly_term(x, n - 2)
+        - 2 * np.pi * a * (2 * n + 1) * _poly_term(x, n)
+        + 4 * np.pi**2 * a**2 * _poly_term(x, n + 2)
+    )
+    return poly * np.exp(-np.pi * a * x * x)
+
+
+def bank_windows(bank: WindowBank) -> dict:
+    """The six windows of the reassignment rule, sampled on the bank's grid:
+    ``h``, ``th``, ``t2h`` from the bank, ``g'``, ``g''`` and ``x*g'`` from
+    the closed forms."""
+    x = bank.offsets_s
+    gp = g_prime(bank.family, x)
+    return {
+        "h": bank.h,
+        "h_prime": gp,
+        "h_second": g_second(bank.family, x),
+        "th": bank.th,
+        "th_prime": x * gp,
+        "t2h": bank.t2h,
+    }
 
 
 @dataclass(frozen=True)
@@ -52,7 +100,7 @@ class BankTensors:
 
 def chirplet_bank_transform(signal, bank: WindowBank, grid: TfcGrid, convention: str = "centered") -> BankTensors:
     """All six bank transforms, stored."""
-    tensors = {name: chirplet_transform(signal, w, grid, convention) for name, w in bank.sequences().items()}
+    tensors = {name: chirplet_transform(signal, w, grid, convention) for name, w in bank_windows(bank).items()}
     return BankTensors(bank=bank, **tensors)
 
 

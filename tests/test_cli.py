@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tfchirp.cli import main
-from tfchirp.signal import Signal
+from tfchirp.signal import Signal, WindowFamily
 from tfchirp.synth import crossing_chirp_pair
 from tfchirp.tensorio import read_tensor, write_signal_csv
 
@@ -297,6 +297,43 @@ def test_memory_error_exits_3_with_grid_and_knob(crossing_csv, tmp_path, monkeyp
     assert "100x51x401" in err and str(100 * 51 * 401 * 16) in err and "alpha_sq" in err
 
 
+@pytest.mark.parametrize(
+    "command, config, flags, names",
+    [
+        ("transform", {"half_len": 10000000000}, [], ["the 20000000001-tap window", "lower half_len (now 10000000000)"]),
+        ("transform", {"alpha_w": 1e-14}, [], ["the 8600000001-tap window", "raise alpha_w (now 1e-14)"]),
+        ("sct", {"half_len": 10000000000}, [], ["the 20000000001-tap window", "lower half_len (now 10000000000)"]),
+        ("reconstruct", {"half_len": 10000000000}, [], ["the 20000000001-tap window", "lower half_len"]),
+        ("reconstruct", {}, ["--recon-alpha", "1e-14"],
+         ["the 8600000001-tap reconstruction window", "raise --recon-alpha (now 1e-14)"]),
+    ],
+)
+def test_memory_error_names_the_window(crossing_csv, tmp_path, monkeypatch, capsys, command, config, flags, names):
+    # every bank is built under the guard, the reconstruction bank before the SCT
+    from tfchirp import cli
+
+    built = []
+
+    def out_of_memory(*args, **kwargs):
+        built.append(args[0])
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "make_window_bank", out_of_memory)
+    monkeypatch.setattr(cli, "run_sct", out_of_memory)
+    outputs = {
+        "reconstruct": ["--ridge-csv", str(tmp_path / "r.csv"), "--mode-prefix", str(tmp_path / "mode"), *flags],
+    }.get(command, ["--output", str(tmp_path / "out.tfc1")])
+    code = main(["--config", write_config(tmp_path, **config), command, "--input", crossing_csv, "--rate", "100",
+                 *outputs])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "100x51x401" in err and "alpha_sq" in err
+    assert all(name in err for name in names), err
+    if command == "reconstruct":
+        assert built == [WindowFamily(0, float(flags[-1]) if flags else 1.0)]  # the SCT never ran
+    assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.tfc1"))
+
+
 @pytest.mark.parametrize("dims", [(2**31, 2**31, 2**31), (1000, 1000, 100000)])
 @pytest.mark.parametrize("command", ["info", "ridge"])
 def test_oversized_tfc1_header_exits_2(tmp_path, capsys, dims, command):
@@ -401,6 +438,23 @@ def test_reconstruct_rejects_more_truth_files_than_modes_before_the_sct(crossing
     err = capsys.readouterr().err
     assert err.startswith("error: --truth") and err.count("\n") == 1
     assert not ridges.exists()
+
+
+@pytest.mark.parametrize("samples, code", [(["1.0,0.0"] * 100, 1), (["1.0,0.0"] * 400 + ["nan,0.0"], 1), (None, 2)])
+def test_reconstruct_reads_truth_files_before_the_sct(crossing_csv, tmp_path, monkeypatch, capsys, samples, code):
+    # a truth file of the wrong length or with a non-finite sample is a usage
+    # error, a missing one an I/O error
+    _no_analysis(monkeypatch)
+    truth = tmp_path / "truth.csv"
+    if samples is not None:
+        truth.write_text("\n".join(samples) + "\n")
+    ridges, report = tmp_path / "r.csv", tmp_path / "report.csv"
+    got = main(["reconstruct", "--input", crossing_csv, "--rate", "100", "--ridge-csv", str(ridges),
+                "--mode-prefix", str(tmp_path / "mode"), "--truth", str(truth), "--report", str(report)])
+    assert got == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: --truth") and str(truth) in err and err.count("\n") == 1
+    assert not ridges.exists() and not report.exists() and not list(tmp_path.glob("mode*"))
 
 
 @pytest.mark.parametrize(

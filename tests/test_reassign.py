@@ -17,10 +17,10 @@ from tfchirp.reassign import (
 )
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank, round_half_away
 from tfchirp.synth import add_student_t_noise
-from tfchirp.transform import TfcTensor
+from tfchirp.transform import TfcTensor, stft
 
 from conftest import interior_mask
-from reference import BankTensors, chirplet_bank_transform
+from reference import BankTensors, bank_windows, chirplet_bank_transform
 
 
 def small_pipeline(samples, fs, n_win=0, alpha=1.0, alpha_sq=0.02, nu=None, half_len=None):
@@ -332,12 +332,12 @@ def _mask_sst(signal, bank, grid, order):
     """``sst1`` (order 1) or ``sst2`` (order 2) squeezed through an explicit validity mask."""
     freqs = grid.freqs_hz[:, None]
     if order == 1:
-        W, W1 = reassign._stfts(signal, grid, [bank.h, bank.h_prime])
+        W, W1 = reassign._stft_transforms(signal, bank, grid)[:2]
         with np.errstate(divide="ignore", invalid="ignore"):
             omega = freqs + (-W1 / (2 * np.pi * W)).imag
         defined = (np.abs(W) > default_threshold(W)) & np.isfinite(omega)
     else:
-        W, W1, W2, U, U1, V = reassign._stfts(signal, grid, list(bank.sequences().values()))
+        W, W1, W2, U, U1, V = reassign._stft_transforms(signal, bank, grid)
         a, lam = 2j * np.pi * 0.0, 0.0
         P = U * W1 - W * U1
         R = P + a * (W * V - U * U)
@@ -366,3 +366,19 @@ def test_sst_squeeze_reads_the_nans(crossing_scene, crossing_grid):
         want = _mask_sst(signal, bank, crossing_grid, order)
         assert want.any()
         assert np.array_equal(sst(signal, bank, crossing_grid).values, want)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.3, 1.0, 74.0])
+def test_sst_companions_match_closed_form_windows(n, alpha):
+    rng = np.random.default_rng(3)
+    fs, n_time = 50.0, 120
+    signal = Signal(rng.standard_normal(n_time) + 1j * rng.standard_normal(n_time), fs)
+    grid = grid_from_resolution(0.05, n_time, fs)
+    fam = WindowFamily(n, alpha)
+    bank = make_window_bank(fam, fam.default_half_len(signal.dt_s), signal.dt_s)
+    windows = bank_windows(bank)
+    got = reassign._stft_transforms(signal, bank, grid)
+    for name, value in zip(("h", "h_prime", "h_second", "th", "th_prime", "t2h"), got):
+        want = stft(signal, windows[name], grid).values
+        assert np.abs(value - want).max() <= 1e-13 * np.abs(want).max(), name

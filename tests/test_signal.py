@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from tfchirp.errors import ParameterError
-from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank, round_half_away
+from tfchirp.signal import Signal, WindowBank, WindowFamily, grid_from_resolution, make_window_bank, round_half_away
+
+from reference import _poly_term, bank_windows, g_prime, g_second
 
 
 def test_signal_validation():
@@ -36,6 +40,27 @@ def test_power_window_vanishes_at_center():
     assert bank.h[bank.half_len] == 0.0
 
 
+def test_bank_stores_no_derivative_windows():
+    # the companions are formed from h, th, t2h and the basis; the closed-form
+    # derivatives live in the tests' reference only
+    assert [f.name for f in fields(WindowBank)] == ["family", "half_len", "dt_s", "h", "th", "t2h", "basis"]
+    assert not hasattr(WindowBank, "sequences")
+    assert not hasattr(WindowFamily, "g_prime") and not hasattr(WindowFamily, "g_second")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_bank_samples_the_window_and_its_basis(n):
+    fam = WindowFamily(n, 1.7)
+    bank = make_window_bank(fam, half_len=9, dt_s=0.15)
+    x = bank.offsets_s
+    e = np.exp(-np.pi * 1.7 * x * x)
+    assert np.array_equal(bank.h, _poly_term(x, n) * e)
+    assert len(bank.basis) == min(n, 2)
+    for d, window in enumerate(bank.basis, 1):
+        assert np.array_equal(window, x ** (n - d) * e)
+        assert not window.flags.writeable
+
+
 @pytest.mark.parametrize("n,alpha", [(0, 1.0), (1, 2.0), (2, 0.7), (3, 1.5)])
 def test_derivatives_match_finite_differences(n, alpha):
     fam = WindowFamily(n, alpha)
@@ -44,10 +69,10 @@ def test_derivatives_match_finite_differences(n, alpha):
     step = 1e-6
     fd1 = (fam.g(x + step) - fam.g(x - step)) / (2 * step)
     scale = np.max(np.abs(fd1))
-    assert np.max(np.abs(bank.h_prime - fd1)) < 1e-6 * scale
+    assert np.max(np.abs(g_prime(fam, x) - fd1)) < 1e-6 * scale
     fd2 = (fam.g(x + step) - 2 * fam.g(x) + fam.g(x - step)) / step**2
     scale2 = max(np.max(np.abs(fd2)), 1.0)
-    assert np.max(np.abs(bank.h_second - fd2)) < 1e-3 * scale2
+    assert np.max(np.abs(g_second(fam, x) - fd2)) < 1e-3 * scale2
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -64,7 +89,8 @@ def test_companion_sequences_consistent():
     x = bank.offsets_s
     assert np.allclose(bank.th, x * bank.h)
     assert np.allclose(bank.t2h, x * x * bank.h)
-    assert np.allclose(bank.th_prime, x * bank.h_prime)
+    windows = bank_windows(bank)
+    assert np.allclose(windows["th_prime"], x * windows["h_prime"])
 
 
 def test_grid_floor_arithmetic():
