@@ -108,25 +108,35 @@ def _config(args) -> RunConfig:
     return config if args.seed is None else replace(config, seed=args.seed)
 
 
-def _read_signal(args, config: RunConfig) -> Signal:
+@contextmanager
+def _naming(flag: str, path: str):
+    """Turn an error in reading ``path`` into one line naming ``flag`` and the file:
+    exit 2 for a file that cannot be read or parsed, 1 for a bad signal in it."""
+    try:
+        yield
+    except (OSError, FormatError) as exc:
+        raise FormatError(f"{flag} {path}: {exc}") from None
+    except ParameterError as exc:
+        raise ParameterError(f"{flag} {path}: {exc}") from None
+
+
+def _read_signal(args) -> Signal:
     fmt = args.format
     if args.rate is not None and not 0 < args.rate < np.inf:
         raise ParameterError(f"--rate must be positive and finite, got {args.rate}")
     if not np.isfinite(args.t0):
         raise ParameterError(f"--t0 must be finite, got {args.t0}")
-    try:
+    if fmt == "wav" and args.downsample < 1:
+        raise ParameterError(f"--downsample must be >= 1, got {args.downsample}")
+    if fmt != "wav" and args.rate is None:
+        raise ParameterError(f"--rate is required for format {fmt!r}")
+    with _naming("--input", args.input):
         if fmt == "wav":
             return tensorio.read_wav(args.input, downsample=args.downsample)
-        if args.rate is None:
-            raise ParameterError(f"--rate is required for format {fmt!r}")
         if fmt == "csv":
             return tensorio.read_signal_csv(args.input, args.rate, args.t0)
-        if fmt in ("raw", "raw-complex"):
-            sig = tensorio.read_signal_raw(args.input, args.rate, interleaved_complex=fmt == "raw-complex")
-            return Signal(sig.samples, sig.sample_rate_hz, args.t0)
-    except OSError as exc:
-        raise FormatError(str(exc)) from exc
-    raise ParameterError(f"unknown input format {fmt!r}")
+        sig = tensorio.read_signal_raw(args.input, args.rate, interleaved_complex=fmt == "raw-complex")
+        return Signal(sig.samples, sig.sample_rate_hz, args.t0)
 
 
 def _half_len(config: RunConfig, signal: Signal) -> int:
@@ -192,7 +202,7 @@ def _write_slice_csv(path: str, tensor, frame: int):
 
 def cmd_transform(args) -> int:
     config = _config(args)
-    signal = _read_signal(args, config)
+    signal = _read_signal(args)
     frame = _slice_frame(args, signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     with _memory_guard(grid, _analysis_window(config, signal)):
@@ -214,14 +224,14 @@ def cmd_transform(args) -> int:
 
 def cmd_sct(args) -> int:
     config = _config(args)
-    signal = _read_signal(args, config)
+    signal = _read_signal(args)
     frame = _slice_frame(args, signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     with _memory_guard(grid, _analysis_window(config, signal)):
         result = _run_sct(config, signal, grid)
         tensorio.write_tensor(args.output, result.squeezed, signal.t0_s)
         if args.summary:
-            residual = squeeze_conservation(result.banks.h, result.field, result.squeezed)
+            residual = squeeze_conservation(result.field, result.squeezed)
             rows = [
                 (signal.t0_s + n / grid.sample_rate_hz, residual[n])
                 for n in range(grid.n_time)
@@ -259,12 +269,8 @@ def _read_truths(paths, signal: Signal) -> list:
     """The ``--truth`` signals, each checked against the record's length."""
     truths = []
     for path in paths:
-        try:
+        with _naming("--truth", path):
             truth = tensorio.read_signal_csv(path, signal.sample_rate_hz)
-        except OSError as exc:
-            raise FormatError(f"--truth: {exc}") from None
-        except ParameterError as exc:
-            raise ParameterError(f"--truth {path}: {exc}") from None
         if len(truth) != len(signal):
             raise ParameterError(f"--truth {path}: {len(truth)} samples, the record has {len(signal)}")
         truths.append(truth)
@@ -286,7 +292,7 @@ def cmd_reconstruct(args) -> int:
         raise ParameterError(
             f"--truth: {len(args.truth)} files for {config.n_components} modes (n_components)"
         )
-    signal = _read_signal(args, config)
+    signal = _read_signal(args)
     truths = _read_truths(args.truth or (), signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     recon_half_len = recon_family.default_half_len(signal.dt_s)
@@ -294,7 +300,7 @@ def cmd_reconstruct(args) -> int:
     with _memory_guard(grid, _analysis_window(config, signal), recon_window):
         recon_bank = make_window_bank(recon_family, recon_half_len, signal.dt_s)
         ridges = sct_ridges(_run_sct(config, signal, grid), config.n_components, config.ridge_params())
-        modes = reconstruct_modes(signal, ridges, recon_family, recon_bank)
+        modes = reconstruct_modes(signal, ridges, recon_bank)
     header, rows = _ridge_rows(ridges, grid, signal.t0_s)
     tensorio.write_csv_table(args.ridge_csv, header, rows)
     for k in range(modes.modes.shape[0]):

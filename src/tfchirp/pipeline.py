@@ -19,15 +19,14 @@ from .reconstruct import reconstruct_modes, sst_band_reconstruct
 from .ridge import RidgeParams, RidgeSet, extract_ridges
 from .signal import Signal, TfcGrid, WindowFamily, grid_from_resolution, make_window_bank
 from .synth import SyntheticScene, add_student_t_noise, random_ict_scene
-from .transform import StreamedBank, TfcTensor, streamed_bank_transform
+from .transform import TfcTensor, streamed_bank_transform
 
 SST_DELTA_HZ = 3.0
 
 
 @dataclass(frozen=True)
 class SctResult:
-    banks: StreamedBank
-    field: ReassignmentField
+    field: ReassignmentField  # holds T^h as ``field.h``
     squeezed: TfcTensor
 
 
@@ -41,27 +40,24 @@ def run_sct(
 ) -> SctResult:
     """T^h, reassignment field and squeezed volume in one go.
 
-    T^h is the only bank volume kept; the field sums the companion
-    transforms block by block over its resolvable rows.  Entries at or
-    below ``nu_rel`` times the peak of |T^h| are undefined.
+    T^h is the only bank volume kept, as the field's ``h``; the field sums
+    the companion transforms block by block over its resolvable rows.
+    Entries at or below ``nu_rel`` times the peak of |T^h| are undefined.
     """
     bank = make_window_bank(family, half_len or family.default_half_len(signal.dt_s), signal.dt_s)
     banks = streamed_bank_transform(signal, bank, grid, convention)
     field = reassignment_field(banks, nu=default_threshold(banks.h.values, nu_rel))
-    squeezed = synchrosqueeze(banks.h, field)
-    return SctResult(banks=banks, field=field, squeezed=squeezed)
+    return SctResult(field=field, squeezed=synchrosqueeze(field))
 
 
 def sct_ridges(result: SctResult, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
     """Ridge curves from a squeezed volume, refined through its sources."""
-    return extract_ridges(
-        result.squeezed, n_components, params, field=result.field, source=result.banks.h
-    )
+    return extract_ridges(result.squeezed, n_components, params, field=result.field)
 
 
 def ct_ridges(result: SctResult, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
     """Baseline: the same extraction applied to the raw transform volume."""
-    return extract_ridges(result.banks.h, n_components, params)
+    return extract_ridges(result.field.h, n_components, params)
 
 
 @dataclass(frozen=True)
@@ -122,7 +118,7 @@ def crossing_study(
     recon_bank = make_window_bank(
         recon_family, recon_family.default_half_len(signal.dt_s), signal.dt_s
     )
-    modes = reconstruct_modes(signal, ridges_sct, recon_family, recon_bank)
+    modes = reconstruct_modes(signal, ridges_sct, recon_bank)
     s2 = sst2(signal, recon_bank, grid)
 
     rows = []

@@ -22,8 +22,10 @@ below the threshold; |M2| < 1e-12*|M1| (the degenerate denominator the
 accuracy guarantee excludes); and slots whose chirped atom is undersampled,
 i.e. the atom's instantaneous frequency m/(2M) + lam*j leaves the Nyquist
 band over a non-negligible part of the window support, where the quadratic
-phase aliases and the ratio estimates turn into noise.  Downstream consumers
-only ever read entries whose estimates are not NaN.
+phase aliases and the ratio estimates turn into noise (under the left-edge
+phase reference the atom's frequency is m/(2M) + lam*(j + K), taken modulo
+the sample rate).  Downstream consumers only ever read entries whose
+estimates are not NaN.
 """
 
 from __future__ import annotations
@@ -45,18 +47,21 @@ SQUEEZE_BLOCK = 1 << 20  # entries per block of the squeeze: bounds its temporar
 
 @dataclass(frozen=True)
 class ReassignmentField:
-    """Per-entry frequency/chirp-rate estimates, NaN where undefined."""
+    """Frequency/chirp-rate estimates of the entries of T^h ``h``, NaN where undefined;
+    the squeeze moves each entry of ``h`` to the bin its estimates name."""
 
     omega: np.ndarray  # Hz
     mu: np.ndarray  # Hz/s
-    nu: float
-    grid: TfcGrid
+    h: TfcTensor
 
     def __post_init__(self):
-        shape = (self.grid.n_chirp, self.grid.n_freq, self.grid.n_time)
         for name in ("omega", "mu"):
-            if getattr(self, name).shape != shape:
-                raise ShapeError(f"{name} shape does not match grid")
+            if getattr(self, name).shape != self.h.values.shape:
+                raise ShapeError(f"{name} shape does not match T^h")
+
+    @property
+    def grid(self) -> TfcGrid:
+        return self.h.grid
 
     @property
     def defined(self) -> np.ndarray:
@@ -93,23 +98,28 @@ def _mu_omega(T, T1, T2, U, U1, V, lam, freqs, nu):
     return np.where(defined, mu, np.nan), np.where(defined, omega, np.nan)
 
 
-def resolvable_slots(grid: TfcGrid, bank: WindowBank) -> np.ndarray:
+def resolvable_slots(grid: TfcGrid, bank: WindowBank, convention: str = "centered") -> np.ndarray:
     """Boolean [n_chirp, n_freq] map of slots whose atom the window resolves.
 
     A slot is resolvable when the window mass carried by samples where the
     atom's instantaneous frequency lies outside [-1/2, 1/2] cycles/sample is
-    at most ``ALIAS_TOL`` of the total window mass.
+    at most ``ALIAS_TOL`` of the total window mass.  The left-edge phase
+    reference centers the atom of slot (l, m) at m/(2M) + l*K/(4M^2), a
+    frequency that counts modulo 1 and is taken in (-1/2, 1/2].
     """
     j = np.arange(-bank.half_len, bank.half_len + 1)
     w = np.abs(bank.h)
     total = w.sum()
+    shear = bank.half_len if convention == "left" else 0
     freq_term = (np.arange(grid.n_freq) / (2 * grid.M))[:, None]
     ok = np.empty((grid.n_chirp, grid.n_freq), dtype=bool)
     # one chirp slice at a time: a [n_chirp, n_freq, 2K+1] map would rival
     # the volume itself
     for i, l in enumerate(grid.chirp_indices):
-        nu_atom = l / (4 * grid.M**2) * j[None, :] + freq_term
-        ok[i] = (np.abs(nu_atom) > 0.5) @ w <= ALIAS_TOL * total
+        rate = l / (4 * grid.M**2)
+        center = freq_term + rate * shear
+        center -= np.ceil(center - 0.5)
+        ok[i] = (np.abs(rate * j[None, :] + center) > 0.5) @ w <= ALIAS_TOL * total
     return ok
 
 
@@ -128,12 +138,16 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
         raise ParameterError("nu must be positive")
     # aliased slots are undefined whatever the bank values: evaluate the
     # resolvable (chirp, frequency) rows of the volume only
-    rows_ok = np.flatnonzero(resolvable_slots(grid, banks.bank))
+    rows_ok = np.flatnonzero(resolvable_slots(grid, banks.bank, banks.h.convention))
     lam = np.repeat(grid.chirps_hzps, grid.n_freq)[:, None]
     freqs = np.tile(grid.freqs_hz, grid.n_chirp)[:, None]
-    # the left-edge phase reference shears each chirp slice in frequency;
-    # undo it so omega estimates the center-referenced IF
+    # the left-edge phase reference shears each chirp slice in frequency by
+    # lam*K*dt: undo it so omega estimates the center-referenced IF.  The
+    # sheared atom's frequency counts modulo fs, so the estimate is wrapped
+    # into the period that ends half a bin above the top bin, where every
+    # estimate the centered rule lands keeps its bin
     shear_s = banks.bank.half_len * banks.bank.dt_s if banks.h.convention == "left" else 0.0
+    fs, wrap_lo = grid.sample_rate_hz, (grid.freq_step_hz - grid.sample_rate_hz) / 2
     T_rows = banks.h.values.reshape(-1, grid.n_time)
     # rows per block: ~64k entries keep the many temporaries cache-resident;
     # a streamed bank's sums run FETCH_BLOCKS blocks at a time, since one
@@ -150,9 +164,12 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
             part = slice(sub, sub + block)
             rows = fetched[part]
             mu[rows], om_b = _mu_omega(T_rows[rows], *companions_of(part), lam[rows], freqs[rows], nu)
-            omega[rows] = om_b + lam[rows] * shear_s
+            if shear_s:
+                om_b = om_b + lam[rows] * shear_s
+                om_b -= fs * np.floor((om_b - wrap_lo) / fs)
+            omega[rows] = om_b
     shape = (grid.n_chirp, grid.n_freq, grid.n_time)
-    return ReassignmentField(omega=omega.reshape(shape), mu=mu.reshape(shape), nu=float(nu), grid=grid)
+    return ReassignmentField(omega=omega.reshape(shape), mu=mu.reshape(shape), h=banks.h)
 
 
 def _destination_blocks(field: ReassignmentField):
@@ -176,36 +193,30 @@ def _destination_blocks(field: ReassignmentField):
         yield src, dest
 
 
-def synchrosqueeze(tensor_h: TfcTensor, field: ReassignmentField) -> TfcTensor:
-    """Scatter T^h onto the bins nearest its reassigned coordinates.
+def synchrosqueeze(field: ReassignmentField) -> TfcTensor:
+    """Scatter the field's T^h onto the bins nearest its reassigned coordinates.
 
     Every defined entry whose rounded (omega, mu) lands inside the grid
     contributes its complex value to exactly one output bin of the same
     frame, so per-frame complex mass is conserved over the contributing set.
     """
-    grid = tensor_h.grid
-    if field.grid is not grid and (
-        field.grid.n_chirp != grid.n_chirp
-        or field.grid.n_freq != grid.n_freq
-        or field.grid.n_time != grid.n_time
-    ):
-        raise ShapeError("field and tensor grids disagree")
-    values = tensor_h.values.reshape(-1)
+    h = field.h
+    values = h.values.reshape(-1)
     out = np.zeros(values.size, dtype=np.complex128)
     # blocks in ascending source order keep the scatter order of one pass
     for src, dest in _destination_blocks(field):
         np.add.at(out, dest, values[src])
-    return TfcTensor(out.reshape(grid.n_chirp, grid.n_freq, grid.n_time), grid, tensor_h.convention)
+    return TfcTensor(out.reshape(h.values.shape), h.grid, h.convention)
 
 
-def squeeze_conservation(tensor_h: TfcTensor, field: ReassignmentField, squeezed: TfcTensor) -> np.ndarray:
+def squeeze_conservation(field: ReassignmentField, squeezed: TfcTensor) -> np.ndarray:
     """Per-frame |sum S - sum of contributing T| / max(|sum of contributing T|, eps)."""
-    contrib = np.zeros(tensor_h.values.shape, dtype=bool)
+    contrib = np.zeros(field.h.values.shape, dtype=bool)
     flat = contrib.reshape(-1)
     for src, _ in _destination_blocks(field):
         flat[src] = True
     lhs = squeezed.values.sum(axis=(0, 1))
-    rhs = np.sum(tensor_h.values, axis=(0, 1), where=contrib)  # no masked copy of the volume
+    rhs = np.sum(field.h.values, axis=(0, 1), where=contrib)  # no masked copy of the volume
     scale = np.maximum(np.abs(rhs), 1e-300)
     return np.abs(lhs - rhs) / scale
 

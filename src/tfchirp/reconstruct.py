@@ -65,12 +65,7 @@ def check_window_condition(family: WindowFamily) -> None:
         )
 
 
-def reconstruct_modes(
-    signal: Signal,
-    ridges: RidgeSet,
-    family: WindowFamily,
-    bank: WindowBank,
-) -> ReconstructedModes:
+def reconstruct_modes(signal: Signal, ridges: RidgeSet, bank: WindowBank) -> ReconstructedModes:
     """Solve the per-frame mixing systems along the ridge curves.
 
     At frame n, ``A[i, j] = g_check(omega_i - omega_j, mu_i - mu_j)`` couples
@@ -78,10 +73,10 @@ def reconstruct_modes(
     values.  Frames where any ridge value is invalid are skipped (zeros,
     valid False).  The systems of all other frames are solved in one stacked
     solve; frames whose condition exceeds 1e6 fall back to the least-squares
-    pseudo-solution and are flagged degraded.  A window that fails
-    ``check_window_condition`` is rejected before any work.
+    pseudo-solution and are flagged degraded.  A bank whose window family
+    fails ``check_window_condition`` is rejected before any work.
     """
-    check_window_condition(family)
+    check_window_condition(bank.family)
     if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
         raise ParameterError("window bank dt_s does not match the signal sample rate")
     K = ridges.n_components
@@ -94,7 +89,7 @@ def reconstruct_modes(
     om, mu = (np.asarray(c, dtype=float)[:, frames].T for c in (ridges.omega_hz, ridges.mu_hzps))
     if not (np.all(np.isfinite(om)) and np.all(np.isfinite(mu))):
         raise ParameterError("ridge coordinates must be finite")
-    A = g_check(family, om[:, :, None] - om[:, None, :], mu[:, :, None] - mu[:, None, :])
+    A = g_check(bank.family, om[:, :, None] - om[:, None, :], mu[:, :, None] - mu[:, None, :])
     x_hat = _ridge_samples(signal, bank, frames, om, mu)
     cond = np.linalg.cond(A)
     bad = (cond > COND_LIMIT) | ~np.isfinite(cond)

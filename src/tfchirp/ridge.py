@@ -324,41 +324,50 @@ def ridges_from_clusters(cloud: TfcPointCloud, labels: np.ndarray, grid: TfcGrid
     """Aggregate labeled points into per-frame curves.
 
     Per frame and cluster the curve takes the |S|-weighted centroid of the
-    cluster's (frequency, chirp-rate) points; frames without points are
-    filled by linear interpolation and flagged as unobserved.  Clusters are
-    ordered by ascending mean chirp rate.
+    cluster's (frequency, chirp-rate) points; ``_finish_curves`` fills the
+    frames without points.
+    """
+
+    def centroids(rows, ids):
+        # one bincount over (cluster, frame) keys sums each key's points in
+        # cloud order, as a bincount over one cluster's points does
+        key, size = rows * grid.n_time + cloud.frames, ids.size * grid.n_time
+        sums = [np.bincount(key, cloud.weights * cloud.physical[:, axis], size) for axis in (1, 2)]
+        with np.errstate(invalid="ignore"):  # 0/0 is NaN: the frames without points
+            return (np.stack(sums) / np.bincount(key, cloud.weights, size)).reshape(2, ids.size, -1)
+
+    return _finish_curves(cloud, labels, grid, centroids)
+
+
+def _finish_curves(cloud: TfcPointCloud, labels: np.ndarray, grid: TfcGrid, estimate) -> RidgeSet:
+    """Both aggregators' tail: total curves from per-frame estimates.
+
+    ``estimate(rows, ids)`` maps each point's cluster row and the cluster ids
+    to the [2, n_clusters, n_time] (omega, mu) estimates, NaN where there are
+    none.  Frames where a cluster has points are ``observed``; NaN frames are
+    filled by linear interpolation (held constant beyond the ends).  Curves
+    are clipped to the grid and ordered by ascending mean chirp rate.
     """
     labels = np.asarray(labels)
     if labels.shape != (len(cloud),):
         raise ParameterError("labels must cover the cloud")
-    ids = np.unique(labels)
-    n_time = grid.n_time
-    omega = np.full((ids.size, n_time), np.nan)
-    mu = np.full_like(omega, np.nan)
+    ids, rows = np.unique(labels, return_inverse=True)
+    omega, mu = estimate(rows, ids)
     observed = np.zeros(omega.shape, dtype=bool)
+    observed[rows, cloud.frames] = True
+    all_t = np.arange(grid.n_time)
     for row, cid in enumerate(ids):
-        sel = labels == cid
-        if not sel.any():
-            raise ExtractionError(f"cluster {cid} is empty")
-        frames = cloud.frames[sel]
-        w = cloud.weights[sel]
-        fw = np.bincount(frames, weights=w, minlength=n_time)
-        om_sum = np.bincount(frames, weights=w * cloud.physical[sel, 1], minlength=n_time)
-        mu_sum = np.bincount(frames, weights=w * cloud.physical[sel, 2], minlength=n_time)
-        got = fw > 0
-        if not got.any():
-            raise ExtractionError(f"cluster {cid} has no frames")
-        omega[row, got] = om_sum[got] / fw[got]
-        mu[row, got] = mu_sum[got] / fw[got]
-        observed[row] = got
-        idx = np.nonzero(got)[0]
-        all_t = np.arange(n_time)
-        omega[row] = np.interp(all_t, idx, omega[row, idx])
-        mu[row] = np.interp(all_t, idx, mu[row, idx])
+        for curve in (omega, mu):
+            good = np.isfinite(curve[row])
+            if not good.any():
+                raise ExtractionError(f"cluster {cid} produced an empty curve")
+            idx = np.nonzero(good)[0]
+            curve[row] = np.interp(all_t, idx, curve[row, idx])
+    omega = np.clip(omega, 0.0, grid.sample_rate_hz / 2)
+    mu = np.clip(mu, grid.chirps_hzps[0], grid.chirps_hzps[-1])
     order = np.argsort(mu.mean(axis=1), kind="stable")
     omega, mu, observed = omega[order], mu[order], observed[order]
-    valid = np.isfinite(omega) & np.isfinite(mu)
-    return RidgeSet(omega_hz=omega, mu_hzps=mu, valid=valid, observed=observed)
+    return RidgeSet(omega_hz=omega, mu_hzps=mu, valid=np.isfinite(omega) & np.isfinite(mu), observed=observed)
 
 
 def _local_linear_curve(t_pts, y_pts, w_pts, t_eval, half_width, iters, clip):
@@ -438,67 +447,44 @@ def _landed_sources(field, owner: np.ndarray) -> tuple:
     return np.concatenate(src), np.concatenate(row)
 
 
-def ridges_from_sources(
-    cloud: TfcPointCloud,
-    labels: np.ndarray,
-    field,
-    tensor_h: TfcTensor,
-) -> RidgeSet:
+def ridges_from_sources(cloud: TfcPointCloud, labels: np.ndarray, field) -> RidgeSet:
     """Curves from the pre-squeeze entries feeding each cluster's bins.
 
-    Each selected squeezed bin is traced back to the original volume entries
-    that reassigned into it; their continuous (omega, mu) estimates, weighted
-    by |T|, carry sub-bin precision that the bin coordinates lost.  A robust
-    local-linear fit along time turns them into total curves.
+    Each selected squeezed bin is traced back to the entries of the field's
+    T^h that reassigned into it; their continuous (omega, mu) estimates,
+    weighted by |T|, carry sub-bin precision that the bin coordinates lost.
+    A robust local-linear fit along time turns them into curves, which
+    ``_finish_curves`` completes.
     """
-    grid = tensor_h.grid
-    labels = np.asarray(labels)
-    if labels.shape != (len(cloud),):
-        raise ParameterError("labels must cover the cloud")
-    ids, rows = np.unique(labels, return_inverse=True)
-    if ids.size > np.iinfo(np.int8).max:
-        raise ParameterError("at most 127 clusters")
+    grid = field.grid
     n_time = grid.n_time
-    # one label volume over the clusters' bins (-1 elsewhere), looked up at
-    # every source's destination; only the sources that land on a bin stay
-    owner = np.full(grid.n_chirp * grid.n_freq * n_time, -1, dtype=np.int8)
-    l_pt = np.rint(cloud.physical[:, 2] / grid.chirp_step_hzps).astype(np.intp) + grid.M - 1
-    m_pt = np.rint(cloud.physical[:, 1] / grid.freq_step_hz).astype(np.intp)
-    owner[(l_pt * grid.n_freq + m_pt) * n_time + cloud.frames] = rows
-    src, src_row = _landed_sources(field, owner)
-    frames_src = src % n_time
-    w_src = np.abs(tensor_h.values.ravel()[src])
-    om_src = field.omega.ravel()[src]
-    mu_src = field.mu.ravel()[src]
 
-    t_axis = np.arange(n_time) / grid.sample_rate_hz
-    omega = np.full((ids.size, n_time), np.nan)
-    mu = np.full_like(omega, np.nan)
-    observed = np.zeros(omega.shape, dtype=bool)
-    for row, cid in enumerate(ids):
-        hit = src_row == row
-        if not hit.any():
-            raise ExtractionError(f"cluster {cid} received no source entries")
-        t_hit = frames_src[hit] / grid.sample_rate_hz
-        omega[row] = _local_linear_curve(
-            t_hit, om_src[hit], w_src[hit], t_axis, FIT_HALF_WIDTH_S, FIT_ITERS, FIT_CLIP
-        )
-        mu[row] = _local_linear_curve(
-            t_hit, mu_src[hit], w_src[hit], t_axis, FIT_HALF_WIDTH_S, FIT_ITERS, FIT_CLIP
-        )
-        observed[row] = np.bincount(cloud.frames[rows == row], minlength=n_time) > 0
-        for curve in (omega, mu):
-            good = np.isfinite(curve[row])
-            if not good.any():
-                raise ExtractionError(f"cluster {cid} produced an empty curve")
-            idx = np.nonzero(good)[0]
-            curve[row] = np.interp(np.arange(n_time), idx, curve[row, idx])
-    omega = np.clip(omega, 0.0, grid.sample_rate_hz / 2)
-    mu = np.clip(mu, grid.chirps_hzps[0], grid.chirps_hzps[-1])
-    order = np.argsort(mu.mean(axis=1), kind="stable")
-    omega, mu, observed = omega[order], mu[order], observed[order]
-    valid = np.isfinite(omega) & np.isfinite(mu)
-    return RidgeSet(omega_hz=omega, mu_hzps=mu, valid=valid, observed=observed)
+    def fits(rows, ids):
+        if ids.size > np.iinfo(np.int8).max:
+            raise ParameterError("at most 127 clusters")
+        # one label volume over the clusters' bins (-1 elsewhere), looked up at
+        # every source's destination; only the sources that land on a bin stay
+        owner = np.full(grid.n_chirp * grid.n_freq * n_time, -1, dtype=np.int8)
+        l_pt = np.rint(cloud.physical[:, 2] / grid.chirp_step_hzps).astype(np.intp) + grid.M - 1
+        m_pt = np.rint(cloud.physical[:, 1] / grid.freq_step_hz).astype(np.intp)
+        owner[(l_pt * grid.n_freq + m_pt) * n_time + cloud.frames] = rows
+        src, src_row = _landed_sources(field, owner)
+        t_src = (src % n_time) / grid.sample_rate_hz
+        w_src = np.abs(field.h.values.ravel()[src])
+        estimates = [field.omega.ravel()[src], field.mu.ravel()[src]]
+        t_axis = np.arange(n_time) / grid.sample_rate_hz
+        curves = np.empty((2, ids.size, n_time))
+        for row, cid in enumerate(ids):
+            hit = src_row == row
+            if not hit.any():
+                raise ExtractionError(f"cluster {cid} received no source entries")
+            for curve, est in zip(curves, estimates):
+                curve[row] = _local_linear_curve(
+                    t_src[hit], est[hit], w_src[hit], t_axis, FIT_HALF_WIDTH_S, FIT_ITERS, FIT_CLIP
+                )
+        return curves
+
+    return _finish_curves(cloud, labels, grid, fits)
 
 
 def extract_ridges(
@@ -506,16 +492,15 @@ def extract_ridges(
     n_components: int,
     params: RidgeParams | None = None,
     field=None,
-    source: TfcTensor | None = None,
 ) -> RidgeSet:
     """Full extraction: select, embed, cluster, aggregate.
 
     Returns exactly ``n_components`` curves or raises ``ExtractionError``.
     ``n_components == 1`` bypasses the clustering and treats every selected
-    point as one ridge.  When the reassignment ``field`` and the pre-squeeze
-    ``source`` tensor are supplied, the curves are aggregated from the
-    original entries behind each squeezed bin (sub-bin precision); otherwise
-    they are the per-frame centroids of the selected bins themselves.
+    point as one ridge.  When ``tensor`` was squeezed from the reassignment
+    ``field``, passing the field aggregates the curves from the entries of
+    its T^h behind each squeezed bin (sub-bin precision); otherwise they are
+    the per-frame centroids of the selected bins themselves.
     """
     params = params or RidgeParams()
     # per-frame peaks keep starved stretches represented in the curve fit,
@@ -533,8 +518,8 @@ def extract_ridges(
             raise ExtractionError(f"clustering found {found} of {n_components} ridges")
     if core is not cloud:
         labels = _propagate_labels(core, labels, cloud)
-    if field is not None and source is not None:
-        return ridges_from_sources(cloud, labels, field, source)
+    if field is not None:
+        return ridges_from_sources(cloud, labels, field)
     return ridges_from_clusters(cloud, labels, tensor.grid)
 
 

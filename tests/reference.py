@@ -126,15 +126,15 @@ def squeeze_destinations(field):
     return src, dest
 
 
-def conservation_full_volume(tensor_h, field, squeezed):
+def conservation_full_volume(field, squeezed):
     """The per-frame residual with the contributing set rounded over the whole volume."""
-    grid = tensor_h.grid
+    grid = field.grid
     m_dest = round_half_away(np.where(field.defined, field.omega, np.nan) / grid.freq_step_hz)
     l_dest = round_half_away(np.where(field.defined, field.mu, np.nan) / grid.chirp_step_hzps) + (grid.M - 1)
     with np.errstate(invalid="ignore"):
         contrib = field.defined & (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
     lhs = squeezed.values.sum(axis=(0, 1))
-    rhs = np.where(contrib, tensor_h.values, 0).sum(axis=(0, 1))
+    rhs = np.where(contrib, field.h.values, 0).sum(axis=(0, 1))
     return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
 
 

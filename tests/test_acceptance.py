@@ -81,7 +81,7 @@ def test_criterion_02_crossing_slice_peaks(crossing_sct_g2, crossing_sct_g0, cro
 
 def test_criterion_03_reassignment_exactness(chirp_f1_sct):
     signal, grid, result = chirp_f1_sct
-    mags = np.abs(result.banks.h.values)
+    mags = np.abs(result.field.h.values)
     inner = interior_mask(grid.n_time, FS, 1.25)
     top = (mags > np.quantile(mags, 0.99)) & inner[None, None, :]
     sel = top & result.field.defined
@@ -103,7 +103,7 @@ def test_criterion_04_reconstruction_ordering(crossing_scene, crossing_grid, cro
     ridges = sct_ridges(crossing_sct_g2, 2, RidgeParams(seed=0))
     fam0 = WindowFamily(0, 1.0)
     bank0 = make_window_bank(fam0, fam0.default_half_len(signal.dt_s), signal.dt_s)
-    modes = reconstruct_modes(signal, ridges, fam0, bank0)
+    modes = reconstruct_modes(signal, ridges, bank0)
     x = crossing_scene.times_s
     i1 = (x >= 2.5) & (x <= 3.5)
     i2 = ((x >= 1.0) & (x < 2.5)) | ((x > 3.5) & (x <= 5.0))
@@ -179,8 +179,8 @@ def test_criterion_06_mass_conservation():
         bank = make_window_bank(WindowFamily(0, 1.0), 180, signal.dt_s)
         banks = streamed_bank_transform(signal, bank, grid)
         field = reassignment_field(banks)
-        squeezed = synchrosqueeze(banks.h, field)
-        worst = max(worst, squeeze_conservation(banks.h, field, squeezed).max())
+        squeezed = synchrosqueeze(field)
+        worst = max(worst, squeeze_conservation(field, squeezed).max())
     ok = worst < 1e-10
     _report(6, "mass conservation", ok, f"max per-frame relative residual {worst:.2e} (<1e-10)")
 
@@ -260,7 +260,7 @@ def test_criterion_10_separated_scene_and_window_condition():
     signal = Signal(comps[0] + comps[1], fs)
     grid = grid_from_resolution(0.01, n, fs)
     result = run_sct(signal, WindowFamily(0, 1.0), grid)
-    mags = np.abs(result.banks.h.values)
+    mags = np.abs(result.field.h.values)
     inner = interior_mask(n, fs, 1.25)
     sel = (mags > np.quantile(mags, 0.99)) & result.field.defined & inner[None, None, :]
     l_idx, m_idx, n_idx = np.nonzero(sel)

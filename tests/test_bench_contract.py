@@ -18,12 +18,18 @@ import pytest
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 # a span the traced CLI records itself, and a stale name whose metrics are known to read 0
 EXEMPT = {"cli.import", "transform.chirplet_bank_transform"}
+# counters the hooks take on one study unit; the transform.* counters hang on the
+# stale name above, and ridge.cloud_points is keyed on a selection the study never makes
+COUNTED = (
+    "reassign.defined_share", "reassign.squeezed_share", "reassign.field_mb",
+    "ridge.aug_points", "ridge.observed_share", "reconstruct.frames_solved",
+)
 
 
-def _load_tracing():
-    """``perfbench/tracing.py`` as a module, leaving no bytecode cache beside it."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
+def _load(path, name):
+    """A ``perfbench`` file as a module, leaving no bytecode cache beside it."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
     cache, sys.dont_write_bytecode = sys.dont_write_bytecode, True
     try:
         spec.loader.exec_module(module)
@@ -32,7 +38,7 @@ def _load_tracing():
     return module
 
 
-tracing = _load_tracing()
+tracing = _load(TRACING, "perfbench_tracing")
 TRACED = sorted((set(tracing.HOOKS) | {name for names in tracing.TIMED.values() for name in names}) - EXEMPT)
 HOOKED = sorted(set(tracing.HOOKS) - EXEMPT)
 
@@ -66,3 +72,19 @@ def test_hook_reads_parameters_of_its_function(name):
 def test_hook_arguments_are_found():
     # the check above is only as good as the pattern that finds the arguments
     assert set().union(*(_arguments_read(tracing.HOOKS[name]) for name in HOOKED)) == {"field", "min_per_frame", "path"}
+
+
+def test_hooks_count_a_traced_study_unit(tmp_path):
+    # the hooks read the arguments and results of the functions they wrap; a
+    # change to those leaves the span in place but the counter at 0
+    workloads = _load(TRACING.parent / "workloads.py", "perfbench_workloads")
+    inputs = workloads.study_inputs(0, workloads.TINY, str(tmp_path))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        out = workloads.study_unit(inputs, True)
+    finally:
+        tracer.uninstall()
+    assert not workloads.study_check(inputs, out)
+    metrics = tracing.layer_metrics([tracer.records()], 1.0)
+    assert not [name for name in COUNTED if not metrics[name] > 0]

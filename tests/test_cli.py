@@ -440,10 +440,13 @@ def test_reconstruct_rejects_more_truth_files_than_modes_before_the_sct(crossing
     assert not ridges.exists()
 
 
-@pytest.mark.parametrize("samples, code", [(["1.0,0.0"] * 100, 1), (["1.0,0.0"] * 400 + ["nan,0.0"], 1), (None, 2)])
+@pytest.mark.parametrize(
+    "samples, code",
+    [(["1.0,0.0"] * 100, 1), (["1.0,0.0"] * 400 + ["nan,0.0"], 1), (None, 2), (["re,im", "1.0,0.0", "x,y"], 2)],
+)
 def test_reconstruct_reads_truth_files_before_the_sct(crossing_csv, tmp_path, monkeypatch, capsys, samples, code):
     # a truth file of the wrong length or with a non-finite sample is a usage
-    # error, a missing one an I/O error
+    # error, a missing or unparsable one an I/O error
     _no_analysis(monkeypatch)
     truth = tmp_path / "truth.csv"
     if samples is not None:
@@ -495,7 +498,11 @@ def test_window_and_threshold_errors_name_their_flag_or_key(tmp_path, capsys, co
 
 
 @pytest.mark.parametrize(
-    "flags", ["--rate=inf", "--rate=0", "--rate=-5", "--rate=nan", "--rate=100 --t0=nan", "--rate=100 --t0=-inf"]
+    "flags",
+    [
+        "--rate=inf", "--rate=0", "--rate=-5", "--rate=nan", "--rate=100 --t0=nan", "--rate=100 --t0=-inf",
+        "--format=wav --downsample=0",
+    ],
 )
 @pytest.mark.parametrize("command", ["transform", "sct", "reconstruct"])
 def test_bad_rate_or_t0_exits_1_before_the_input_is_read(tmp_path, capsys, command, flags):
@@ -507,3 +514,15 @@ def test_bad_rate_or_t0_exits_1_before_the_input_is_read(tmp_path, capsys, comma
     err = capsys.readouterr().err
     bad_flag = flags.split()[-1].partition("=")[0]
     assert err.startswith(f"error: {bad_flag} ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["transform", "sct", "reconstruct"])
+def test_input_errors_name_the_flag_and_the_file(tmp_path, capsys, command):
+    nan_csv = tmp_path / "nan.csv"
+    nan_csv.write_text("re,im\n1.0,0.0\nnan,0.0\n2.0,0.0\n")
+    outputs = {"reconstruct": ["--ridge-csv", str(tmp_path / "r.csv"), "--mode-prefix", str(tmp_path / "mode")]}
+    for flags, code in ((["--rate", "100"], 1), (["--format", "wav"], 2)):
+        got = main([command, "--input", str(nan_csv), *flags, *outputs.get(command, ["--output", str(tmp_path / "o")])])
+        err = capsys.readouterr().err
+        assert got == code
+        assert err.startswith(f"error: --input {nan_csv}: ") and err.count("\n") == 1, err

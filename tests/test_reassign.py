@@ -17,7 +17,7 @@ from tfchirp.reassign import (
 )
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank, round_half_away
 from tfchirp.synth import add_student_t_noise
-from tfchirp.transform import TfcTensor, stft
+from tfchirp.transform import TfcTensor, stft, streamed_bank_transform
 
 from conftest import interior_mask
 from reference import BankTensors, bank_windows, chirplet_bank_transform
@@ -93,7 +93,7 @@ def test_zero_signal_squeezes_to_zero():
     fs, n = 20.0, 64
     _, grid, banks, field = small_pipeline(np.zeros(n), fs)
     assert not field.defined.any()
-    squeezed = synchrosqueeze(banks.h, field)
+    squeezed = synchrosqueeze(field)
     assert not squeezed.values.any()
 
 
@@ -102,8 +102,8 @@ def test_conservation_on_random_signals():
     fs, n = 25.0, 96
     samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     _, grid, banks, field = small_pipeline(samples, fs, half_len=30)
-    squeezed = synchrosqueeze(banks.h, field)
-    assert squeeze_conservation(banks.h, field, squeezed).max() < 1e-10
+    squeezed = synchrosqueeze(field)
+    assert squeeze_conservation(field, squeezed).max() < 1e-10
 
 
 def test_scaling_equivariance():
@@ -118,8 +118,8 @@ def test_scaling_equivariance():
     sel = field.defined
     assert np.allclose(field.omega[sel], field_c.omega[sel], atol=1e-8)
     assert np.allclose(field.mu[sel], field_c.mu[sel], atol=1e-6)
-    s = synchrosqueeze(banks.h, field)
-    s_c = synchrosqueeze(banks_c.h, field_c)
+    s = synchrosqueeze(field)
+    s_c = synchrosqueeze(field_c)
     assert np.allclose(c * s.values, s_c.values, rtol=1e-10, atol=1e-9)
 
 
@@ -262,11 +262,41 @@ def test_left_convention_field_compensates_shear():
     assert np.nanmax(np.abs(field.omega[sel] - true_if[sel])) <= grid.freq_step_hz
 
 
+@pytest.mark.parametrize("n_win", [0, 2])
+def test_left_convention_estimates_as_well_as_centered(crossing_grid, n_win):
+    # the left-edge reference centers a slot's atom lam*K*dt above its bin,
+    # often outside the band: the estimates must come back modulo fs, and the
+    # alias test must follow the sheared center
+    grid = crossing_grid
+    x = np.arange(grid.n_time) / grid.sample_rate_hz
+    signal = Signal(np.exp(2j * np.pi * (10 * x + 3 * x**2)), grid.sample_rate_hz)  # 10 Hz + 6 Hz/s
+    fam = WindowFamily(n_win, 1.0)
+    bank = make_window_bank(fam, fam.default_half_len(signal.dt_s), signal.dt_s)
+    share = {}
+    for convention in ("centered", "left"):
+        field = reassignment_field(streamed_bank_transform(signal, bank, grid, convention))
+        mags = np.abs(field.h.values)
+        energetic = field.defined & (mags > 1e-2 * mags.max())
+        energetic[:, :, :150] = energetic[:, :, 250:] = False
+        err = np.abs(field.omega - (10 + 6 * x))[energetic]
+        share[convention] = np.mean(err <= grid.freq_step_hz)
+    assert share["left"] >= share["centered"] - 0.1, share
+
+
 def _field_oracle(banks, nu):
-    """The 17-product reassignment rule over the whole volume."""
-    from tfchirp.reassign import M2_GUARD, resolvable_slots
+    """The 17-product reassignment rule over the whole volume.
+
+    Under the left-edge phase reference the atom of slot (l, m) is centered
+    at m/(2M) + l*K/(4M^2) cycles/sample: omega is the shear-compensated
+    estimate wrapped into the period [step/2 - fs/2, fs/2 + step/2), and the
+    alias test follows the atom's frequency from its center taken in
+    (-1/2, 1/2].
+    """
+    from tfchirp.reassign import ALIAS_TOL, M2_GUARD
 
     grid = banks.h.grid
+    left = banks.h.convention == "left"
+    K = banks.bank.half_len
     T, T1, T2, U, U1, V = (
         t.values.astype(complex)
         for t in (banks.h, banks.h_prime, banks.h_second, banks.th, banks.th_prime, banks.t2h)
@@ -279,10 +309,17 @@ def _field_oracle(banks, nu):
         ratio = m1 / m2
         mu = ratio.real
         omega = grid.freqs_hz[None, :, None] + (-T1 / (2 * np.pi * T) + 1j * (lam - ratio) * U / T).imag
-    if banks.h.convention == "left":
-        omega = omega + lam * (banks.bank.half_len * banks.bank.dt_s)
+    if left:
+        fs = grid.sample_rate_hz
+        omega = omega + lam * (K * banks.bank.dt_s)
+        omega = omega - fs * np.floor((omega - (grid.freq_step_hz - fs) / 2) / fs)
+    rate = grid.chirp_indices[:, None, None] / (4 * grid.M**2)
+    center = (np.arange(grid.n_freq) / (2 * grid.M))[None, :, None] + rate * (K if left else 0)
+    center -= np.ceil(center - 0.5)
+    w = np.abs(banks.bank.h)
+    resolvable = (np.abs(center + rate * np.arange(-K, K + 1)) > 0.5) @ w <= ALIAS_TOL * w.sum()
     defined = (np.abs(T) > nu) & (np.abs(m2) >= M2_GUARD * np.abs(m1))
-    defined &= np.isfinite(mu) & np.isfinite(omega) & resolvable_slots(grid, banks.bank)[:, :, None]
+    defined &= np.isfinite(mu) & np.isfinite(omega) & resolvable[:, :, None]
     return mu, omega, defined
 
 
@@ -315,7 +352,7 @@ def test_squeeze_takes_no_parameter_object():
     import tfchirp
 
     assert not hasattr(tfchirp, "SqueezeParams")
-    assert list(inspect.signature(synchrosqueeze).parameters) == ["tensor_h", "field"]
+    assert list(inspect.signature(synchrosqueeze).parameters) == ["field"]
 
 
 def test_field_stores_no_mask(crossing_sct_g2):

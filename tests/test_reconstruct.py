@@ -100,9 +100,9 @@ def test_stacked_solve_matches_per_frame_loop(n_win):
     if n_win % 2:
         # the odd window's g_check vanishes on the diagonal: no solve is made
         with pytest.raises(UnsupportedWindowError, match="window condition"):
-            reconstruct_modes(signal, ridges, fam, bank)
+            reconstruct_modes(signal, ridges, bank)
         return
-    got = reconstruct_modes(signal, ridges, fam, bank)
+    got = reconstruct_modes(signal, ridges, bank)
     modes, ok, degraded = reconstruct_modes_loop(signal, ridges, fam, bank)
     assert degraded.any() and (ok.all(axis=0) & ~degraded).any() and not ok.all()
     np.testing.assert_array_equal(got.modes, modes)
@@ -120,7 +120,7 @@ def test_windows_failing_the_window_condition_are_rejected_first(n_win):
     mismatched_bank = make_window_bank(fam, 20, 2 / fs)
     ridges = truth_ridges(np.vstack((np.full(n, 5.0), np.full(n, 9.0))), np.zeros((2, n)))
     with pytest.raises(UnsupportedWindowError, match="window condition"):
-        reconstruct_modes(signal, ridges, fam, mismatched_bank)
+        reconstruct_modes(signal, ridges, mismatched_bank)
     check_window_condition(WindowFamily(0, 1.0))
     check_window_condition(WindowFamily(2, 1.0))
 
@@ -133,7 +133,7 @@ def test_mixing_system_k1_diagonal():
     bank = make_window_bank(fam, fam.default_half_len(1 / fs), 1 / fs)
     assert g_check(fam, 0.0, 0.0) == pytest.approx(2.0**-0.5)
     # with one ridge the system is the diagonal alone: mode = sample / g_check(0, 0)
-    modes = reconstruct_modes(signal, truth_ridges(np.full((1, n), 5.0), np.zeros((1, n))), fam, bank)
+    modes = reconstruct_modes(signal, truth_ridges(np.full((1, n), 5.0), np.zeros((1, n))), bank)
     x_hat = CtRidgeEvaluator(signal, bank)(n // 2, 5.0, 0.0)[0]
     assert modes.modes[0, n // 2] == pytest.approx(x_hat / g_check(fam, 0.0, 0.0), rel=1e-12)
 
@@ -146,13 +146,13 @@ def test_mixing_system_identical_ridges_singular():
     om = np.vstack((np.full(n, 5.0), np.full(n, 9.0)))
     mu = np.ones((2, n))
     om[1, 40:60] = 5.0  # the ridges coincide on these frames
-    modes = reconstruct_modes(signal, truth_ridges(om, mu), fam, bank)
+    modes = reconstruct_modes(signal, truth_ridges(om, mu), bank)
     assert modes.degraded[40:60].all()
     assert not modes.degraded[:40].any() and not modes.degraded[60:].any()
     assert modes.valid.all()
     om[1] = 5.0
     with pytest.raises(ReconstructionError, match="every frame was degraded"):
-        reconstruct_modes(signal, truth_ridges(om, mu), fam, bank)
+        reconstruct_modes(signal, truth_ridges(om, mu), bank)
 
 
 def test_mixing_entry_matches_quadrature():
@@ -191,7 +191,7 @@ def test_single_chirp_truth_ridge_reconstruction():
     fam = WindowFamily(0, 1.0)
     bank = make_window_bank(fam, fam.default_half_len(1 / fs), 1 / fs)
     ridges = truth_ridges((xi0 + lam0 * x)[None, :], np.full((1, n), lam0))
-    modes = reconstruct_modes(signal, ridges, fam, bank)
+    modes = reconstruct_modes(signal, ridges, bank)
     inner = interior_mask(n, fs, 1.4)
     assert rel_error(modes.modes[0][inner], comp[inner]) <= 1e-2
 
@@ -209,7 +209,7 @@ def test_two_chirp_truth_ridge_reconstruction():
         np.vstack((p1[0] + p1[1] * x, p2[0] + p2[1] * x)),
         np.vstack((np.full(n, p1[1]), np.full(n, p2[1]))),
     )
-    modes = reconstruct_modes(signal, ridges, fam, bank)
+    modes = reconstruct_modes(signal, ridges, bank)
     inner = interior_mask(n, fs, 1.4)
     for k in range(2):
         assert rel_error(modes.modes[k][inner], comps[k][inner]) <= 2e-2
@@ -223,7 +223,7 @@ def test_zero_signal_zero_modes():
     bank = make_window_bank(fam, 40, 1 / fs)
     x = np.arange(n) / fs
     ridges = truth_ridges(np.vstack((5 + 0 * x, 10 + 0 * x)), np.zeros((2, n)))
-    modes = reconstruct_modes(signal, ridges, fam, bank)
+    modes = reconstruct_modes(signal, ridges, bank)
     assert not modes.modes.any()
 
 
@@ -239,8 +239,8 @@ def test_ridge_permutation_permutes_modes():
     bank = make_window_bank(fam, fam.default_half_len(1 / fs), 1 / fs)
     om = np.vstack((4 + 1.6 * x, 14 - 1.0 * x))
     mu = np.vstack((np.full(n, 1.6), np.full(n, -1.0)))
-    a = reconstruct_modes(signal, truth_ridges(om, mu), fam, bank)
-    b = reconstruct_modes(signal, truth_ridges(om[::-1], mu[::-1]), fam, bank)
+    a = reconstruct_modes(signal, truth_ridges(om, mu), bank)
+    b = reconstruct_modes(signal, truth_ridges(om[::-1], mu[::-1]), bank)
     assert np.allclose(a.modes, b.modes[::-1], atol=1e-10)
 
 
@@ -253,7 +253,7 @@ def test_degraded_frames_flagged_and_all_degraded_raises():
     om = np.vstack((8 + 0 * x, 8 + 0 * x))  # identical ridges: singular system
     mu = np.zeros((2, n))
     with pytest.raises(ReconstructionError):
-        reconstruct_modes(signal, truth_ridges(om, mu), fam, bank)
+        reconstruct_modes(signal, truth_ridges(om, mu), bank)
 
 
 def test_invalid_frames_skipped():
@@ -266,7 +266,7 @@ def test_invalid_frames_skipped():
     hole = np.ones((1, n), dtype=bool)
     hole[0, 60:70] = False
     ridges = RidgeSet(ridges.omega_hz, ridges.mu_hzps, hole, hole)
-    modes = reconstruct_modes(signal, ridges, fam, bank)
+    modes = reconstruct_modes(signal, ridges, bank)
     assert not modes.valid[0, 60:70].any()
     assert not modes.modes[0, 60:70].any()
     assert modes.valid[0, :60].all()

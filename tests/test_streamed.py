@@ -57,8 +57,8 @@ def test_run_sct_keeps_bank_h_and_conserves_mass(analysis):
     # criterion 06 over random grids, windows, conventions and thresholds
     signal, grid, bank, convention, nu_rel = analysis
     result = run_sct(signal, bank.family, grid, bank.half_len, convention, nu_rel=nu_rel)
-    assert np.array_equal(result.banks.h.values, chirplet_bank_transform(signal, bank, grid, convention).h.values)
-    assert squeeze_conservation(result.banks.h, result.field, result.squeezed).max() <= 1e-10
+    assert np.array_equal(result.field.h.values, chirplet_bank_transform(signal, bank, grid, convention).h.values)
+    assert squeeze_conservation(result.field, result.squeezed).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n, convention", [(0, "centered"), (2, "left")])
@@ -81,17 +81,17 @@ def test_streamed_field_on_the_crossing_grid(crossing_scene, crossing_grid, n, c
 
 def test_blocked_squeeze_equals_one_pass(chirp_f1_sct, monkeypatch):
     _, _, result = chirp_f1_sct
-    h, field = result.banks.h, result.field
+    field = result.field
     src, dest = squeeze_destinations(field)
-    squeezed = synchrosqueeze(h, field)
-    residual = squeeze_conservation(h, field, squeezed)
+    squeezed = synchrosqueeze(field)
+    residual = squeeze_conservation(field, squeezed)
     assert src.size > 10 * 997
     for block in (reassign.SQUEEZE_BLOCK, 997):
         monkeypatch.setattr(reassign, "SQUEEZE_BLOCK", block)
         src_b, dest_b = (np.concatenate(part) for part in zip(*reassign._destination_blocks(field)))
         assert np.array_equal(src_b, src) and np.array_equal(dest_b, dest)
-        assert np.array_equal(synchrosqueeze(h, field).values, squeezed.values)
-        assert np.array_equal(squeeze_conservation(h, field, squeezed), residual)
+        assert np.array_equal(synchrosqueeze(field).values, squeezed.values)
+        assert np.array_equal(squeeze_conservation(field, squeezed), residual)
 
 
 @pytest.mark.parametrize("alpha_sq, half_len", [(0.01, 430), (0.05, 40)])
@@ -120,9 +120,9 @@ def test_conservation_matches_full_volume_formula():
     tensors = [TfcTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid) for _ in range(6)]
     banks = BankTensors(*tensors, bank=bank)
     field = reassignment_field(banks, nu=0.3)
-    squeezed = synchrosqueeze(banks.h, field)
-    new = squeeze_conservation(banks.h, field, squeezed)
-    old = conservation_full_volume(banks.h, field, squeezed)
+    squeezed = synchrosqueeze(field)
+    new = squeeze_conservation(field, squeezed)
+    old = conservation_full_volume(field, squeezed)
     assert 0 < field.defined.sum() < field.defined.size
     assert np.max(np.abs(new - old)) <= 1e-12
 
@@ -155,7 +155,7 @@ def test_squeeze_conservation_copies_no_volume(crossing_sct_g2):
     grid = result.squeezed.grid
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
     residual, peak, _ = traced_volumes(
-        lambda: squeeze_conservation(result.banks.h, result.field, result.squeezed), volume
+        lambda: squeeze_conservation(result.field, result.squeezed), volume
     )
     assert residual.max() <= 1e-10
     assert peak <= 0.9
