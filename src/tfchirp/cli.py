@@ -23,7 +23,7 @@ from .reconstruct import check_window_condition, reconstruct_modes
 from .ridge import RidgeParams, extract_ridges
 from .signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from .synth import crossing_chirp_pair, random_ict_scene
-from .transform import CONVENTIONS, chirplet_transform, project_tfc_to_tf
+from .transform import chirplet_transform, project_tfc_to_tf
 
 USAGE_ERROR, IO_ERROR, NUMERICAL_ERROR = 1, 2, 3
 _FAMILY, _RIDGE = WindowFamily(), RidgeParams()  # the library defaults the config starts from
@@ -41,7 +41,6 @@ class RunConfig:
     min_per_frame: int = _RIDGE.min_per_frame
     n_components: int = 2
     seed: int = _RIDGE.seed
-    convention: str = "centered"
 
     def family(self) -> WindowFamily:
         return WindowFamily(self.window_n, self.alpha_w)
@@ -69,7 +68,6 @@ _CONFIG_DOMAINS = {
     "min_per_frame": (lambda v: v >= 0, "must be >= 0"),
     "n_components": (lambda v: v >= 1, "must be >= 1"),
     "seed": (lambda v: v >= 0, "must be >= 0"),
-    "convention": (lambda v: v in CONVENTIONS, f"must be one of {', '.join(CONVENTIONS)}"),
 }
 
 
@@ -172,10 +170,7 @@ def _memory_guard(grid, *windows):
 
 
 def _run_sct(config: RunConfig, signal: Signal, grid):
-    return run_sct(
-        signal, config.family(), grid,
-        half_len=_half_len(config, signal), convention=config.convention, nu_rel=config.nu_rel,
-    )
+    return run_sct(signal, config.family(), grid, half_len=_half_len(config, signal), nu_rel=config.nu_rel)
 
 
 def _slice_frame(args, signal: Signal) -> int | None:
@@ -207,7 +202,7 @@ def cmd_transform(args) -> int:
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     with _memory_guard(grid, _analysis_window(config, signal)):
         bank = make_window_bank(config.family(), _half_len(config, signal), signal.dt_s)
-        tensor = chirplet_transform(signal, bank.h, grid, config.convention)
+        tensor = chirplet_transform(signal, bank.h, grid)
         tensorio.write_tensor(args.output, tensor, signal.t0_s)
         if args.tf_csv:
             tf = project_tfc_to_tf(tensor)

@@ -35,7 +35,6 @@ def run_sct(
     family: WindowFamily,
     grid: TfcGrid,
     half_len: int | None = None,
-    convention: str = "centered",
     nu_rel: float = DEFAULT_NU_REL,
 ) -> SctResult:
     """T^h, reassignment field and squeezed volume in one go.
@@ -45,7 +44,7 @@ def run_sct(
     Entries at or below ``nu_rel`` times the peak of |T^h| are undefined.
     """
     bank = make_window_bank(family, half_len or family.default_half_len(signal.dt_s), signal.dt_s)
-    banks = streamed_bank_transform(signal, bank, grid, convention)
+    banks = streamed_bank_transform(signal, bank, grid)
     field = reassignment_field(banks, nu=default_threshold(banks.h.values, nu_rel))
     return SctResult(field=field, squeezed=synchrosqueeze(field))
 

@@ -22,10 +22,8 @@ below the threshold; |M2| < 1e-12*|M1| (the degenerate denominator the
 accuracy guarantee excludes); and slots whose chirped atom is undersampled,
 i.e. the atom's instantaneous frequency m/(2M) + lam*j leaves the Nyquist
 band over a non-negligible part of the window support, where the quadratic
-phase aliases and the ratio estimates turn into noise (under the left-edge
-phase reference the atom's frequency is m/(2M) + lam*(j + K), taken modulo
-the sample rate).  Downstream consumers only ever read entries whose
-estimates are not NaN.
+phase aliases and the ratio estimates turn into noise.  Downstream
+consumers only ever read entries whose estimates are not NaN.
 """
 
 from __future__ import annotations
@@ -98,28 +96,23 @@ def _mu_omega(T, T1, T2, U, U1, V, lam, freqs, nu):
     return np.where(defined, mu, np.nan), np.where(defined, omega, np.nan)
 
 
-def resolvable_slots(grid: TfcGrid, bank: WindowBank, convention: str = "centered") -> np.ndarray:
+def resolvable_slots(grid: TfcGrid, bank: WindowBank) -> np.ndarray:
     """Boolean [n_chirp, n_freq] map of slots whose atom the window resolves.
 
     A slot is resolvable when the window mass carried by samples where the
     atom's instantaneous frequency lies outside [-1/2, 1/2] cycles/sample is
-    at most ``ALIAS_TOL`` of the total window mass.  The left-edge phase
-    reference centers the atom of slot (l, m) at m/(2M) + l*K/(4M^2), a
-    frequency that counts modulo 1 and is taken in (-1/2, 1/2].
+    at most ``ALIAS_TOL`` of the total window mass.
     """
     j = np.arange(-bank.half_len, bank.half_len + 1)
     w = np.abs(bank.h)
     total = w.sum()
-    shear = bank.half_len if convention == "left" else 0
     freq_term = (np.arange(grid.n_freq) / (2 * grid.M))[:, None]
     ok = np.empty((grid.n_chirp, grid.n_freq), dtype=bool)
     # one chirp slice at a time: a [n_chirp, n_freq, 2K+1] map would rival
     # the volume itself
     for i, l in enumerate(grid.chirp_indices):
         rate = l / (4 * grid.M**2)
-        center = freq_term + rate * shear
-        center -= np.ceil(center - 0.5)
-        ok[i] = (np.abs(rate * j[None, :] + center) > 0.5) @ w <= ALIAS_TOL * total
+        ok[i] = (np.abs(rate * j[None, :] + freq_term) > 0.5) @ w <= ALIAS_TOL * total
     return ok
 
 
@@ -138,16 +131,9 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
         raise ParameterError("nu must be positive")
     # aliased slots are undefined whatever the bank values: evaluate the
     # resolvable (chirp, frequency) rows of the volume only
-    rows_ok = np.flatnonzero(resolvable_slots(grid, banks.bank, banks.h.convention))
+    rows_ok = np.flatnonzero(resolvable_slots(grid, banks.bank))
     lam = np.repeat(grid.chirps_hzps, grid.n_freq)[:, None]
     freqs = np.tile(grid.freqs_hz, grid.n_chirp)[:, None]
-    # the left-edge phase reference shears each chirp slice in frequency by
-    # lam*K*dt: undo it so omega estimates the center-referenced IF.  The
-    # sheared atom's frequency counts modulo fs, so the estimate is wrapped
-    # into the period that ends half a bin above the top bin, where every
-    # estimate the centered rule lands keeps its bin
-    shear_s = banks.bank.half_len * banks.bank.dt_s if banks.h.convention == "left" else 0.0
-    fs, wrap_lo = grid.sample_rate_hz, (grid.freq_step_hz - grid.sample_rate_hz) / 2
     T_rows = banks.h.values.reshape(-1, grid.n_time)
     # rows per block: ~64k entries keep the many temporaries cache-resident;
     # a streamed bank's sums run FETCH_BLOCKS blocks at a time, since one
@@ -163,11 +149,7 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
         for sub in range(0, fetched.size, block):
             part = slice(sub, sub + block)
             rows = fetched[part]
-            mu[rows], om_b = _mu_omega(T_rows[rows], *companions_of(part), lam[rows], freqs[rows], nu)
-            if shear_s:
-                om_b = om_b + lam[rows] * shear_s
-                om_b -= fs * np.floor((om_b - wrap_lo) / fs)
-            omega[rows] = om_b
+            mu[rows], omega[rows] = _mu_omega(T_rows[rows], *companions_of(part), lam[rows], freqs[rows], nu)
     shape = (grid.n_chirp, grid.n_freq, grid.n_time)
     return ReassignmentField(omega=omega.reshape(shape), mu=mu.reshape(shape), h=banks.h)
 
@@ -206,7 +188,7 @@ def synchrosqueeze(field: ReassignmentField) -> TfcTensor:
     # blocks in ascending source order keep the scatter order of one pass
     for src, dest in _destination_blocks(field):
         np.add.at(out, dest, values[src])
-    return TfcTensor(out.reshape(h.values.shape), h.grid, h.convention)
+    return TfcTensor(out.reshape(h.values.shape), h.grid)
 
 
 def squeeze_conservation(field: ReassignmentField, squeezed: TfcTensor) -> np.ndarray:
@@ -226,9 +208,9 @@ def squeeze_conservation(field: ReassignmentField, squeezed: TfcTensor) -> np.nd
 
 
 def _stft_transforms(signal: Signal, bank: WindowBank, grid: TfcGrid) -> tuple:
-    """The centered STFT and its companions (W, W1, W2, U, U1, V): the bank's zero-chirp rows."""
+    """The STFT and its companions (W, W1, W2, U, U1, V): the bank's zero-chirp rows."""
     windows = [bank.h, bank.th, bank.t2h, *bank.basis]
-    sums = _windowed_sums(signal, windows, grid, "centered")(_zero_chirp_rows(grid))
+    sums = _windowed_sums(signal, windows, grid)(_zero_chirp_rows(grid))
     return (sums[:, 0], *_companions(bank.family, sums[:, 0], sums[:, 1:]))
 
 

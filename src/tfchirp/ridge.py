@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import (
     DegenerateCloudError,
@@ -237,6 +235,9 @@ def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = R
     indicator vectors displace the main cut from the leading eigenvectors.
     Returns an [n, 2*(n_components-1)] embedding.
     """
+    from scipy.sparse.linalg import eigsh
+    from scipy.spatial.distance import pdist, squareform
+
     if n_components < 2:
         raise ParameterError("spectral embedding needs at least two clusters")
     if not (0 < sigma_pct <= 100):

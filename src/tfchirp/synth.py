@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .errors import ParameterError
 from .signal import Signal
@@ -70,6 +69,8 @@ def smoothed_brownian(bandwidth_s: float, duration_s: float, dt_s: float, rng) -
     The path is simulated on a grid extended by six bandwidths on both sides
     before smoothing, then cropped to [0, duration_s], avoiding edge bias.
     """
+    from scipy.signal import fftconvolve
+
     if not (bandwidth_s > 0 and duration_s > 0 and dt_s > 0):
         raise ParameterError("bandwidth_s, duration_s, dt_s must be positive")
     rng = np.random.default_rng(rng)

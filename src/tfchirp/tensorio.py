@@ -27,16 +27,19 @@ _CODES = {np.dtype(np.complex64): 0, np.dtype(np.complex128): 1}
 
 
 def _atomic_write(path: str, write_fn):
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename; an OS error names ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tfchirp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tfchirp-")
         with os.fdopen(fd, "wb") as fh:
             write_fn(fh)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise FormatError(f"cannot write {path}: {exc.strerror or exc}") from None
         raise
 
 

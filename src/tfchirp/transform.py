@@ -6,14 +6,9 @@ is, for chirp index l, frequency bin m and frame n,
     T[l, m, n] = sum_k f[n + k - K] * h[k] *
                  exp(-2j*pi * p(k) * m / (2M)) * exp(-1j*pi * l * p(k)**2 / (4M**2))
 
-with f zero outside its support and k = 0..2K.  Two phase references are
-supported: ``convention="centered"`` uses ``p(k) = k - K`` (the window
-center), ``convention="left"`` uses ``p(k) = k``, i.e. phases accumulated
-from the left window edge.  The centered form samples the continuous
-transform on the (frequency x chirp-rate) product grid and is the default;
-the left-edge form evaluates each chirp slice on a frequency axis sheared by
-``chirp_rate * half_len * dt`` and is kept for compatibility with
-discretizations written that way.
+with f zero outside its support, k = 0..2K and phases referenced at the
+window center, ``p(k) = k - K``: the transform samples the continuous
+transform on the (frequency x chirp-rate) product grid.
 """
 
 from __future__ import annotations
@@ -26,7 +21,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ParameterError, ShapeError, UnsupportedWindowError
 from .signal import Signal, TfcGrid, WindowBank, WindowFamily
 
-CONVENTIONS = ("centered", "left")
 PHASE_BLOCK = 1 << 17  # phase entries (rows x taps) per block of a full volume
 
 
@@ -36,14 +30,11 @@ class TfcTensor:
 
     values: np.ndarray
     grid: TfcGrid
-    convention: str = "centered"
 
     def __post_init__(self):
         expected = (self.grid.n_chirp, self.grid.n_freq, self.grid.n_time)
         if self.values.shape != expected:
             raise ShapeError(f"tensor shape {self.values.shape} != grid shape {expected}")
-        if self.convention not in CONVENTIONS:
-            raise ParameterError(f"unknown convention {self.convention!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +68,7 @@ class StreamedBank:
         """
         grid, bank = self.h.grid, self.bank
         windows = [bank.th, bank.t2h, *bank.basis]
-        sums_of = _windowed_sums(self.signal, windows, grid, self.h.convention)
+        sums_of = _windowed_sums(self.signal, windows, grid)
         T_flat = self.h.values.reshape(-1, grid.n_time)
 
         def fetch(rows):
@@ -118,13 +109,10 @@ def _check_window(window: np.ndarray) -> np.ndarray:
     return window
 
 
-def _phase_factors(grid: TfcGrid, half_len: int, convention: str) -> tuple:
+def _phase_factors(grid: TfcGrid, half_len: int) -> tuple:
     """The chirp and frequency phase factors whose product is a row's phases."""
-    if convention not in CONVENTIONS:
-        raise ParameterError(f"unknown convention {convention!r}")
     M = grid.M
-    k = np.arange(2 * half_len + 1)
-    p = k - half_len if convention == "centered" else k
+    p = np.arange(2 * half_len + 1) - half_len
     m = np.arange(grid.n_freq)
     l = grid.chirp_indices
     freq_phase = np.exp(-2j * np.pi * np.outer(m, p) / (2 * M))  # [n_freq, 2K+1]
@@ -140,7 +128,7 @@ def _padded_segments(signal: Signal, half_len: int) -> np.ndarray:
     return sliding_window_view(fp, n)  # row k is fp[k : k + n]
 
 
-def _windowed_sums(signal: Signal, windows, grid: TfcGrid, convention: str):
+def _windowed_sums(signal: Signal, windows, grid: TfcGrid):
     """The module docstring's sum against several windows of one length.
 
     Returns ``sums(rows)``, of shape [rows.size, len(windows), n_time]: the
@@ -153,7 +141,7 @@ def _windowed_sums(signal: Signal, windows, grid: TfcGrid, convention: str):
     if grid.n_time != len(signal):
         raise ShapeError(f"grid.n_time={grid.n_time} != signal length {len(signal)}")
     half_len = (windows[0].size - 1) // 2
-    chirp_phase, freq_phase = _phase_factors(grid, half_len, convention)
+    chirp_phase, freq_phase = _phase_factors(grid, half_len)
     S = _padded_segments(signal, half_len)
     stacked = np.hstack([w[:, None] * S for w in windows])
 
@@ -165,41 +153,37 @@ def _windowed_sums(signal: Signal, windows, grid: TfcGrid, convention: str):
     return sums
 
 
-def _volume(signal: Signal, window: np.ndarray, grid: TfcGrid, convention: str) -> TfcTensor:
+def _volume(signal: Signal, window: np.ndarray, grid: TfcGrid) -> TfcTensor:
     """The transform against one window over the whole grid, a row block at a time.
 
     One window per product: stacking windows changes how BLAS blocks the
     product and with it the last bits of each volume.
     """
-    sums = _windowed_sums(signal, [window], grid, convention)
+    sums = _windowed_sums(signal, [window], grid)
     n_rows = grid.n_chirp * grid.n_freq
     values = np.empty((n_rows, grid.n_time), dtype=np.complex128)
     block = max(1, PHASE_BLOCK // window.size)
     for lo in range(0, n_rows, block):
         hi = min(lo + block, n_rows)
         values[lo:hi] = sums(np.arange(lo, hi))[:, 0]
-    return TfcTensor(values.reshape(grid.n_chirp, grid.n_freq, grid.n_time), grid, convention)
+    return TfcTensor(values.reshape(grid.n_chirp, grid.n_freq, grid.n_time), grid)
 
 
-def chirplet_transform(
-    signal: Signal, window: np.ndarray, grid: TfcGrid, convention: str = "centered"
-) -> TfcTensor:
+def chirplet_transform(signal: Signal, window: np.ndarray, grid: TfcGrid) -> TfcTensor:
     """Chirplet transform of a signal against one window sequence.
 
     Direct summation over the window support (matrix products over blocks
     of rows); no FFT factorization.  Output entries are plain sums, i.e.
     carry a 1/dt scale relative to the continuous-integral transform.
     """
-    return _volume(signal, _check_window(window), grid, convention)
+    return _volume(signal, _check_window(window), grid)
 
 
-def streamed_bank_transform(
-    signal: Signal, bank: WindowBank, grid: TfcGrid, convention: str = "centered"
-) -> StreamedBank:
+def streamed_bank_transform(signal: Signal, bank: WindowBank, grid: TfcGrid) -> StreamedBank:
     """T^h, equal to ``chirplet_transform(signal, bank.h, ...)``, and the companions on demand."""
     if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
         raise ShapeError("window bank dt_s does not match the signal sample rate")
-    return StreamedBank(_volume(signal, bank.h, grid, convention), signal, bank)
+    return StreamedBank(_volume(signal, bank.h, grid), signal, bank)
 
 
 def _zero_chirp_rows(grid: TfcGrid) -> np.ndarray:
@@ -208,8 +192,8 @@ def _zero_chirp_rows(grid: TfcGrid) -> np.ndarray:
 
 
 def stft(signal: Signal, window: np.ndarray, grid: TfcGrid) -> TfMatrix:
-    """Short-time Fourier transform: the zero-chirp slice of the centered sum."""
-    sums = _windowed_sums(signal, [_check_window(window)], grid, "centered")
+    """Short-time Fourier transform: the zero-chirp slice of the sum."""
+    sums = _windowed_sums(signal, [_check_window(window)], grid)
     return TfMatrix(values=sums(_zero_chirp_rows(grid))[:, 0], grid=grid)
 
 

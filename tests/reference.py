@@ -98,9 +98,9 @@ class BankTensors:
         return lambda rows: lambda part: tuple(t[rows[part]] for t in flat)
 
 
-def chirplet_bank_transform(signal, bank: WindowBank, grid: TfcGrid, convention: str = "centered") -> BankTensors:
+def chirplet_bank_transform(signal, bank: WindowBank, grid: TfcGrid) -> BankTensors:
     """All six bank transforms, stored."""
-    tensors = {name: chirplet_transform(signal, w, grid, convention) for name, w in bank_windows(bank).items()}
+    tensors = {name: chirplet_transform(signal, w, grid) for name, w in bank_windows(bank).items()}
     return BankTensors(bank=bank, **tensors)
 
 

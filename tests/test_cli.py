@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,21 +224,6 @@ def test_transform_raw_complex_with_t0(tmp_path):
     assert code == 0
     _, t0 = read_tensor(str(out))
     assert t0 == 2.5
-
-
-def test_transform_left_convention_differs(tmp_path):
-    x = np.arange(64) / 16.0
-    sig = Signal(np.exp(2j * np.pi * (1.0 * x + 0.5 * x**2)), 16.0)
-    src = tmp_path / "sig.csv"
-    write_signal_csv(str(src), sig)
-    outs = {}
-    for conv in ("centered", "left"):
-        cfg = write_config(tmp_path, alpha_sq=0.1, half_len=8, convention=conv)
-        out = tmp_path / f"{conv}.tfc1"
-        assert main(["--config", cfg, "transform", "--input", str(src), "--rate", "16",
-                     "--output", str(out)]) == 0
-        outs[conv], _ = read_tensor(str(out))
-    assert not np.allclose(outs["centered"].values, outs["left"].values)
 
 
 def test_reconstruct_honours_nu_rel(crossing_csv, tmp_path):
@@ -526,3 +515,51 @@ def test_input_errors_name_the_flag_and_the_file(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert got == code
         assert err.startswith(f"error: --input {nan_csv}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("value", ["left", "centered"])
+def test_convention_key_is_unknown(tmp_path, capsys, value):
+    # phases have one reference, the window center: no key chooses it
+    cfg = write_config(tmp_path, alpha_sq=0.1, convention=value)
+    code = main(["--config", cfg, "transform", "--input", str(tmp_path / "missing.csv"), "--rate", "16",
+                 "--output", str(tmp_path / "out.tfc1")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {cfg}:2: unknown key 'convention'\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        "sct --output {bad}",
+        "sct --output {tmp}/s.tfc1 --summary {bad}",
+        "transform --output {tmp}/t.tfc1 --tf-csv {bad}",
+        "ridge --output {bad}",
+        "reconstruct --ridge-csv {tmp}/r.csv --mode-prefix {bad}",
+    ],
+    ids=["sct-output", "sct-summary", "transform-tf-csv", "ridge-output", "reconstruct-mode-prefix"],
+)
+def test_write_errors_name_the_given_path(crossing_csv, tmp_path, capsys, args):
+    # an output goes through a temp file beside it, which the message never names
+    bad = str(tmp_path / "nodir" / "out")
+    argv = args.format(tmp=tmp_path, bad=bad).split()
+    if argv[0] == "ridge":
+        sct = str(tmp_path / "s.tfc1")
+        assert main(["sct", "--input", crossing_csv, "--rate", "100", "--output", sct]) == 0
+        argv += ["--tensor", sct]
+    else:
+        argv += ["--input", crossing_csv, "--rate", "100"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and bad in err and ".tfchirp-" not in err and err.count("\n") == 1, err
+
+
+def test_cli_import_leaves_the_heavy_scipy_modules_unloaded():
+    # a command imports what it runs: each of these loads inside the one function that uses it
+    heavy = ("scipy.signal", "scipy.stats", "scipy.sparse.linalg", "scipy.spatial")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "import sys, tfchirp.cli; print(*sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True)
+    loaded = [m for m in proc.stdout.split() if any(m == h or m.startswith(h + ".") for h in heavy)]
+    assert not loaded

@@ -17,7 +17,7 @@ from tfchirp.reassign import (
 )
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank, round_half_away
 from tfchirp.synth import add_student_t_noise
-from tfchirp.transform import TfcTensor, stft, streamed_bank_transform
+from tfchirp.transform import TfcTensor, stft
 
 from conftest import interior_mask
 from reference import BankTensors, bank_windows, chirplet_bank_transform
@@ -242,60 +242,11 @@ def test_sst2_degrades_at_crossing(crossing_scene, crossing_grid):
     assert at_cross > 2 * away
 
 
-def test_left_convention_field_compensates_shear():
-    # left-edge-referenced phases shear each chirp slice in frequency; the
-    # reassignment field must still estimate the physical IF
-    fs, n = 50.0, 300
-    x = np.arange(n) / fs
-    xi0, lam0 = 4.0, 1.5
-    signal = Signal(np.exp(2j * np.pi * xi0 * x + 1j * np.pi * lam0 * x**2), fs)
-    grid = grid_from_resolution(0.02, n, fs)
-    fam = WindowFamily(0, 1.0)
-    bank = make_window_bank(fam, fam.default_half_len(1 / fs), 1 / fs)
-    banks = chirplet_bank_transform(signal, bank, grid, convention="left")
-    field = reassignment_field(banks)
-    mags = np.abs(banks.h.values)
-    sel = (mags > np.quantile(mags, 0.995)) & field.defined & interior_mask(n, fs, 1.4)[None, None, :]
-    assert sel.any()
-    true_if = np.broadcast_to(xi0 + lam0 * x, mags.shape)
-    assert np.nanmax(np.abs(field.mu[sel] - lam0)) <= 2 * grid.chirp_step_hzps
-    assert np.nanmax(np.abs(field.omega[sel] - true_if[sel])) <= grid.freq_step_hz
-
-
-@pytest.mark.parametrize("n_win", [0, 2])
-def test_left_convention_estimates_as_well_as_centered(crossing_grid, n_win):
-    # the left-edge reference centers a slot's atom lam*K*dt above its bin,
-    # often outside the band: the estimates must come back modulo fs, and the
-    # alias test must follow the sheared center
-    grid = crossing_grid
-    x = np.arange(grid.n_time) / grid.sample_rate_hz
-    signal = Signal(np.exp(2j * np.pi * (10 * x + 3 * x**2)), grid.sample_rate_hz)  # 10 Hz + 6 Hz/s
-    fam = WindowFamily(n_win, 1.0)
-    bank = make_window_bank(fam, fam.default_half_len(signal.dt_s), signal.dt_s)
-    share = {}
-    for convention in ("centered", "left"):
-        field = reassignment_field(streamed_bank_transform(signal, bank, grid, convention))
-        mags = np.abs(field.h.values)
-        energetic = field.defined & (mags > 1e-2 * mags.max())
-        energetic[:, :, :150] = energetic[:, :, 250:] = False
-        err = np.abs(field.omega - (10 + 6 * x))[energetic]
-        share[convention] = np.mean(err <= grid.freq_step_hz)
-    assert share["left"] >= share["centered"] - 0.1, share
-
-
 def _field_oracle(banks, nu):
-    """The 17-product reassignment rule over the whole volume.
-
-    Under the left-edge phase reference the atom of slot (l, m) is centered
-    at m/(2M) + l*K/(4M^2) cycles/sample: omega is the shear-compensated
-    estimate wrapped into the period [step/2 - fs/2, fs/2 + step/2), and the
-    alias test follows the atom's frequency from its center taken in
-    (-1/2, 1/2].
-    """
+    """The 17-product reassignment rule over the whole volume."""
     from tfchirp.reassign import ALIAS_TOL, M2_GUARD
 
     grid = banks.h.grid
-    left = banks.h.convention == "left"
     K = banks.bank.half_len
     T, T1, T2, U, U1, V = (
         t.values.astype(complex)
@@ -309,13 +260,8 @@ def _field_oracle(banks, nu):
         ratio = m1 / m2
         mu = ratio.real
         omega = grid.freqs_hz[None, :, None] + (-T1 / (2 * np.pi * T) + 1j * (lam - ratio) * U / T).imag
-    if left:
-        fs = grid.sample_rate_hz
-        omega = omega + lam * (K * banks.bank.dt_s)
-        omega = omega - fs * np.floor((omega - (grid.freq_step_hz - fs) / 2) / fs)
     rate = grid.chirp_indices[:, None, None] / (4 * grid.M**2)
-    center = (np.arange(grid.n_freq) / (2 * grid.M))[None, :, None] + rate * (K if left else 0)
-    center -= np.ceil(center - 0.5)
+    center = (np.arange(grid.n_freq) / (2 * grid.M))[None, :, None]
     w = np.abs(banks.bank.h)
     resolvable = (np.abs(center + rate * np.arange(-K, K + 1)) > 0.5) @ w <= ALIAS_TOL * w.sum()
     defined = (np.abs(T) > nu) & (np.abs(m2) >= M2_GUARD * np.abs(m1))
@@ -323,8 +269,7 @@ def _field_oracle(banks, nu):
     return mu, omega, defined
 
 
-@pytest.mark.parametrize("convention", ["centered", "left"])
-def test_field_matches_full_product_formula(convention):
+def test_field_matches_full_product_formula():
     rng = np.random.default_rng(11)
     fs, n = 20.0, 90
     grid = grid_from_resolution(0.05, n, fs)
@@ -332,8 +277,7 @@ def test_field_matches_full_product_formula(convention):
     bank = make_window_bank(fam, 30, 1 / fs)
     shape = (grid.n_chirp, grid.n_freq, n)
     tensors = [
-        TfcTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid, convention)
-        for _ in range(6)
+        TfcTensor(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid) for _ in range(6)
     ]
     banks = BankTensors(*tensors, bank=bank)
     nu = 0.3  # leaves some entries below threshold

@@ -228,7 +228,7 @@ def test_crossing_cloud_geometry(crossing_sct_g2, crossing_scene):
 
 def test_selection_scale_invariance(crossing_sct_g2):
     tensor = crossing_sct_g2.squeezed
-    scaled = TfcTensor(3.5 * tensor.values, tensor.grid, tensor.convention)
+    scaled = TfcTensor(3.5 * tensor.values, tensor.grid)
     a = select_high_energy(tensor, 0.999)
     b = select_high_energy(scaled, 0.999)
     assert np.array_equal(a.frames, b.frames)

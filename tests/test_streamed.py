@@ -22,24 +22,23 @@ FS = 20.0
 
 @st.composite
 def small_analyses(draw):
-    """A random signal, grid, window bank, convention and threshold."""
+    """A random signal, grid, window bank and threshold."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_time = draw(st.integers(8, 60))
     samples = rng.standard_normal(n_time) + 1j * rng.standard_normal(n_time)
     grid = grid_from_resolution(draw(st.sampled_from([0.05, 0.1, 0.125, 0.25])), n_time, FS)
     family = WindowFamily(draw(st.integers(0, 2)), draw(st.floats(0.3, 4.0)))
     bank = make_window_bank(family, draw(st.integers(2, 25)), 1 / FS)
-    convention = draw(st.sampled_from(["centered", "left"]))
     nu_rel = 10 ** draw(st.floats(-6.0, -0.3))
-    return Signal(samples, FS), grid, bank, convention, nu_rel
+    return Signal(samples, FS), grid, bank, nu_rel
 
 
 @settings(max_examples=40)
 @given(small_analyses())
 def test_streamed_field_matches_stored_bank(analysis):
-    signal, grid, bank, convention, nu_rel = analysis
-    stored = chirplet_bank_transform(signal, bank, grid, convention)
-    streamed = streamed_bank_transform(signal, bank, grid, convention)
+    signal, grid, bank, nu_rel = analysis
+    stored = chirplet_bank_transform(signal, bank, grid)
+    streamed = streamed_bank_transform(signal, bank, grid)
     assert np.array_equal(streamed.h.values, stored.h.values)
     nu = nu_rel * np.abs(stored.h.values).max()
     ref = reassignment_field(stored, nu=nu)
@@ -54,15 +53,15 @@ def test_streamed_field_matches_stored_bank(analysis):
 @settings(max_examples=40)
 @given(small_analyses())
 def test_run_sct_keeps_bank_h_and_conserves_mass(analysis):
-    # criterion 06 over random grids, windows, conventions and thresholds
-    signal, grid, bank, convention, nu_rel = analysis
-    result = run_sct(signal, bank.family, grid, bank.half_len, convention, nu_rel=nu_rel)
-    assert np.array_equal(result.field.h.values, chirplet_bank_transform(signal, bank, grid, convention).h.values)
+    # criterion 06 over random grids, windows and thresholds
+    signal, grid, bank, nu_rel = analysis
+    result = run_sct(signal, bank.family, grid, bank.half_len, nu_rel=nu_rel)
+    assert np.array_equal(result.field.h.values, chirplet_bank_transform(signal, bank, grid).h.values)
     assert squeeze_conservation(result.field, result.squeezed).max() <= 1e-10
 
 
-@pytest.mark.parametrize("n, convention", [(0, "centered"), (2, "left")])
-def test_streamed_field_on_the_crossing_grid(crossing_scene, crossing_grid, n, convention):
+@pytest.mark.parametrize("n", [0, 2])
+def test_streamed_field_on_the_crossing_grid(crossing_scene, crossing_grid, n):
     # several row fetches and field blocks per call, unlike the small grids
     # above; noisy, as the CLI sees it (on the noise-free scene, far off-ridge
     # entries are so ill-conditioned that the stored bank's own estimates
@@ -71,8 +70,8 @@ def test_streamed_field_on_the_crossing_grid(crossing_scene, crossing_grid, n, c
     signal, grid = Signal(noisy, crossing_grid.sample_rate_hz), crossing_grid
     family = WindowFamily(n, 1.0)
     bank = make_window_bank(family, family.default_half_len(0.01), 0.01)
-    ref = reassignment_field(chirplet_bank_transform(signal, bank, grid, convention))
-    field = reassignment_field(streamed_bank_transform(signal, bank, grid, convention))
+    ref = reassignment_field(chirplet_bank_transform(signal, bank, grid))
+    field = reassignment_field(streamed_bank_transform(signal, bank, grid))
     d = ref.defined
     assert np.array_equal(field.defined, d) and d.any()
     assert np.max(np.abs(field.omega[d] - ref.omega[d])) <= 1e-6 * grid.freq_step_hz

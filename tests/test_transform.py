@@ -25,7 +25,7 @@ from reference import (
 )
 
 
-def naive_transform(samples, window, grid, convention):
+def naive_transform(samples, window, grid):
     """Three-nested-loop reference, 1-based indices as written."""
     K = (len(window) - 1) // 2
     M = grid.M
@@ -40,7 +40,7 @@ def naive_transform(samples, window, grid, convention):
             for n in range(1, N + 1):
                 acc = 0.0
                 for k in range(1, 2 * K + 2):
-                    p = (k - 1) if convention == "left" else (k - K - 1)
+                    p = k - K - 1
                     acc += (
                         f(n + k - K - 1)
                         * window[k - 1]
@@ -51,15 +51,14 @@ def naive_transform(samples, window, grid, convention):
     return out
 
 
-@pytest.mark.parametrize("convention", ["left", "centered"])
-def test_matches_naive_triple_loop(convention):
+def test_matches_naive_triple_loop():
     rng = np.random.default_rng(1)
     samples = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     signal = Signal(samples, 1.0)
     grid = grid_from_resolution(0.5 / 4, 16, 1.0)
     bank = make_window_bank(WindowFamily(0, 1.0), 3, 1.0)
-    got = chirplet_transform(signal, bank.h, grid, convention).values
-    want = naive_transform(samples, bank.h, grid, convention)
+    got = chirplet_transform(signal, bank.h, grid).values
+    want = naive_transform(samples, bank.h, grid)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -167,7 +166,7 @@ def test_chirp_covariance():
 
 @st.composite
 def covariance_cases(draw):
-    """A random signal, small grid, window of order 0-2 and phase convention."""
+    """A random signal, small grid and window of order 0-2."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fs = draw(st.sampled_from([1.0, 16.0, 32.0]))
     half_len = draw(st.integers(1, 12))
@@ -175,25 +174,24 @@ def covariance_cases(draw):
     grid = grid_from_resolution(0.5 / draw(st.integers(2, 10)), n_time, fs)
     family = WindowFamily(draw(st.integers(0, 2)), draw(st.floats(0.5, 2.0)))
     window = make_window_bank(family, half_len, 1 / fs).h
-    convention = draw(st.sampled_from(["centered", "left"]))
     samples = rng.standard_normal(n_time) + 1j * rng.standard_normal(n_time)
-    return Signal(samples, fs), grid, window, convention
+    return Signal(samples, fs), grid, window
 
 
 @settings(max_examples=40)
 @given(covariance_cases(), st.data())
 def test_modulation_covariance_property(case, data):
-    """Modulation by kf frequency bins shifts |T| by kf bins; both conventions.
+    """Modulation by kf frequency bins shifts |T| by kf bins.
 
     The modulated transform is T[l, m - kf, n] times a unit phase
-    exp(2j*pi*kf*(n + c)/(2M)), c = 0 centered and -K left.
+    exp(2j*pi*kf*n/(2M)).
     """
-    signal, grid, window, convention = case
+    signal, grid, window = case
     kf = data.draw(st.integers(1, grid.M))
     x = np.arange(len(signal)) / signal.sample_rate_hz
     modulated = Signal(signal.samples * np.exp(2j * np.pi * kf * grid.freq_step_hz * x), signal.sample_rate_hz)
-    base = np.abs(chirplet_transform(signal, window, grid, convention).values)
-    shifted = np.abs(chirplet_transform(modulated, window, grid, convention).values)
+    base = np.abs(chirplet_transform(signal, window, grid).values)
+    shifted = np.abs(chirplet_transform(modulated, window, grid).values)
     err = np.abs(shifted[:, kf:, :] - base[:, : grid.n_freq - kf, :]).max()
     assert err <= 1e-9 * base.max()
 
@@ -201,27 +199,26 @@ def test_modulation_covariance_property(case, data):
 @settings(max_examples=40)
 @given(covariance_cases(), st.data())
 def test_chirp_covariance_property(case, data):
-    """Chirp multiplication by kc chirp bins shifts |T| by kc chirp bins; both conventions.
+    """Chirp multiplication by kc chirp bins shifts |T| by kc chirp bins.
 
-    In frame n the frequency shifts by kc*(n + c)/(2M) bins, c = 0 centered
-    and -K left, so the identity holds on the grid in the frames where that
-    is an integer (negative shifts included).
+    In frame n the frequency shifts by kc*n/(2M) bins, so the identity holds
+    on the grid in the frames where that is an integer (negative shifts
+    included).
     """
-    signal, grid, window, convention = case
+    signal, grid, window = case
     kc = data.draw(st.integers(1, grid.n_chirp - 1)) * data.draw(st.sampled_from([1, -1]))
-    c = 0 if convention == "centered" else -(window.size // 2)
     x = np.arange(len(signal)) / signal.sample_rate_hz
     lam1 = kc * grid.chirp_step_hzps
     multiplied = Signal(signal.samples * np.exp(1j * np.pi * lam1 * x**2), signal.sample_rate_hz)
-    base = np.abs(chirplet_transform(signal, window, grid, convention).values)
-    mult = np.abs(chirplet_transform(multiplied, window, grid, convention).values)
+    base = np.abs(chirplet_transform(signal, window, grid).values)
+    mult = np.abs(chirplet_transform(multiplied, window, grid).values)
     chirps = slice(max(kc, 0), grid.n_chirp + min(kc, 0))
     chirps_base = slice(max(-kc, 0), grid.n_chirp + min(-kc, 0))
     compared = 0
     for n in range(len(signal)):
-        if kc * (n + c) % (2 * grid.M):
+        if kc * n % (2 * grid.M):
             continue
-        fshift = kc * (n + c) // (2 * grid.M)
+        fshift = kc * n // (2 * grid.M)
         if abs(fshift) >= grid.n_freq:
             continue
         freqs = slice(max(fshift, 0), grid.n_freq + min(fshift, 0))
@@ -237,17 +234,17 @@ def test_chirp_covariance_property(case, data):
 def test_windowed_sums_match_the_docstring_sum(case, data):
     """Any rows of the kernel, in any order and against several windows,
     equal the module docstring's sum evaluated by a plain loop."""
-    signal, grid, window, convention = case
+    signal, grid, window = case
     K = window.size // 2
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     windows = [window] + [rng.standard_normal(window.size) for _ in range(data.draw(st.integers(0, 2)))]
     rows = np.array(
         data.draw(st.lists(st.integers(0, grid.n_chirp * grid.n_freq - 1), min_size=1, max_size=12, unique=True))
     )
-    got = _windowed_sums(signal, windows, grid, convention)(rows)
+    got = _windowed_sums(signal, windows, grid)(rows)
 
     f = np.concatenate((np.zeros(K), signal.samples, np.zeros(K)))
-    p = np.arange(2 * K + 1) - (K if convention == "centered" else 0)
+    p = np.arange(2 * K + 1) - K
     want = np.zeros((rows.size, len(windows), grid.n_time), dtype=complex)
     for i, row in enumerate(rows):
         l, m = grid.chirp_indices[row // grid.n_freq], row % grid.n_freq
