@@ -118,7 +118,8 @@ def _naming(flag: str, path: str):
         raise ParameterError(f"{flag} {path}: {exc}") from None
 
 
-def _read_signal(args) -> Signal:
+def _read_signal(args, *outputs) -> Signal:
+    """The ``--input`` signal, read once its flags are checked and its non-empty ``outputs`` writable."""
     fmt = args.format
     if args.rate is not None and not 0 < args.rate < np.inf:
         raise ParameterError(f"--rate must be positive and finite, got {args.rate}")
@@ -128,6 +129,7 @@ def _read_signal(args) -> Signal:
         raise ParameterError(f"--downsample must be >= 1, got {args.downsample}")
     if fmt != "wav" and args.rate is None:
         raise ParameterError(f"--rate is required for format {fmt!r}")
+    tensorio._check_writable(*filter(None, outputs))
     with _naming("--input", args.input):
         if fmt == "wav":
             return tensorio.read_wav(args.input, downsample=args.downsample)
@@ -137,17 +139,11 @@ def _read_signal(args) -> Signal:
         return Signal(sig.samples, sig.sample_rate_hz, args.t0)
 
 
-def _half_len(config: RunConfig, signal: Signal) -> int:
-    if config.half_len > 0:
-        return config.half_len
-    return config.family().default_half_len(signal.dt_s)
-
-
 def _analysis_window(config: RunConfig, signal: Signal) -> tuple:
     """The analysis window as ``_memory_guard`` names it."""
     if config.half_len > 0:
         return "window", config.half_len, f"lower half_len (now {config.half_len})"
-    return "window", _half_len(config, signal), f"raise alpha_w (now {config.alpha_w})"
+    return "window", config.family().default_half_len(signal.dt_s), f"raise alpha_w (now {config.alpha_w})"
 
 
 @contextmanager
@@ -170,7 +166,7 @@ def _memory_guard(grid, *windows):
 
 
 def _run_sct(config: RunConfig, signal: Signal, grid):
-    return run_sct(signal, config.family(), grid, half_len=_half_len(config, signal), nu_rel=config.nu_rel)
+    return run_sct(signal, config.family(), grid, half_len=config.half_len or None, nu_rel=config.nu_rel)
 
 
 def _slice_frame(args, signal: Signal) -> int | None:
@@ -187,31 +183,31 @@ def _slice_frame(args, signal: Signal) -> int | None:
 
 def _write_slice_csv(path: str, tensor, frame: int):
     grid = tensor.grid
-    mags = np.abs(tensor.values[:, :, frame])
-    rows = []
-    for li, lam in enumerate(grid.chirps_hzps):
-        for mi, freq in enumerate(grid.freqs_hz):
-            rows.append((lam, freq, mags[li, mi]))
-    tensorio.write_csv_table(path, ("chirp_hzps", "freq_hz", "magnitude"), rows)
+    columns = (
+        np.repeat(grid.chirps_hzps, grid.n_freq),
+        np.tile(grid.freqs_hz, grid.n_chirp),
+        np.abs(tensor.values[:, :, frame]).ravel(),
+    )
+    tensorio.write_csv_table(path, ("chirp_hzps", "freq_hz", "magnitude"), zip(*columns))
 
 
 def cmd_transform(args) -> int:
     config = _config(args)
-    signal = _read_signal(args)
+    signal = _read_signal(args, args.output, args.tf_csv, args.slice is not None and args.slice_csv)
     frame = _slice_frame(args, signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
-    with _memory_guard(grid, _analysis_window(config, signal)):
-        bank = make_window_bank(config.family(), _half_len(config, signal), signal.dt_s)
+    window = _analysis_window(config, signal)
+    with _memory_guard(grid, window):
+        bank = make_window_bank(config.family(), window[1], signal.dt_s)
         tensor = chirplet_transform(signal, bank.h, grid)
         tensorio.write_tensor(args.output, tensor, signal.t0_s)
         if args.tf_csv:
-            tf = project_tfc_to_tf(tensor)
-            rows = [
-                (signal.t0_s + n / grid.sample_rate_hz, grid.freqs_hz[m], tf.values[m, n])
-                for m in range(grid.n_freq)
-                for n in range(grid.n_time)
-            ]
-            tensorio.write_csv_table(args.tf_csv, ("t_s", "freq_hz", "projection"), rows)
+            columns = (
+                np.tile(signal.times_s, grid.n_freq),
+                np.repeat(grid.freqs_hz, grid.n_time),
+                project_tfc_to_tf(tensor).values.ravel(),
+            )
+            tensorio.write_csv_table(args.tf_csv, ("t_s", "freq_hz", "projection"), zip(*columns))
         if frame is not None:
             _write_slice_csv(args.slice_csv, tensor, frame)
     return 0
@@ -219,7 +215,7 @@ def cmd_transform(args) -> int:
 
 def cmd_sct(args) -> int:
     config = _config(args)
-    signal = _read_signal(args)
+    signal = _read_signal(args, args.output, args.summary, args.slice is not None and args.slice_csv)
     frame = _slice_frame(args, signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     with _memory_guard(grid, _analysis_window(config, signal)):
@@ -227,36 +223,27 @@ def cmd_sct(args) -> int:
         tensorio.write_tensor(args.output, result.squeezed, signal.t0_s)
         if args.summary:
             residual = squeeze_conservation(result.field, result.squeezed)
-            rows = [
-                (signal.t0_s + n / grid.sample_rate_hz, residual[n])
-                for n in range(grid.n_time)
-            ]
-            tensorio.write_csv_table(args.summary, ("t_s", "conservation_residual"), rows)
+            tensorio.write_csv_table(args.summary, ("t_s", "conservation_residual"), zip(signal.times_s, residual))
         if frame is not None:
             _write_slice_csv(args.slice_csv, result.squeezed, frame)
     return 0
 
 
-def _ridge_rows(ridges, grid, t0_s):
-    header = ["t_s"]
+def _write_ridges(path: str, ridges, times_s: np.ndarray):
+    header, columns = ["t_s"], [times_s]
     for k in range(ridges.n_components):
         header += [f"omega{k}_hz", f"mu{k}_hzps"]
-    rows = []
-    for n in range(ridges.n_time):
-        row = [t0_s + n / grid.sample_rate_hz]
-        for k in range(ridges.n_components):
-            row += [ridges.omega_hz[k, n], ridges.mu_hzps[k, n]]
-        rows.append(row)
-    return header, rows
+        columns += [ridges.omega_hz[k], ridges.mu_hzps[k]]
+    tensorio.write_csv_table(path, header, zip(*columns))
 
 
 def cmd_ridge(args) -> int:
     config = _config(args)
+    tensorio._check_writable(args.output)
     tensor, t0 = tensorio.read_tensor(args.tensor)
     with _memory_guard(tensor.grid):
         ridges = extract_ridges(tensor, config.n_components, config.ridge_params())
-    header, rows = _ridge_rows(ridges, tensor.grid, t0)
-    tensorio.write_csv_table(args.output, header, rows)
+    _write_ridges(args.output, ridges, t0 + np.arange(tensor.grid.n_time) / tensor.grid.sample_rate_hz)
     return 0
 
 
@@ -287,7 +274,8 @@ def cmd_reconstruct(args) -> int:
         raise ParameterError(
             f"--truth: {len(args.truth)} files for {config.n_components} modes (n_components)"
         )
-    signal = _read_signal(args)
+    modes_csv = [f"{args.mode_prefix}{k}.csv" for k in range(config.n_components)]
+    signal = _read_signal(args, args.ridge_csv, *modes_csv, args.truth and args.report)
     truths = _read_truths(args.truth or (), signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     recon_half_len = recon_family.default_half_len(signal.dt_s)
@@ -296,12 +284,9 @@ def cmd_reconstruct(args) -> int:
         recon_bank = make_window_bank(recon_family, recon_half_len, signal.dt_s)
         ridges = sct_ridges(_run_sct(config, signal, grid), config.n_components, config.ridge_params())
         modes = reconstruct_modes(signal, ridges, recon_bank)
-    header, rows = _ridge_rows(ridges, grid, signal.t0_s)
-    tensorio.write_csv_table(args.ridge_csv, header, rows)
-    for k in range(modes.modes.shape[0]):
-        tensorio.write_signal_csv(
-            f"{args.mode_prefix}{k}.csv", Signal(modes.modes[k], signal.sample_rate_hz, signal.t0_s)
-        )
+    _write_ridges(args.ridge_csv, ridges, signal.times_s)
+    for path, mode in zip(modes_csv, modes.modes):
+        tensorio.write_signal_csv(path, Signal(mode, signal.sample_rate_hz, signal.t0_s))
     if truths:
         lines = [(k, rel_error(modes.modes[k].real, truth.samples.real)) for k, truth in enumerate(truths)]
         tensorio.write_csv_table(args.report, ("mode", "rel_error_real"), lines)
@@ -315,18 +300,17 @@ def cmd_synth(args) -> int:
         scene = random_ict_scene(args.seed if args.seed is not None else 0)
     else:
         raise ParameterError(f"unknown scene {args.scene!r}")
-    signal = scene.signal()
-    tensorio.write_signal_csv(args.output, signal)
-    if args.truth_prefix:
-        for k in range(scene.components.shape[0]):
-            tensorio.write_signal_csv(
-                f"{args.truth_prefix}component{k}.csv",
-                Signal(scene.components[k], scene.sample_rate_hz, float(scene.times_s[0])),
-            )
-            rows = list(zip(scene.times_s, scene.ifs_hz[k], scene.chirps_hzps[k]))
-            tensorio.write_csv_table(
-                f"{args.truth_prefix}curves{k}.csv", ("t_s", "if_hz", "chirp_hzps"), rows
-            )
+    prefix, truths = args.truth_prefix, range(scene.components.shape[0] if args.truth_prefix else 0)
+    tensorio._check_writable(
+        args.output, *(f"{prefix}{kind}{k}.csv" for k in truths for kind in ("component", "curves"))
+    )
+    tensorio.write_signal_csv(args.output, scene.signal())
+    for k in truths:
+        tensorio.write_signal_csv(
+            f"{prefix}component{k}.csv", Signal(scene.components[k], scene.sample_rate_hz, float(scene.times_s[0]))
+        )
+        rows = zip(scene.times_s, scene.ifs_hz[k], scene.chirps_hzps[k])
+        tensorio.write_csv_table(f"{prefix}curves{k}.csv", ("t_s", "if_hz", "chirp_hzps"), rows)
     return 0
 
 
@@ -334,6 +318,7 @@ def cmd_compare(args) -> int:
     seeds = list(range(args.seeds))
     if not seeds:
         raise ParameterError("--seeds must be >= 1")
+    tensorio._check_writable(args.output)
     _, summary = random_study(seeds)
     rows = []
     for method, stats in summary.items():
@@ -348,13 +333,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_info(args) -> int:
-    tensor, t0 = tensorio.read_tensor(args.tensor)
-    grid = tensor.grid
+    with open(args.tensor, "rb") as fh:
+        grid, dtype, t0 = tensorio._read_header(fh)
     print(f"dims: {grid.n_chirp} x {grid.n_freq} x {grid.n_time}")
     print(f"alpha_sq: {grid.alpha_sq}")
     print(f"sample_rate_hz: {grid.sample_rate_hz}")
     print(f"t0_s: {t0}")
-    print(f"dtype: {tensor.values.dtype}")
+    print(f"dtype: {dtype}")
     return 0
 
 

@@ -120,23 +120,18 @@ def crossing_study(
     modes = reconstruct_modes(signal, ridges_sct, recon_bank)
     s2 = sst2(signal, recon_bank, grid)
 
-    rows = []
-    assign = _match_components(ridges_sct.omega_hz, scene.ifs_hz, score_mask)
-    est_for = {assign[i]: i for i in range(k)}
-    rel_sct, ot_sct = [], []
-    for comp in range(k):
-        i = est_for[comp]
-        rel_sct.append(rel_error(modes.modes[i].real, scene.components[comp].real, score_mask))
-        ot_sct.append(ot_if_metric(ridges_sct.omega_hz[i], scene.ifs_hz[comp], score_mask))
-    rows.append(StudyRow("sct", seed, tuple(rel_sct), tuple(ot_sct)))
+    def matched(ridges):
+        """Per true component: the index of the curve matched to it, and that curve's IF score."""
+        assign = _match_components(ridges.omega_hz, scene.ifs_hz, score_mask)
+        est = [assign.index(comp) for comp in range(k)]
+        ot = [ot_if_metric(ridges.omega_hz[i], scene.ifs_hz[comp], score_mask) for comp, i in enumerate(est)]
+        return est, tuple(ot)
 
-    assign_ct = _match_components(ridges_ct.omega_hz, scene.ifs_hz, score_mask)
-    est_for_ct = {assign_ct[i]: i for i in range(k)}
-    ot_ct = [
-        ot_if_metric(ridges_ct.omega_hz[est_for_ct[comp]], scene.ifs_hz[comp], score_mask)
-        for comp in range(k)
-    ]
-    rows.append(StudyRow("ct", seed, (), tuple(ot_ct)))
+    est_sct, ot_sct = matched(ridges_sct)
+    rel_sct = tuple(
+        rel_error(modes.modes[i].real, scene.components[comp].real, score_mask) for comp, i in enumerate(est_sct)
+    )
+    rows = [StudyRow("sct", seed, rel_sct, ot_sct), StudyRow("ct", seed, (), matched(ridges_ct)[1])]
 
     rel_sst = []
     for comp in range(k):

@@ -32,7 +32,8 @@ class TfcPointCloud:
     (t_s, freq_hz, chirp_hzps) triples; ``axis_offset``/``axis_scale`` record
     the affine maps so the normalization is reproducible.  ``core`` marks the
     points above the global energy quantile when per-frame peaks were
-    admitted as well (``None``: every point is a core point).
+    admitted as well (``None``: every point is a core point); the maps are
+    fitted to the core alone, so every point shares the core's coordinates.
     """
 
     points: np.ndarray  # [n, 3] normalized
@@ -47,15 +48,15 @@ class TfcPointCloud:
         return self.points.shape[0]
 
     def core_cloud(self) -> "TfcPointCloud":
-        """The core points as a cloud of their own, normalized over themselves.
+        """The core points as a cloud of their own: a subset of the rows.
 
         Equal to the selection without per-frame peaks.
         """
         if self.core is None:
             return self
-        if not self.core.any():
-            raise EmptyCloudError("no entries above the energy quantile")
-        return _normalized_cloud(self.physical[self.core], self.weights[self.core], self.frames[self.core])
+        c = self.core
+        return TfcPointCloud(self.points[c], self.physical[c], self.weights[c], self.frames[c], self.axis_offset,
+                             self.axis_scale)
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,8 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
     ``min_per_frame`` additionally admits each frame's strongest nonzero
     entries, so that frames whose ridge mass falls below the global
     threshold (the threshold chases the loudest spikes) still contribute;
-    the quantile entries are then marked in ``core``.
+    the quantile entries are then marked in ``core``, and the normalization
+    is fitted to them.
     """
     if not (0 <= q < 1):
         raise ParameterError("q must lie in [0, 1)")
@@ -113,12 +115,29 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
     if min_per_frame > 0:
         _admit_frame_peaks(mags, keep, min_per_frame)
     l_idx, m_idx, n_idx = np.nonzero(keep)
-    if l_idx.size == 0:
+    weights = mags[l_idx, m_idx, n_idx]
+    core = weights > threshold
+    if not core.any():
         raise EmptyCloudError("no entries above the energy quantile")
     t = n_idx / grid.sample_rate_hz  # seconds from the first frame
     physical = np.column_stack((t, grid.freqs_hz[m_idx], grid.chirps_hzps[l_idx]))
-    weights = mags[l_idx, m_idx, n_idx]
-    return _normalized_cloud(physical, weights, n_idx, weights > threshold if min_per_frame > 0 else None)
+    # scale each axis by the core's weighted central range rather than
+    # min-max: a handful of heavy-tailed outliers must not compress the axis
+    # where the components actually separate
+    core_pts = physical[core]
+    lo, hi = _weighted_quantiles(core_pts, weights[core], (0.05, 0.95))
+    span = hi - lo
+    fallback = core_pts.max(axis=0) - core_pts.min(axis=0)
+    span = np.where(span > 0, span, np.where(fallback > 0, fallback, 1.0))
+    return TfcPointCloud(
+        points=(physical - lo) / span,
+        physical=physical,
+        weights=weights,
+        frames=n_idx,
+        axis_offset=lo,
+        axis_scale=span,
+        core=core if min_per_frame > 0 else None,
+    )
 
 
 def _volume_quantile(mags: np.ndarray, q: float) -> float:
@@ -155,25 +174,6 @@ def _volume_quantile(mags: np.ndarray, q: float) -> float:
     gamma = virtual - np.floor(virtual)
     diff = hi - lo
     return hi - diff * (1 - gamma) if gamma >= 0.5 else lo + diff * gamma
-
-
-def _normalized_cloud(physical, weights, frames, core=None) -> TfcPointCloud:
-    # scale each axis by the weighted central range rather than min-max:
-    # a handful of heavy-tailed outliers must not compress the axis where
-    # the components actually separate
-    lo, hi = _weighted_quantiles(physical, weights, (0.05, 0.95))
-    span = hi - lo
-    fallback = physical.max(axis=0) - physical.min(axis=0)
-    span = np.where(span > 0, span, np.where(fallback > 0, fallback, 1.0))
-    return TfcPointCloud(
-        points=(physical - lo) / span,
-        physical=physical,
-        weights=weights,
-        frames=frames,
-        axis_offset=lo,
-        axis_scale=span,
-        core=core,
-    )
 
 
 FRAME_CHUNK = 64  # frames peeled together: a frame-major copy of this many frames
@@ -527,8 +527,5 @@ def extract_ridges(
 def _propagate_labels(core: TfcPointCloud, core_labels: np.ndarray, aug: TfcPointCloud) -> np.ndarray:
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(core.points)
-    scale = np.where(core.axis_scale > 0, core.axis_scale, 1.0)
-    aug_norm = (aug.physical - core.axis_offset) / scale
-    _, nearest = tree.query(aug_norm)
+    _, nearest = cKDTree(core.points).query(aug.points)
     return core_labels[nearest]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
+from .metrics import snr_db
 from .signal import Signal
 
 
@@ -208,8 +209,8 @@ def random_ict_scene(seed: int, sample_rate_hz: float = 100.0, duration_s: float
 def add_student_t_noise(samples: np.ndarray, dof: float = 4.0, scale: float = 1.0, seed=0):
     """Add real i.i.d. Student-t noise; returns (noisy, snr_db).
 
-    SNR is 20*log10(std(Re clean) / std(noise)) from the realized series;
-    a zero noise scale yields +inf.
+    The SNR is ``metrics.snr_db`` of the realized series; a zero noise scale
+    yields +inf.
     """
     if not dof > 2:
         raise ParameterError("dof must exceed 2 for finite noise variance")
@@ -218,6 +219,5 @@ def add_student_t_noise(samples: np.ndarray, dof: float = 4.0, scale: float = 1.
         return samples.copy(), np.inf
     rng = np.random.default_rng(seed)
     noise = scale * rng.standard_t(dof, samples.shape)
-    with np.errstate(divide="ignore"):
-        snr_db = 20 * np.log10(np.std(samples.real) / np.std(noise))
-    return samples + noise, float(snr_db)
+    with np.errstate(divide="ignore"):  # a silent clean signal is -inf dB
+        return samples + noise, snr_db(samples, noise)

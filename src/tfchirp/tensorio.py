@@ -9,9 +9,10 @@ C-ordered [n_chirp, n_freq, n_time] volume with interleaved (re, im).
 from __future__ import annotations
 
 import csv
+import errno
 import os
 import struct
-import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,21 +27,38 @@ _DTYPES = {0: np.complex64, 1: np.complex128}
 _CODES = {np.dtype(np.complex64): 0, np.dtype(np.complex128): 1}
 
 
-def _atomic_write(path: str, write_fn):
-    """Write via a temp file in the target directory, then rename; an OS error names ``path``."""
-    directory = os.path.dirname(os.path.abspath(path))
+@contextmanager
+def _temp_beside(path: str):
+    """A new temp file beside ``path``, removed unless renamed away; an OS error names
+    ``path``.  Its mode is 0o666 less the umask, as ``open(path, "wb")`` would give."""
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tfchirp-")
-        with os.fdopen(fd, "wb") as fh:
-            write_fn(fh)
-        os.replace(tmp, path)
-    except BaseException as exc:
+        name = os.path.join(os.path.dirname(os.path.abspath(path)), f".tfchirp-{os.urandom(8).hex()}")
+        os.close(os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        tmp = name  # ours to remove only once created
+        yield tmp
+    except OSError as exc:
+        raise FormatError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise FormatError(f"cannot write {path}: {exc.strerror or exc}") from None
-        raise
+
+
+def _atomic_write(path: str, write_fn):
+    """Write via a temp file in the target directory, then rename."""
+    with _temp_beside(path) as tmp:
+        with open(tmp, "wb") as fh:
+            write_fn(fh)
+        os.replace(tmp, path)
+
+
+def _check_writable(*paths):
+    """Fail as ``_atomic_write`` would on the first of ``paths`` it could not write:
+    a temp file beside each is made and removed, and a directory is refused."""
+    for path in paths:
+        with _temp_beside(path):
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
 
 
 def write_tensor(path: str, tensor: TfcTensor, t0_s: float = 0.0):
@@ -70,38 +88,44 @@ def write_tensor(path: str, tensor: TfcTensor, t0_s: float = 0.0):
     _atomic_write(path, emit)
 
 
-def read_tensor(path: str):
-    """Read a TFC1 file; returns (TfcTensor, t0_s)."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
-            raise FormatError("file too short for a TFC1 header")
-        magic, version, code, n_chirp, n_freq, n_time, alpha_sq, fs, t0 = _HEADER.unpack(raw)
-        if magic != TFC1_MAGIC:
-            raise FormatError("not a TFC1 file")
-        if version != TFC1_VERSION:
-            raise FormatError(f"unsupported TFC1 version {version}")
-        if code not in _DTYPES:
-            raise FormatError(f"unknown dtype code {code}")
-        dtype = np.dtype(_DTYPES[code]).newbyteorder("<")
-        count = n_chirp * n_freq * n_time
-        # check the claimed payload against the file before reading it: an
-        # oversized header must not turn into a huge allocation
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if count * dtype.itemsize > left:
-            raise FormatError(
-                f"TFC1 payload truncated: the header claims {n_chirp}x{n_freq}x{n_time} entries "
-                f"({count * dtype.itemsize} bytes), the file holds {left}"
-            )
-        values = np.fromfile(fh, dtype=dtype, count=count)
-        if values.size != count:
-            raise FormatError("TFC1 payload truncated")
-        values = values.astype(_DTYPES[code], copy=False).reshape(n_chirp, n_freq, n_time)
-    if not np.all(np.isfinite(values.view(values.real.dtype))):
-        raise FormatError("TFC1 payload contains non-finite entries")
+def _read_header(fh):
+    """Read and check a TFC1 header, leaving ``fh`` at the payload; returns (grid, dtype, t0_s)."""
+    raw = fh.read(_HEADER.size)
+    if len(raw) < _HEADER.size:
+        raise FormatError("file too short for a TFC1 header")
+    magic, version, code, n_chirp, n_freq, n_time, alpha_sq, fs, t0 = _HEADER.unpack(raw)
+    if magic != TFC1_MAGIC:
+        raise FormatError("not a TFC1 file")
+    if version != TFC1_VERSION:
+        raise FormatError(f"unsupported TFC1 version {version}")
+    if code not in _DTYPES:
+        raise FormatError(f"unknown dtype code {code}")
+    dtype = np.dtype(_DTYPES[code])
+    size = n_chirp * n_freq * n_time * dtype.itemsize
+    # checked before the payload is read: an oversized header must not turn into a huge allocation
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise FormatError(
+            f"TFC1 payload truncated: the header claims {n_chirp}x{n_freq}x{n_time} entries "
+            f"({size} bytes), the file holds {left}"
+        )
     grid = grid_from_resolution(alpha_sq, n_time, fs)
     if grid.n_chirp != n_chirp or grid.n_freq != n_freq:
         raise FormatError("TFC1 dims inconsistent with alpha_sq")
+    return grid, dtype, t0
+
+
+def read_tensor(path: str):
+    """Read a TFC1 file; returns (TfcTensor, t0_s)."""
+    with open(path, "rb") as fh:
+        grid, dtype, t0 = _read_header(fh)
+        count = grid.n_chirp * grid.n_freq * grid.n_time
+        values = np.fromfile(fh, dtype=dtype.newbyteorder("<"), count=count)
+        if values.size != count:
+            raise FormatError("TFC1 payload truncated")
+        values = values.astype(dtype, copy=False).reshape(grid.n_chirp, grid.n_freq, grid.n_time)
+    if not np.all(np.isfinite(values.view(values.real.dtype))):
+        raise FormatError("TFC1 payload contains non-finite entries")
     return TfcTensor(values=values, grid=grid), t0
 
 
@@ -190,13 +214,7 @@ def read_signal_csv(path: str, sample_rate_hz: float, t0_s: float = 0.0) -> Sign
 
 
 def write_signal_csv(path: str, signal: Signal):
-    def emit(fh):
-        text = ["re,im\n"]
-        for v in signal.samples:
-            text.append(f"{float(v.real)!r},{float(v.imag)!r}\n")
-        fh.write("".join(text).encode())
-
-    _atomic_write(path, emit)
+    _write_rows(path, ("re", "im"), zip(signal.samples.real, signal.samples.imag))
 
 
 def read_signal_raw(path: str, sample_rate_hz: float, interleaved_complex: bool = False) -> Signal:
@@ -221,7 +239,10 @@ def _cell(v) -> str:
 
 def write_csv_table(path: str, header, rows):
     """UTF-8 CSV with a single header line; floats keep full precision."""
+    _write_rows(path, header, rows)
 
+
+def _write_rows(path: str, header, rows):
     def emit(fh):
         out = [",".join(header) + "\n"]
         for row in rows:

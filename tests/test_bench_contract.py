@@ -6,6 +6,7 @@ breaks neither: the span or the hook just never fires, and a per-layer
 metric reads 0.  These tests name every such break.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -13,6 +14,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -88,3 +90,36 @@ def test_hooks_count_a_traced_study_unit(tmp_path):
     assert not workloads.study_check(inputs, out)
     metrics = tracing.layer_metrics([tracer.records()], 1.0)
     assert not [name for name in COUNTED if not metrics[name] > 0]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_study_seed_inputs_are_random_studys(tmp_path, monkeypatch, seed):
+    # study_seed is described as one crossing_study call at random_study's
+    # configuration; the workload rebuilds that configuration by hand
+    from tfchirp import pipeline
+
+    workloads = _load(TRACING.parent / "workloads.py", "perfbench_workloads")
+    signature = inspect.signature(pipeline.crossing_study)
+    captured = {}
+
+    class Captured(Exception):
+        pass
+
+    def capture(*args, **kwargs):
+        captured.update(signature.bind(*args, **kwargs).arguments)
+        raise Captured
+
+    monkeypatch.setattr(pipeline, "crossing_study", capture)
+    with pytest.raises(Captured):
+        pipeline.random_study([seed])
+    expected = workloads.study_inputs(seed, workloads.FULL, str(tmp_path))
+    assert sorted(captured) == sorted(expected)
+    for name, want in expected.items():
+        got = captured[name]
+        if name == "scene":
+            for field in dataclasses.fields(want):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), f"scene.{field.name}"
+        elif isinstance(want, np.ndarray):
+            assert np.array_equal(got, want), name
+        else:
+            assert got == want, name

@@ -2,15 +2,17 @@ import csv
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tfchirp.cli import main
-from tfchirp.signal import Signal, WindowFamily
+from tfchirp.signal import Signal, WindowFamily, grid_from_resolution
 from tfchirp.synth import crossing_chirp_pair
-from tfchirp.tensorio import read_tensor, write_signal_csv
+from tfchirp.tensorio import read_tensor, write_signal_csv, write_tensor
+from tfchirp.transform import TfcTensor
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +189,21 @@ def test_info_command(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "alpha_sq: 0.25" in text
     assert "dims: 4 x 3 x 16" in text
+
+
+def test_info_reads_only_the_header(tmp_path, capsys):
+    grid = grid_from_resolution(0.01, 401, 100.0)
+    path = str(tmp_path / "big.tfc1")
+    write_tensor(path, TfcTensor(np.zeros((grid.n_chirp, grid.n_freq, grid.n_time), np.complex64), grid))
+    assert os.path.getsize(path) >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        assert main(["info", "--tensor", path]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "dims: 100 x 51 x 401" in capsys.readouterr().out
+    assert peak < 2**20, peak
 
 
 def test_usage_errors(tmp_path):
@@ -552,6 +569,38 @@ def test_write_errors_name_the_given_path(crossing_csv, tmp_path, capsys, args):
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 2 and bad in err and ".tfchirp-" not in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        ("reconstruct --ridge-csv {out}/r.csv --mode-prefix {bad}/m", "{bad}/m0.csv"),
+        ("reconstruct --ridge-csv {out}/r.csv --mode-prefix {out}/m --truth {truth} --report {bad}/rep.csv",
+         "{bad}/rep.csv"),
+        ("sct --output {out}/o.tfc1 --summary {bad}/c.csv", "{bad}/c.csv"),
+        ("sct --output {out}/o.tfc1 --slice 3 --slice-csv {bad}/s.csv", "{bad}/s.csv"),
+        ("sct --output {out}/o.tfc1 --summary {out}/adir", "{out}/adir"),
+        ("transform --output {out}/t.tfc1 --tf-csv {bad}/x.csv", "{bad}/x.csv"),
+        ("synth --scene crossing --output {out}/s.csv --truth-prefix {bad}/t_", "{bad}/t_component0.csv"),
+    ],
+    ids=["reconstruct-mode", "reconstruct-report", "sct-summary", "sct-slice", "sct-directory", "transform-tf-csv",
+         "synth-truth"],
+)
+def test_unwritable_output_leaves_no_other_output(crossing_csv, tmp_path, monkeypatch, capsys, args, named):
+    # every output is checked before the input is read, so nothing is analysed or written
+    _no_analysis(monkeypatch)
+    out, bad = tmp_path / "out", tmp_path / "nodir"
+    (out / "adir").mkdir(parents=True)
+    truth = tmp_path / "truth.csv"
+    write_signal_csv(str(truth), Signal(crossing_chirp_pair().components[0], 100.0))
+    argv = args.format(out=out, bad=bad, truth=truth).split()
+    if argv[0] != "synth":
+        argv += ["--input", crossing_csv, "--rate", "100"]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: cannot write {named.format(out=out, bad=bad)}: "), err
+    assert err.count("\n") == 1
+    assert sorted(os.listdir(out)) == ["adir"]
 
 
 def test_cli_import_leaves_the_heavy_scipy_modules_unloaded():

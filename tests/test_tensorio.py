@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -164,3 +167,17 @@ def test_wav_rejects_non_integer_rate(tmp_path):
     assert not path.exists()
     write_wav(str(path), np.zeros(16), 8000.0)  # an integral float is a valid rate
     assert read_wav(str(path)).sample_rate_hz == 8000
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    # as a file made by open(path, "w") would, not mkstemp's 0o600
+    tensor = random_tensor()
+    previous = os.umask(umask)
+    try:
+        write_tensor(str(tmp_path / "t.tfc1"), tensor)
+        write_signal_csv(str(tmp_path / "s.csv"), Signal(np.ones(4), 1.0))
+    finally:
+        os.umask(previous)
+    for name in ("t.tfc1", "s.csv"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == mode, name
