@@ -240,7 +240,8 @@ def _write_ridges(path: str, ridges, times_s: np.ndarray):
 def cmd_ridge(args) -> int:
     config = _config(args)
     tensorio._check_writable(args.output)
-    tensor, t0 = tensorio.read_tensor(args.tensor)
+    with _naming("--tensor", args.tensor):
+        tensor, t0 = tensorio.read_tensor(args.tensor)
     with _memory_guard(tensor.grid):
         ridges = extract_ridges(tensor, config.n_components, config.ridge_params())
     _write_ridges(args.output, ridges, t0 + np.arange(tensor.grid.n_time) / tensor.grid.sample_rate_hz)
@@ -333,7 +334,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_info(args) -> int:
-    with open(args.tensor, "rb") as fh:
+    with _naming("--tensor", args.tensor), open(args.tensor, "rb") as fh:
         grid, dtype, t0 = tensorio._read_header(fh)
     print(f"dims: {grid.n_chirp} x {grid.n_freq} x {grid.n_time}")
     print(f"alpha_sq: {grid.alpha_sq}")

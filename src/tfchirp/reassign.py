@@ -40,7 +40,7 @@ M2_GUARD = 1e-12
 DEFAULT_NU_REL = 1e-4
 ALIAS_TOL = 1e-3
 FETCH_BLOCKS = 8  # field blocks whose companion rows are summed in one product
-SQUEEZE_BLOCK = 1 << 20  # entries per block of the squeeze: bounds its temporaries
+SQUEEZE_BLOCK = 1 << 18  # entries per block of a pass over a whole volume: bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,15 @@ def default_threshold(values: np.ndarray, rel: float = DEFAULT_NU_REL) -> float:
     +inf so that every entry is undefined and the squeeze of silence is
     silence.
     """
-    peak = float(np.abs(values).max())
+    flat = np.ravel(values)
+    peak = float(np.max([np.abs(flat[b]).max() for b in _entry_blocks(flat.size)]))
     return rel * peak if peak > 0 else np.inf
+
+
+def _entry_blocks(size: int):
+    """Ascending slices of at most ``SQUEEZE_BLOCK`` entries that cover ``range(size)``."""
+    step = SQUEEZE_BLOCK
+    return (slice(lo, lo + step) for lo in range(0, size, step))
 
 
 def _mu_omega(T, T1, T2, U, U1, V, lam, freqs, nu):
@@ -164,8 +171,8 @@ def _destination_blocks(field: ReassignmentField):
     """
     grid = field.grid
     omega, mu = field.omega.reshape(-1), field.mu.reshape(-1)
-    for lo in range(0, omega.size, SQUEEZE_BLOCK):
-        src = np.flatnonzero(~np.isnan(omega[lo : lo + SQUEEZE_BLOCK])) + lo
+    for block in _entry_blocks(omega.size):
+        src = np.flatnonzero(~np.isnan(omega[block])) + block.start
         m_dest = round_half_away(omega[src] / grid.freq_step_hz)
         l_dest = round_half_away(mu[src] / grid.chirp_step_hzps) + (grid.M - 1)
         ok = (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)

@@ -18,7 +18,7 @@ from .errors import (
     ExtractionError,
     ParameterError,
 )
-from .reassign import _destination_blocks
+from .reassign import _destination_blocks, _entry_blocks
 from .signal import TfcGrid
 from .transform import TfcTensor
 
@@ -109,16 +109,21 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
     if not (0 <= q < 1):
         raise ParameterError("q must lie in [0, 1)")
     grid = tensor.grid
-    mags = np.abs(tensor.values)
-    threshold = _volume_quantile(mags, q)
-    keep = mags > threshold
+    values = tensor.values
+    flat = values.reshape(-1)
+    threshold = _volume_quantile(values, q)
+    # |S| exists a block at a time; the picks are ascending flat indices,
+    # the order of np.nonzero over the whole volume
+    picked = np.concatenate(
+        [np.flatnonzero(np.abs(flat[b]) > threshold) + b.start for b in _entry_blocks(flat.size)]
+    )
     if min_per_frame > 0:
-        _admit_frame_peaks(mags, keep, min_per_frame)
-    l_idx, m_idx, n_idx = np.nonzero(keep)
-    weights = mags[l_idx, m_idx, n_idx]
+        picked = np.unique(np.concatenate((picked, _admit_frame_peaks(values, min_per_frame))))
+    weights = np.abs(flat[picked])
     core = weights > threshold
     if not core.any():
         raise EmptyCloudError("no entries above the energy quantile")
+    l_idx, m_idx, n_idx = np.unravel_index(picked, values.shape)
     t = n_idx / grid.sample_rate_hz  # seconds from the first frame
     physical = np.column_stack((t, grid.freqs_hz[m_idx], grid.chirps_hzps[l_idx]))
     # scale each axis by the core's weighted central range rather than
@@ -140,34 +145,39 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
     )
 
 
-def _volume_quantile(mags: np.ndarray, q: float) -> float:
-    """``np.quantile(mags, q)`` without copying or partitioning the volume.
+def _volume_quantile(values: np.ndarray, q: float) -> float:
+    """``np.quantile(np.abs(values), q)`` without a volume of magnitudes.
 
-    A strided sample of at most 2^17 entries gives a bound a few standard
-    deviations below the target rank; only the entries at or above it are
-    copied and partitioned at numpy's two order statistics, and the value
-    is interpolated with numpy's ``linear`` formula.  Whenever the
-    candidates cannot hold both order statistics (a misleading sample, too
-    small a sample, NaN entries), this is ``np.quantile`` itself.
+    A strided sample of at most 2^17 magnitudes gives a bound a few standard
+    deviations below the target rank; the entries are then counted against
+    it block by block, only the magnitudes at or above it are kept and
+    partitioned at numpy's two order statistics, and the value is
+    interpolated with numpy's ``linear`` formula.  Whenever the candidates
+    cannot hold both order statistics (a misleading sample, too small a
+    sample, NaN entries), this is ``np.quantile`` itself.
     """
-    flat = mags.reshape(-1)
+    flat = values.reshape(-1)
     n = flat.size
     virtual = (n - 1) * q
     prev = int(np.floor(virtual))
     nxt = min(prev + 1, n - 1)
-    sample = flat[:: max(1, n >> 16)]
+    sample = np.abs(flat[:: max(1, n >> 16)])
     above = (n - prev) * sample.size / n  # sample entries expected at or above rank prev
     k = int(prev * sample.size / n - 4 * np.sqrt(above) - 1)
     if k < 0:
-        return np.quantile(mags, q)
+        return np.quantile(np.abs(values), q)
     bound = np.partition(sample, k)[k]
-    mask = flat < bound
-    below = np.count_nonzero(mask)
+    below, cands = 0, []
+    for b in _entry_blocks(n):
+        mags = np.abs(flat[b])
+        mask = mags < bound
+        below += np.count_nonzero(mask)
+        cands.append(mags[np.logical_not(mask, out=mask)])
     if below > prev:
-        return np.quantile(mags, q)
-    cand = flat[np.logical_not(mask, out=mask)]
+        return np.quantile(np.abs(values), q)
+    cand = np.concatenate(cands)
     if np.isnan(cand).any():
-        return np.quantile(mags, q)
+        return np.quantile(np.abs(values), q)
     cand.partition((prev - below, nxt - below))
     lo, hi = cand[prev - below], cand[nxt - below]
     # numpy's _lerp, branch for branch
@@ -179,20 +189,21 @@ def _volume_quantile(mags: np.ndarray, q: float) -> float:
 FRAME_CHUNK = 64  # frames peeled together: a frame-major copy of this many frames
 
 
-def _admit_frame_peaks(mags: np.ndarray, keep: np.ndarray, count: int, suppress=(3, 2)):
-    """Mark each frame's strongest separated peaks as kept (in place).
+def _admit_frame_peaks(values: np.ndarray, count: int, suppress=(3, 2)) -> np.ndarray:
+    """Flat indices of each frame's ``count`` strongest separated peaks of ``|values|``.
 
     Peaks are peeled greedily with a suppression neighborhood of
     ``suppress`` (chirp, frequency) bins, so a frame whose weaker component
     falls below the global threshold still contributes its ridge point.
     The frames of one chunk are peeled at once, from a frame-major copy of
-    that chunk only; a frame whose maximum is not positive has no peaks
-    left.
+    that chunk's magnitudes only; a frame whose maximum is not positive has
+    no peaks left.  No index repeats.
     """
-    n_chirp, n_freq, n_time = mags.shape
+    n_chirp, n_freq, n_time = values.shape
     dl, dm = suppress
+    picked = [np.empty(0, dtype=np.intp)]
     for c0 in range(0, n_time, FRAME_CHUNK):
-        frames = np.ascontiguousarray(np.moveaxis(mags[:, :, c0 : c0 + FRAME_CHUNK], 2, 0))
+        frames = np.abs(values[:, :, c0 : c0 + FRAME_CHUNK].transpose(2, 0, 1), order="C")
         frames = frames.reshape(-1, n_chirp * n_freq)
         n_chunk = frames.shape[0]
         for _ in range(count):
@@ -201,13 +212,14 @@ def _admit_frame_peaks(mags: np.ndarray, keep: np.ndarray, count: int, suppress=
             if live.size == 0:
                 break
             idx = idx[live]
+            picked.append(idx * n_time + (c0 + live))
             l, m = np.divmod(idx, n_freq)
-            keep[l, m, c0 + live] = True
             ll = l[:, None, None] + np.arange(-dl, dl + 1)[:, None]
             mm = m[:, None, None] + np.arange(-dm, dm + 1)
             inside = (ll >= 0) & (ll < n_chirp) & (mm >= 0) & (mm < n_freq)
             rows = np.broadcast_to(live[:, None, None], inside.shape)
             frames[rows[inside], (ll * n_freq + mm)[inside]] = 0.0
+    return np.concatenate(picked)
 
 
 def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs) -> tuple:
@@ -249,7 +261,13 @@ def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = R
     sigma = np.percentile(dists, sigma_pct)
     if sigma <= 0:
         raise DegenerateCloudError("all selected points coincide")
-    sym = squareform(np.exp(-(dists**2) / (2 * sigma**2)))
+    # exp(-(dists**2) / (2 * sigma**2)), the same operations done in place
+    np.square(dists, out=dists)
+    np.negative(dists, out=dists)
+    np.divide(dists, 2 * sigma**2, out=dists)
+    np.exp(dists, out=dists)
+    sym = squareform(dists)
+    del dists
     np.fill_diagonal(sym, 1.0)
     d_isqrt = 1.0 / np.sqrt(sym.sum(axis=1))
     sym *= d_isqrt[:, None]  # W -> D^-1/2 W D^-1/2 in place

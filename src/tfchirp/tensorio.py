@@ -109,7 +109,12 @@ def _read_header(fh):
             f"TFC1 payload truncated: the header claims {n_chirp}x{n_freq}x{n_time} entries "
             f"({size} bytes), the file holds {left}"
         )
-    grid = grid_from_resolution(alpha_sq, n_time, fs)
+    try:
+        grid = grid_from_resolution(alpha_sq, n_time, fs)
+    except ParameterError as exc:
+        raise FormatError(f"TFC1 header outside the grid's domain: {exc}") from None
+    if not np.isfinite(t0):
+        raise FormatError(f"TFC1 header: t0_s must be finite, got {t0}")
     if grid.n_chirp != n_chirp or grid.n_freq != n_freq:
         raise FormatError("TFC1 dims inconsistent with alpha_sq")
     return grid, dtype, t0

@@ -135,15 +135,16 @@ def _windowed_sums(signal: Signal, windows, grid: TfcGrid):
     transforms of the flat (chirp, frequency) rows ``rows`` (flat row
     ``l_slot * n_freq + m``) against each window, in one matrix product of
     the requested rows' phases with the windowed segments ``hstack(w * S)``.
-    The segments are stacked once; the phases exist only for the rows of a
-    call, never for the whole grid.
+    The windowed segments are made once, into one array; the phases exist
+    only for the rows of a call, never for the whole grid.
     """
     if grid.n_time != len(signal):
         raise ShapeError(f"grid.n_time={grid.n_time} != signal length {len(signal)}")
     half_len = (windows[0].size - 1) // 2
     chirp_phase, freq_phase = _phase_factors(grid, half_len)
     S = _padded_segments(signal, half_len)
-    stacked = np.hstack([w[:, None] * S for w in windows])
+    # [2K+1, len(windows), N] made once and viewed as [2K+1, len(windows) * N]
+    stacked = np.multiply(np.stack(windows, axis=1)[:, :, None], S[:, None, :]).reshape(S.shape[0], -1)
 
     def sums(rows):
         E = chirp_phase[rows // grid.n_freq]

@@ -10,6 +10,9 @@ straightforward forms it is checked against:
   stored volumes, each one call of ``chirplet_transform``;
 - ``squeeze_destinations`` and ``conservation_full_volume``: the squeeze's
   rounding and the conservation residual over the whole volume in one pass;
+- ``select_high_energy`` and ``admit_frame_peaks_loop``: the ridge cloud
+  selected on a whole |S| volume with a boolean mask, and the per-frame
+  peaks peeled one frame at a time;
 - the closed-form transform of a linear chirp, the Fresnel segment, and
   adaptive quadratures of the 1-d chirp transform and of the continuous
   chirplet transform.
@@ -21,7 +24,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import fresnel
 
-from tfchirp.errors import ParameterError, ShapeError
+from tfchirp.errors import EmptyCloudError, ParameterError, ShapeError
+from tfchirp.ridge import TfcPointCloud, _weighted_quantiles
 from tfchirp.signal import TfcGrid, WindowBank, WindowFamily, round_half_away
 from tfchirp.transform import TfcTensor, chirplet_transform
 
@@ -136,6 +140,55 @@ def conservation_full_volume(field, squeezed):
     lhs = squeezed.values.sum(axis=(0, 1))
     rhs = np.where(contrib, field.h.values, 0).sum(axis=(0, 1))
     return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# Ridge selection over the whole volume
+
+
+def admit_frame_peaks_loop(mags, keep, count, suppress=(3, 2)):
+    """Mark each frame's ``count`` strongest separated peaks in ``keep``, one frame at a time."""
+    n_chirp, n_freq, n_time = mags.shape
+    dl, dm = suppress
+    for n in range(n_time):
+        frame = mags[:, :, n].copy()
+        for _ in range(count):
+            idx = np.argmax(frame)
+            l, m = divmod(idx, n_freq)
+            if frame[l, m] <= 0:
+                break
+            keep[l, m, n] = True
+            frame[max(0, l - dl) : l + dl + 1, max(0, m - dm) : m + dm + 1] = 0.0
+
+
+def select_high_energy(tensor, q, min_per_frame=0):
+    """The ridge cloud from the |S| volume, its exact quantile and one selection mask."""
+    grid = tensor.grid
+    mags = np.abs(tensor.values)
+    threshold = np.quantile(mags, q)
+    keep = mags > threshold
+    if min_per_frame > 0:
+        admit_frame_peaks_loop(mags, keep, min_per_frame)
+    l_idx, m_idx, n_idx = np.nonzero(keep)
+    weights = mags[l_idx, m_idx, n_idx]
+    core = weights > threshold
+    if not core.any():
+        raise EmptyCloudError("no entries above the energy quantile")
+    physical = np.column_stack((n_idx / grid.sample_rate_hz, grid.freqs_hz[m_idx], grid.chirps_hzps[l_idx]))
+    core_pts = physical[core]
+    lo, hi = _weighted_quantiles(core_pts, weights[core], (0.05, 0.95))
+    span = hi - lo
+    fallback = core_pts.max(axis=0) - core_pts.min(axis=0)
+    span = np.where(span > 0, span, np.where(fallback > 0, fallback, 1.0))
+    return TfcPointCloud(
+        points=(physical - lo) / span,
+        physical=physical,
+        weights=weights,
+        frames=n_idx,
+        axis_offset=lo,
+        axis_scale=span,
+        core=core if min_per_frame > 0 else None,
+    )
 
 
 # ---------------------------------------------------------------------------

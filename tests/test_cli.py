@@ -353,6 +353,46 @@ def test_oversized_tfc1_header_exits_2(tmp_path, capsys, dims, command):
     assert err.count("\n") == 1 and "truncated" in err
 
 
+@pytest.mark.parametrize("command", ["info", "ridge"])
+@pytest.mark.parametrize(
+    "dims, alpha_sq, rate, t0",
+    [
+        ((3, 3, 4), 0.0, 4.0, 0.0),
+        ((3, 3, 4), 0.25, float("nan"), 0.0),
+        ((3, 3, 0), 0.25, 4.0, 0.0),
+        ((3, 3, 4), 0.25, 4.0, float("nan")),
+    ],
+    ids=["alpha_sq-0", "rate-nan", "n_time-0", "t0-nan"],
+)
+def test_tfc1_header_outside_its_domain_exits_2(tmp_path, capsys, dims, alpha_sq, rate, t0, command):
+    import struct
+
+    path = tmp_path / "bad.tfc1"
+    payload = b"\0" * (16 * dims[0] * dims[1] * dims[2])
+    path.write_bytes(struct.pack("<4sHH3Iddd", b"TFC1", 1, 1, *dims, alpha_sq, rate, t0) + payload)
+    args = {"info": [], "ridge": ["--output", str(tmp_path / "r.csv")]}[command]
+    assert main([command, "--tensor", str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --tensor {path}: TFC1 header") and err.count("\n") == 1, err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["info", "ridge"])
+@pytest.mark.parametrize("kind", ["text", "truncated"])
+def test_tensor_errors_name_the_flag_and_the_file(tmp_path, capsys, kind, command):
+    path = tmp_path / "t.tfc1"
+    if kind == "text":
+        path.write_text("re,im\n" + "1.0,0.0\n" * 20)
+    else:
+        grid = grid_from_resolution(0.25, 16, 4.0)
+        write_tensor(str(path), TfcTensor(np.ones((grid.n_chirp, grid.n_freq, 16), dtype=complex), grid))
+        path.write_bytes(path.read_bytes()[:-16])
+    args = {"info": [], "ridge": ["--output", str(tmp_path / "r.csv")]}[command]
+    assert main([command, "--tensor", str(path), *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --tensor {path}: ") and err.count("\n") == 1, err
+
+
 def test_ridge_memory_error_exits_3_with_grid(tmp_path, monkeypatch, capsys):
     from tfchirp import cli
     from tfchirp.signal import grid_from_resolution

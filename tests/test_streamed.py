@@ -128,13 +128,15 @@ def test_conservation_matches_full_volume_formula():
 
 @pytest.mark.parametrize("n", [0, 2])
 def test_run_sct_memory_budget(crossing_scene, crossing_grid, n):
+    # both peak in the field's companion sums, which hold more windows at n = 2
+    budget = {0: 3.73, 2: 4.53}[n]
     signal = crossing_scene.signal()
     grid = crossing_grid
     assert (grid.n_chirp, grid.n_freq, grid.n_time) == (100, 51, 401)
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
     result, peak, retained = traced_volumes(lambda: run_sct(signal, WindowFamily(n, 1.0), grid), volume)
     assert result.squeezed.values.shape == (100, 51, 401)
-    assert peak <= 5.0
+    assert peak <= budget
     assert retained <= 3.2
 
 
