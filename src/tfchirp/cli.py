@@ -132,11 +132,12 @@ def _read_signal(args, *outputs) -> Signal:
     tensorio._check_writable(*filter(None, outputs))
     with _naming("--input", args.input):
         if fmt == "wav":
-            return tensorio.read_wav(args.input, downsample=args.downsample)
-        if fmt == "csv":
-            return tensorio.read_signal_csv(args.input, args.rate, args.t0)
-        sig = tensorio.read_signal_raw(args.input, args.rate, interleaved_complex=fmt == "raw-complex")
-        return Signal(sig.samples, sig.sample_rate_hz, args.t0)
+            sig = tensorio.read_wav(args.input, downsample=args.downsample)
+        elif fmt == "csv":
+            sig = tensorio.read_signal_csv(args.input, args.rate)
+        else:
+            sig = tensorio.read_signal_raw(args.input, args.rate, interleaved_complex=fmt == "raw-complex")
+    return Signal(sig.samples, sig.sample_rate_hz, args.t0)
 
 
 def _analysis_window(config: RunConfig, signal: Signal) -> tuple:

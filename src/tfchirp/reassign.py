@@ -216,6 +216,7 @@ def squeeze_conservation(field: ReassignmentField, squeezed: TfcTensor) -> np.nd
 
 def _stft_transforms(signal: Signal, bank: WindowBank, grid: TfcGrid) -> tuple:
     """The STFT and its companions (W, W1, W2, U, U1, V): the bank's zero-chirp rows."""
+    bank.check_rate(signal)
     windows = [bank.h, bank.th, bank.t2h, *bank.basis]
     sums = _windowed_sums(signal, windows, grid)(_zero_chirp_rows(grid))
     return (sums[:, 0], *_companions(bank.family, sums[:, 0], sums[:, 1:]))

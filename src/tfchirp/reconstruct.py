@@ -77,8 +77,7 @@ def reconstruct_modes(signal: Signal, ridges: RidgeSet, bank: WindowBank) -> Rec
     fails ``check_window_condition`` is rejected before any work.
     """
     check_window_condition(bank.family)
-    if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
-        raise ParameterError("window bank dt_s does not match the signal sample rate")
+    bank.check_rate(signal)
     K = ridges.n_components
     n = ridges.n_time
     if n != len(signal):

@@ -91,6 +91,7 @@ class RidgeParams:
 
 
 KMEANS_RESTARTS = 50
+LLOYD_MAX_ITER = 300
 # robust local-linear smoothing of the curves built from source entries
 FIT_HALF_WIDTH_S = 0.5
 FIT_ITERS = 4
@@ -110,16 +111,10 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
         raise ParameterError("q must lie in [0, 1)")
     grid = tensor.grid
     values = tensor.values
-    flat = values.reshape(-1)
-    threshold = _volume_quantile(values, q)
-    # |S| exists a block at a time; the picks are ascending flat indices,
-    # the order of np.nonzero over the whole volume
-    picked = np.concatenate(
-        [np.flatnonzero(np.abs(flat[b]) > threshold) + b.start for b in _entry_blocks(flat.size)]
-    )
+    threshold, picked = _above_quantile(values, q)
     if min_per_frame > 0:
         picked = np.unique(np.concatenate((picked, _admit_frame_peaks(values, min_per_frame))))
-    weights = np.abs(flat[picked])
+    weights = np.abs(values.ravel()[picked])
     core = weights > threshold
     if not core.any():
         raise EmptyCloudError("no entries above the energy quantile")
@@ -145,62 +140,64 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
     )
 
 
-def _volume_quantile(values: np.ndarray, q: float) -> float:
-    """``np.quantile(np.abs(values), q)`` without a volume of magnitudes.
+def _above_quantile(values: np.ndarray, q: float) -> tuple:
+    """``np.quantile(np.abs(values), q)`` and the ascending flat indices above it, in one walk.
 
-    A strided sample of at most 2^17 magnitudes gives a bound a few standard
-    deviations below the target rank; the entries are then counted against
-    it block by block, only the magnitudes at or above it are kept and
-    partitioned at numpy's two order statistics, and the value is
-    interpolated with numpy's ``linear`` formula.  Whenever the candidates
-    cannot hold both order statistics (a misleading sample, too small a
-    sample, NaN entries), this is ``np.quantile`` itself.
+    Magnitudes above a rising floor are held with their indices, a block at
+    a time; the rest are counted.  The floor starts at 0 and rises to the
+    ``keep``-th largest whenever more than ``2 * keep`` are held, so at most
+    2·keep plus a block are held; every entry below the floor still ranks
+    under numpy's lower order statistic ``prev``.  NaN gives a NaN threshold
+    and no indices, as ``np.quantile`` gives NaN.
     """
     flat = values.reshape(-1)
     n = flat.size
     virtual = (n - 1) * q
     prev = int(np.floor(virtual))
-    nxt = min(prev + 1, n - 1)
-    sample = np.abs(flat[:: max(1, n >> 16)])
-    above = (n - prev) * sample.size / n  # sample entries expected at or above rank prev
-    k = int(prev * sample.size / n - 4 * np.sqrt(above) - 1)
-    if k < 0:
-        return np.quantile(np.abs(values), q)
-    bound = np.partition(sample, k)[k]
-    below, cands = 0, []
+    keep = n - prev  # the entries ranked at or above prev
+    floor, counted, idx, mags = 0.0, 0, [], []
     for b in _entry_blocks(n):
-        mags = np.abs(flat[b])
-        mask = mags < bound
-        below += np.count_nonzero(mask)
-        cands.append(mags[np.logical_not(mask, out=mask)])
-    if below > prev:
-        return np.quantile(np.abs(values), q)
-    cand = np.concatenate(cands)
-    if np.isnan(cand).any():
-        return np.quantile(np.abs(values), q)
-    cand.partition((prev - below, nxt - below))
-    lo, hi = cand[prev - below], cand[nxt - below]
+        block = np.abs(flat[b])
+        hit = np.flatnonzero(~(block <= floor))  # NaN is held, and ends the walk
+        mags.append(block[hit])
+        if np.isnan(mags[-1]).any():
+            return np.nan, hit[:0]
+        counted += block.size - hit.size
+        idx.append(hit + b.start)
+        held = b.start + block.size - counted
+        if held > 2 * keep:
+            m = np.concatenate(mags)
+            floor = np.partition(m, held - keep)[held - keep]
+            above = m > floor
+            idx, mags = [np.concatenate(idx)[above]], [m[above]]
+            counted += held - mags[0].size
+    idx, mags = np.concatenate(idx), np.concatenate(mags)
+    ranks = [r - counted for r in (prev, min(prev + 1, n - 1))]  # within the held magnitudes
+    part = np.partition(mags, [max(r, 0) for r in ranks]) if ranks[1] >= 0 else mags
+    lo, hi = (part[r] if r >= 0 else floor for r in ranks)
     # numpy's _lerp, branch for branch
     gamma = virtual - np.floor(virtual)
     diff = hi - lo
-    return hi - diff * (1 - gamma) if gamma >= 0.5 else lo + diff * gamma
+    threshold = hi - diff * (1 - gamma) if gamma >= 0.5 else lo + diff * gamma
+    return threshold, idx[mags > threshold]
 
 
 FRAME_CHUNK = 64  # frames peeled together: a frame-major copy of this many frames
+PEAK_SUPPRESS = (3, 2)  # (chirp, frequency) bins cleared on each side of a peeled peak
 
 
-def _admit_frame_peaks(values: np.ndarray, count: int, suppress=(3, 2)) -> np.ndarray:
+def _admit_frame_peaks(values: np.ndarray, count: int) -> np.ndarray:
     """Flat indices of each frame's ``count`` strongest separated peaks of ``|values|``.
 
     Peaks are peeled greedily with a suppression neighborhood of
-    ``suppress`` (chirp, frequency) bins, so a frame whose weaker component
+    ``PEAK_SUPPRESS`` (chirp, frequency) bins, so a frame whose weaker component
     falls below the global threshold still contributes its ridge point.
     The frames of one chunk are peeled at once, from a frame-major copy of
     that chunk's magnitudes only; a frame whose maximum is not positive has
     no peaks left.  No index repeats.
     """
     n_chirp, n_freq, n_time = values.shape
-    dl, dm = suppress
+    dl, dm = PEAK_SUPPRESS
     picked = [np.empty(0, dtype=np.intp)]
     for c0 in range(0, n_time, FRAME_CHUNK):
         frames = np.abs(values[:, :, c0 : c0 + FRAME_CHUNK].transpose(2, 0, 1), order="C")
@@ -224,15 +221,12 @@ def _admit_frame_peaks(values: np.ndarray, count: int, suppress=(3, 2)) -> np.nd
 
 def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs) -> tuple:
     """Per-column weighted quantiles of an [n, d] array."""
-    out = [np.empty(values.shape[1]) for _ in qs]
+    out = np.empty((len(qs), values.shape[1]))
     for col in range(values.shape[1]):
         order = np.argsort(values[:, col])
         cw = np.cumsum(weights[order])
-        targets = np.asarray(qs) * cw[-1]
-        idx = np.searchsorted(cw, targets)
-        idx = np.clip(idx, 0, order.size - 1)
-        for row, i in enumerate(idx):
-            out[row][col] = values[order[i], col]
+        idx = np.clip(np.searchsorted(cw, np.asarray(qs) * cw[-1]), 0, order.size - 1)
+        out[:, col] = values[order[idx], col]
     return tuple(out)
 
 
@@ -321,10 +315,10 @@ def _kmeans_pp_init(pts, k, rng):
         d2 = np.minimum(d2, ((pts - centers[i]) ** 2).sum(axis=1))
     return centers
 
-def _lloyd(pts, centers, max_iter=300):
+def _lloyd(pts, centers):
     k = centers.shape[0]
     labels = np.zeros(pts.shape[0], dtype=int)
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_labels = d2.argmin(axis=1)
         for i in range(k):

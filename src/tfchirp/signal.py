@@ -99,6 +99,11 @@ class WindowBank:
     def offsets_s(self) -> np.ndarray:
         return np.arange(-self.half_len, self.half_len + 1) * self.dt_s
 
+    def check_rate(self, signal: Signal):
+        """Raise ``ParameterError`` unless the bank is sampled at ``signal``'s rate."""
+        if abs(self.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
+            raise ParameterError("window bank dt_s does not match the signal sample rate")
+
 
 def make_window_bank(family: WindowFamily, half_len: int, dt_s: float) -> WindowBank:
     """Sample a window family's bank analytically.

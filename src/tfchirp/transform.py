@@ -182,8 +182,7 @@ def chirplet_transform(signal: Signal, window: np.ndarray, grid: TfcGrid) -> Tfc
 
 def streamed_bank_transform(signal: Signal, bank: WindowBank, grid: TfcGrid) -> StreamedBank:
     """T^h, equal to ``chirplet_transform(signal, bank.h, ...)``, and the companions on demand."""
-    if abs(bank.dt_s * signal.sample_rate_hz - 1.0) > 1e-9:
-        raise ShapeError("window bank dt_s does not match the signal sample rate")
+    bank.check_rate(signal)
     return StreamedBank(_volume(signal, bank.h, grid), signal, bank)
 
 

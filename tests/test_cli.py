@@ -11,7 +11,7 @@ import pytest
 from tfchirp.cli import main
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution
 from tfchirp.synth import crossing_chirp_pair
-from tfchirp.tensorio import read_tensor, write_signal_csv, write_tensor
+from tfchirp.tensorio import read_tensor, write_signal_csv, write_tensor, write_wav
 from tfchirp.transform import TfcTensor
 
 
@@ -232,15 +232,18 @@ def test_transform_raw_complex_with_t0(tmp_path):
     inter = np.empty(128)
     inter[0::2] = data
     inter[1::2] = 0.5 * data
-    src = tmp_path / "sig.f64"
-    inter.astype("<f8").tofile(src)
+    raw = tmp_path / "sig.f64"
+    inter.astype("<f8").tofile(raw)
+    wav = tmp_path / "sig.wav"
+    write_wav(str(wav), 0.25 * data, 16)
     cfg = write_config(tmp_path, alpha_sq=0.1, half_len=8)
-    out = tmp_path / "raw.tfc1"
-    code = main(["--config", cfg, "transform", "--input", str(src), "--format", "raw-complex",
-                 "--rate", "16", "--t0", "2.5", "--output", str(out)])
-    assert code == 0
-    _, t0 = read_tensor(str(out))
-    assert t0 == 2.5
+    # --t0 holds for every format; a WAV file carries its own rate
+    for src, flags in ((raw, ["--format", "raw-complex", "--rate", "16"]), (wav, ["--format", "wav"])):
+        out = tmp_path / f"{src.suffix[1:]}.tfc1"
+        code = main(["--config", cfg, "transform", "--input", str(src), *flags, "--t0", "2.5", "--output", str(out)])
+        assert code == 0
+        _, t0 = read_tensor(str(out))
+        assert t0 == 2.5
 
 
 def test_reconstruct_honours_nu_rel(crossing_csv, tmp_path):

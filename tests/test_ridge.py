@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tfchirp import reassign, ridge
@@ -425,36 +425,38 @@ def test_local_linear_curve_matches_the_first_loop():
 
 @st.composite
 def energy_volumes(draw):
-    """|S|-like magnitudes: ties, mostly zeros as in a squeezed volume, sizes from 1 upward."""
+    """|S|-like magnitudes: ties, mostly zeros as in a squeezed volume, NaN, sizes from 1 upward."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.one_of(st.integers(1, 64), st.integers(65, 5000), st.integers(1 << 17, 300_000)))
     levels = draw(st.sampled_from([0, 1, 3, 50]))  # 0: continuous values; else ties among a few levels
     values = rng.exponential(1.0, size) if levels == 0 else rng.integers(1, levels + 1, size).astype(float)
     values[rng.random(size) < draw(st.sampled_from([0.0, 0.5, 0.9, 0.999, 1.0]))] = 0.0
+    if draw(st.integers(0, 4)) == 0:
+        values[rng.integers(size)] = np.nan
     q = draw(st.one_of(st.floats(0.0, 1.0, exclude_max=True), st.sampled_from([0.0, 0.5, 0.9995, 1 - 2**-53])))
     return values, q
 
 
+def _misleading_volume():
+    """Every 4th entry is raised by 10: a strided sample sees only the largest quarter."""
+    values = np.random.default_rng(0).random(1 << 18)
+    values[::4] += 10.0
+    return values
+
+
 @settings(max_examples=80)
-@given(energy_volumes())
-def test_volume_quantile_is_numpys_quantile(volume):
+@given(energy_volumes(), st.sampled_from([reassign.SQUEEZE_BLOCK, 997]))
+@example((_misleading_volume(), 0.5), reassign.SQUEEZE_BLOCK)
+def test_above_quantile_is_numpys_quantile_and_the_entries_above_it(volume, block):
     values, q = volume
-    got = ridge._volume_quantile(values, q)
-    assert np.float64(got).tobytes() == np.float64(np.quantile(values, q)).tobytes()
-
-
-def test_volume_quantile_falls_back_on_a_misleading_sample(monkeypatch):
-    plain = np.random.default_rng(0).random(1 << 18)  # the sample takes every 4th entry
-    misleading = plain.copy()
-    misleading[::4] += 10.0  # the sample sees only the largest quarter
-    want = [np.quantile(values, 0.5) for values in (plain, misleading)]
-    calls = []
-    quantile = np.quantile
-    monkeypatch.setattr(np, "quantile", lambda *a, **k: calls.append(a) or quantile(*a, **k))
-    assert ridge._volume_quantile(plain, 0.5) == want[0]
-    assert not calls
-    assert ridge._volume_quantile(misleading, 0.5) == want[1]
-    assert len(calls) == 1
+    default, reassign.SQUEEZE_BLOCK = reassign.SQUEEZE_BLOCK, block
+    try:
+        threshold, picked = ridge._above_quantile(values, q)
+    finally:
+        reassign.SQUEEZE_BLOCK = default
+    want = np.quantile(values, q)
+    assert np.float64(threshold).tobytes() == np.float64(want).tobytes()
+    assert np.array_equal(picked, np.flatnonzero(values > want))
 
 
 def test_select_high_energy_memory_budget(crossing_sct_g2):
@@ -463,6 +465,18 @@ def test_select_high_energy_memory_budget(crossing_sct_g2):
     volume = tensor.values.size * 8  # one float64 volume
     cloud, peak, _ = traced_volumes(lambda: select_high_energy(tensor, 0.9995, min_per_frame=3), volume)
     assert cloud.core is not None and cloud.core.any()
+    assert peak <= 0.34
+
+
+def test_select_high_energy_memory_budget_on_a_sparse_volume(crossing_sct_g2):
+    # the zeros equal the floor: they are counted, never held
+    shape = crossing_sct_g2.squeezed.values.shape
+    values = np.zeros(shape, dtype=complex)
+    rng = np.random.default_rng(0)
+    values.flat[rng.choice(values.size, values.size * 3 // 10_000, replace=False)] = rng.exponential(1.0, 613)
+    tensor = TfcTensor(values, crossing_sct_g2.squeezed.grid)
+    cloud, peak, _ = traced_volumes(lambda: select_high_energy(tensor, 0.9995, min_per_frame=3), values.size * 8)
+    assert cloud.core is not None and cloud.core.sum() == 613
     assert peak <= 0.34
 
 

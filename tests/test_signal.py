@@ -23,6 +23,28 @@ def test_signal_validation():
     assert np.allclose(sig.times_s, 2.0 + np.arange(4) / 8.0)
 
 
+@pytest.mark.parametrize("entry", ["streamed_bank_transform", "sst1", "sst2", "reconstruct_modes"])
+def test_bank_at_another_rate_is_rejected(entry):
+    from tfchirp.reassign import sst1, sst2
+    from tfchirp.reconstruct import reconstruct_modes
+    from tfchirp.ridge import RidgeSet
+    from tfchirp.transform import streamed_bank_transform
+
+    signal = Signal(np.random.default_rng(0).standard_normal(64), 100.0)
+    grid = grid_from_resolution(0.1, len(signal), signal.sample_rate_hz)
+    bank = make_window_bank(WindowFamily(0, 1.0), half_len=8, dt_s=0.02)  # made for 50 Hz
+    curve = np.full((1, len(signal)), 10.0)
+    ridges = RidgeSet(curve, 0 * curve, curve > 0, curve > 0)
+    calls = {
+        "streamed_bank_transform": lambda: streamed_bank_transform(signal, bank, grid),
+        "sst1": lambda: sst1(signal, bank, grid),
+        "sst2": lambda: sst2(signal, bank, grid),
+        "reconstruct_modes": lambda: reconstruct_modes(signal, ridges, bank),
+    }
+    with pytest.raises(ParameterError, match="does not match the signal sample rate"):
+        calls[entry]()
+
+
 def test_window_family_validation():
     with pytest.raises(ParameterError):
         WindowFamily(0, 0.0)
