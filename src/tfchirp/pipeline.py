@@ -26,7 +26,7 @@ SST_DELTA_HZ = 3.0
 
 @dataclass(frozen=True)
 class SctResult:
-    field: ReassignmentField  # holds T^h as ``field.h``
+    field: ReassignmentField  # T^h as ``field.h``, and the squeeze code of each of its entries
     squeezed: TfcTensor
 
 
@@ -40,7 +40,8 @@ def run_sct(
     """T^h, reassignment field and squeezed volume in one go.
 
     T^h is the only bank volume kept, as the field's ``h``; the field sums
-    the companion transforms block by block over its resolvable rows.
+    the companion transforms block by block over its resolvable rows and
+    keeps only each entry's int32 squeeze code, no estimate volume.
     Entries at or below ``nu_rel`` times the peak of |T^h| are undefined.
     """
     bank = make_window_bank(family, half_len or family.default_half_len(signal.dt_s), signal.dt_s)

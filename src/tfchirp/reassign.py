@@ -17,18 +17,20 @@ which ``_mu_omega`` evaluates in the exactly equivalent reduced form
     omega = freq(m) + Im(-T1/(2*pi*T) + 1j*(lam - M1/M2) * U/T)   [Hz]
 
 On an exact linear chirp both estimates are exact wherever defined.  Entries
-are marked undefined (NaN in both omega and mu) in three cases: |T| at or
-below the threshold; |M2| < 1e-12*|M1| (the degenerate denominator the
-accuracy guarantee excludes); and slots whose chirped atom is undersampled,
-i.e. the atom's instantaneous frequency m/(2M) + lam*j leaves the Nyquist
-band over a non-negligible part of the window support, where the quadratic
-phase aliases and the ratio estimates turn into noise.  Downstream
-consumers only ever read entries whose estimates are not NaN.
+are undefined (NaN in both omega and mu) in three cases: |T| at or below the
+threshold; |M2| < 1e-12*|M1| (the degenerate denominator the accuracy
+guarantee excludes); and slots whose chirped atom is undersampled, i.e. the
+atom's instantaneous frequency m/(2M) + lam*j leaves the Nyquist band over a
+non-negligible part of the window support, where the quadratic phase aliases
+and the ratio estimates turn into noise.  The field keeps one int32 code per
+entry: its squeeze destination, or the cause it has none.  Downstream
+consumers read the codes, and the estimates of the few entries they need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,19 +45,37 @@ FETCH_BLOCKS = 8  # field blocks whose companion rows are summed in one product
 SQUEEZE_BLOCK = 1 << 18  # entries per block of a pass over a whole volume: bounds its temporaries
 
 
+# Squeeze codes of the entries that move nowhere, by cause; a code >= 0 is the
+# in-frame destination bin ``l * n_freq + m``
+ALIASED = -1  # the slot's chirped atom is undersampled
+BELOW = -2  # |T| at or below the threshold
+DEGENERATE = -3  # |M2| < M2_GUARD * |M1|, or a non-finite estimate
+OFF_GRID = -4  # defined, but the rounded (omega, mu) falls outside the grid
+
+
 @dataclass(frozen=True)
 class ReassignmentField:
-    """Frequency/chirp-rate estimates of the entries of T^h ``h``, NaN where undefined;
-    the squeeze moves each entry of ``h`` to the bin its estimates name."""
+    """Where the squeeze moves each entry of T^h ``h``: one int32 code per entry.
 
-    omega: np.ndarray  # Hz
-    mu: np.ndarray  # Hz/s
-    h: TfcTensor
+    ``codes`` holds the in-frame destination bin ``l * n_freq + m`` of every
+    entry that moves, and a negative cause (``ALIASED``, ``BELOW``,
+    ``DEGENERATE``, ``OFF_GRID``) for every other.  The estimates themselves
+    are not stored: ``estimates`` recomputes them at given entries from the
+    bank source ``banks`` and threshold ``nu`` the codes were built from, and
+    the ``omega``/``mu`` volumes are built on first access.
+    """
+
+    codes: np.ndarray  # int32 [n_chirp, n_freq, n_time]
+    banks: StreamedBank  # or any other holder of T^h ``h`` and ``companion_rows()``
+    nu: float
 
     def __post_init__(self):
-        for name in ("omega", "mu"):
-            if getattr(self, name).shape != self.h.values.shape:
-                raise ShapeError(f"{name} shape does not match T^h")
+        if self.codes.shape != self.h.values.shape:
+            raise ShapeError("codes shape does not match T^h")
+
+    @property
+    def h(self) -> TfcTensor:
+        return self.banks.h
 
     @property
     def grid(self) -> TfcGrid:
@@ -64,7 +84,45 @@ class ReassignmentField:
     @property
     def defined(self) -> np.ndarray:
         """Boolean validity of every entry, computed on each access: a new volume."""
-        return ~np.isnan(self.omega)
+        return (self.codes >= 0) | (self.codes == OFF_GRID)
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        """Frequency estimates [Hz], NaN where undefined: built with ``mu`` on first access."""
+        return self._volumes("omega")
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        """Chirp-rate estimates [Hz/s], NaN where undefined: built with ``omega`` on first access."""
+        return self._volumes("mu")
+
+    def _volumes(self, name: str) -> np.ndarray:
+        grid = self.grid
+        rows = np.flatnonzero(self.codes.reshape(-1, grid.n_time)[:, 0] != ALIASED)
+        omega = np.full((grid.n_chirp * grid.n_freq, grid.n_time), np.nan)
+        mu = np.full(omega.shape, np.nan)
+        for part, inputs in _field_blocks(self.banks, rows):
+            mu[rows[part]], omega[rows[part]], _ = _mu_omega(*inputs, self.nu)
+        self.__dict__.update(omega=omega.reshape(self.codes.shape), mu=mu.reshape(self.codes.shape))
+        return self.__dict__[name]
+
+    def estimates(self, flat_src: np.ndarray) -> tuple:
+        """(omega, mu) at the ascending flat entries ``flat_src``, NaN where undefined.
+
+        The companion sums are formed for the rows holding the entries only,
+        by the blocks that built the codes, and the estimates at the entries
+        alone; the values equal ``omega.ravel()[flat_src]`` and
+        ``mu.ravel()[flat_src]`` bit for bit.
+        """
+        n_time = self.grid.n_time
+        rows, inverse = np.unique(flat_src // n_time, return_inverse=True)
+        omega, mu = np.empty(flat_src.size), np.empty(flat_src.size)
+        for part, inputs in _field_blocks(self.banks, rows):
+            span = slice(*np.searchsorted(inverse, (part.start, part.stop)))  # the entries of rows[part]
+            at = (inverse[span] - part.start, flat_src[span] % n_time)
+            entries = (np.broadcast_to(x, inputs[0].shape)[at] for x in inputs)
+            mu[span], omega[span], _ = _mu_omega(*entries, self.nu)
+        return omega, mu
 
 
 def default_threshold(values: np.ndarray, rel: float = DEFAULT_NU_REL) -> float:
@@ -86,7 +144,8 @@ def _entry_blocks(size: int):
 
 
 def _mu_omega(T, T1, T2, U, U1, V, lam, freqs, nu):
-    """Reassignment estimates for one block; lam/freqs broadcast over it."""
+    """Reassignment estimates (mu, omega) for one block, NaN where undefined, and
+    the entries above the threshold; lam/freqs broadcast over the block."""
     T, T1, T2, U, U1, V = (np.asarray(x, dtype=np.complex128) for x in (T, T1, T2, U, U1, V))
     a = 2j * np.pi * lam
     P = U * T1 - T * U1
@@ -98,9 +157,10 @@ def _mu_omega(T, T1, T2, U, U1, V, lam, freqs, nu):
         mu = ratio.real
         corr = -T1 / (2 * np.pi * T) + 1j * (lam - ratio) * U / T
         omega = freqs + corr.imag
-    defined = (np.abs(T) > nu) & (np.abs(m2) >= M2_GUARD * np.abs(m1))
+    above = np.abs(T) > nu
+    defined = above & (np.abs(m2) >= M2_GUARD * np.abs(m1))
     defined &= np.isfinite(mu) & np.isfinite(omega)
-    return np.where(defined, mu, np.nan), np.where(defined, omega, np.nan)
+    return np.where(defined, mu, np.nan), np.where(defined, omega, np.nan), above
 
 
 def resolvable_slots(grid: TfcGrid, bank: WindowBank) -> np.ndarray:
@@ -123,15 +183,54 @@ def resolvable_slots(grid: TfcGrid, bank: WindowBank) -> np.ndarray:
     return ok
 
 
+def _field_blocks(banks, rows: np.ndarray):
+    """The inputs of ``_mu_omega`` for the flat (chirp, frequency) ``rows``, a block at a time.
+
+    Yields ``(part, (T, T1, T2, U, U1, V, lam, freqs))`` for consecutive
+    slices ``part`` of ``rows``: T^h and its companions on the rows
+    ``rows[part]``, [rows, n_time], and their chirp rate and frequency,
+    [rows, 1].  ``banks`` holds T^h and supplies the companion rows through
+    ``companion_rows()``.  A row's sums do not depend on which rows share
+    its block.
+    """
+    grid = banks.h.grid
+    companions = banks.companion_rows()
+    T_rows = banks.h.values.reshape(-1, grid.n_time)
+    # rows per block: ~64k entries keep the many temporaries cache-resident;
+    # a streamed bank's sums run FETCH_BLOCKS blocks at a time, since one
+    # block is too small a matrix product to run at full speed
+    block = max(1, (1 << 16) // grid.n_time)
+    for lo in range(0, rows.size, FETCH_BLOCKS * block):
+        fetched = rows[lo : lo + FETCH_BLOCKS * block]
+        companions_of = companions(fetched)
+        for sub in range(0, fetched.size, block):
+            part = slice(sub, min(sub + block, fetched.size))
+            r = fetched[part]
+            lam = grid.chirps_hzps[r // grid.n_freq, None]
+            freqs = grid.freqs_hz[r % grid.n_freq, None]
+            yield slice(lo + part.start, lo + part.stop), (T_rows[r], *companions_of(part), lam, freqs)
+
+
+def _codes(grid: TfcGrid, mu: np.ndarray, omega: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """The squeeze codes (``ReassignmentField.codes``) of one block of ``_mu_omega``'s results."""
+    m = round_half_away(omega / grid.freq_step_hz)
+    l = round_half_away(mu / grid.chirp_step_hzps) + (grid.M - 1)
+    # NaN compares false: only defined entries can be in the grid
+    in_grid = (l >= 0) & (l < grid.n_chirp) & (m >= 0) & (m < grid.n_freq)
+    cause = np.where(np.isnan(omega), np.where(above, DEGENERATE, BELOW), OFF_GRID)
+    return np.where(in_grid, l * grid.n_freq + m, cause).astype(np.int32)
+
+
 def reassignment_field(banks: StreamedBank, nu: float | None = None) -> ReassignmentField:
-    """Frequency and chirp-rate reassignment estimates over a TFC volume.
+    """The squeeze codes of every entry of a TFC volume (``ReassignmentField``).
 
     ``banks`` holds T^h and supplies the companion rows through
     ``companion_rows()``.  ``nu`` is the hard modulus threshold below which
     entries are undefined; ``None`` applies ``default_threshold`` to T^h.
+    The estimates are computed a block of rows at a time and only their
+    codes are kept.
     """
     grid = banks.h.grid
-    companions = banks.companion_rows()
     if nu is None:
         nu = default_threshold(banks.h.values)
     if not (nu > 0):
@@ -139,73 +238,51 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
     # aliased slots are undefined whatever the bank values: evaluate the
     # resolvable (chirp, frequency) rows of the volume only
     rows_ok = np.flatnonzero(resolvable_slots(grid, banks.bank))
-    lam = np.repeat(grid.chirps_hzps, grid.n_freq)[:, None]
-    freqs = np.tile(grid.freqs_hz, grid.n_chirp)[:, None]
-    T_rows = banks.h.values.reshape(-1, grid.n_time)
-    # rows per block: ~64k entries keep the many temporaries cache-resident;
-    # a streamed bank's sums run FETCH_BLOCKS blocks at a time, since one
-    # block is too small a matrix product to run at full speed
-    block = max(1, (1 << 16) // grid.n_time)
-
-    shape = (grid.n_chirp * grid.n_freq, grid.n_time)
-    omega = np.full(shape, np.nan)
-    mu = np.full(shape, np.nan)
-    for lo in range(0, rows_ok.size, FETCH_BLOCKS * block):
-        fetched = rows_ok[lo : lo + FETCH_BLOCKS * block]
-        companions_of = companions(fetched)
-        for sub in range(0, fetched.size, block):
-            part = slice(sub, sub + block)
-            rows = fetched[part]
-            mu[rows], omega[rows] = _mu_omega(T_rows[rows], *companions_of(part), lam[rows], freqs[rows], nu)
-    shape = (grid.n_chirp, grid.n_freq, grid.n_time)
-    return ReassignmentField(omega=omega.reshape(shape), mu=mu.reshape(shape), h=banks.h)
+    codes = np.full((grid.n_chirp * grid.n_freq, grid.n_time), ALIASED, dtype=np.int32)
+    for part, inputs in _field_blocks(banks, rows_ok):
+        estimates = _mu_omega(*inputs, nu)
+        del inputs  # the block's sums are not kept alive beside the codes' temporaries
+        codes[rows_ok[part]] = _codes(grid, *estimates)
+    return ReassignmentField(codes=codes.reshape(banks.h.values.shape), banks=banks, nu=nu)
 
 
-def _destination_blocks(field: ReassignmentField):
+def _moves(field: ReassignmentField):
     """Flat source and destination indices of every entry the squeeze moves.
 
-    Sources are the defined entries whose rounded (omega, mu) lands inside
-    the grid, as ascending flat indices into the volume, yielded in blocks
-    of bounded size; each destination is the flat index of its bin in the
-    same frame.
+    Read off the codes in ascending blocks of ``_entry_blocks``: sources are
+    ascending flat indices into the volume, and each destination is the flat
+    index of its bin in the same frame.
     """
-    grid = field.grid
-    omega, mu = field.omega.reshape(-1), field.mu.reshape(-1)
-    for block in _entry_blocks(omega.size):
-        src = np.flatnonzero(~np.isnan(omega[block])) + block.start
-        m_dest = round_half_away(omega[src] / grid.freq_step_hz)
-        l_dest = round_half_away(mu[src] / grid.chirp_step_hzps) + (grid.M - 1)
-        ok = (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
-        src = src[ok]
-        dest = (l_dest[ok].astype(np.intp) * grid.n_freq + m_dest[ok].astype(np.intp)) * grid.n_time
-        dest += src % grid.n_time
-        yield src, dest
+    n_time = field.grid.n_time
+    codes = field.codes.reshape(-1)
+    for block in _entry_blocks(codes.size):
+        src = np.flatnonzero(codes[block] >= 0) + block.start
+        yield src, codes[src].astype(np.intp) * n_time + src % n_time
 
 
 def synchrosqueeze(field: ReassignmentField) -> TfcTensor:
-    """Scatter the field's T^h onto the bins nearest its reassigned coordinates.
+    """Scatter the field's T^h onto the bins its codes name.
 
-    Every defined entry whose rounded (omega, mu) lands inside the grid
-    contributes its complex value to exactly one output bin of the same
-    frame, so per-frame complex mass is conserved over the contributing set.
+    Every entry with a destination code contributes its complex value to
+    exactly one output bin of the same frame, so per-frame complex mass is
+    conserved over the contributing set.
     """
     h = field.h
     values = h.values.reshape(-1)
     out = np.zeros(values.size, dtype=np.complex128)
     # blocks in ascending source order keep the scatter order of one pass
-    for src, dest in _destination_blocks(field):
+    for src, dest in _moves(field):
         np.add.at(out, dest, values[src])
     return TfcTensor(out.reshape(h.values.shape), h.grid)
 
 
 def squeeze_conservation(field: ReassignmentField, squeezed: TfcTensor) -> np.ndarray:
-    """Per-frame |sum S - sum of contributing T| / max(|sum of contributing T|, eps)."""
-    contrib = np.zeros(field.h.values.shape, dtype=bool)
-    flat = contrib.reshape(-1)
-    for src, _ in _destination_blocks(field):
-        flat[src] = True
+    """Per-frame |sum S - sum of contributing T| / max(|sum of contributing T|, eps).
+
+    The contributing entries are those with a destination code (``codes >= 0``).
+    """
     lhs = squeezed.values.sum(axis=(0, 1))
-    rhs = np.sum(field.h.values, axis=(0, 1), where=contrib)  # no masked copy of the volume
+    rhs = np.sum(field.h.values, axis=(0, 1), where=field.codes >= 0)  # no masked copy of the volume
     scale = np.maximum(np.abs(rhs), 1e-300)
     return np.abs(lhs - rhs) / scale
 
@@ -257,5 +334,5 @@ def sst2(signal: Signal, bank: WindowBank, grid: TfcGrid) -> TfMatrix:
     """
     W, W1, W2, U, U1, V = _stft_transforms(signal, bank, grid)
     freqs = grid.freqs_hz[:, None]
-    _, omega = _mu_omega(W, W1, W2, U, U1, V, 0.0, freqs, default_threshold(W))
+    _, omega, _ = _mu_omega(W, W1, W2, U, U1, V, 0.0, freqs, default_threshold(W))
     return TfMatrix(_squeeze_matrix(W, omega, grid), grid)

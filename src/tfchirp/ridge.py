@@ -18,7 +18,7 @@ from .errors import (
     ExtractionError,
     ParameterError,
 )
-from .reassign import _destination_blocks, _entry_blocks
+from .reassign import _entry_blocks, _moves
 from .signal import TfcGrid
 from .transform import TfcTensor
 
@@ -448,11 +448,11 @@ def _local_linear_curve(t_pts, y_pts, w_pts, t_eval, half_width, iters, clip):
 def _landed_sources(field, owner: np.ndarray) -> tuple:
     """Flat sources whose squeeze destination has an owner, and that owner.
 
-    The destinations are walked in ascending blocks, so only the sources
+    The field's codes are walked in ascending blocks, so only the sources
     that land on an owned bin are ever held, in ascending order.
     """
     src, row = [], []
-    for src_b, dest_b in _destination_blocks(field):
+    for src_b, dest_b in _moves(field):
         row_b = owner[dest_b]
         hit = row_b >= 0
         src.append(src_b[hit])
@@ -463,10 +463,11 @@ def _landed_sources(field, owner: np.ndarray) -> tuple:
 def ridges_from_sources(cloud: TfcPointCloud, labels: np.ndarray, field) -> RidgeSet:
     """Curves from the pre-squeeze entries feeding each cluster's bins.
 
-    Each selected squeezed bin is traced back to the entries of the field's
-    T^h that reassigned into it; their continuous (omega, mu) estimates,
-    weighted by |T|, carry sub-bin precision that the bin coordinates lost.
-    A robust local-linear fit along time turns them into curves, which
+    Each selected squeezed bin is traced back, through the field's codes, to
+    the entries of its T^h that reassigned into it; their continuous (omega,
+    mu) estimates, recomputed for those entries alone (``field.estimates``)
+    and weighted by |T|, carry sub-bin precision that the bin coordinates
+    lost.  A robust local-linear fit along time turns them into curves, which
     ``_finish_curves`` completes.
     """
     grid = field.grid
@@ -484,7 +485,7 @@ def ridges_from_sources(cloud: TfcPointCloud, labels: np.ndarray, field) -> Ridg
         src, src_row = _landed_sources(field, owner)
         t_src = (src % n_time) / grid.sample_rate_hz
         w_src = np.abs(field.h.values.ravel()[src])
-        estimates = [field.omega.ravel()[src], field.mu.ravel()[src]]
+        estimates = field.estimates(src)
         t_axis = np.arange(n_time) / grid.sample_rate_hz
         curves = np.empty((2, ids.size, n_time))
         for row, cid in enumerate(ids):

@@ -147,9 +147,12 @@ def _windowed_sums(signal: Signal, windows, grid: TfcGrid):
     stacked = np.multiply(np.stack(windows, axis=1)[:, :, None], S[:, None, :]).reshape(S.shape[0], -1)
 
     def sums(rows):
-        E = chirp_phase[rows // grid.n_freq]
-        E *= freq_phase[rows % grid.n_freq]
-        return (E @ stacked).reshape(rows.size, len(windows), grid.n_time)
+        # one row would run as a matrix-vector product, whose bits differ from
+        # the same row's in a larger fetch: sum it twice and keep one
+        fetched = np.repeat(rows, 2) if rows.size == 1 else rows
+        E = chirp_phase[fetched // grid.n_freq]
+        E *= freq_phase[fetched % grid.n_freq]
+        return (E @ stacked)[: rows.size].reshape(rows.size, len(windows), grid.n_time)
 
     return sums
 

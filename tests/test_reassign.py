@@ -134,6 +134,8 @@ def test_impulse_entries_blocked_by_denominator_guard():
     strong = mags > 0.5 * mags.max()
     assert strong.any()
     assert not field.defined[strong].any()
+    # where the slot is resolvable, the guard is the cause
+    assert set(np.unique(field.codes[strong]).tolist()) == {reassign.ALIASED, reassign.DEGENERATE}
 
 
 def test_nu_must_be_positive():

@@ -257,6 +257,19 @@ def test_windowed_sums_match_the_docstring_sum(case, data):
 
 
 @pytest.mark.parametrize("n", [0, 2])
+def test_a_fetch_keeps_the_bits_of_a_larger_fetch(crossing_scene, crossing_grid, n):
+    # a one-row product would run as a matrix-vector product, with other bits
+    family = WindowFamily(n, 1.0)
+    bank = make_window_bank(family, family.default_half_len(1 / FS), 1 / FS)
+    for windows in ([bank.h], [bank.th, bank.t2h, *bank.basis]):
+        sums = _windowed_sums(crossing_scene.signal(), windows, crossing_grid)
+        rows = np.arange(2000, 2005)
+        full = sums(rows)
+        for k in (1, 2, 3):
+            assert np.array_equal(sums(rows[:k]), full[:k])
+
+
+@pytest.mark.parametrize("n", [0, 2])
 def test_chirplet_transform_memory_budget(crossing_scene, crossing_grid, n):
     """The phases of one block of rows at a time: never the whole grid's."""
     signal, grid = crossing_scene.signal(), crossing_grid
