@@ -24,7 +24,9 @@ atom's instantaneous frequency m/(2M) + lam*j leaves the Nyquist band over a
 non-negligible part of the window support, where the quadratic phase aliases
 and the ratio estimates turn into noise.  The field keeps one int32 code per
 entry: its squeeze destination, or the cause it has none.  Downstream
-consumers read the codes, and the estimates of the few entries they need.
+consumers read the codes, and the estimates of the few entries they need,
+recomputed a time tile at a time: a row's sums depend neither on the other
+rows nor on the tile.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .signal import Signal, TfcGrid, WindowBank, round_half_away
-from .transform import StreamedBank, TfcTensor, TfMatrix, _companions, _windowed_sums, _zero_chirp_rows
+from .transform import PHASE_BLOCK, StreamedBank, TfcTensor, TfMatrix, _companions, _windowed_sums, _zero_chirp_rows
 
 M2_GUARD = 1e-12
 DEFAULT_NU_REL = 1e-4
 ALIAS_TOL = 1e-3
 FETCH_BLOCKS = 8  # field blocks whose companion rows are summed in one product
+FRAME_CHUNK = 64  # frames per time tile, of source tracing's recompute and of the per-frame peaks
 SQUEEZE_BLOCK = 1 << 18  # entries per block of a pass over a whole volume: bounds its temporaries
 
 
@@ -101,7 +104,7 @@ class ReassignmentField:
         rows = np.flatnonzero(self.codes.reshape(-1, grid.n_time)[:, 0] != ALIASED)
         omega = np.full((grid.n_chirp * grid.n_freq, grid.n_time), np.nan)
         mu = np.full(omega.shape, np.nan)
-        for part, inputs in _field_blocks(self.banks, rows):
+        for part, inputs in _field_blocks(self.banks)(rows):
             mu[rows[part]], omega[rows[part]], _ = _mu_omega(*inputs, self.nu)
         self.__dict__.update(omega=omega.reshape(self.codes.shape), mu=mu.reshape(self.codes.shape))
         return self.__dict__[name]
@@ -109,19 +112,24 @@ class ReassignmentField:
     def estimates(self, flat_src: np.ndarray) -> tuple:
         """(omega, mu) at the ascending flat entries ``flat_src``, NaN where undefined.
 
-        The companion sums are formed for the rows holding the entries only,
-        by the blocks that built the codes, and the estimates at the entries
-        alone; the values equal ``omega.ravel()[flat_src]`` and
-        ``mu.ravel()[flat_src]`` bit for bit.
+        Per time tile of ``FRAME_CHUNK`` frames, the blocks that built the codes
+        sum the companions of the rows holding an entry in the tile over its
+        frames alone, and the estimates are formed at the entries alone: equal
+        to ``omega.ravel()[flat_src]`` and ``mu.ravel()[flat_src]`` bit for bit.
         """
         n_time = self.grid.n_time
-        rows, inverse = np.unique(flat_src // n_time, return_inverse=True)
+        tile = flat_src % n_time // FRAME_CHUNK
+        order = np.argsort(tile, kind="stable")  # tile by tile, each in ascending flat order
+        tiles, starts = np.unique(tile[order], return_index=True)
+        blocks = _field_blocks(self.banks)
         omega, mu = np.empty(flat_src.size), np.empty(flat_src.size)
-        for part, inputs in _field_blocks(self.banks, rows):
-            span = slice(*np.searchsorted(inverse, (part.start, part.stop)))  # the entries of rows[part]
-            at = (inverse[span] - part.start, flat_src[span] % n_time)
-            entries = (np.broadcast_to(x, inputs[0].shape)[at] for x in inputs)
-            mu[span], omega[span], _ = _mu_omega(*entries, self.nu)
+        for t, sel in zip(tiles, np.split(order, starts[1:])):
+            rows, inverse = np.unique(flat_src[sel] // n_time, return_inverse=True)
+            for part, inputs in blocks(rows, slice(t * FRAME_CHUNK, (t + 1) * FRAME_CHUNK)):
+                span = slice(*np.searchsorted(inverse, (part.start, part.stop)))  # the tile's entries of rows[part]
+                at = (inverse[span] - part.start, flat_src[sel[span]] % n_time % FRAME_CHUNK)
+                entries = (np.broadcast_to(x, inputs[0].shape)[at] for x in inputs)
+                mu[sel[span]], omega[sel[span]], _ = _mu_omega(*entries, self.nu)
         return omega, mu
 
 
@@ -183,32 +191,38 @@ def resolvable_slots(grid: TfcGrid, bank: WindowBank) -> np.ndarray:
     return ok
 
 
-def _field_blocks(banks, rows: np.ndarray):
-    """The inputs of ``_mu_omega`` for the flat (chirp, frequency) ``rows``, a block at a time.
-
-    Yields ``(part, (T, T1, T2, U, U1, V, lam, freqs))`` for consecutive
-    slices ``part`` of ``rows``: T^h and its companions on the rows
-    ``rows[part]``, [rows, n_time], and their chirp rate and frequency,
-    [rows, 1].  ``banks`` holds T^h and supplies the companion rows through
-    ``companion_rows()``.  A row's sums do not depend on which rows share
-    its block.
+def _field_blocks(banks):
+    """The inputs of ``_mu_omega``, a block of rows at a time: ``blocks(rows, cols)``
+    yields ``(part, (T, T1, T2, U, U1, V, lam, freqs))`` for consecutive slices
+    ``part`` of the flat (chirp, frequency) ``rows``: T^h and its companions on
+    ``rows[part]`` over the frames of the slice ``cols`` (all by default), and
+    their chirp rate and frequency, [rows, 1].  ``banks`` holds T^h and
+    supplies the companion rows through one ``companion_rows()``.  A row's
+    sums depend neither on which rows share its block nor on the column range.
     """
     grid = banks.h.grid
     companions = banks.companion_rows()
     T_rows = banks.h.values.reshape(-1, grid.n_time)
-    # rows per block: ~64k entries keep the many temporaries cache-resident;
-    # a streamed bank's sums run FETCH_BLOCKS blocks at a time, since one
-    # block is too small a matrix product to run at full speed
-    block = max(1, (1 << 16) // grid.n_time)
-    for lo in range(0, rows.size, FETCH_BLOCKS * block):
-        fetched = rows[lo : lo + FETCH_BLOCKS * block]
-        companions_of = companions(fetched)
-        for sub in range(0, fetched.size, block):
-            part = slice(sub, min(sub + block, fetched.size))
-            r = fetched[part]
-            lam = grid.chirps_hzps[r // grid.n_freq, None]
-            freqs = grid.freqs_hz[r % grid.n_freq, None]
-            yield slice(lo + part.start, lo + part.stop), (T_rows[r], *companions_of(part), lam, freqs)
+
+    def blocks(rows, cols=slice(None)):
+        # rows per block: ~64k entries keep the many temporaries cache-resident;
+        # a streamed bank's sums run FETCH_BLOCKS blocks at a time, since one
+        # block is too small a matrix product to run at full speed
+        block = max(1, (1 << 16) // grid.n_time)
+        step = FETCH_BLOCKS * block
+        if cols != slice(None):  # a time tile: one block per product, whose phases are bounded as T^h's
+            step = block = max(1, PHASE_BLOCK // banks.bank.h.size)
+        for lo in range(0, rows.size, step):
+            fetched = rows[lo : lo + step]
+            companions_of = companions(fetched, cols)
+            for sub in range(0, fetched.size, block):
+                part = slice(sub, min(sub + block, fetched.size))
+                r = fetched[part]
+                lam = grid.chirps_hzps[r // grid.n_freq, None]
+                freqs = grid.freqs_hz[r % grid.n_freq, None]
+                yield slice(lo + part.start, lo + part.stop), (T_rows[r, cols], *companions_of(part), lam, freqs)
+
+    return blocks
 
 
 def _codes(grid: TfcGrid, mu: np.ndarray, omega: np.ndarray, above: np.ndarray) -> np.ndarray:
@@ -239,7 +253,7 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
     # resolvable (chirp, frequency) rows of the volume only
     rows_ok = np.flatnonzero(resolvable_slots(grid, banks.bank))
     codes = np.full((grid.n_chirp * grid.n_freq, grid.n_time), ALIASED, dtype=np.int32)
-    for part, inputs in _field_blocks(banks, rows_ok):
+    for part, inputs in _field_blocks(banks)(rows_ok):
         estimates = _mu_omega(*inputs, nu)
         del inputs  # the block's sums are not kept alive beside the codes' temporaries
         codes[rows_ok[part]] = _codes(grid, *estimates)

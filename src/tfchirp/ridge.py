@@ -18,7 +18,7 @@ from .errors import (
     ExtractionError,
     ParameterError,
 )
-from .reassign import _entry_blocks, _moves
+from .reassign import FRAME_CHUNK, _entry_blocks, _moves
 from .signal import TfcGrid
 from .transform import TfcTensor
 
@@ -175,14 +175,16 @@ def _above_quantile(values: np.ndarray, q: float) -> tuple:
     ranks = [r - counted for r in (prev, min(prev + 1, n - 1))]  # within the held magnitudes
     part = np.partition(mags, [max(r, 0) for r in ranks]) if ranks[1] >= 0 else mags
     lo, hi = (part[r] if r >= 0 else floor for r in ranks)
-    # numpy's _lerp, branch for branch
-    gamma = virtual - np.floor(virtual)
-    diff = hi - lo
-    threshold = hi - diff * (1 - gamma) if gamma >= 0.5 else lo + diff * gamma
+    threshold = _lerp(lo, hi, virtual)
     return threshold, idx[mags > threshold]
 
 
-FRAME_CHUNK = 64  # frames peeled together: a frame-major copy of this many frames
+def _lerp(lo, hi, virtual):
+    """numpy's quantile between the order statistics ``lo``, ``hi`` at rank ``virtual``, branch for branch."""
+    gamma, diff = virtual - np.floor(virtual), hi - lo
+    return hi - diff * (1 - gamma) if gamma >= 0.5 else lo + diff * gamma
+
+
 PEAK_SUPPRESS = (3, 2)  # (chirp, frequency) bins cleared on each side of a peeled peak
 
 
@@ -242,7 +244,6 @@ def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = R
     Returns an [n, 2*(n_components-1)] embedding.
     """
     from scipy.sparse.linalg import eigsh
-    from scipy.spatial.distance import pdist, squareform
 
     if n_components < 2:
         raise ParameterError("spectral embedding needs at least two clusters")
@@ -251,18 +252,7 @@ def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = R
     n_dim = 2 * (n_components - 1)
     if len(cloud) < n_dim + 2:
         raise ParameterError(f"cloud of {len(cloud)} points cannot support a {n_dim}-dim embedding")
-    dists = pdist(cloud.points)
-    sigma = np.percentile(dists, sigma_pct)
-    if sigma <= 0:
-        raise DegenerateCloudError("all selected points coincide")
-    # exp(-(dists**2) / (2 * sigma**2)), the same operations done in place
-    np.square(dists, out=dists)
-    np.negative(dists, out=dists)
-    np.divide(dists, 2 * sigma**2, out=dists)
-    np.exp(dists, out=dists)
-    sym = squareform(dists)
-    del dists
-    np.fill_diagonal(sym, 1.0)
+    sym = _gaussian_affinity(cloud.points, sigma_pct)[0]
     d_isqrt = 1.0 / np.sqrt(sym.sum(axis=1))
     sym *= d_isqrt[:, None]  # W -> D^-1/2 W D^-1/2 in place
     sym *= d_isqrt
@@ -275,6 +265,37 @@ def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = R
     embedding = d_isqrt[:, None] * vecs
     norms = np.linalg.norm(embedding, axis=1, keepdims=True)
     return embedding / np.where(norms > 0, norms, 1.0)
+
+
+def _gaussian_affinity(points: np.ndarray, sigma_pct: float) -> tuple:
+    """The Gaussian affinity (unit diagonal) and its sigma, ``np.percentile`` of the pairwise
+    distances, in one n x n buffer that first holds the condensed distances and a partitioned copy."""
+    from scipy.spatial.distance import pdist
+
+    n = points.shape[0]
+    size = n * (n - 1) // 2
+    sym = np.empty((n, n))
+    flat = sym.reshape(-1)
+    dists = pdist(points, out=flat[:size])
+    part = flat[size : 2 * size]
+    part[:] = dists
+    virtual = (size - 1) * (sigma_pct / 100)
+    ranks = [int(virtual), min(int(virtual) + 1, size - 1)]
+    part.partition(ranks)
+    sigma = _lerp(*part[ranks], virtual)
+    if sigma <= 0:
+        raise DegenerateCloudError("all selected points coincide")
+    # exp(-(dists**2) / (2 * sigma**2)), the same operations done in place
+    np.square(dists, out=dists)
+    np.negative(dists, out=dists)
+    np.divide(dists, 2 * sigma**2, out=dists)
+    np.exp(dists, out=dists)
+    for i in range(n - 2, -1, -1):  # row i's condensed distances lie at or before their place
+        flat[i * (n + 1) + 1 : (i + 1) * n] = dists[i * n - i * (i + 1) // 2 :][: n - 1 - i]
+    for i in range(n):
+        sym[i, :i] = sym[:i, i]
+    np.fill_diagonal(sym, 1.0)
+    return sym, sigma
 
 
 def kmeans_cluster(embedding: np.ndarray, n_clusters: int, seed: int = 0) -> np.ndarray:

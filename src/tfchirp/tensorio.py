@@ -179,25 +179,6 @@ def read_wav(path: str, downsample: int = 1) -> Signal:
     return Signal(samples, rate / downsample, 0.0)
 
 
-def write_wav(path: str, samples: np.ndarray, sample_rate_hz: float):
-    """Minimal mono PCM16 writer; the WAV input path's tests write their files with it."""
-    if not (sample_rate_hz > 0 and float(sample_rate_hz).is_integer()):
-        raise ParameterError(f"WAV sample rate must be a positive integer, got {sample_rate_hz}")
-    rate = int(sample_rate_hz)
-    pcm = np.clip(np.round(np.asarray(samples, dtype=float) * 32768.0), -32768, 32767).astype("<i2")
-    payload = pcm.tobytes()
-
-    def emit(fh):
-        fh.write(b"RIFF")
-        fh.write(struct.pack("<I", 36 + len(payload)))
-        fh.write(b"WAVE")
-        fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16))
-        fh.write(b"data" + struct.pack("<I", len(payload)))
-        fh.write(payload)
-
-    _atomic_write(path, emit)
-
-
 def read_signal_csv(path: str, sample_rate_hz: float, t0_s: float = 0.0) -> Signal:
     """CSV with columns ``re[,im]`` (header optional)."""
     rows = []

@@ -14,6 +14,7 @@ transform on the (frequency x chirp-rate) product grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -59,21 +60,21 @@ class StreamedBank:
     bank: WindowBank
 
     def companion_rows(self):
-        """Row source of the companions: ``fetch(rows)(part)`` is the tuple
-        (T1, T2, U, U1, V) of the flat (chirp, frequency) rows ``rows[part]``.
+        """Row source of the companions: ``fetch(rows, cols)(part)`` is the tuple
+        (T1, T2, U, U1, V) of the flat (chirp, frequency) rows ``rows[part]``
+        over the frames of the slice ``cols`` (all by default).
 
         ``fetch`` sums all of ``rows`` in one matrix product; ``part`` combines
-        a slice of them into the companions.  The windowed segments are built
-        once per call and released with the returned function.
+        a slice of them into the companions.  The phases are built once per call.
         """
         grid, bank = self.h.grid, self.bank
         windows = [bank.th, bank.t2h, *bank.basis]
         sums_of = _windowed_sums(self.signal, windows, grid)
         T_flat = self.h.values.reshape(-1, grid.n_time)
 
-        def fetch(rows):
-            sums = sums_of(rows)
-            return lambda part: _companions(bank.family, T_flat[rows[part]], sums[part])
+        def fetch(rows, cols=slice(None)):
+            sums = sums_of(rows, cols)
+            return lambda part: _companions(bank.family, T_flat[rows[part], cols], sums[part])
 
         return fetch
 
@@ -131,28 +132,31 @@ def _padded_segments(signal: Signal, half_len: int) -> np.ndarray:
 def _windowed_sums(signal: Signal, windows, grid: TfcGrid):
     """The module docstring's sum against several windows of one length.
 
-    Returns ``sums(rows)``, of shape [rows.size, len(windows), n_time]: the
-    transforms of the flat (chirp, frequency) rows ``rows`` (flat row
-    ``l_slot * n_freq + m``) against each window, in one matrix product of
-    the requested rows' phases with the windowed segments ``hstack(w * S)``.
-    The windowed segments are made once, into one array; the phases exist
-    only for the rows of a call, never for the whole grid.
+    Returns ``sums(rows, cols)``, [rows.size, len(windows), width]: the flat
+    (chirp, frequency) rows ``rows`` (flat row ``l_slot * n_freq + m``) against
+    each window over the frames of the slice ``cols`` (all by default), in one
+    matrix product of the rows' phases (never the whole grid's) with the
+    windowed segments ``hstack(w * S)`` of those frames, kept for the last
+    range only.  A row's sums depend neither on the other rows nor on the range.
     """
     if grid.n_time != len(signal):
         raise ShapeError(f"grid.n_time={grid.n_time} != signal length {len(signal)}")
     half_len = (windows[0].size - 1) // 2
     chirp_phase, freq_phase = _phase_factors(grid, half_len)
     S = _padded_segments(signal, half_len)
-    # [2K+1, len(windows), N] made once and viewed as [2K+1, len(windows) * N]
-    stacked = np.multiply(np.stack(windows, axis=1)[:, :, None], S[:, None, :]).reshape(S.shape[0], -1)
 
-    def sums(rows):
+    @lru_cache(maxsize=1)
+    def segments(start, stop, step):  # [2K+1, len(windows), width] viewed as [2K+1, len(windows) * width]
+        return np.multiply(np.stack(windows, axis=1)[:, :, None], S[:, None, start:stop:step]).reshape(S.shape[0], -1)
+
+    def sums(rows, cols=slice(None)):
+        stacked = segments(*cols.indices(grid.n_time))
         # one row would run as a matrix-vector product, whose bits differ from
         # the same row's in a larger fetch: sum it twice and keep one
         fetched = np.repeat(rows, 2) if rows.size == 1 else rows
         E = chirp_phase[fetched // grid.n_freq]
         E *= freq_phase[fetched % grid.n_freq]
-        return (E @ stacked)[: rows.size].reshape(rows.size, len(windows), grid.n_time)
+        return (E @ stacked)[: rows.size].reshape(rows.size, len(windows), stacked.shape[1] // len(windows))
 
     return sums
 

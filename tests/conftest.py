@@ -1,9 +1,11 @@
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from tfchirp.errors import ParameterError
 from tfchirp.pipeline import run_sct
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution
 from tfchirp.synth import crossing_chirp_pair
@@ -70,3 +72,20 @@ def traced_volumes(fn, volume_bytes: int):
     finally:
         tracemalloc.stop()
     return result, (peak - base) / volume_bytes, (current - base) / volume_bytes
+
+
+def write_wav(path: str, samples: np.ndarray, sample_rate_hz: float):
+    """Minimal mono PCM16 writer, for the WAV input path's test files.
+
+    A WAV header holds an integral rate: any other rate raises
+    ``ParameterError`` before the file is opened.
+    """
+    if not (sample_rate_hz > 0 and float(sample_rate_hz).is_integer()):
+        raise ParameterError(f"WAV sample rate must be a positive integer, got {sample_rate_hz}")
+    rate = int(sample_rate_hz)
+    pcm = np.clip(np.round(np.asarray(samples, dtype=float) * 32768.0), -32768, 32767).astype("<i2")
+    payload = pcm.tobytes()
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE")
+        fh.write(b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16))
+        fh.write(b"data" + struct.pack("<I", len(payload)) + payload)

@@ -13,6 +13,8 @@ straightforward forms it is checked against:
 - ``select_high_energy`` and ``admit_frame_peaks_loop``: the ridge cloud
   selected on a whole |S| volume with a boolean mask, and the per-frame
   peaks peeled one frame at a time;
+- ``gaussian_affinity_squareform``: the affinity from the condensed
+  distances through ``np.percentile`` and ``squareform``;
 - the closed-form transform of a linear chirp, the Fresnel segment, and
   adaptive quadratures of the 1-d chirp transform and of the continuous
   chirplet transform.
@@ -24,7 +26,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import fresnel
 
-from tfchirp.errors import EmptyCloudError, ParameterError, ShapeError
+from tfchirp.errors import DegenerateCloudError, EmptyCloudError, ParameterError, ShapeError
 from tfchirp.ridge import TfcPointCloud, _weighted_quantiles
 from tfchirp.signal import TfcGrid, WindowBank, WindowFamily, round_half_away
 from tfchirp.transform import TfcTensor, chirplet_transform
@@ -93,13 +95,13 @@ class BankTensors:
 
     def companion_rows(self):
         """Row source of the companions, as ``StreamedBank.companion_rows``:
-        ``fetch(rows)(part)`` is the tuple (T1, T2, U, U1, V) of the flat
-        (chirp, frequency) rows ``rows[part]``."""
+        ``fetch(rows, cols)(part)`` is the tuple (T1, T2, U, U1, V) of the flat
+        (chirp, frequency) rows ``rows[part]`` over the frames ``cols``."""
         companions = [getattr(self, name).values for name in _COMPANIONS]
         if len({t.shape for t in companions} | {self.h.values.shape}) != 1:
             raise ShapeError("bank tensors disagree in shape")
         flat = [t.reshape(-1, self.h.grid.n_time) for t in companions]
-        return lambda rows: lambda part: tuple(t[rows[part]] for t in flat)
+        return lambda rows, cols=slice(None): lambda part: tuple(t[rows[part], cols] for t in flat)
 
 
 def chirplet_bank_transform(signal, bank: WindowBank, grid: TfcGrid) -> BankTensors:
@@ -189,6 +191,20 @@ def select_high_energy(tensor, q, min_per_frame=0):
         axis_scale=span,
         core=core if min_per_frame > 0 else None,
     )
+
+
+def gaussian_affinity_squareform(points, sigma_pct):
+    """The Gaussian affinity (unit diagonal) and its sigma from the condensed
+    distances, ``np.percentile`` of them and ``squareform``."""
+    from scipy.spatial.distance import pdist, squareform
+
+    dists = pdist(points)
+    sigma = np.percentile(dists, sigma_pct)
+    if sigma <= 0:
+        raise DegenerateCloudError("all selected points coincide")
+    sym = squareform(np.exp(-(dists**2) / (2 * sigma**2)))
+    np.fill_diagonal(sym, 1.0)
+    return sym, sigma
 
 
 # ---------------------------------------------------------------------------

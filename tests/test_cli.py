@@ -11,8 +11,10 @@ import pytest
 from tfchirp.cli import main
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution
 from tfchirp.synth import crossing_chirp_pair
-from tfchirp.tensorio import read_tensor, write_signal_csv, write_tensor, write_wav
+from tfchirp.tensorio import read_tensor, write_signal_csv, write_tensor
 from tfchirp.transform import TfcTensor
+
+from conftest import write_wav
 
 
 @pytest.fixture(scope="module")

@@ -490,15 +490,29 @@ def test_select_high_energy_copies_no_selection(crossing_sct_g2):
 
 
 def test_spectral_embed_memory_budget():
-    # the distances and their affinity share one buffer: the square matrix and
-    # the condensed one, 1.5 n^2 doubles
+    # the condensed distances, their partitioned copy and the affinity share
+    # one n x n buffer of doubles
     n = 1023
     pts = np.random.default_rng(0).random((n, 3))
     cloud = TfcPointCloud(pts, pts, np.ones(n), np.zeros(n, dtype=int), np.zeros(3), np.ones(3))
     spectral_embed(blob_cloud(), 2)  # its scipy imports stay out of the trace
     embedding, peak, _ = traced_volumes(lambda: spectral_embed(cloud, 2), n * n * 8)
     assert embedding.shape == (n, 2)
-    assert peak <= 1.58
+    assert peak <= 1.1
+
+
+@pytest.mark.parametrize("n, sigma_pct", [(4, 1e-9), (5, 100.0), (57, 50.0), (1023, 15.0), (1500, 30.0)])
+def test_affinity_in_one_buffer_equals_squareform(n, sigma_pct, monkeypatch):
+    # sigma and the matrix to the bit, and with them the embedding
+    pts = np.random.default_rng(n).random((n, 3))
+    sym, sigma = ridge._gaussian_affinity(pts, sigma_pct)
+    want, want_sigma = reference.gaussian_affinity_squareform(pts, sigma_pct)
+    assert float(sigma).hex() == float(want_sigma).hex()
+    assert np.array_equal(sym, want)
+    cloud = TfcPointCloud(pts, pts, np.ones(n), np.zeros(n, dtype=int), np.zeros(3), np.ones(3))
+    embedding = spectral_embed(cloud, 2, sigma_pct)
+    monkeypatch.setattr(ridge, "_gaussian_affinity", reference.gaussian_affinity_squareform)
+    assert np.array_equal(embedding, spectral_embed(cloud, 2, sigma_pct))
 
 
 def test_landed_sources_match_squeeze_destinations(crossing_sct_g2, monkeypatch):

@@ -13,6 +13,7 @@ from tfchirp.reassign import (
     ALIASED,
     BELOW,
     DEGENERATE,
+    FRAME_CHUNK,
     OFF_GRID,
     reassignment_field,
     resolvable_slots,
@@ -22,7 +23,7 @@ from tfchirp.reassign import (
 from tfchirp.ridge import RidgeParams
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from tfchirp.synth import add_student_t_noise
-from tfchirp.transform import TfcTensor, streamed_bank_transform
+from tfchirp.transform import PHASE_BLOCK, TfcTensor, streamed_bank_transform
 
 from conftest import traced_volumes
 from reference import BankTensors, chirplet_bank_transform, conservation_full_volume, squeeze_destinations
@@ -153,20 +154,44 @@ def test_codes_hold_each_cause(coded_field):
 
 
 def test_estimates_equal_the_volumes_bit_for_bit(coded_field):
+    # tile by tile, in products of at most ``cap`` rows: the squeezed entries
+    # (every tile, the short last one too), whole rows of the last tile in
+    # products of 1, 2 and 3 rows, alone and after a product of ``cap`` rows,
+    # and a lone entry
     field = coded_field
     n_time = field.grid.n_time
+    cap = max(1, PHASE_BLOCK // field.banks.bank.h.size)
     src, _ = squeeze_destinations(field)
-    # whole rows, undefined entries included, so many that the last fetch of
-    # rows holds one row
-    fetch = reassign.FETCH_BLOCKS * max(1, (1 << 16) // n_time)
+    assert np.array_equal(np.unique(src % n_time // FRAME_CHUNK), np.arange(-(-n_time // FRAME_CHUNK)))
+    assert n_time % FRAME_CHUNK
     rows = np.unique(src // n_time)
-    rows = rows[: (rows.size - 1) // fetch * fetch + 1]
-    assert rows.size % fetch == 1 % fetch
-    whole_rows = (rows[:, None] * n_time + np.arange(n_time)).ravel()
-    for flat in (src, whole_rows, src[-1:]):
+    assert rows.size > cap + 3 or isinstance(field.banks, BankTensors)  # a streamed bank's tile crosses the cap
+    last_tile = np.arange(n_time - n_time % FRAME_CHUNK, n_time)
+    sets = [src, src[-1:]]
+    for k in (1, 2, 3):
+        sets += [(some[:, None] * n_time + last_tile).ravel() for some in (rows[:k], rows[: cap + k])]
+    for flat in sets:
         omega, mu = field.estimates(flat)
         assert np.array_equal(omega, field.omega.ravel()[flat], equal_nan=True)
         assert np.array_equal(mu, field.mu.ravel()[flat], equal_nan=True)
+
+
+@pytest.mark.parametrize("fixture", ["crossing_sct_g0", "crossing_sct_g2"])
+def test_estimates_hold_one_tile_of_sums(request, fixture, monkeypatch):
+    # the landed sources of source tracing, recomputed tile by tile: no
+    # whole-row fetch, and no whole-record windowed segments
+    result = request.getfixturevalue(fixture)
+    grid = result.field.grid
+    landed = []
+    estimates = reassign.ReassignmentField.estimates
+    monkeypatch.setattr(
+        reassign.ReassignmentField, "estimates", lambda field, flat: landed.append(flat) or estimates(field, flat)
+    )
+    sct_ridges(result, 2, RidgeParams(seed=0))
+    volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
+    (omega, _), peak, _ = traced_volumes(lambda: result.field.estimates(landed[0]), volume)
+    assert omega.size == landed[0].size > 10_000
+    assert peak <= 0.5
 
 
 @pytest.mark.parametrize("alpha_sq, half_len", [(0.01, 430), (0.05, 40)])

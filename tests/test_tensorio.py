@@ -13,11 +13,10 @@ from tfchirp.tensorio import (
     read_wav,
     write_signal_csv,
     write_tensor,
-    write_wav,
 )
 from tfchirp.transform import TfcTensor
 
-from conftest import traced_volumes
+from conftest import traced_volumes, write_wav
 
 
 def random_tensor(seed=0, dtype=np.complex128):
