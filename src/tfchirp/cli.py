@@ -148,9 +148,9 @@ def _analysis_window(config: RunConfig, signal: Signal) -> tuple:
 
 
 @contextmanager
-def _memory_guard(grid, *windows):
-    """Turn a ``MemoryError`` into a one-line error naming the grid and each window
-    built under the guard, given as (label, half length, the knob that shortens it)."""
+def _memory_guard(grid, *windows, q=None):
+    """Turn a ``MemoryError`` into a one-line error naming the grid, ``q`` of a ridge cloud clustered
+    under the guard, and each window built under it, given as (label, half length, the knob that shortens it)."""
     try:
         yield
     except MemoryError:
@@ -158,6 +158,7 @@ def _memory_guard(grid, *windows):
         names = " and ".join(f"the {2 * half_len + 1}-tap {label}" for label, half_len, _ in windows)
         knobs = ", or ".join(
             [f"raise alpha_sq (now {grid.alpha_sq}) for a coarser grid"]
+            + ([f"raise q (now {q}) for a smaller cloud"] if q is not None else [])
             + [f"{knob} for a shorter {label}" for label, _, knob in windows]
         )
         raise ResourceError(
@@ -243,7 +244,7 @@ def cmd_ridge(args) -> int:
     tensorio._check_writable(args.output)
     with _naming("--tensor", args.tensor):
         tensor, t0 = tensorio.read_tensor(args.tensor)
-    with _memory_guard(tensor.grid):
+    with _memory_guard(tensor.grid, q=config.q):
         ridges = extract_ridges(tensor, config.n_components, config.ridge_params())
     _write_ridges(args.output, ridges, t0 + np.arange(tensor.grid.n_time) / tensor.grid.sample_rate_hz)
     return 0
@@ -282,7 +283,7 @@ def cmd_reconstruct(args) -> int:
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     recon_half_len = recon_family.default_half_len(signal.dt_s)
     recon_window = ("reconstruction window", recon_half_len, f"raise --recon-alpha (now {args.recon_alpha})")
-    with _memory_guard(grid, _analysis_window(config, signal), recon_window):
+    with _memory_guard(grid, _analysis_window(config, signal), recon_window, q=config.q):
         recon_bank = make_window_bank(recon_family, recon_half_len, signal.dt_s)
         ridges = sct_ridges(_run_sct(config, signal, grid), config.n_components, config.ridge_params())
         modes = reconstruct_modes(signal, ridges, recon_bank)

@@ -23,10 +23,10 @@ guarantee excludes); and slots whose chirped atom is undersampled, i.e. the
 atom's instantaneous frequency m/(2M) + lam*j leaves the Nyquist band over a
 non-negligible part of the window support, where the quadratic phase aliases
 and the ratio estimates turn into noise.  The field keeps one int32 code per
-entry: its squeeze destination, or the cause it has none.  Downstream
-consumers read the codes, and the estimates of the few entries they need,
-recomputed a time tile at a time: a row's sums depend neither on the other
-rows nor on the tile.
+entry: its squeeze destination, or the cause it has none.  Source tracing
+(``ReassignmentField.sources``) reads the codes a time tile at a time and
+recomputes the estimates of the landed entries alone: a row's sums depend
+neither on the other rows nor on the tile.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ M2_GUARD = 1e-12
 DEFAULT_NU_REL = 1e-4
 ALIAS_TOL = 1e-3
 FETCH_BLOCKS = 8  # field blocks whose companion rows are summed in one product
-FRAME_CHUNK = 64  # frames per time tile, of source tracing's recompute and of the per-frame peaks
+FRAME_CHUNK = 64  # frames per time tile, of source tracing and of the per-frame peaks
 SQUEEZE_BLOCK = 1 << 18  # entries per block of a pass over a whole volume: bounds its temporaries
 
 
@@ -62,10 +62,10 @@ class ReassignmentField:
 
     ``codes`` holds the in-frame destination bin ``l * n_freq + m`` of every
     entry that moves, and a negative cause (``ALIASED``, ``BELOW``,
-    ``DEGENERATE``, ``OFF_GRID``) for every other.  The estimates themselves
-    are not stored: ``estimates`` recomputes them at given entries from the
-    bank source ``banks`` and threshold ``nu`` the codes were built from, and
-    the ``omega``/``mu`` volumes are built on first access.
+    ``DEGENERATE``, ``OFF_GRID``) for every other.  The estimates are not
+    stored: ``sources`` recomputes them for the entries that land on given
+    bins from the bank source ``banks`` and threshold ``nu`` the codes were
+    built from; the ``omega``/``mu`` volumes are built on first access.
     """
 
     codes: np.ndarray  # int32 [n_chirp, n_freq, n_time]
@@ -109,27 +109,50 @@ class ReassignmentField:
         self.__dict__.update(omega=omega.reshape(self.codes.shape), mu=mu.reshape(self.codes.shape))
         return self.__dict__[name]
 
-    def estimates(self, flat_src: np.ndarray) -> tuple:
-        """(omega, mu) at the ascending flat entries ``flat_src``, NaN where undefined.
-
-        Per time tile of ``FRAME_CHUNK`` frames, the blocks that built the codes
-        sum the companions of the rows holding an entry in the tile over its
-        frames alone, and the estimates are formed at the entries alone: equal
-        to ``omega.ravel()[flat_src]`` and ``mu.ravel()[flat_src]`` bit for bit.
+    def sources(self, bins: np.ndarray) -> tuple:
+        """(src, which, omega, mu): the flat entries of ``h`` that the squeeze moves onto the
+        flat S bins ``bins``, tile by tile in (row, frame) order, the index in ``bins`` of the
+        bin each lands on, and their estimates, ``omega.ravel()[src]`` and ``mu.ravel()[src]``
+        to the bit.  One loop over the time tiles of ``FRAME_CHUNK`` frames that hold a bin.
         """
         n_time = self.grid.n_time
-        tile = flat_src % n_time // FRAME_CHUNK
-        order = np.argsort(tile, kind="stable")  # tile by tile, each in ascending flat order
-        tiles, starts = np.unique(tile[order], return_index=True)
+        codes = self.codes.reshape(-1, n_time)
+        bins = np.asarray(bins, dtype=np.intp)
+        bin_tile = bins % n_time // FRAME_CHUNK
+        # row (code + 4) of the table holds the owners of one destination row
+        # over the tile's frames; the four negative causes fall on rows that own nothing
+        owner = np.full((codes.shape[0] + 4) * FRAME_CHUNK, -1, dtype=np.int32)
         blocks = _field_blocks(self.banks)
-        omega, mu = np.empty(flat_src.size), np.empty(flat_src.size)
-        for t, sel in zip(tiles, np.split(order, starts[1:])):
-            rows, inverse = np.unique(flat_src[sel] // n_time, return_inverse=True)
-            for part, inputs in blocks(rows, slice(t * FRAME_CHUNK, (t + 1) * FRAME_CHUNK)):
-                span = slice(*np.searchsorted(inverse, (part.start, part.stop)))  # the tile's entries of rows[part]
-                at = (inverse[span] - part.start, flat_src[sel[span]] % n_time % FRAME_CHUNK)
-                entries = (np.broadcast_to(x, inputs[0].shape)[at] for x in inputs)
-                mu[sel[span]], omega[sel[span]], _ = _mu_omega(*entries, self.nu)
+        found = [(np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0), np.empty(0))]
+        for tile in np.unique(bin_tile):
+            t0 = tile * FRAME_CHUNK
+            mine = np.flatnonzero(bin_tile == tile)
+            marks = (bins[mine] // n_time + 4) * FRAME_CHUNK + bins[mine] % n_time - t0
+            owner[marks] = mine
+            keys = codes[:, t0 : t0 + FRAME_CHUNK] + np.intp(4)  # in intp: no grid overflows it
+            keys *= FRAME_CHUNK
+            keys += np.arange(keys.shape[1])
+            which = owner.take(keys)
+            del keys  # with which's gather below, the recompute holds no tile-sized array
+            owner[marks] = -1
+            landed = np.flatnonzero(which >= 0)
+            rows, cols = np.divmod(landed, which.shape[1])
+            which = which.reshape(-1)[landed]
+            found.append((rows * n_time + t0 + cols, which, *self._recompute_tile(blocks, rows, cols, t0)))
+        return tuple(np.concatenate(part) for part in zip(*found))
+
+    def _recompute_tile(self, blocks, rows: np.ndarray, cols: np.ndarray, t0: int) -> tuple:
+        """(omega, mu) at the entries (``rows``, ``t0 + cols``) of the tile from frame ``t0``, in
+        (row, frame) order: ``blocks`` (of ``_field_blocks``) sum the companions of their rows
+        over the tile's frames alone, and the estimates are formed at the entries alone.
+        """
+        rows, inverse = np.unique(rows, return_inverse=True)
+        omega, mu = np.empty(inverse.size), np.empty(inverse.size)
+        for part, inputs in blocks(rows, slice(t0, t0 + FRAME_CHUNK)):
+            span = slice(*np.searchsorted(inverse, (part.start, part.stop)))  # the entries of rows[part]
+            at = (inverse[span] - part.start, cols[span])
+            entries = (np.broadcast_to(x, inputs[0].shape)[at] for x in inputs)
+            mu[span], omega[span], _ = _mu_omega(*entries, self.nu)
         return omega, mu
 
 
@@ -260,20 +283,6 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
     return ReassignmentField(codes=codes.reshape(banks.h.values.shape), banks=banks, nu=nu)
 
 
-def _moves(field: ReassignmentField):
-    """Flat source and destination indices of every entry the squeeze moves.
-
-    Read off the codes in ascending blocks of ``_entry_blocks``: sources are
-    ascending flat indices into the volume, and each destination is the flat
-    index of its bin in the same frame.
-    """
-    n_time = field.grid.n_time
-    codes = field.codes.reshape(-1)
-    for block in _entry_blocks(codes.size):
-        src = np.flatnonzero(codes[block] >= 0) + block.start
-        yield src, codes[src].astype(np.intp) * n_time + src % n_time
-
-
 def synchrosqueeze(field: ReassignmentField) -> TfcTensor:
     """Scatter the field's T^h onto the bins its codes name.
 
@@ -282,11 +291,12 @@ def synchrosqueeze(field: ReassignmentField) -> TfcTensor:
     conserved over the contributing set.
     """
     h = field.h
-    values = h.values.reshape(-1)
+    values, codes = h.values.reshape(-1), field.codes.reshape(-1)
     out = np.zeros(values.size, dtype=np.complex128)
     # blocks in ascending source order keep the scatter order of one pass
-    for src, dest in _moves(field):
-        np.add.at(out, dest, values[src])
+    for block in _entry_blocks(codes.size):
+        src = np.flatnonzero(codes[block] >= 0) + block.start
+        np.add.at(out, codes[src].astype(np.intp) * h.grid.n_time + src % h.grid.n_time, values[src])
     return TfcTensor(out.reshape(h.values.shape), h.grid)
 
 

@@ -18,7 +18,7 @@ from .errors import (
     ExtractionError,
     ParameterError,
 )
-from .reassign import FRAME_CHUNK, _entry_blocks, _moves
+from .reassign import FRAME_CHUNK, _entry_blocks
 from .signal import TfcGrid
 from .transform import TfcTensor
 
@@ -466,47 +466,29 @@ def _local_linear_curve(t_pts, y_pts, w_pts, t_eval, half_width, iters, clip):
     return out
 
 
-def _landed_sources(field, owner: np.ndarray) -> tuple:
-    """Flat sources whose squeeze destination has an owner, and that owner.
-
-    The field's codes are walked in ascending blocks, so only the sources
-    that land on an owned bin are ever held, in ascending order.
-    """
-    src, row = [], []
-    for src_b, dest_b in _moves(field):
-        row_b = owner[dest_b]
-        hit = row_b >= 0
-        src.append(src_b[hit])
-        row.append(row_b[hit])
-    return np.concatenate(src), np.concatenate(row)
-
-
 def ridges_from_sources(cloud: TfcPointCloud, labels: np.ndarray, field) -> RidgeSet:
     """Curves from the pre-squeeze entries feeding each cluster's bins.
 
     Each selected squeezed bin is traced back, through the field's codes, to
-    the entries of its T^h that reassigned into it; their continuous (omega,
-    mu) estimates, recomputed for those entries alone (``field.estimates``)
-    and weighted by |T|, carry sub-bin precision that the bin coordinates
-    lost.  A robust local-linear fit along time turns them into curves, which
+    the entries of its T^h that reassigned into it (``field.sources``); their
+    continuous (omega, mu) estimates, recomputed for those entries alone and
+    weighted by |T|, carry sub-bin precision that the bin coordinates lost.
+    A robust local-linear fit along time turns them into curves, which
     ``_finish_curves`` completes.
     """
     grid = field.grid
     n_time = grid.n_time
 
     def fits(rows, ids):
-        if ids.size > np.iinfo(np.int8).max:
-            raise ParameterError("at most 127 clusters")
-        # one label volume over the clusters' bins (-1 elsewhere), looked up at
-        # every source's destination; only the sources that land on a bin stay
-        owner = np.full(grid.n_chirp * grid.n_freq * n_time, -1, dtype=np.int8)
         l_pt = np.rint(cloud.physical[:, 2] / grid.chirp_step_hzps).astype(np.intp) + grid.M - 1
         m_pt = np.rint(cloud.physical[:, 1] / grid.freq_step_hz).astype(np.intp)
-        owner[(l_pt * grid.n_freq + m_pt) * n_time + cloud.frames] = rows
-        src, src_row = _landed_sources(field, owner)
+        # sources come tile by tile in (row, frame) order: within each frame
+        # the rows ascend, as they do in ascending flat order, so the fit's
+        # stable sort by time sees the same order as over ascending sources
+        src, which, *estimates = field.sources((l_pt * grid.n_freq + m_pt) * n_time + cloud.frames)
+        src_row = rows[which]
         t_src = (src % n_time) / grid.sample_rate_hz
         w_src = np.abs(field.h.values.ravel()[src])
-        estimates = field.estimates(src)
         t_axis = np.arange(n_time) / grid.sample_rate_hz
         curves = np.empty((2, ids.size, n_time))
         for row, cid in enumerate(ids):

@@ -306,6 +306,8 @@ def test_memory_error_exits_3_with_grid_and_knob(crossing_csv, tmp_path, monkeyp
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "100x51x401" in err and str(100 * 51 * 401 * 16) in err and "alpha_sq" in err
+    # only a command that clusters a ridge cloud names q
+    assert ("raise q (now 0.9995) for a smaller cloud" in err) == (command == "reconstruct")
 
 
 @pytest.mark.parametrize(
@@ -416,6 +418,28 @@ def test_ridge_memory_error_exits_3_with_grid(tmp_path, monkeypatch, capsys):
     assert main(["ridge", "--tensor", str(tensor), "--output", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "10x6x20" in err and "alpha_sq" in err
+    assert "raise q (now 0.9995) for a smaller cloud" in err
+    assert not out.exists()
+
+
+def test_ridge_at_q_zero_names_q_under_an_address_space_limit(crossing_csv, tmp_path):
+    # q = 0 makes every nonzero bin of the crossing SCT a cloud point (396,929),
+    # whose affinity would take 1.26 TB; the child's own RLIMIT_AS makes the
+    # allocation fail whatever the machine's overcommit policy
+    tensor, out = tmp_path / "sct.tfc1", tmp_path / "r.csv"
+    assert main(["sct", "--input", crossing_csv, "--rate", "100", "--t0", "1.0", "--output", str(tensor)]) == 0
+    child = (
+        "import resource, sys\n"
+        "from tfchirp.cli import main\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    argv = ["--config", write_config(tmp_path, q=0), "ridge", "--tensor", str(tensor), "--output", str(out)]
+    proc = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("\n") == 1 and "raise q (now 0.0) for a smaller cloud" in proc.stderr, proc.stderr
     assert not out.exists()
 
 

@@ -515,16 +515,33 @@ def test_affinity_in_one_buffer_equals_squareform(n, sigma_pct, monkeypatch):
     assert np.array_equal(embedding, spectral_embed(cloud, 2, sigma_pct))
 
 
-def test_landed_sources_match_squeeze_destinations(crossing_sct_g2, monkeypatch):
+def test_landed_sources_match_squeeze_destinations(crossing_sct_g2):
+    # random bins in shuffled order, a tile with none and a bin that no
+    # source reaches: the one-pass pairs, tile by tile in (row, frame) order
     field = crossing_sct_g2.field
-    rng = np.random.default_rng(3)
-    size = field.defined.size
-    owner = np.where(rng.random(size) < 0.2, rng.integers(0, 3, size), -1).astype(np.int8)
+    n_time = field.grid.n_time
     src, dest = squeeze_destinations(field)
-    row = owner[dest]
-    want_src, want_row = src[row >= 0], row[row >= 0]
-    assert want_src.size > 1000
-    for block in (reassign.SQUEEZE_BLOCK, 99_991):
-        monkeypatch.setattr(reassign, "SQUEEZE_BLOCK", block)
-        got_src, got_row = ridge._landed_sources(field, owner)
-        assert np.array_equal(got_src, want_src) and np.array_equal(got_row, want_row)
+    rng = np.random.default_rng(3)
+    reached = np.unique(dest)
+    bins = rng.choice(reached, 3000, replace=False)
+    bins = bins[bins % n_time // ridge.FRAME_CHUNK != 2]
+    unreached = np.setdiff1d(np.arange(field.codes.size), reached)[-1:]
+    bins = rng.permutation(np.concatenate((bins, unreached)))
+    got_src, which, _, _ = field.sources(bins)
+    hit = np.isin(dest, bins)
+    want_src, want_dest = src[hit], dest[hit]
+    order = np.lexsort((want_src % n_time, want_src // n_time, want_src % n_time // ridge.FRAME_CHUNK))
+    assert want_src.size > 1000 and unreached.size == 1
+    assert np.array_equal(got_src, want_src[order]) and np.array_equal(bins[which], want_dest[order])
+    assert 2 not in got_src % n_time // ridge.FRAME_CHUNK
+    # the order the curve fits see after their stable sort by time: rows ascend within each frame
+    frame, row = got_src % n_time, got_src // n_time
+    by_time = np.argsort(frame, kind="stable")
+    assert np.all(np.diff(row[by_time])[np.diff(frame[by_time]) == 0] > 0)
+
+
+def test_source_tracing_takes_more_than_127_clusters(crossing_sct_g2):
+    result = crossing_sct_g2
+    cloud = select_high_energy(result.squeezed, 0.9995, min_per_frame=3)
+    ridges = ridge.ridges_from_sources(cloud, np.arange(len(cloud)) % 130, result.field)
+    assert ridges.n_components == 130 and ridges.valid.all()

@@ -90,18 +90,18 @@ def test_streamed_field_on_the_crossing_grid(crossing_scene, crossing_grid, n):
 
 
 def test_blocked_squeeze_equals_one_pass(chirp_f1_sct, monkeypatch):
+    # S to the bit against one np.add.at over every (source, destination) pair
     _, _, result = chirp_f1_sct
     field = result.field
     src, dest = squeeze_destinations(field)
-    squeezed = synchrosqueeze(field)
-    residual = squeeze_conservation(field, squeezed)
+    one_pass = np.zeros(field.codes.size, dtype=np.complex128)
+    np.add.at(one_pass, dest, field.h.values.ravel()[src])
     assert src.size > 10 * 997
     for block in (reassign.SQUEEZE_BLOCK, 997):
         monkeypatch.setattr(reassign, "SQUEEZE_BLOCK", block)
-        src_b, dest_b = (np.concatenate(part) for part in zip(*reassign._moves(field)))
-        assert np.array_equal(src_b, src) and np.array_equal(dest_b, dest)
-        assert np.array_equal(synchrosqueeze(field).values, squeezed.values)
-        assert np.array_equal(squeeze_conservation(field, squeezed), residual)
+        squeezed = synchrosqueeze(field)
+        assert np.array_equal(squeezed.values.ravel(), one_pass)
+        assert np.array_equal(squeeze_conservation(field, squeezed), squeeze_conservation(field, result.squeezed))
 
 
 def _random_bank_field():
@@ -153,15 +153,27 @@ def test_codes_hold_each_cause(coded_field):
     assert np.array_equal(field.defined, ~np.isnan(field.mu))
 
 
+def _recomputed(field, flat):
+    """(omega, mu) at the ascending flat entries ``flat``, through source tracing's per-tile recompute."""
+    n_time = field.grid.n_time
+    blocks = reassign._field_blocks(field.banks)
+    tile = flat % n_time // FRAME_CHUNK
+    omega, mu = np.empty(flat.size), np.empty(flat.size)
+    for t in np.unique(tile):
+        sel, t0 = tile == t, t * FRAME_CHUNK
+        omega[sel], mu[sel] = field._recompute_tile(blocks, flat[sel] // n_time, flat[sel] % n_time - t0, t0)
+    return omega, mu
+
+
 def test_estimates_equal_the_volumes_bit_for_bit(coded_field):
     # tile by tile, in products of at most ``cap`` rows: the squeezed entries
     # (every tile, the short last one too), whole rows of the last tile in
     # products of 1, 2 and 3 rows, alone and after a product of ``cap`` rows,
-    # and a lone entry
+    # and a lone entry; and the sources of random bins
     field = coded_field
     n_time = field.grid.n_time
     cap = max(1, PHASE_BLOCK // field.banks.bank.h.size)
-    src, _ = squeeze_destinations(field)
+    src, dest = squeeze_destinations(field)
     assert np.array_equal(np.unique(src % n_time // FRAME_CHUNK), np.arange(-(-n_time // FRAME_CHUNK)))
     assert n_time % FRAME_CHUNK
     rows = np.unique(src // n_time)
@@ -171,26 +183,30 @@ def test_estimates_equal_the_volumes_bit_for_bit(coded_field):
     for k in (1, 2, 3):
         sets += [(some[:, None] * n_time + last_tile).ravel() for some in (rows[:k], rows[: cap + k])]
     for flat in sets:
-        omega, mu = field.estimates(flat)
+        omega, mu = _recomputed(field, flat)
         assert np.array_equal(omega, field.omega.ravel()[flat], equal_nan=True)
         assert np.array_equal(mu, field.mu.ravel()[flat], equal_nan=True)
+    bins = np.random.default_rng(2).choice(np.unique(dest), 300, replace=False)
+    landed, _, omega, mu = field.sources(bins)
+    assert landed.size >= bins.size
+    assert np.array_equal(omega, field.omega.ravel()[landed]) and np.array_equal(mu, field.mu.ravel()[landed])
 
 
 @pytest.mark.parametrize("fixture", ["crossing_sct_g0", "crossing_sct_g2"])
 def test_estimates_hold_one_tile_of_sums(request, fixture, monkeypatch):
-    # the landed sources of source tracing, recomputed tile by tile: no
-    # whole-row fetch, and no whole-record windowed segments
+    # source tracing for the bins of ``sct_ridges``' cloud, recomputed tile by
+    # tile: no owner volume, no whole-row fetch and no whole-record windowed segments
     result = request.getfixturevalue(fixture)
     grid = result.field.grid
-    landed = []
-    estimates = reassign.ReassignmentField.estimates
+    traced = []
+    sources = reassign.ReassignmentField.sources
     monkeypatch.setattr(
-        reassign.ReassignmentField, "estimates", lambda field, flat: landed.append(flat) or estimates(field, flat)
+        reassign.ReassignmentField, "sources", lambda field, bins: traced.append(bins) or sources(field, bins)
     )
     sct_ridges(result, 2, RidgeParams(seed=0))
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
-    (omega, _), peak, _ = traced_volumes(lambda: result.field.estimates(landed[0]), volume)
-    assert omega.size == landed[0].size > 10_000
+    (src, _, omega, _), peak, _ = traced_volumes(lambda: sources(result.field, traced[0]), volume)
+    assert omega.size == src.size > 10_000
     assert peak <= 0.5
 
 
