@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,8 +27,19 @@ SST_DELTA_HZ = 3.0
 
 @dataclass(frozen=True)
 class SctResult:
-    field: ReassignmentField  # T^h as ``field.h``, and the squeeze code of each of its entries
-    squeezed: TfcTensor
+    """The SCT of a signal: its reassignment ``field``, which holds T^h as ``field.h``
+    and the squeeze code of each of its entries.
+
+    The squeezed volume S is built from the field on first access of ``squeezed``
+    and kept from then on; ridge extraction (``sct_ridges``) does not read it.
+    """
+
+    field: ReassignmentField
+
+    @cached_property
+    def squeezed(self) -> TfcTensor:
+        """S, ``synchrosqueeze(field)``: built on first access."""
+        return synchrosqueeze(self.field)
 
 
 def run_sct(
@@ -37,22 +49,26 @@ def run_sct(
     half_len: int | None = None,
     nu_rel: float = DEFAULT_NU_REL,
 ) -> SctResult:
-    """T^h, reassignment field and squeezed volume in one go.
+    """T^h and its reassignment field in one go; S on first read of ``squeezed``.
 
     T^h is the only bank volume kept, as the field's ``h``; the field sums
     the companion transforms block by block over its resolvable rows and
-    keeps only each entry's int32 squeeze code, no estimate volume.
-    Entries at or below ``nu_rel`` times the peak of |T^h| are undefined.
+    keeps only each entry's int16 (or, on grids taller than 32767 rows,
+    int32) squeeze code, no estimate volume.  Entries at or below ``nu_rel``
+    times the peak of |T^h| are undefined.
     """
     bank = make_window_bank(family, half_len or family.default_half_len(signal.dt_s), signal.dt_s)
     banks = streamed_bank_transform(signal, bank, grid)
-    field = reassignment_field(banks, nu=default_threshold(banks.h.values, nu_rel))
-    return SctResult(field=field, squeezed=synchrosqueeze(field))
+    return SctResult(field=reassignment_field(banks, nu=default_threshold(banks.h.values, nu_rel)))
 
 
 def sct_ridges(result: SctResult, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
-    """Ridge curves from a squeezed volume, refined through its sources."""
-    return extract_ridges(result.squeezed, n_components, params, field=result.field)
+    """Ridge curves from the squeezed volume, refined through its sources.
+
+    S is squeezed inside the extraction for the selection alone and freed
+    before the cloud is embedded; ``result.squeezed`` is neither read nor built.
+    """
+    return extract_ridges(None, n_components, params, field=result.field)
 
 
 def ct_ridges(result: SctResult, n_components: int, params: RidgeParams | None = None) -> RidgeSet:

@@ -22,11 +22,12 @@ threshold; |M2| < 1e-12*|M1| (the degenerate denominator the accuracy
 guarantee excludes); and slots whose chirped atom is undersampled, i.e. the
 atom's instantaneous frequency m/(2M) + lam*j leaves the Nyquist band over a
 non-negligible part of the window support, where the quadratic phase aliases
-and the ratio estimates turn into noise.  The field keeps one int32 code per
-entry: its squeeze destination, or the cause it has none.  Source tracing
-(``ReassignmentField.sources``) reads the codes a time tile at a time and
-recomputes the estimates of the landed entries alone: a row's sums depend
-neither on the other rows nor on the tile.
+and the ratio estimates turn into noise.  The field keeps one code per entry:
+its squeeze destination, or the cause it has none; int16 while every code
+fits (a grid height ``n_chirp * n_freq`` of at most 32767), int32 above.
+Source tracing (``ReassignmentField.sources``) reads the codes a time tile
+at a time and recomputes the estimates of the landed entries alone: a row's
+sums depend neither on the other rows nor on the tile.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ OFF_GRID = -4  # defined, but the rounded (omega, mu) falls outside the grid
 
 @dataclass(frozen=True)
 class ReassignmentField:
-    """Where the squeeze moves each entry of T^h ``h``: one int32 code per entry.
+    """Where the squeeze moves each entry of T^h ``h``: one int16 code per entry (int32 on a
+    grid taller than 32767 rows).
 
     ``codes`` holds the in-frame destination bin ``l * n_freq + m`` of every
     entry that moves, and a negative cause (``ALIASED``, ``BELOW``,
@@ -68,7 +70,7 @@ class ReassignmentField:
     built from; the ``omega``/``mu`` volumes are built on first access.
     """
 
-    codes: np.ndarray  # int32 [n_chirp, n_freq, n_time]
+    codes: np.ndarray  # int16 or int32 [n_chirp, n_freq, n_time]
     banks: StreamedBank  # or any other holder of T^h ``h`` and ``companion_rows()``
     nu: float
 
@@ -129,7 +131,8 @@ class ReassignmentField:
             mine = np.flatnonzero(bin_tile == tile)
             marks = (bins[mine] // n_time + 4) * FRAME_CHUNK + bins[mine] % n_time - t0
             owner[marks] = mine
-            keys = codes[:, t0 : t0 + FRAME_CHUNK] + np.intp(4)  # in intp: no grid overflows it
+            keys = codes[:, t0 : t0 + FRAME_CHUNK].astype(np.intp)  # in intp: no grid overflows it
+            keys += 4
             keys *= FRAME_CHUNK
             keys += np.arange(keys.shape[1])
             which = owner.take(keys)
@@ -249,13 +252,14 @@ def _field_blocks(banks):
 
 
 def _codes(grid: TfcGrid, mu: np.ndarray, omega: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """The squeeze codes (``ReassignmentField.codes``) of one block of ``_mu_omega``'s results."""
+    """The squeeze codes (``ReassignmentField.codes``) of one block of ``_mu_omega``'s results,
+    as integral floats that the codes' own dtype takes on assignment."""
     m = round_half_away(omega / grid.freq_step_hz)
     l = round_half_away(mu / grid.chirp_step_hzps) + (grid.M - 1)
     # NaN compares false: only defined entries can be in the grid
     in_grid = (l >= 0) & (l < grid.n_chirp) & (m >= 0) & (m < grid.n_freq)
     cause = np.where(np.isnan(omega), np.where(above, DEGENERATE, BELOW), OFF_GRID)
-    return np.where(in_grid, l * grid.n_freq + m, cause).astype(np.int32)
+    return np.where(in_grid, l * grid.n_freq + m, cause)
 
 
 def reassignment_field(banks: StreamedBank, nu: float | None = None) -> ReassignmentField:
@@ -275,7 +279,9 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
     # aliased slots are undefined whatever the bank values: evaluate the
     # resolvable (chirp, frequency) rows of the volume only
     rows_ok = np.flatnonzero(resolvable_slots(grid, banks.bank))
-    codes = np.full((grid.n_chirp * grid.n_freq, grid.n_time), ALIASED, dtype=np.int32)
+    # int16 holds every code while the destinations (below the grid height) do; the causes go down to -4
+    dtype = np.int16 if grid.n_chirp * grid.n_freq <= np.iinfo(np.int16).max else np.int32
+    codes = np.full((grid.n_chirp * grid.n_freq, grid.n_time), ALIASED, dtype=dtype)
     for part, inputs in _field_blocks(banks)(rows_ok):
         estimates = _mu_omega(*inputs, nu)
         del inputs  # the block's sums are not kept alive beside the codes' temporaries

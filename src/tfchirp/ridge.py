@@ -17,8 +17,9 @@ from .errors import (
     EmptyCloudError,
     ExtractionError,
     ParameterError,
+    ResourceError,
 )
-from .reassign import FRAME_CHUNK, _entry_blocks
+from .reassign import FRAME_CHUNK, _entry_blocks, synchrosqueeze
 from .signal import TfcGrid
 from .transform import TfcTensor
 
@@ -505,7 +506,7 @@ def ridges_from_sources(cloud: TfcPointCloud, labels: np.ndarray, field) -> Ridg
 
 
 def extract_ridges(
-    tensor: TfcTensor,
+    tensor: TfcTensor | None,
     n_components: int,
     params: RidgeParams | None = None,
     field=None,
@@ -517,18 +518,32 @@ def extract_ridges(
     point as one ridge.  When ``tensor`` was squeezed from the reassignment
     ``field``, passing the field aggregates the curves from the entries of
     its T^h behind each squeezed bin (sub-bin precision); otherwise they are
-    the per-frame centroids of the selected bins themselves.
+    the per-frame centroids of the selected bins themselves.  ``tensor=None``
+    with a ``field`` squeezes S here for the selection alone: it is freed
+    before the cloud is embedded.  Clustering that runs out of memory raises
+    ``ResourceError`` naming the core cloud's size and its affinity's bytes.
     """
     params = params or RidgeParams()
+    if tensor is None and field is None:
+        raise ParameterError("extract_ridges needs a tensor or a field")
     # per-frame peaks keep starved stretches represented in the curve fit,
     # but only the clean quantile (core) cloud votes on cluster identity:
-    # the extra points inherit labels from their nearest clustered point
-    cloud = select_high_energy(tensor, params.q, params.min_per_frame)
+    # the extra points inherit labels from their nearest clustered point.
+    # A squeeze made here is an argument of the selection alone, so it dies
+    # with the call
+    cloud = select_high_energy(synchrosqueeze(field) if tensor is None else tensor, params.q, params.min_per_frame)
     core = cloud.core_cloud()
     if n_components == 1:
         labels = np.zeros(len(core), dtype=int)
     else:
-        embedding = spectral_embed(core, n_components, params.sigma_pct)
+        try:
+            embedding = spectral_embed(core, n_components, params.sigma_pct)
+        except MemoryError:
+            n = len(core)
+            raise ResourceError(
+                f"out of memory clustering the {n}-point ridge cloud ({8 * n * n} bytes of affinity); "
+                f"raise q (now {params.q}) for a smaller cloud"
+            ) from None
         labels = kmeans_cluster(embedding, n_components, seed=params.seed)
         found = np.unique(labels).size
         if found != n_components:

@@ -440,6 +440,8 @@ def test_ridge_at_q_zero_names_q_under_an_address_space_limit(crossing_csv, tmp_
     proc = subprocess.run([sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.count("\n") == 1 and "raise q (now 0.0) for a smaller cloud" in proc.stderr, proc.stderr
+    # what failed is the cloud's affinity, not the grid
+    assert "396929-point" in proc.stderr and f"{8 * 396929**2} bytes" in proc.stderr, proc.stderr
     assert not out.exists()
 
 
