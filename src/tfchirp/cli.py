@@ -18,7 +18,7 @@ from . import tensorio
 from .errors import FormatError, ParameterError, ResourceError, TfchirpError, UnsupportedWindowError
 from .metrics import rel_error
 from .pipeline import random_study, run_sct, sct_ridges
-from .reassign import DEFAULT_NU_REL, squeeze_conservation
+from .reassign import DEFAULT_NU_REL, squeeze_conservation, synchrosqueeze
 from .reconstruct import check_window_condition, reconstruct_modes
 from .ridge import RidgeParams, extract_ridges
 from .signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
@@ -221,13 +221,14 @@ def cmd_sct(args) -> int:
     frame = _slice_frame(args, signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     with _memory_guard(grid, _analysis_window(config, signal)):
-        result = _run_sct(config, signal, grid)
-        tensorio.write_tensor(args.output, result.squeezed, signal.t0_s)
+        field = _run_sct(config, signal, grid)
+        squeezed = synchrosqueeze(field)
+        tensorio.write_tensor(args.output, squeezed, signal.t0_s)
         if args.summary:
-            residual = squeeze_conservation(result.field, result.squeezed)
+            residual = squeeze_conservation(field, squeezed)
             tensorio.write_csv_table(args.summary, ("t_s", "conservation_residual"), zip(signal.times_s, residual))
         if frame is not None:
-            _write_slice_csv(args.slice_csv, result.squeezed, frame)
+            _write_slice_csv(args.slice_csv, squeezed, frame)
     return 0
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -14,32 +13,14 @@ from .reassign import (
     default_threshold,
     reassignment_field,
     sst2,
-    synchrosqueeze,
 )
 from .reconstruct import reconstruct_modes, sst_band_reconstruct
 from .ridge import RidgeParams, RidgeSet, extract_ridges
 from .signal import Signal, TfcGrid, WindowFamily, grid_from_resolution, make_window_bank
 from .synth import SyntheticScene, add_student_t_noise, random_ict_scene
-from .transform import TfcTensor, streamed_bank_transform
+from .transform import streamed_bank_transform
 
 SST_DELTA_HZ = 3.0
-
-
-@dataclass(frozen=True)
-class SctResult:
-    """The SCT of a signal: its reassignment ``field``, which holds T^h as ``field.h``
-    and the squeeze code of each of its entries.
-
-    The squeezed volume S is built from the field on first access of ``squeezed``
-    and kept from then on; ridge extraction (``sct_ridges``) does not read it.
-    """
-
-    field: ReassignmentField
-
-    @cached_property
-    def squeezed(self) -> TfcTensor:
-        """S, ``synchrosqueeze(field)``: built on first access."""
-        return synchrosqueeze(self.field)
 
 
 def run_sct(
@@ -48,32 +29,32 @@ def run_sct(
     grid: TfcGrid,
     half_len: int | None = None,
     nu_rel: float = DEFAULT_NU_REL,
-) -> SctResult:
-    """T^h and its reassignment field in one go; S on first read of ``squeezed``.
+) -> ReassignmentField:
+    """The SCT of a signal: T^h and its reassignment field in one go.
 
     T^h is the only bank volume kept, as the field's ``h``; the field sums
     the companion transforms block by block over its resolvable rows and
     keeps only each entry's int16 (or, on grids taller than 32767 rows,
     int32) squeeze code, no estimate volume.  Entries at or below ``nu_rel``
-    times the peak of |T^h| are undefined.
+    times the peak of |T^h| are undefined.  S is ``synchrosqueeze(field)``.
     """
     bank = make_window_bank(family, half_len or family.default_half_len(signal.dt_s), signal.dt_s)
     banks = streamed_bank_transform(signal, bank, grid)
-    return SctResult(field=reassignment_field(banks, nu=default_threshold(banks.h.values, nu_rel)))
+    return reassignment_field(banks, nu=default_threshold(banks.h.values, nu_rel))
 
 
-def sct_ridges(result: SctResult, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
+def sct_ridges(field: ReassignmentField, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
     """Ridge curves from the squeezed volume, refined through its sources.
 
     S is squeezed inside the extraction for the selection alone and freed
-    before the cloud is embedded; ``result.squeezed`` is neither read nor built.
+    before the cloud is embedded.
     """
-    return extract_ridges(None, n_components, params, field=result.field)
+    return extract_ridges(field, n_components, params)
 
 
-def ct_ridges(result: SctResult, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
+def ct_ridges(field: ReassignmentField, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
     """Baseline: the same extraction applied to the raw transform volume."""
-    return extract_ridges(result.field.h, n_components, params)
+    return extract_ridges(field.h, n_components, params)
 
 
 @dataclass(frozen=True)
@@ -127,9 +108,9 @@ def crossing_study(
     params = ridge_params or RidgeParams(seed=seed)
     k = scene.components.shape[0]
 
-    result = run_sct(signal, analysis_family, grid, half_len=half_len)
-    ridges_sct = sct_ridges(result, k, params)
-    ridges_ct = ct_ridges(result, k, params)
+    field = run_sct(signal, analysis_family, grid, half_len=half_len)
+    ridges_sct = sct_ridges(field, k, params)
+    ridges_ct = ct_ridges(field, k, params)
 
     recon_bank = make_window_bank(
         recon_family, recon_family.default_half_len(signal.dt_s), signal.dt_s

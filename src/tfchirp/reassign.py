@@ -44,9 +44,8 @@ from .transform import PHASE_BLOCK, StreamedBank, TfcTensor, TfMatrix, _companio
 M2_GUARD = 1e-12
 DEFAULT_NU_REL = 1e-4
 ALIAS_TOL = 1e-3
-FETCH_BLOCKS = 8  # field blocks whose companion rows are summed in one product
 FRAME_CHUNK = 64  # frames per time tile, of source tracing and of the per-frame peaks
-SQUEEZE_BLOCK = 1 << 18  # entries per block of a pass over a whole volume: bounds its temporaries
+ENTRY_BLOCK = 1 << 16  # entries per elementwise block: bounds the temporaries of a pass over a volume
 
 
 # Squeeze codes of the entries that move nowhere, by cause; a code >= 0 is the
@@ -172,8 +171,8 @@ def default_threshold(values: np.ndarray, rel: float = DEFAULT_NU_REL) -> float:
 
 
 def _entry_blocks(size: int):
-    """Ascending slices of at most ``SQUEEZE_BLOCK`` entries that cover ``range(size)``."""
-    step = SQUEEZE_BLOCK
+    """Ascending slices of at most ``ENTRY_BLOCK`` entries that cover ``range(size)``."""
+    step = ENTRY_BLOCK
     return (slice(lo, lo + step) for lo in range(0, size, step))
 
 
@@ -229,15 +228,10 @@ def _field_blocks(banks):
     grid = banks.h.grid
     companions = banks.companion_rows()
     T_rows = banks.h.values.reshape(-1, grid.n_time)
+    step = max(1, PHASE_BLOCK // banks.bank.h.size)  # rows per product: its phases are bounded as T^h's
 
     def blocks(rows, cols=slice(None)):
-        # rows per block: ~64k entries keep the many temporaries cache-resident;
-        # a streamed bank's sums run FETCH_BLOCKS blocks at a time, since one
-        # block is too small a matrix product to run at full speed
-        block = max(1, (1 << 16) // grid.n_time)
-        step = FETCH_BLOCKS * block
-        if cols != slice(None):  # a time tile: one block per product, whose phases are bounded as T^h's
-            step = block = max(1, PHASE_BLOCK // banks.bank.h.size)
+        block = max(1, ENTRY_BLOCK // len(range(grid.n_time)[cols]))  # rows per elementwise block
         for lo in range(0, rows.size, step):
             fetched = rows[lo : lo + step]
             companions_of = companions(fetched, cols)

@@ -19,7 +19,7 @@ from .errors import (
     ParameterError,
     ResourceError,
 )
-from .reassign import FRAME_CHUNK, _entry_blocks, synchrosqueeze
+from .reassign import FRAME_CHUNK, ReassignmentField, _entry_blocks, synchrosqueeze
 from .signal import TfcGrid
 from .transform import TfcTensor
 
@@ -30,19 +30,16 @@ class TfcPointCloud:
 
     ``points`` holds per-axis affinely rescaled coordinates in [0, 1]^3 (the
     scaling used for all distance computations); ``physical`` the raw
-    (t_s, freq_hz, chirp_hzps) triples; ``axis_offset``/``axis_scale`` record
-    the affine maps so the normalization is reproducible.  ``core`` marks the
-    points above the global energy quantile when per-frame peaks were
-    admitted as well (``None``: every point is a core point); the maps are
-    fitted to the core alone, so every point shares the core's coordinates.
+    (t_s, freq_hz, chirp_hzps) triples.  ``core`` marks the points above the
+    global energy quantile when per-frame peaks were admitted as well
+    (``None``: every point is a core point); the affine maps are fitted to
+    the core alone, so every point shares the core's coordinates.
     """
 
     points: np.ndarray  # [n, 3] normalized
     physical: np.ndarray  # [n, 3]
     weights: np.ndarray  # [n] |S| at the entry
     frames: np.ndarray  # [n] time index
-    axis_offset: np.ndarray
-    axis_scale: np.ndarray
     core: np.ndarray | None = None  # [n] bool
 
     def __len__(self):
@@ -56,8 +53,7 @@ class TfcPointCloud:
         if self.core is None:
             return self
         c = self.core
-        return TfcPointCloud(self.points[c], self.physical[c], self.weights[c], self.frames[c], self.axis_offset,
-                             self.axis_scale)
+        return TfcPointCloud(self.points[c], self.physical[c], self.weights[c], self.frames[c])
 
 
 @dataclass(frozen=True)
@@ -135,8 +131,6 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
         physical=physical,
         weights=weights,
         frames=n_idx,
-        axis_offset=lo,
-        axis_scale=span,
         core=core if min_per_frame > 0 else None,
     )
 
@@ -506,32 +500,30 @@ def ridges_from_sources(cloud: TfcPointCloud, labels: np.ndarray, field) -> Ridg
 
 
 def extract_ridges(
-    tensor: TfcTensor | None,
+    source: TfcTensor | ReassignmentField,
     n_components: int,
     params: RidgeParams | None = None,
-    field=None,
 ) -> RidgeSet:
     """Full extraction: select, embed, cluster, aggregate.
 
     Returns exactly ``n_components`` curves or raises ``ExtractionError``.
     ``n_components == 1`` bypasses the clustering and treats every selected
-    point as one ridge.  When ``tensor`` was squeezed from the reassignment
-    ``field``, passing the field aggregates the curves from the entries of
-    its T^h behind each squeezed bin (sub-bin precision); otherwise they are
-    the per-frame centroids of the selected bins themselves.  ``tensor=None``
-    with a ``field`` squeezes S here for the selection alone: it is freed
-    before the cloud is embedded.  Clustering that runs out of memory raises
+    point as one ridge.  From a volume ``source`` (a ``TfcTensor``) the
+    curves are the per-frame centroids of the selected bins themselves.
+    From a reassignment field, S is squeezed here for the selection alone
+    and freed before the cloud is embedded; the curves are aggregated from
+    the entries of the field's T^h behind each selected bin (sub-bin
+    precision).  Clustering that runs out of memory raises
     ``ResourceError`` naming the core cloud's size and its affinity's bytes.
     """
     params = params or RidgeParams()
-    if tensor is None and field is None:
-        raise ParameterError("extract_ridges needs a tensor or a field")
+    sourced = isinstance(source, ReassignmentField)
     # per-frame peaks keep starved stretches represented in the curve fit,
     # but only the clean quantile (core) cloud votes on cluster identity:
     # the extra points inherit labels from their nearest clustered point.
     # A squeeze made here is an argument of the selection alone, so it dies
     # with the call
-    cloud = select_high_energy(synchrosqueeze(field) if tensor is None else tensor, params.q, params.min_per_frame)
+    cloud = select_high_energy(synchrosqueeze(source) if sourced else source, params.q, params.min_per_frame)
     core = cloud.core_cloud()
     if n_components == 1:
         labels = np.zeros(len(core), dtype=int)
@@ -550,9 +542,9 @@ def extract_ridges(
             raise ExtractionError(f"clustering found {found} of {n_components} ridges")
     if core is not cloud:
         labels = _propagate_labels(core, labels, cloud)
-    if field is not None:
-        return ridges_from_sources(cloud, labels, field)
-    return ridges_from_clusters(cloud, labels, tensor.grid)
+    if sourced:
+        return ridges_from_sources(cloud, labels, source)
+    return ridges_from_clusters(cloud, labels, source.grid)
 
 
 def _propagate_labels(core: TfcPointCloud, core_labels: np.ndarray, aug: TfcPointCloud) -> np.ndarray:

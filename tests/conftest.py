@@ -7,6 +7,7 @@ from hypothesis import settings
 
 from tfchirp.errors import ParameterError
 from tfchirp.pipeline import run_sct
+from tfchirp.reassign import synchrosqueeze
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution
 from tfchirp.synth import crossing_chirp_pair
 
@@ -29,7 +30,7 @@ def crossing_grid(crossing_scene):
 
 @pytest.fixture(scope="session")
 def crossing_sct_g2(crossing_scene, crossing_grid):
-    """Full SCT pipeline of the crossing scene with the x^2-Gaussian window."""
+    """The reassignment field of the crossing scene with the x^2-Gaussian window."""
     return run_sct(crossing_scene.signal(), WindowFamily(2, 1.0), crossing_grid)
 
 
@@ -39,8 +40,19 @@ def crossing_sct_g0(crossing_scene, crossing_grid):
 
 
 @pytest.fixture(scope="session")
+def crossing_s_g2(crossing_sct_g2):
+    """S of ``crossing_sct_g2``."""
+    return synchrosqueeze(crossing_sct_g2)
+
+
+@pytest.fixture(scope="session")
+def crossing_s_g0(crossing_sct_g0):
+    return synchrosqueeze(crossing_sct_g0)
+
+
+@pytest.fixture(scope="session")
 def chirp_f1_sct():
-    """SCT pipeline of the single chirp (phase 4x^2) with the Gaussian window."""
+    """The signal, grid and reassignment field of the single chirp (phase 4x^2) with the Gaussian window."""
     x = 1.0 + np.arange(401) / FS
     signal = Signal(np.exp(2j * np.pi * 4 * x**2), FS, 1.0)
     grid = grid_from_resolution(0.01, len(signal), FS)

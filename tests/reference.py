@@ -187,8 +187,6 @@ def select_high_energy(tensor, q, min_per_frame=0):
         physical=physical,
         weights=weights,
         frames=n_idx,
-        axis_offset=lo,
-        axis_scale=span,
         core=core if min_per_frame > 0 else None,
     )
 

@@ -61,15 +61,15 @@ def _top_two_separated(values, min_gap=3):
     return sorted(picks)
 
 
-def test_criterion_02_crossing_slice_peaks(crossing_sct_g2, crossing_sct_g0, crossing_grid):
+def test_criterion_02_crossing_slice_peaks(crossing_s_g2, crossing_s_g0, crossing_grid):
     grid = crossing_grid
     frame = 200  # t0 = 3 s
     m0 = 24  # 24 Hz
-    slice_g2 = np.abs(crossing_sct_g2.squeezed.values[:, m0, frame])
+    slice_g2 = np.abs(crossing_s_g2.values[:, m0, frame])
     peaks = grid.chirps_hzps[_top_two_separated(slice_g2)]
     step = grid.chirp_step_hzps
     ok_peaks = abs(peaks[0] - (-2 * np.pi)) <= step and abs(peaks[1] - 8.0) <= step
-    slice_g0 = np.abs(crossing_sct_g0.squeezed.values[:, m0, frame])
+    slice_g0 = np.abs(crossing_s_g0.values[:, m0, frame])
     ratio = slice_g0[grid.M - 1] / slice_g0.max()
     ok_ratio = ratio < 0.1
     _report(
@@ -80,15 +80,15 @@ def test_criterion_02_crossing_slice_peaks(crossing_sct_g2, crossing_sct_g0, cro
 
 
 def test_criterion_03_reassignment_exactness(chirp_f1_sct):
-    signal, grid, result = chirp_f1_sct
-    mags = np.abs(result.field.h.values)
+    signal, grid, field = chirp_f1_sct
+    mags = np.abs(field.h.values)
     inner = interior_mask(grid.n_time, FS, 1.25)
     top = (mags > np.quantile(mags, 0.99)) & inner[None, None, :]
-    sel = top & result.field.defined
+    sel = top & field.defined
     x = signal.times_s
     true_if = np.broadcast_to(8 * x, mags.shape)
-    mu_err = np.nanmax(np.abs(result.field.mu[sel] - 8.0)) / grid.chirp_step_hzps
-    om_err = np.nanmax(np.abs(result.field.omega[sel] - true_if[sel])) / grid.freq_step_hz
+    mu_err = np.nanmax(np.abs(field.mu[sel] - 8.0)) / grid.chirp_step_hzps
+    om_err = np.nanmax(np.abs(field.omega[sel] - true_if[sel])) / grid.freq_step_hz
     share = sel.sum() / top.sum()
     ok = mu_err <= 2.0 and om_err <= 1.0 and share > 0.95
     _report(
@@ -259,13 +259,13 @@ def test_criterion_10_separated_scene_and_window_condition():
     chirps = np.vstack((np.full(n, 2.0), np.full(n, -1.5)))
     signal = Signal(comps[0] + comps[1], fs)
     grid = grid_from_resolution(0.01, n, fs)
-    result = run_sct(signal, WindowFamily(0, 1.0), grid)
-    mags = np.abs(result.field.h.values)
+    field = run_sct(signal, WindowFamily(0, 1.0), grid)
+    mags = np.abs(field.h.values)
     inner = interior_mask(n, fs, 1.25)
-    sel = (mags > np.quantile(mags, 0.99)) & result.field.defined & inner[None, None, :]
+    sel = (mags > np.quantile(mags, 0.99)) & field.defined & inner[None, None, :]
     l_idx, m_idx, n_idx = np.nonzero(sel)
-    om = result.field.omega[sel]
-    mu = result.field.mu[sel]
+    om = field.omega[sel]
+    mu = field.mu[sel]
     # score each entry against the component it sits nearest in frequency
     d0 = np.abs(grid.freqs_hz[m_idx] - ifs[0][n_idx])
     comp = (np.abs(grid.freqs_hz[m_idx] - ifs[1][n_idx]) < d0).astype(int)

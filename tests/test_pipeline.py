@@ -47,8 +47,8 @@ def test_ct_ridges_baseline_tracks():
 
     signal = scene.signal()
     grid = grid_from_resolution(0.02, len(signal), scene.sample_rate_hz)
-    result = run_sct(signal, WindowFamily(2, 1.0), grid)
-    ridges = ct_ridges(result, 2, RidgeParams(seed=0))
+    field = run_sct(signal, WindowFamily(2, 1.0), grid)
+    ridges = ct_ridges(field, 2, RidgeParams(seed=0))
     x = scene.times_s
     inner = (x >= 1.0) & (x <= 5.0)
     err01 = np.abs(ridges.omega_hz[0] - scene.ifs_hz[1])[inner].mean()

@@ -304,7 +304,7 @@ def test_squeeze_takes_no_parameter_object():
 def test_field_stores_no_mask(crossing_sct_g2):
     # validity is the NaN pattern of the estimates; ``defined`` is read off it
     assert "defined" not in {f.name for f in fields(ReassignmentField)}
-    field = crossing_sct_g2.field
+    field = crossing_sct_g2
     defined = field.defined
     assert 0 < defined.sum() < defined.size
     assert np.array_equal(defined, ~np.isnan(field.omega))

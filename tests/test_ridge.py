@@ -15,6 +15,7 @@ from tfchirp.ridge import (
     select_high_energy,
     spectral_embed,
 )
+from tfchirp.reassign import synchrosqueeze
 from tfchirp.signal import grid_from_resolution
 from tfchirp.transform import TfcTensor
 
@@ -77,8 +78,6 @@ def blob_cloud(seed=0, n=40, separation=8.0):
         physical=pts,
         weights=np.ones(2 * n),
         frames=np.zeros(2 * n, dtype=int),
-        axis_offset=pts.min(axis=0),
-        axis_scale=scale,
     )
 
 
@@ -113,7 +112,6 @@ def test_spectral_embed_degenerate_cloud():
     pts = np.zeros((8, 3))
     cloud = TfcPointCloud(
         points=pts, physical=pts, weights=np.ones(8), frames=np.zeros(8, dtype=int),
-        axis_offset=np.zeros(3), axis_scale=np.ones(3),
     )
     with pytest.raises(DegenerateCloudError):
         spectral_embed(cloud, 2)
@@ -190,7 +188,7 @@ def test_label_permutation_invariance():
     from tfchirp.ridge import TfcPointCloud
 
     phys = np.column_stack((np.zeros(80), np.abs(cloud.physical[:, 1]), cloud.physical[:, 2] * 0.1))
-    c2 = TfcPointCloud(cloud.points, phys, cloud.weights, cloud.frames, cloud.axis_offset, cloud.axis_scale)
+    c2 = TfcPointCloud(cloud.points, phys, cloud.weights, cloud.frames)
     a = ridges_from_clusters(c2, labels, grid)
     b = ridges_from_clusters(c2, 1 - labels, grid)
     assert np.allclose(a.omega_hz, b.omega_hz)
@@ -198,8 +196,8 @@ def test_label_permutation_invariance():
 
 
 def test_single_chirp_k1_extraction(chirp_f1_sct):
-    signal, grid, result = chirp_f1_sct
-    ridges = extract_ridges(result.squeezed, 1, RidgeParams())
+    signal, grid, field = chirp_f1_sct
+    ridges = extract_ridges(synchrosqueeze(field), 1, RidgeParams())
     x = signal.t0_s + np.arange(len(signal)) / grid.sample_rate_hz
     inner = interior_mask(len(signal), grid.sample_rate_hz, 1.3)
     assert np.max(np.abs(ridges.omega_hz[0][inner] - 8 * x[inner])) <= grid.freq_step_hz
@@ -213,8 +211,8 @@ def test_crossing_pair_extraction(crossing_sct_g2, crossing_scene, crossing_grid
     assert abs(ridges.mu_hzps[1].mean() - 8.0) <= step
 
 
-def test_crossing_cloud_geometry(crossing_sct_g2, crossing_scene):
-    cloud = select_high_energy(crossing_sct_g2.squeezed, 0.9995)
+def test_crossing_cloud_geometry(crossing_s_g2, crossing_scene):
+    cloud = select_high_energy(crossing_s_g2, 0.9995)
     t = cloud.physical[:, 0]
     frames = np.clip((t * 100).astype(int), 0, len(crossing_scene.times_s) - 1)
     d1 = np.abs(cloud.physical[:, 1] - crossing_scene.ifs_hz[0][frames]) + np.abs(
@@ -228,8 +226,8 @@ def test_crossing_cloud_geometry(crossing_sct_g2, crossing_scene):
     assert share > 0.85
 
 
-def test_selection_scale_invariance(crossing_sct_g2):
-    tensor = crossing_sct_g2.squeezed
+def test_selection_scale_invariance(crossing_s_g2):
+    tensor = crossing_s_g2
     scaled = TfcTensor(3.5 * tensor.values, tensor.grid)
     a = select_high_energy(tensor, 0.999)
     b = select_high_energy(scaled, 0.999)
@@ -264,8 +262,8 @@ def _dense_embedding(cloud, n_components, sigma_pct):
 
 
 @pytest.mark.parametrize("n_components", [2, 3])
-def test_spectral_embed_matches_dense_eigh(crossing_sct_g2, n_components):
-    cloud = select_high_energy(crossing_sct_g2.squeezed, 0.9995)
+def test_spectral_embed_matches_dense_eigh(crossing_s_g2, n_components):
+    cloud = select_high_energy(crossing_s_g2, 0.9995)
     emb = spectral_embed(cloud, n_components, 15.0)
     want = _dense_embedding(cloud, n_components, 15.0)
     signs = np.sign((emb * want).sum(axis=0))
@@ -280,8 +278,7 @@ def test_spectral_embed_needs_one_point_beyond_the_embedding():
     from tfchirp.ridge import TfcPointCloud
 
     three = TfcPointCloud(
-        cloud.points[:3], cloud.physical[:3], cloud.weights[:3], cloud.frames[:3],
-        cloud.axis_offset, cloud.axis_scale,
+        cloud.points[:3], cloud.physical[:3], cloud.weights[:3], cloud.frames[:3]
     )
     with pytest.raises(ParameterError):
         spectral_embed(three, 2)
@@ -311,31 +308,33 @@ def test_admit_frame_peaks_matches_per_frame_loop(count):
 @pytest.mark.parametrize("min_per_frame", [0, 3])
 @pytest.mark.parametrize("q", [0.5, 0.9995])
 @pytest.mark.parametrize("volume", ["sct", "ct"])
-def test_blocked_selection_equals_the_whole_volume_selection(crossing_sct_g2, monkeypatch, volume, q, min_per_frame):
-    tensor = crossing_sct_g2.squeezed if volume == "sct" else crossing_sct_g2.field.h
+def test_blocked_selection_equals_the_whole_volume_selection(
+    crossing_sct_g2, crossing_s_g2, monkeypatch, volume, q, min_per_frame
+):
+    tensor = crossing_s_g2 if volume == "sct" else crossing_sct_g2.h
     want = reference.select_high_energy(tensor, q, min_per_frame)
     assert (want.core is None) == (min_per_frame == 0)
     # 997 entries: block edges fall inside the rows of every frame
-    for block in (reassign.SQUEEZE_BLOCK, 997):
-        monkeypatch.setattr(reassign, "SQUEEZE_BLOCK", block)
+    for block in (reassign.ENTRY_BLOCK, 997):
+        monkeypatch.setattr(reassign, "ENTRY_BLOCK", block)
         got = select_high_energy(tensor, q, min_per_frame)
-        for name in ("points", "physical", "weights", "frames", "axis_offset", "axis_scale"):
+        for name in ("points", "physical", "weights", "frames"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (block, name)
         assert (got.core is None) == (want.core is None)
         assert want.core is None or np.array_equal(got.core, want.core), block
 
 
-def test_core_cloud_equals_selection_without_peaks(crossing_sct_g2):
-    tensor = crossing_sct_g2.squeezed
+def test_core_cloud_equals_selection_without_peaks(crossing_s_g2):
+    tensor = crossing_s_g2
     aug = select_high_energy(tensor, 0.9995, min_per_frame=3)
     core = select_high_energy(tensor, 0.9995)
     assert len(aug) > len(core) and aug.core.sum() == len(core)
     sub = aug.core_cloud()
-    for name in ("points", "physical", "weights", "frames", "axis_offset", "axis_scale"):
+    for name in ("points", "physical", "weights", "frames"):
         assert np.array_equal(getattr(sub, name), getattr(core, name)), name
 
 
-def test_emptied_cluster_raises_extraction_error(crossing_sct_g2, monkeypatch):
+def test_emptied_cluster_raises_extraction_error(crossing_sct_g2, crossing_s_g2, monkeypatch):
     from tfchirp import ridge
     from tfchirp.errors import ExtractionError
 
@@ -343,7 +342,7 @@ def test_emptied_cluster_raises_extraction_error(crossing_sct_g2, monkeypatch):
     with pytest.raises(ExtractionError):
         sct_ridges(crossing_sct_g2, 2, RidgeParams(seed=0))
     with pytest.raises(ExtractionError):
-        extract_ridges(crossing_sct_g2.squeezed, 2, RidgeParams(seed=0, min_per_frame=2))
+        extract_ridges(crossing_s_g2, 2, RidgeParams(seed=0, min_per_frame=2))
 
 
 def _local_linear_curve_loop(t_pts, y_pts, w_pts, t_eval, half_width, iters, clip):
@@ -445,22 +444,22 @@ def _misleading_volume():
 
 
 @settings(max_examples=80)
-@given(energy_volumes(), st.sampled_from([reassign.SQUEEZE_BLOCK, 997]))
-@example((_misleading_volume(), 0.5), reassign.SQUEEZE_BLOCK)
+@given(energy_volumes(), st.sampled_from([reassign.ENTRY_BLOCK, 997]))
+@example((_misleading_volume(), 0.5), reassign.ENTRY_BLOCK)
 def test_above_quantile_is_numpys_quantile_and_the_entries_above_it(volume, block):
     values, q = volume
-    default, reassign.SQUEEZE_BLOCK = reassign.SQUEEZE_BLOCK, block
+    default, reassign.ENTRY_BLOCK = reassign.ENTRY_BLOCK, block
     try:
         threshold, picked = ridge._above_quantile(values, q)
     finally:
-        reassign.SQUEEZE_BLOCK = default
+        reassign.ENTRY_BLOCK = default
     want = np.quantile(values, q)
     assert np.float64(threshold).tobytes() == np.float64(want).tobytes()
     assert np.array_equal(picked, np.flatnonzero(values > want))
 
 
-def test_select_high_energy_memory_budget(crossing_sct_g2):
-    tensor = crossing_sct_g2.squeezed
+def test_select_high_energy_memory_budget(crossing_s_g2):
+    tensor = crossing_s_g2
     assert tensor.values.shape == (100, 51, 401)
     volume = tensor.values.size * 8  # one float64 volume
     cloud, peak, _ = traced_volumes(lambda: select_high_energy(tensor, 0.9995, min_per_frame=3), volume)
@@ -468,22 +467,22 @@ def test_select_high_energy_memory_budget(crossing_sct_g2):
     assert peak <= 0.34
 
 
-def test_select_high_energy_memory_budget_on_a_sparse_volume(crossing_sct_g2):
+def test_select_high_energy_memory_budget_on_a_sparse_volume(crossing_grid):
     # the zeros equal the floor: they are counted, never held
-    shape = crossing_sct_g2.squeezed.values.shape
+    shape = (crossing_grid.n_chirp, crossing_grid.n_freq, crossing_grid.n_time)
     values = np.zeros(shape, dtype=complex)
     rng = np.random.default_rng(0)
     values.flat[rng.choice(values.size, values.size * 3 // 10_000, replace=False)] = rng.exponential(1.0, 613)
-    tensor = TfcTensor(values, crossing_sct_g2.squeezed.grid)
+    tensor = TfcTensor(values, crossing_grid)
     cloud, peak, _ = traced_volumes(lambda: select_high_energy(tensor, 0.9995, min_per_frame=3), values.size * 8)
     assert cloud.core is not None and cloud.core.sum() == 613
     assert peak <= 0.34
 
 
-def test_select_high_energy_copies_no_selection(crossing_sct_g2):
+def test_select_high_energy_copies_no_selection(crossing_s_g2):
     # no |S| volume and no selection mask: magnitudes exist a block of entries
     # or a chunk of frames at a time, and the core is read off the weights
-    tensor = crossing_sct_g2.squeezed
+    tensor = crossing_s_g2
     cloud, peak, _ = traced_volumes(lambda: select_high_energy(tensor, 0.9995, min_per_frame=3), tensor.values.size * 8)
     assert cloud.core is not None and 0 < cloud.core.sum() < len(cloud)
     assert peak <= 0.34
@@ -494,7 +493,7 @@ def test_spectral_embed_memory_budget():
     # one n x n buffer of doubles
     n = 1023
     pts = np.random.default_rng(0).random((n, 3))
-    cloud = TfcPointCloud(pts, pts, np.ones(n), np.zeros(n, dtype=int), np.zeros(3), np.ones(3))
+    cloud = TfcPointCloud(pts, pts, np.ones(n), np.zeros(n, dtype=int))
     spectral_embed(blob_cloud(), 2)  # its scipy imports stay out of the trace
     embedding, peak, _ = traced_volumes(lambda: spectral_embed(cloud, 2), n * n * 8)
     assert embedding.shape == (n, 2)
@@ -509,7 +508,7 @@ def test_affinity_in_one_buffer_equals_squareform(n, sigma_pct, monkeypatch):
     want, want_sigma = reference.gaussian_affinity_squareform(pts, sigma_pct)
     assert float(sigma).hex() == float(want_sigma).hex()
     assert np.array_equal(sym, want)
-    cloud = TfcPointCloud(pts, pts, np.ones(n), np.zeros(n, dtype=int), np.zeros(3), np.ones(3))
+    cloud = TfcPointCloud(pts, pts, np.ones(n), np.zeros(n, dtype=int))
     embedding = spectral_embed(cloud, 2, sigma_pct)
     monkeypatch.setattr(ridge, "_gaussian_affinity", reference.gaussian_affinity_squareform)
     assert np.array_equal(embedding, spectral_embed(cloud, 2, sigma_pct))
@@ -518,7 +517,7 @@ def test_affinity_in_one_buffer_equals_squareform(n, sigma_pct, monkeypatch):
 def test_landed_sources_match_squeeze_destinations(crossing_sct_g2):
     # random bins in shuffled order, a tile with none and a bin that no
     # source reaches: the one-pass pairs, tile by tile in (row, frame) order
-    field = crossing_sct_g2.field
+    field = crossing_sct_g2
     n_time = field.grid.n_time
     src, dest = squeeze_destinations(field)
     rng = np.random.default_rng(3)
@@ -540,8 +539,7 @@ def test_landed_sources_match_squeeze_destinations(crossing_sct_g2):
     assert np.all(np.diff(row[by_time])[np.diff(frame[by_time]) == 0] > 0)
 
 
-def test_source_tracing_takes_more_than_127_clusters(crossing_sct_g2):
-    result = crossing_sct_g2
-    cloud = select_high_energy(result.squeezed, 0.9995, min_per_frame=3)
-    ridges = ridge.ridges_from_sources(cloud, np.arange(len(cloud)) % 130, result.field)
+def test_source_tracing_takes_more_than_127_clusters(crossing_sct_g2, crossing_s_g2):
+    cloud = select_high_energy(crossing_s_g2, 0.9995, min_per_frame=3)
+    ridges = ridge.ridges_from_sources(cloud, np.arange(len(cloud)) % 130, crossing_sct_g2)
     assert ridges.n_components == 130 and ridges.valid.all()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfchirp import reassign, ridge
+from tfchirp import reassign, ridge, transform
 from tfchirp.pipeline import ct_ridges, run_sct, sct_ridges
 from tfchirp.reassign import (
     ALIASED,
@@ -21,7 +21,7 @@ from tfchirp.reassign import (
     squeeze_conservation,
     synchrosqueeze,
 )
-from tfchirp.ridge import RidgeParams, extract_ridges
+from tfchirp.ridge import RidgeParams
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from tfchirp.synth import add_student_t_noise
 from tfchirp.transform import PHASE_BLOCK, TfcTensor, streamed_bank_transform
@@ -67,9 +67,9 @@ def test_streamed_field_matches_stored_bank(analysis):
 def test_run_sct_keeps_bank_h_and_conserves_mass(analysis):
     # criterion 06 over random grids, windows and thresholds
     signal, grid, bank, nu_rel = analysis
-    result = run_sct(signal, bank.family, grid, bank.half_len, nu_rel=nu_rel)
-    assert np.array_equal(result.field.h.values, chirplet_bank_transform(signal, bank, grid).h.values)
-    assert squeeze_conservation(result.field, result.squeezed).max() <= 1e-10
+    field = run_sct(signal, bank.family, grid, bank.half_len, nu_rel=nu_rel)
+    assert np.array_equal(field.h.values, chirplet_bank_transform(signal, bank, grid).h.values)
+    assert squeeze_conservation(field, synchrosqueeze(field)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("n", [0, 2])
@@ -92,17 +92,17 @@ def test_streamed_field_on_the_crossing_grid(crossing_scene, crossing_grid, n):
 
 def test_blocked_squeeze_equals_one_pass(chirp_f1_sct, monkeypatch):
     # S to the bit against one np.add.at over every (source, destination) pair
-    _, _, result = chirp_f1_sct
-    field = result.field
+    _, _, field = chirp_f1_sct
     src, dest = squeeze_destinations(field)
     one_pass = np.zeros(field.codes.size, dtype=np.complex128)
     np.add.at(one_pass, dest, field.h.values.ravel()[src])
     assert src.size > 10 * 997
-    for block in (reassign.SQUEEZE_BLOCK, 997):
-        monkeypatch.setattr(reassign, "SQUEEZE_BLOCK", block)
+    conservation = squeeze_conservation(field, synchrosqueeze(field))
+    for block in (reassign.ENTRY_BLOCK, 997):
+        monkeypatch.setattr(reassign, "ENTRY_BLOCK", block)
         squeezed = synchrosqueeze(field)
         assert np.array_equal(squeezed.values.ravel(), one_pass)
-        assert np.array_equal(squeeze_conservation(field, squeezed), squeeze_conservation(field, result.squeezed))
+        assert np.array_equal(squeeze_conservation(field, squeezed), conservation)
 
 
 def _random_bank_field():
@@ -119,7 +119,7 @@ def _random_bank_field():
 def coded_field(request):
     if request.param == "bank_tensors":
         return _random_bank_field()
-    return request.getfixturevalue(request.param).field
+    return request.getfixturevalue(request.param)
 
 
 def test_codes_name_the_squeeze_destinations(coded_field):
@@ -212,18 +212,38 @@ def test_estimates_equal_the_volumes_bit_for_bit(coded_field):
 def test_estimates_hold_one_tile_of_sums(request, fixture, monkeypatch):
     # source tracing for the bins of ``sct_ridges``' cloud, recomputed tile by
     # tile: no owner volume, no whole-row fetch and no whole-record windowed segments
-    result = request.getfixturevalue(fixture)
-    grid = result.field.grid
+    field = request.getfixturevalue(fixture)
+    grid = field.grid
     traced = []
     sources = reassign.ReassignmentField.sources
     monkeypatch.setattr(
         reassign.ReassignmentField, "sources", lambda field, bins: traced.append(bins) or sources(field, bins)
     )
-    sct_ridges(result, 2, RidgeParams(seed=0))
+    sct_ridges(field, 2, RidgeParams(seed=0))
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
-    (src, _, omega, _), peak, _ = traced_volumes(lambda: sources(result.field, traced[0]), volume)
+    (src, _, omega, _), peak, _ = traced_volumes(lambda: sources(field, traced[0]), volume)
     assert omega.size == src.size > 10_000
     assert peak <= 0.5
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("fixture", ["crossing_sct_g0", "crossing_sct_g2"])
+def test_codes_do_not_depend_on_block_sizes(crossing_scene, crossing_grid, request, fixture, rows, monkeypatch):
+    # the rule is pointwise: products of 1 row (summed twice, as one row of a
+    # larger product) and of 7 rows, each split into elementwise blocks of
+    # 997 entries, give the default codes and recomputed estimates to the bit
+    want = request.getfixturevalue(fixture)
+    bank = want.banks.bank
+    bins = np.random.default_rng(4).choice(squeeze_destinations(want)[1], 100, replace=False)
+    wanted = want.sources(bins)
+    for module in (transform, reassign):
+        monkeypatch.setattr(module, "PHASE_BLOCK", rows * bank.h.size)
+    monkeypatch.setattr(reassign, "ENTRY_BLOCK", 997)
+    field = run_sct(crossing_scene.signal(), bank.family, crossing_grid)
+    assert np.array_equal(field.h.values, want.h.values)
+    assert np.array_equal(field.codes, want.codes)
+    for got, expected in zip(field.sources(bins), wanted):
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("alpha_sq, half_len", [(0.01, 430), (0.05, 40)])
@@ -255,15 +275,17 @@ def test_conservation_matches_full_volume_formula():
 
 @pytest.mark.parametrize("n", [0, 2])
 def test_run_sct_memory_budget(crossing_scene, crossing_grid, n):
-    # both peak in the field's companion sums, which hold more windows at n = 2
-    # (measured 2.71 and 3.44 volumes)
-    budget = {0: 2.75, 2: 3.48}[n]
+    # both peak in the field pass: T^h, the codes and the windowed segments of
+    # the companion windows over all frames (0.34 volumes at n = 0, 0.68 at
+    # n = 2, which has two more windows), beside one product's sums and
+    # estimates (measured 1.967 and 2.364 volumes)
+    budget = {0: 2.05, 2: 2.45}[n]
     signal = crossing_scene.signal()
     grid = crossing_grid
     assert (grid.n_chirp, grid.n_freq, grid.n_time) == (100, 51, 401)
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
-    result, peak, retained = traced_volumes(lambda: run_sct(signal, WindowFamily(n, 1.0), grid), volume)
-    assert result.squeezed.values.shape == (100, 51, 401)
+    field, peak, retained = traced_volumes(lambda: run_sct(signal, WindowFamily(n, 1.0), grid), volume)
+    assert field.codes.shape == (100, 51, 401)
     assert peak <= budget
     assert retained <= 1.2
 
@@ -280,16 +302,15 @@ def test_run_sct_retains_no_mask(crossing_scene, crossing_grid, n):
 
 def test_the_analysis_builds_no_estimate_volume(crossing_scene, crossing_grid):
     # source tracing recomputes the estimates of the landed entries alone
-    result = run_sct(crossing_scene.signal(), WindowFamily(2, 1.0), crossing_grid)
-    sct_ridges(result, 2, RidgeParams(seed=0))
-    ct_ridges(result, 2, RidgeParams(seed=0))
-    assert not {"omega", "mu"} & result.field.__dict__.keys()
-    assert "squeezed" not in vars(result)  # nor S: the extraction squeezes for its selection alone
+    field = run_sct(crossing_scene.signal(), WindowFamily(2, 1.0), crossing_grid)
+    sct_ridges(field, 2, RidgeParams(seed=0))
+    ct_ridges(field, 2, RidgeParams(seed=0))
+    assert not {"omega", "mu"} & field.__dict__.keys()
 
 
 def test_sct_ridges_embed_without_s(crossing_scene, crossing_grid, monkeypatch):
     # at the embedding, the analysis holds T^h, the int16 codes and the cloud:
-    # S was squeezed for the selection and freed (2.25 volumes while S was kept)
+    # S was squeezed for the selection alone and freed (2.25 volumes with S alive)
     signal, grid = crossing_scene.signal(), crossing_grid
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
     params = RidgeParams(seed=0)
@@ -304,27 +325,17 @@ def test_sct_ridges_embed_without_s(crossing_scene, crossing_grid, monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        result = run_sct(signal, WindowFamily(2, 1.0), grid)
-        ridges = sct_ridges(result, 2, params)
+        sct_ridges(run_sct(signal, WindowFamily(2, 1.0), grid), 2, params)
     finally:
         tracemalloc.stop()
     assert len(at_embed) == 1 and (at_embed[0] - base) / volume <= 1.2
-    assert "squeezed" not in vars(result)
-    # the same curves to the bit once S has been read, and from S passed in
-    assert result.squeezed is result.squeezed
-    for again in (sct_ridges(result, 2, params), extract_ridges(result.squeezed, 2, params, field=result.field)):
-        for name in ("omega_hz", "mu_hzps", "valid", "observed"):
-            assert np.array_equal(getattr(again, name), getattr(ridges, name))
 
 
-def test_squeeze_conservation_copies_no_volume(crossing_sct_g2):
+def test_squeeze_conservation_copies_no_volume(crossing_sct_g2, crossing_s_g2):
     # the contributing entries are summed in place, not through a masked copy
     # of T^h: the one temporary is the boolean map of the contributing codes
-    result = crossing_sct_g2
-    grid = result.squeezed.grid
+    grid = crossing_sct_g2.grid
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
-    residual, peak, _ = traced_volumes(
-        lambda: squeeze_conservation(result.field, result.squeezed), volume
-    )
+    residual, peak, _ = traced_volumes(lambda: squeeze_conservation(crossing_sct_g2, crossing_s_g2), volume)
     assert residual.max() <= 1e-10
     assert peak <= 0.1
