@@ -46,8 +46,7 @@ def run_sct(
 def sct_ridges(field: ReassignmentField, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
     """Ridge curves from the squeezed volume, refined through its sources.
 
-    S is squeezed inside the extraction for the selection alone and freed
-    before the cloud is embedded.
+    The selection squeezes S one 64-frame tile at a time: S is never held whole.
     """
     return extract_ridges(field, n_components, params)
 

@@ -32,7 +32,7 @@ sums depend neither on the other rows nor on the tile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -44,7 +44,7 @@ from .transform import PHASE_BLOCK, StreamedBank, TfcTensor, TfMatrix, _companio
 M2_GUARD = 1e-12
 DEFAULT_NU_REL = 1e-4
 ALIAS_TOL = 1e-3
-FRAME_CHUNK = 64  # frames per time tile, of source tracing and of the per-frame peaks
+FRAME_CHUNK = 64  # frames per time tile: of source tracing, and of ridge selection's squeeze, quantile and peaks
 ENTRY_BLOCK = 1 << 16  # entries per elementwise block: bounds the temporaries of a pass over a volume
 
 
@@ -283,21 +283,33 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
     return ReassignmentField(codes=codes.reshape(banks.h.values.shape), banks=banks, nu=nu)
 
 
-def synchrosqueeze(field: ReassignmentField) -> TfcTensor:
-    """Scatter the field's T^h onto the bins its codes name.
+def synchrosqueeze(field: ReassignmentField, frames: slice = slice(None)) -> TfcTensor:
+    """Scatter the field's T^h onto the bins its codes name: S over the unit-step frame range
+    ``frames`` (all by default), from those frames alone.
 
     Every entry with a destination code contributes its complex value to
     exactly one output bin of the same frame, so per-frame complex mass is
     conserved over the contributing set.
     """
-    h = field.h
-    values, codes = h.values.reshape(-1), field.codes.reshape(-1)
-    out = np.zeros(values.size, dtype=np.complex128)
-    # blocks in ascending source order keep the scatter order of one pass
-    for block in _entry_blocks(codes.size):
-        src = np.flatnonzero(codes[block] >= 0) + block.start
-        np.add.at(out, codes[src].astype(np.intp) * h.grid.n_time + src % h.grid.n_time, values[src])
-    return TfcTensor(out.reshape(h.values.shape), h.grid)
+    grid = field.grid
+    start, stop = frames.start or 0, grid.n_time if frames.stop is None else frames.stop
+    if frames.step not in (None, 1) or not 0 <= start < stop <= grid.n_time:
+        raise ParameterError(f"frames must be a unit-step range within the {grid.n_time} frames, got {frames}")
+    width = stop - start
+    values, codes = field.h.values.reshape(-1), field.codes.reshape(-1)
+    in_range = codes.reshape(-1, grid.n_time)[:, start:stop]
+    out = np.zeros(in_range.size, dtype=np.complex128)
+    # blocks of at most ENTRY_BLOCK entries, rows ascending: each bin receives
+    # its sources (of its own frame) in ascending row order, as in one pass
+    rows_per = max(1, ENTRY_BLOCK // width)
+    for lo in range(0, in_range.shape[0], rows_per):
+        for c0 in range(0, width, ENTRY_BLOCK):
+            moves = in_range[lo : lo + rows_per, c0 : c0 + ENTRY_BLOCK] >= 0
+            rows, cols = np.divmod(np.flatnonzero(moves), moves.shape[1])  # faster than a 2-D nonzero
+            cols += c0
+            src = (rows + lo) * grid.n_time + (cols + start)
+            np.add.at(out, codes[src].astype(np.intp) * width + cols, values[src])
+    return TfcTensor(out.reshape(grid.n_chirp, grid.n_freq, width), replace(grid, n_time=width))
 
 
 def squeeze_conservation(field: ReassignmentField, squeezed: TfcTensor) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""Ridge extraction from a squeezed TFC volume.
+"""Ridge extraction from a squeezed TFC volume, or from the reassignment field that squeezes it.
 
 Pipeline: quantile selection of high-energy entries, Gaussian-kernel
 spectral embedding of the selected (time, frequency, chirp-rate) points,
 k-means on the embedding, then per-frame aggregation of each cluster into a
-single (frequency, chirp-rate) curve.
+single (frequency, chirp-rate) curve.  The selection is one walk over the
+64-frame time tiles of |S| (``FRAME_CHUNK``); from a field, each tile of S
+is squeezed when the walk reaches it, so S is never held whole.
 """
 
 from __future__ import annotations
@@ -95,27 +97,27 @@ FIT_ITERS = 4
 FIT_CLIP = 4.0
 
 
-def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> TfcPointCloud:
+def select_high_energy(source: TfcTensor | ReassignmentField, q: float, min_per_frame: int = 0) -> TfcPointCloud:
     """Entries with |S| above the q-quantile, as a normalized point cloud.
 
-    ``min_per_frame`` additionally admits each frame's strongest nonzero
-    entries, so that frames whose ridge mass falls below the global
-    threshold (the threshold chases the loudest spikes) still contribute;
-    the quantile entries are then marked in ``core``, and the normalization
-    is fitted to them.
+    ``source`` is S itself, or a reassignment field whose S is squeezed a
+    tile at a time.  ``min_per_frame`` additionally admits each frame's
+    strongest nonzero entries, so that frames whose ridge mass falls below
+    the global threshold (the threshold chases the loudest spikes) still
+    contribute; the quantile entries are then marked in ``core``, and the
+    normalization is fitted to them.
     """
     if not (0 <= q < 1):
         raise ParameterError("q must lie in [0, 1)")
-    grid = tensor.grid
-    values = tensor.values
-    threshold, picked = _above_quantile(values, q)
-    if min_per_frame > 0:
-        picked = np.unique(np.concatenate((picked, _admit_frame_peaks(values, min_per_frame))))
-    weights = np.abs(values.ravel()[picked])
+    if min_per_frame < 0:
+        raise ParameterError(f"min_per_frame must be >= 0, got {min_per_frame}")
+    grid = source.grid
+    sourced = isinstance(source, ReassignmentField)
+    threshold, picked, weights = _tile_walk(source if sourced else source.values, q, min_per_frame)
     core = weights > threshold
     if not core.any():
         raise EmptyCloudError("no entries above the energy quantile")
-    l_idx, m_idx, n_idx = np.unravel_index(picked, values.shape)
+    l_idx, m_idx, n_idx = np.unravel_index(picked, (grid.n_chirp, grid.n_freq, grid.n_time))
     t = n_idx / grid.sample_rate_hz  # seconds from the first frame
     physical = np.column_stack((t, grid.freqs_hz[m_idx], grid.chirps_hzps[l_idx]))
     # scale each axis by the core's weighted central range rather than
@@ -126,52 +128,75 @@ def select_high_energy(tensor: TfcTensor, q: float, min_per_frame: int = 0) -> T
     span = hi - lo
     fallback = core_pts.max(axis=0) - core_pts.min(axis=0)
     span = np.where(span > 0, span, np.where(fallback > 0, fallback, 1.0))
-    return TfcPointCloud(
-        points=(physical - lo) / span,
-        physical=physical,
-        weights=weights,
-        frames=n_idx,
-        core=core if min_per_frame > 0 else None,
-    )
+    return TfcPointCloud((physical - lo) / span, physical, weights, n_idx, core if min_per_frame > 0 else None)
 
 
-def _above_quantile(values: np.ndarray, q: float) -> tuple:
-    """``np.quantile(np.abs(values), q)`` and the ascending flat indices above it, in one walk.
+def _tile_walk(source, q: float, count: int) -> tuple:
+    """(``np.quantile(|S|, q)``, the ascending flat indices above it and of each frame's ``count``
+    strongest separated peaks, |S| there), in one walk over the ``FRAME_CHUNK``-frame tiles of a
+    volume ``source``, or of ``synchrosqueeze(source, tile)`` for a field.
 
-    Magnitudes above a rising floor are held with their indices, a block at
-    a time; the rest are counted.  The floor starts at 0 and rises to the
-    ``keep``-th largest whenever more than ``2 * keep`` are held, so at most
-    2·keep plus a block are held; every entry below the floor still ranks
-    under numpy's lower order statistic ``prev``.  NaN gives a NaN threshold
-    and no indices, as ``np.quantile`` gives NaN.
+    A tile's magnitudes feed the quantile ``ENTRY_BLOCK`` at a time: those
+    above a rising floor are held with their indices, the rest counted.  The
+    floor starts at 0 and rises to the ``keep``-th largest whenever more than
+    ``2 * keep`` are held; in any block order an entry at or below it ranks
+    under numpy's lower order statistic ``prev``, and one final sort restores
+    the flat order.  NaN gives a NaN threshold and no indices, as in numpy.
+    Then the tile's peaks are peeled greedily, each clearing ``PEAK_SUPPRESS``
+    (chirp, frequency) bins around it, so a frame whose weaker component falls
+    below the global threshold still contributes its ridge point.
     """
-    flat = values.reshape(-1)
-    n = flat.size
+    sourced = isinstance(source, ReassignmentField)
+    shape = source.codes.shape if sourced else source.shape
+    (n_chirp, n_freq, n_time), n = shape, int(np.prod(shape))
     virtual = (n - 1) * q
     prev = int(np.floor(virtual))
     keep = n - prev  # the entries ranked at or above prev
-    floor, counted, idx, mags = 0.0, 0, [], []
-    for b in _entry_blocks(n):
-        block = np.abs(flat[b])
-        hit = np.flatnonzero(~(block <= floor))  # NaN is held, and ends the walk
-        mags.append(block[hit])
-        if np.isnan(mags[-1]).any():
-            return np.nan, hit[:0]
-        counted += block.size - hit.size
-        idx.append(hit + b.start)
-        held = b.start + block.size - counted
-        if held > 2 * keep:
-            m = np.concatenate(mags)
-            floor = np.partition(m, held - keep)[held - keep]
-            above = m > floor
-            idx, mags = [np.concatenate(idx)[above]], [m[above]]
-            counted += held - mags[0].size
+    dl, dm = PEAK_SUPPRESS
+    floor, held, idx, mags, peaks = 0.0, 0, [], [], []
+    for t0 in range(0, n_time, FRAME_CHUNK):
+        frames = slice(t0, min(t0 + FRAME_CHUNK, n_time))
+        tile = synchrosqueeze(source, frames).values if sourced else source[..., frames]
+        # frame-major only for the peaks, which peel it in place
+        tile = np.abs(tile.transpose(2, 0, 1) if count else tile, order="C").reshape(-1)
+        width = frames.stop - t0
+        for b in _entry_blocks(tile.size):
+            hit = np.flatnonzero(~(tile[b] <= floor)) + b.start  # NaN is held, and ends the walk
+            mags.append(tile[hit])
+            if np.isnan(mags[-1]).any():
+                return np.nan, hit[:0], mags[-1][:0]
+            held += hit.size
+            major, minor = np.divmod(hit, tile.size // width if count else width)
+            rows, cols = (minor, major) if count else (major, minor)
+            idx.append(rows * n_time + (cols + t0))
+            if held > 2 * keep:
+                kept = np.concatenate(mags)
+                floor = np.partition(kept, held - keep)[held - keep]
+                above = kept > floor
+                idx, mags = [np.concatenate(idx)[above]], [kept[above]]
+                held = mags[0].size
+        tile = tile.reshape(width, -1)
+        for _ in range(count):
+            top = np.argmax(tile, axis=1)
+            live = np.flatnonzero(~(tile[np.arange(width), top] <= 0))
+            if live.size == 0:
+                break
+            top = top[live]
+            peaks += [top * n_time + (t0 + live), tile[live, top]]
+            l, m = np.divmod(top, n_freq)
+            ll = l[:, None, None] + np.arange(-dl, dl + 1)[:, None]
+            mm = m[:, None, None] + np.arange(-dm, dm + 1)
+            inside = (ll >= 0) & (ll < n_chirp) & (mm >= 0) & (mm < n_freq)
+            rows = np.broadcast_to(live[:, None, None], inside.shape)
+            tile[rows[inside], (ll * n_freq + mm)[inside]] = 0.0
     idx, mags = np.concatenate(idx), np.concatenate(mags)
-    ranks = [r - counted for r in (prev, min(prev + 1, n - 1))]  # within the held magnitudes
+    ranks = [r - n + held for r in (prev, min(prev + 1, n - 1))]  # within the held magnitudes
     part = np.partition(mags, [max(r, 0) for r in ranks]) if ranks[1] >= 0 else mags
     lo, hi = (part[r] if r >= 0 else floor for r in ranks)
     threshold = _lerp(lo, hi, virtual)
-    return threshold, idx[mags > threshold]
+    above = mags > threshold
+    picked, first = np.unique(np.concatenate((idx[above], *peaks[0::2])), return_index=True)
+    return threshold, picked, np.concatenate((mags[above], *peaks[1::2]))[first]
 
 
 def _lerp(lo, hi, virtual):
@@ -181,39 +206,6 @@ def _lerp(lo, hi, virtual):
 
 
 PEAK_SUPPRESS = (3, 2)  # (chirp, frequency) bins cleared on each side of a peeled peak
-
-
-def _admit_frame_peaks(values: np.ndarray, count: int) -> np.ndarray:
-    """Flat indices of each frame's ``count`` strongest separated peaks of ``|values|``.
-
-    Peaks are peeled greedily with a suppression neighborhood of
-    ``PEAK_SUPPRESS`` (chirp, frequency) bins, so a frame whose weaker component
-    falls below the global threshold still contributes its ridge point.
-    The frames of one chunk are peeled at once, from a frame-major copy of
-    that chunk's magnitudes only; a frame whose maximum is not positive has
-    no peaks left.  No index repeats.
-    """
-    n_chirp, n_freq, n_time = values.shape
-    dl, dm = PEAK_SUPPRESS
-    picked = [np.empty(0, dtype=np.intp)]
-    for c0 in range(0, n_time, FRAME_CHUNK):
-        frames = np.abs(values[:, :, c0 : c0 + FRAME_CHUNK].transpose(2, 0, 1), order="C")
-        frames = frames.reshape(-1, n_chirp * n_freq)
-        n_chunk = frames.shape[0]
-        for _ in range(count):
-            idx = np.argmax(frames, axis=1)
-            live = np.flatnonzero(~(frames[np.arange(n_chunk), idx] <= 0))
-            if live.size == 0:
-                break
-            idx = idx[live]
-            picked.append(idx * n_time + (c0 + live))
-            l, m = np.divmod(idx, n_freq)
-            ll = l[:, None, None] + np.arange(-dl, dl + 1)[:, None]
-            mm = m[:, None, None] + np.arange(-dm, dm + 1)
-            inside = (ll >= 0) & (ll < n_chirp) & (mm >= 0) & (mm < n_freq)
-            rows = np.broadcast_to(live[:, None, None], inside.shape)
-            frames[rows[inside], (ll * n_freq + mm)[inside]] = 0.0
-    return np.concatenate(picked)
 
 
 def _weighted_quantiles(values: np.ndarray, weights: np.ndarray, qs) -> tuple:
@@ -510,20 +502,17 @@ def extract_ridges(
     ``n_components == 1`` bypasses the clustering and treats every selected
     point as one ridge.  From a volume ``source`` (a ``TfcTensor``) the
     curves are the per-frame centroids of the selected bins themselves.
-    From a reassignment field, S is squeezed here for the selection alone
-    and freed before the cloud is embedded; the curves are aggregated from
+    From a reassignment field, the selection squeezes S a tile at a time
+    and never holds it whole; the curves are aggregated from
     the entries of the field's T^h behind each selected bin (sub-bin
     precision).  Clustering that runs out of memory raises
     ``ResourceError`` naming the core cloud's size and its affinity's bytes.
     """
     params = params or RidgeParams()
-    sourced = isinstance(source, ReassignmentField)
     # per-frame peaks keep starved stretches represented in the curve fit,
     # but only the clean quantile (core) cloud votes on cluster identity:
-    # the extra points inherit labels from their nearest clustered point.
-    # A squeeze made here is an argument of the selection alone, so it dies
-    # with the call
-    cloud = select_high_energy(synchrosqueeze(source) if sourced else source, params.q, params.min_per_frame)
+    # the extra points inherit labels from their nearest clustered point
+    cloud = select_high_energy(source, params.q, params.min_per_frame)
     core = cloud.core_cloud()
     if n_components == 1:
         labels = np.zeros(len(core), dtype=int)
@@ -542,7 +531,7 @@ def extract_ridges(
             raise ExtractionError(f"clustering found {found} of {n_components} ridges")
     if core is not cloud:
         labels = _propagate_labels(core, labels, cloud)
-    if sourced:
+    if isinstance(source, ReassignmentField):
         return ridges_from_sources(cloud, labels, source)
     return ridges_from_clusters(cloud, labels, source.grid)
 

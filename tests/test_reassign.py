@@ -298,7 +298,7 @@ def test_squeeze_takes_no_parameter_object():
     import tfchirp
 
     assert not hasattr(tfchirp, "SqueezeParams")
-    assert list(inspect.signature(synchrosqueeze).parameters) == ["field"]
+    assert list(inspect.signature(synchrosqueeze).parameters) == ["field", "frames"]
 
 
 def test_field_stores_no_mask(crossing_sct_g2):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tfchirp import reassign, ridge
 from tfchirp.errors import DegenerateCloudError, EmptyCloudError, ParameterError
-from tfchirp.pipeline import sct_ridges
+from tfchirp.pipeline import run_sct, sct_ridges
 from tfchirp.ridge import (
     RidgeParams,
     TfcPointCloud,
@@ -16,7 +16,7 @@ from tfchirp.ridge import (
     spectral_embed,
 )
 from tfchirp.reassign import synchrosqueeze
-from tfchirp.signal import grid_from_resolution
+from tfchirp.signal import Signal, WindowFamily, grid_from_resolution
 from tfchirp.transform import TfcTensor
 
 import reference
@@ -286,7 +286,7 @@ def test_spectral_embed_needs_one_point_beyond_the_embedding():
 
 @pytest.mark.parametrize("count", [1, 3, 6])
 def test_admit_frame_peaks_matches_per_frame_loop(count):
-    from tfchirp.ridge import FRAME_CHUNK, _admit_frame_peaks
+    from tfchirp.ridge import FRAME_CHUNK
 
     rng = np.random.default_rng(count)
     # more than two chunks of frames, the last one partial
@@ -298,30 +298,41 @@ def test_admit_frame_peaks_matches_per_frame_loop(count):
     mags[:, :, FRAME_CHUNK - 1] = 0.0  # silent last frame of a chunk
     mags[8, 6, FRAME_CHUNK] = 3.0  # a corner peak opening the next chunk
     mags[rng.random(mags.shape) < 0.3] = 0.0
+    # q this close to 1 picks only the volume's largest entry, itself a peak
+    # of its frame: the tile walk's picks are the peaks
+    q = 1 - 2**-53
     want = np.zeros(mags.shape, dtype=bool)
     admit_frame_peaks_loop(mags, want, count)
-    got = _admit_frame_peaks(mags.astype(complex), count)  # |x + 0j| is x: the ties stay ties
-    assert np.unique(got).size == got.size
-    assert np.array_equal(np.sort(got), np.flatnonzero(want))
+    assert not (mags > np.quantile(mags, q))[~want].any()
+    threshold, got, weights = ridge._tile_walk(mags.astype(complex), q, count)  # |x + 0j| is x: the ties stay ties
+    assert np.float64(threshold).tobytes() == np.float64(np.quantile(mags, q)).tobytes()
+    assert np.array_equal(got, np.flatnonzero(want))
+    assert np.array_equal(weights, mags.ravel()[got])
 
 
 @pytest.mark.parametrize("min_per_frame", [0, 3])
 @pytest.mark.parametrize("q", [0.5, 0.9995])
-@pytest.mark.parametrize("volume", ["sct", "ct"])
+@pytest.mark.parametrize("volume", ["sct", "ct", "field"])
 def test_blocked_selection_equals_the_whole_volume_selection(
     crossing_sct_g2, crossing_s_g2, monkeypatch, volume, q, min_per_frame
 ):
-    tensor = crossing_s_g2 if volume == "sct" else crossing_sct_g2.h
-    want = reference.select_high_energy(tensor, q, min_per_frame)
+    # a field's S is squeezed tile by tile inside the selection
+    source = {"sct": crossing_s_g2, "ct": crossing_sct_g2.h, "field": crossing_sct_g2}[volume]
+    want = reference.select_high_energy(crossing_sct_g2.h if volume == "ct" else crossing_s_g2, q, min_per_frame)
     assert (want.core is None) == (min_per_frame == 0)
     # 997 entries: block edges fall inside the rows of every frame
     for block in (reassign.ENTRY_BLOCK, 997):
         monkeypatch.setattr(reassign, "ENTRY_BLOCK", block)
-        got = select_high_energy(tensor, q, min_per_frame)
+        got = select_high_energy(source, q, min_per_frame)
         for name in ("points", "physical", "weights", "frames"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), (block, name)
         assert (got.core is None) == (want.core is None)
         assert want.core is None or np.array_equal(got.core, want.core), block
+
+
+def test_select_rejects_a_negative_min_per_frame(crossing_s_g2):
+    with pytest.raises(ParameterError, match="min_per_frame"):
+        select_high_energy(crossing_s_g2, 0.9995, min_per_frame=-1)
 
 
 def test_core_cloud_equals_selection_without_peaks(crossing_s_g2):
@@ -443,19 +454,25 @@ def _misleading_volume():
     return values
 
 
+# the layouts of the walk's tiles: one row of 64-entry tiles, or one frame whose one tile is split into blocks
+ONE_ROW, ONE_FRAME = (1, 1, -1), (-1, 1, 1)
+
+
 @settings(max_examples=80)
-@given(energy_volumes(), st.sampled_from([reassign.ENTRY_BLOCK, 997]))
-@example((_misleading_volume(), 0.5), reassign.ENTRY_BLOCK)
-def test_above_quantile_is_numpys_quantile_and_the_entries_above_it(volume, block):
+@given(energy_volumes(), st.sampled_from([reassign.ENTRY_BLOCK, 997]), st.sampled_from([ONE_ROW, ONE_FRAME]))
+@example((_misleading_volume(), 0.5), reassign.ENTRY_BLOCK, ONE_FRAME)
+@example((_misleading_volume(), 0.5), reassign.ENTRY_BLOCK, ONE_ROW)
+def test_above_quantile_is_numpys_quantile_and_the_entries_above_it(volume, block, layout):
     values, q = volume
     default, reassign.ENTRY_BLOCK = reassign.ENTRY_BLOCK, block
     try:
-        threshold, picked = ridge._above_quantile(values, q)
+        threshold, picked, weights = ridge._tile_walk(values.reshape(layout), q, 0)
     finally:
         reassign.ENTRY_BLOCK = default
     want = np.quantile(values, q)
     assert np.float64(threshold).tobytes() == np.float64(want).tobytes()
     assert np.array_equal(picked, np.flatnonzero(values > want))
+    assert np.array_equal(weights, values[picked])
 
 
 def test_select_high_energy_memory_budget(crossing_s_g2):
@@ -479,9 +496,22 @@ def test_select_high_energy_memory_budget_on_a_sparse_volume(crossing_grid):
     assert peak <= 0.34
 
 
+def test_select_from_a_field_holds_no_s():
+    # a long record on a short grid: S is squeezed a 64-frame tile at a time,
+    # 1% of the record here (measured 0.038 volumes; a whole S is 1)
+    fs = 20.0
+    x = np.arange(6401) / fs
+    signal = Signal(np.exp(2j * np.pi * (2 * x + 0.01 * x**2)) + np.exp(2j * np.pi * (8 * x - 0.01 * x**2)), fs)
+    field = run_sct(signal, WindowFamily(0, 1.0), grid_from_resolution(0.05, len(signal), fs), half_len=20)
+    assert field.codes.shape == (20, 11, 6401)
+    cloud, peak, _ = traced_volumes(lambda: select_high_energy(field, 0.9995, 0), field.codes.size * 16)
+    assert len(cloud) > 0 and cloud.core is None
+    assert peak <= 0.25
+
+
 def test_select_high_energy_copies_no_selection(crossing_s_g2):
-    # no |S| volume and no selection mask: magnitudes exist a block of entries
-    # or a chunk of frames at a time, and the core is read off the weights
+    # no |S| volume and no selection mask: magnitudes exist one 64-frame tile
+    # at a time, and the core is read off the weights
     tensor = crossing_s_g2
     cloud, peak, _ = traced_volumes(lambda: select_high_energy(tensor, 0.9995, min_per_frame=3), tensor.values.size * 8)
     assert cloud.core is not None and 0 < cloud.core.sum() < len(cloud)

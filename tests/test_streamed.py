@@ -2,6 +2,7 @@
 
 import inspect
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tfchirp import reassign, ridge, transform
+from tfchirp.errors import ParameterError
 from tfchirp.pipeline import ct_ridges, run_sct, sct_ridges
 from tfchirp.reassign import (
     ALIASED,
@@ -103,6 +105,33 @@ def test_blocked_squeeze_equals_one_pass(chirp_f1_sct, monkeypatch):
         squeezed = synchrosqueeze(field)
         assert np.array_equal(squeezed.values.ravel(), one_pass)
         assert np.array_equal(squeeze_conservation(field, squeezed), conservation)
+
+
+@pytest.mark.parametrize("block", [reassign.ENTRY_BLOCK, 997])
+@pytest.mark.parametrize("fixture", ["crossing_sct_g0", "crossing_sct_g2"])
+def test_squeezed_frame_range_is_the_slice_of_s(request, fixture, block, monkeypatch):
+    # every 64-frame tile (the last one 17 frames), an unaligned range and a
+    # single frame, each against the whole-record S, to the bit
+    field = request.getfixturevalue(fixture)
+    n_time = field.grid.n_time
+    whole = synchrosqueeze(field).values
+    monkeypatch.setattr(reassign, "ENTRY_BLOCK", block)
+    tiles = [slice(t0, min(t0 + FRAME_CHUNK, n_time)) for t0 in range(0, n_time, FRAME_CHUNK)]
+    assert tiles[-1].stop - tiles[-1].start == 17
+    for frames in (*tiles, slice(37, 250), slice(200, 201), slice(None, 5), slice(390, None)):
+        part = synchrosqueeze(field, frames)
+        start, stop = frames.indices(n_time)[:2]
+        assert part.grid == replace(field.grid, n_time=stop - start)
+        assert np.array_equal(part.values, whole[:, :, frames]), frames
+
+
+@pytest.mark.parametrize(
+    "frames", [slice(0, 64, 2), slice(None, None, -1), slice(-1, None), slice(0, 402), slice(5, 5), slice(9, 3)]
+)
+def test_squeeze_rejects_a_frame_range_outside_the_record_or_strided(crossing_sct_g2, frames):
+    assert crossing_sct_g2.grid.n_time == 401
+    with pytest.raises(ParameterError, match="frames"):
+        synchrosqueeze(crossing_sct_g2, frames)
 
 
 def _random_bank_field():
@@ -310,7 +339,7 @@ def test_the_analysis_builds_no_estimate_volume(crossing_scene, crossing_grid):
 
 def test_sct_ridges_embed_without_s(crossing_scene, crossing_grid, monkeypatch):
     # at the embedding, the analysis holds T^h, the int16 codes and the cloud:
-    # S was squeezed for the selection alone and freed (2.25 volumes with S alive)
+    # the selection squeezed S a tile at a time (2.25 volumes with S alive)
     signal, grid = crossing_scene.signal(), crossing_grid
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
     params = RidgeParams(seed=0)
@@ -329,6 +358,21 @@ def test_sct_ridges_embed_without_s(crossing_scene, crossing_grid, monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(at_embed) == 1 and (at_embed[0] - base) / volume <= 1.2
+
+
+@pytest.mark.parametrize("min_per_frame", [0, 3])
+def test_sct_ridges_memory_budget(crossing_sct_g2, min_per_frame):
+    # the selection squeezes one 64-frame tile of S at a time: no S is held
+    # beside T^h and the codes (a whole S alone is 1 volume; measured 0.43 and 0.44)
+    import scipy.spatial
+    import scipy.sparse.linalg  # noqa: F401  (the embedding's imports stay out of the trace)
+
+    field = crossing_sct_g2
+    volume = field.codes.size * 16
+    params = RidgeParams(seed=0, min_per_frame=min_per_frame)
+    ridges, peak, _ = traced_volumes(lambda: sct_ridges(field, 2, params), volume)
+    assert ridges.n_components == 2
+    assert peak < 0.75
 
 
 def test_squeeze_conservation_copies_no_volume(crossing_sct_g2, crossing_s_g2):
