@@ -26,6 +26,7 @@ from .synth import crossing_chirp_pair, random_ict_scene
 from .transform import chirplet_transform, project_tfc_to_tf
 
 USAGE_ERROR, IO_ERROR, NUMERICAL_ERROR = 1, 2, 3
+MAX_TAPS = np.iinfo(np.intp).max // 16  # numpy refuses a longer complex window with a ValueError, not a MemoryError
 _FAMILY, _RIDGE = WindowFamily(), RidgeParams()  # the library defaults the config starts from
 
 
@@ -144,18 +145,30 @@ def _analysis_window(config: RunConfig, signal: Signal) -> tuple:
     """The analysis window as ``_memory_guard`` names it."""
     if config.half_len > 0:
         return "window", config.half_len, f"lower half_len (now {config.half_len})"
-    return "window", config.family().default_half_len(signal.dt_s), f"raise alpha_w (now {config.alpha_w})"
+    return "window", _default_half_len(config.family(), signal), f"raise alpha_w (now {config.alpha_w})"
+
+
+def _default_half_len(family: WindowFamily, signal: Signal):
+    """``family.default_half_len`` at the signal's rate, or inf where it outgrows a float."""
+    try:
+        return family.default_half_len(signal.dt_s)
+    except OverflowError:
+        return np.inf
 
 
 @contextmanager
 def _memory_guard(grid, *windows, q=None):
-    """Turn a ``MemoryError`` into a one-line error naming the grid, ``q`` of a ridge cloud clustered
-    under the guard, and each window built under it, given as (label, half length, the knob that shortens it)."""
+    """Turn a ``MemoryError`` into a one-line error naming the grid, ``q`` of a ridge cloud clustered under the
+    guard, and each window built under it, given as (label, half length, the knob that shortens it); a window of
+    more than ``MAX_TAPS`` taps fails so on entry."""
+    taps = [(label, 2 * half_len + 1) for label, half_len, _ in windows]
     try:
+        if any(n > MAX_TAPS for _, n in taps):
+            raise MemoryError
         yield
     except MemoryError:
         volume = grid.n_chirp * grid.n_freq * grid.n_time * np.dtype(np.complex128).itemsize
-        names = " and ".join(f"the {2 * half_len + 1}-tap {label}" for label, half_len, _ in windows)
+        names = " and ".join(f"the {n if n <= MAX_TAPS else f'>{MAX_TAPS}'}-tap {label}" for label, n in taps)
         knobs = ", or ".join(
             [f"raise alpha_sq (now {grid.alpha_sq}) for a coarser grid"]
             + ([f"raise q (now {q}) for a smaller cloud"] if q is not None else [])
@@ -282,7 +295,7 @@ def cmd_reconstruct(args) -> int:
     signal = _read_signal(args, args.ridge_csv, *modes_csv, args.truth and args.report)
     truths = _read_truths(args.truth or (), signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
-    recon_half_len = recon_family.default_half_len(signal.dt_s)
+    recon_half_len = _default_half_len(recon_family, signal)
     recon_window = ("reconstruction window", recon_half_len, f"raise --recon-alpha (now {args.recon_alpha})")
     with _memory_guard(grid, _analysis_window(config, signal), recon_window, q=config.q):
         recon_bank = make_window_bank(recon_family, recon_half_len, signal.dt_s)

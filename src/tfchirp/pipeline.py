@@ -73,11 +73,7 @@ def _match_components(est_if: np.ndarray, true_if: np.ndarray, window: np.ndarra
     for i in range(k):
         for j in range(k):
             cost[i, j] = np.abs(est_if[i] - true_if[j])[window].mean()
-    rows, cols = linear_sum_assignment(cost)
-    assign = [0] * k
-    for i, j in zip(rows, cols):
-        assign[i] = int(j)
-    return assign
+    return [int(j) for j in linear_sum_assignment(cost)[1]]  # a square cost's rows are 0..k-1
 
 
 def crossing_study(

@@ -111,10 +111,10 @@ class ReassignmentField:
         return self.__dict__[name]
 
     def sources(self, bins: np.ndarray) -> tuple:
-        """(src, which, omega, mu): the flat entries of ``h`` that the squeeze moves onto the
-        flat S bins ``bins``, tile by tile in (row, frame) order, the index in ``bins`` of the
-        bin each lands on, and their estimates, ``omega.ravel()[src]`` and ``mu.ravel()[src]``
-        to the bit.  One loop over the time tiles of ``FRAME_CHUNK`` frames that hold a bin.
+        """(src, which, omega, mu, magnitude): the flat entries of ``h`` that the squeeze moves onto the flat
+        S bins ``bins``, tile by tile in (row, frame) order, the index in ``bins`` of the bin each lands on,
+        their estimates, ``omega.ravel()[src]`` and ``mu.ravel()[src]`` to the bit, and |T^h| there.  One
+        loop over the time tiles of ``FRAME_CHUNK`` frames that hold a bin.
         """
         n_time = self.grid.n_time
         codes = self.codes.reshape(-1, n_time)
@@ -124,7 +124,7 @@ class ReassignmentField:
         # over the tile's frames; the four negative causes fall on rows that own nothing
         owner = np.full((codes.shape[0] + 4) * FRAME_CHUNK, -1, dtype=np.int32)
         blocks = _field_blocks(self.banks)
-        found = [(np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0), np.empty(0))]
+        found = [(np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0), np.empty(0), np.empty(0))]
         for tile in np.unique(bin_tile):
             t0 = tile * FRAME_CHUNK
             mine = np.flatnonzero(bin_tile == tile)
@@ -144,18 +144,19 @@ class ReassignmentField:
         return tuple(np.concatenate(part) for part in zip(*found))
 
     def _recompute_tile(self, blocks, rows: np.ndarray, cols: np.ndarray, t0: int) -> tuple:
-        """(omega, mu) at the entries (``rows``, ``t0 + cols``) of the tile from frame ``t0``, in
-        (row, frame) order: ``blocks`` (of ``_field_blocks``) sum the companions of their rows
-        over the tile's frames alone, and the estimates are formed at the entries alone.
+        """(omega, mu, |T^h|) at the entries (``rows``, ``t0 + cols``) of the tile from frame
+        ``t0``, in (row, frame) order: ``blocks`` (of ``_field_blocks``) sum the companions of
+        their rows over the tile's frames alone, and the estimates are formed at the entries alone.
         """
         rows, inverse = np.unique(rows, return_inverse=True)
-        omega, mu = np.empty(inverse.size), np.empty(inverse.size)
+        omega, mu, magnitude = np.empty(inverse.size), np.empty(inverse.size), np.empty(inverse.size)
         for part, inputs in blocks(rows, slice(t0, t0 + FRAME_CHUNK)):
             span = slice(*np.searchsorted(inverse, (part.start, part.stop)))  # the entries of rows[part]
             at = (inverse[span] - part.start, cols[span])
-            entries = (np.broadcast_to(x, inputs[0].shape)[at] for x in inputs)
-            mu[span], omega[span], _ = _mu_omega(*entries, self.nu)
-        return omega, mu
+            T, *entries = (np.broadcast_to(x, inputs[0].shape)[at] for x in inputs)
+            mu[span], omega[span], _ = _mu_omega(T, *entries, self.nu)
+            magnitude[span] = np.abs(T)
+        return omega, mu, magnitude
 
 
 def default_threshold(values: np.ndarray, rel: float = DEFAULT_NU_REL) -> float:
@@ -217,13 +218,13 @@ def resolvable_slots(grid: TfcGrid, bank: WindowBank) -> np.ndarray:
 
 
 def _field_blocks(banks):
-    """The inputs of ``_mu_omega``, a block of rows at a time: ``blocks(rows, cols)``
-    yields ``(part, (T, T1, T2, U, U1, V, lam, freqs))`` for consecutive slices
-    ``part`` of the flat (chirp, frequency) ``rows``: T^h and its companions on
-    ``rows[part]`` over the frames of the slice ``cols`` (all by default), and
-    their chirp rate and frequency, [rows, 1].  ``banks`` holds T^h and
-    supplies the companion rows through one ``companion_rows()``.  A row's
-    sums depend neither on which rows share its block nor on the column range.
+    """The inputs of ``_mu_omega``, a block of rows at a time: ``blocks(rows, cols)`` yields
+    ``(part, (T, T1, T2, U, U1, V, lam, freqs))`` for consecutive slices ``part`` of the flat
+    (chirp, frequency) ``rows``: T^h and its companions on ``rows[part]`` over the frames of the
+    slice ``cols`` (all by default), and their chirp rate and frequency, [rows, 1].  ``banks``
+    holds T^h, gathered here once per block, and forms the companions from that T through one
+    ``companion_rows()``.  A row's sums depend neither on which rows share its block nor on the
+    column range.
     """
     grid = banks.h.grid
     companions = banks.companion_rows()
@@ -240,7 +241,8 @@ def _field_blocks(banks):
                 r = fetched[part]
                 lam = grid.chirps_hzps[r // grid.n_freq, None]
                 freqs = grid.freqs_hz[r % grid.n_freq, None]
-                yield slice(lo + part.start, lo + part.stop), (T_rows[r, cols], *companions_of(part), lam, freqs)
+                T = T_rows[r, cols]
+                yield slice(lo + part.start, lo + part.stop), (T, *companions_of(part, T), lam, freqs)
 
     return blocks
 

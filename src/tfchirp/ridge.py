@@ -136,12 +136,12 @@ def _tile_walk(source, q: float, count: int) -> tuple:
     strongest separated peaks, |S| there), in one walk over the ``FRAME_CHUNK``-frame tiles of a
     volume ``source``, or of ``synchrosqueeze(source, tile)`` for a field.
 
-    A tile's magnitudes feed the quantile ``ENTRY_BLOCK`` at a time: those
-    above a rising floor are held with their indices, the rest counted.  The
-    floor starts at 0 and rises to the ``keep``-th largest whenever more than
-    ``2 * keep`` are held; in any block order an entry at or below it ranks
-    under numpy's lower order statistic ``prev``, and one final sort restores
-    the flat order.  NaN gives a NaN threshold and no indices, as in numpy.
+    A tile's magnitudes, frame-major, feed the quantile ``ENTRY_BLOCK`` at a
+    time: those above a rising floor are held with their indices, the rest
+    counted.  The floor starts at 0 and rises to the ``keep``-th largest
+    whenever more than ``2 * keep`` are held; in any arrival order an entry at
+    or below it ranks under numpy's lower order statistic ``prev``, and one final
+    sort restores the flat order.  NaN gives a NaN threshold and no indices.
     Then the tile's peaks are peeled greedily, each clearing ``PEAK_SUPPRESS``
     (chirp, frequency) bins around it, so a frame whose weaker component falls
     below the global threshold still contributes its ridge point.
@@ -157,8 +157,8 @@ def _tile_walk(source, q: float, count: int) -> tuple:
     for t0 in range(0, n_time, FRAME_CHUNK):
         frames = slice(t0, min(t0 + FRAME_CHUNK, n_time))
         tile = synchrosqueeze(source, frames).values if sourced else source[..., frames]
-        # frame-major only for the peaks, which peel it in place
-        tile = np.abs(tile.transpose(2, 0, 1) if count else tile, order="C").reshape(-1)
+        # frame-major, for the peaks, which peel it in place
+        tile = np.abs(tile.transpose(2, 0, 1), order="C").reshape(-1)
         width = frames.stop - t0
         for b in _entry_blocks(tile.size):
             hit = np.flatnonzero(~(tile[b] <= floor)) + b.start  # NaN is held, and ends the walk
@@ -166,8 +166,7 @@ def _tile_walk(source, q: float, count: int) -> tuple:
             if np.isnan(mags[-1]).any():
                 return np.nan, hit[:0], mags[-1][:0]
             held += hit.size
-            major, minor = np.divmod(hit, tile.size // width if count else width)
-            rows, cols = (minor, major) if count else (major, minor)
+            cols, rows = np.divmod(hit, tile.size // width)
             idx.append(rows * n_time + (cols + t0))
             if held > 2 * keep:
                 kept = np.concatenate(mags)
@@ -472,17 +471,16 @@ def ridges_from_sources(cloud: TfcPointCloud, labels: np.ndarray, field) -> Ridg
         # sources come tile by tile in (row, frame) order: within each frame
         # the rows ascend, as they do in ascending flat order, so the fit's
         # stable sort by time sees the same order as over ascending sources
-        src, which, *estimates = field.sources((l_pt * grid.n_freq + m_pt) * n_time + cloud.frames)
+        src, which, omega, mu, w_src = field.sources((l_pt * grid.n_freq + m_pt) * n_time + cloud.frames)
         src_row = rows[which]
         t_src = (src % n_time) / grid.sample_rate_hz
-        w_src = np.abs(field.h.values.ravel()[src])
         t_axis = np.arange(n_time) / grid.sample_rate_hz
         curves = np.empty((2, ids.size, n_time))
         for row, cid in enumerate(ids):
             hit = src_row == row
             if not hit.any():
                 raise ExtractionError(f"cluster {cid} received no source entries")
-            for curve, est in zip(curves, estimates):
+            for curve, est in zip(curves, (omega, mu)):
                 curve[row] = _local_linear_curve(
                     t_src[hit], est[hit], w_src[hit], t_axis, FIT_HALF_WIDTH_S, FIT_ITERS, FIT_CLIP
                 )

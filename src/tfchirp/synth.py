@@ -88,13 +88,6 @@ def smoothed_brownian(bandwidth_s: float, duration_s: float, dt_s: float, rng) -
     return smooth[pad : pad + n]
 
 
-def _unit_rescale(path: np.ndarray) -> np.ndarray | None:
-    lo, hi = path.min(), path.max()
-    if hi - lo <= 0:
-        return None
-    return (path - lo) / (hi - lo)
-
-
 def _cumtrapz(y: np.ndarray, dt: float) -> np.ndarray:
     out = np.empty_like(y)
     out[0] = 0.0
@@ -134,14 +127,12 @@ def random_process(spec: RandomProcessSpec) -> RandomProcessRealization:
 
 
 def _rescaled_path(bandwidth, spec, seed_seq):
-    # a flat path is measure-zero; move to the next substream if it happens
-    for _ in range(16):
-        child = seed_seq.spawn(1)[0]
-        path = smoothed_brownian(bandwidth, spec.duration_s, spec.dt_s, child)
-        scaled = _unit_rescale(path)
-        if scaled is not None:
-            return scaled
-    raise ParameterError("smoothed path degenerate on every substream")
+    """A smoothed Brownian path of the spec's span, rescaled to [0, 1]."""
+    path = smoothed_brownian(bandwidth, spec.duration_s, spec.dt_s, seed_seq.spawn(1)[0])
+    lo, hi = path.min(), path.max()
+    if hi - lo <= 0:  # a one-sample span: any substream's path is as flat
+        raise ParameterError("smoothed path degenerate: the span holds one sample")
+    return (path - lo) / (hi - lo)
 
 
 CROSSING_F2_RATE = -2 * np.pi  # second component's chirp rate

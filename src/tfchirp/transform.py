@@ -60,21 +60,20 @@ class StreamedBank:
     bank: WindowBank
 
     def companion_rows(self):
-        """Row source of the companions: ``fetch(rows, cols)(part)`` is the tuple
+        """Row source of the companions: ``fetch(rows, cols)(part, T)`` is the tuple
         (T1, T2, U, U1, V) of the flat (chirp, frequency) rows ``rows[part]``
-        over the frames of the slice ``cols`` (all by default).
+        over the frames of the slice ``cols`` (all by default), given T^h there, ``T``.
 
         ``fetch`` sums all of ``rows`` in one matrix product; ``part`` combines
-        a slice of them into the companions.  The phases are built once per call.
+        a slice of them and ``T`` into the companions.  The phases are built once per call.
         """
         grid, bank = self.h.grid, self.bank
         windows = [bank.th, bank.t2h, *bank.basis]
         sums_of = _windowed_sums(self.signal, windows, grid)
-        T_flat = self.h.values.reshape(-1, grid.n_time)
 
         def fetch(rows, cols=slice(None)):
             sums = sums_of(rows, cols)
-            return lambda part: _companions(bank.family, T_flat[rows[part], cols], sums[part])
+            return lambda part, T: _companions(bank.family, T, sums[part])
 
         return fetch
 

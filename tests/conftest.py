@@ -59,6 +59,19 @@ def chirp_f1_sct():
     return signal, grid, run_sct(signal, WindowFamily(0, 1.0), grid)
 
 
+def sinusoidal_fm_pair(duration_s: float):
+    """Two unit FM modes at ``FS`` whose IFs 25 +- 12*sin(2*pi*t/20) Hz cross every 10 s, in
+    Student-t noise (4 dof, scale 0.1 on the real and the imaginary parts, ``default_rng(0)``):
+    the noisy signal and the [2, n] true IFs."""
+    t = np.arange(int(round(duration_s * FS)) + 1) / FS
+    swing = 12 * np.sin(2 * np.pi * t / 20)
+    wobble = 240 * np.cos(2 * np.pi * t / 20)  # 2*pi times the integral of -swing
+    modes = [np.exp(1j * (2 * np.pi * 25 * t - sign * wobble)) for sign in (1, -1)]
+    rng = np.random.default_rng(0)
+    noise = 0.1 * (rng.standard_t(4, t.size) + 1j * rng.standard_t(4, t.size))
+    return Signal(modes[0] + modes[1] + noise, FS), np.stack((25 + swing, 25 - swing))
+
+
 def top_quantile_mask(values: np.ndarray, q: float) -> np.ndarray:
     return values > np.quantile(values, q)
 

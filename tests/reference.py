@@ -95,13 +95,14 @@ class BankTensors:
 
     def companion_rows(self):
         """Row source of the companions, as ``StreamedBank.companion_rows``:
-        ``fetch(rows, cols)(part)`` is the tuple (T1, T2, U, U1, V) of the flat
-        (chirp, frequency) rows ``rows[part]`` over the frames ``cols``."""
+        ``fetch(rows, cols)(part, T)`` is the tuple (T1, T2, U, U1, V) of the flat
+        (chirp, frequency) rows ``rows[part]`` over the frames ``cols``; the stored
+        companions need no ``T``."""
         companions = [getattr(self, name).values for name in _COMPANIONS]
         if len({t.shape for t in companions} | {self.h.values.shape}) != 1:
             raise ShapeError("bank tensors disagree in shape")
         flat = [t.reshape(-1, self.h.grid.n_time) for t in companions]
-        return lambda rows, cols=slice(None): lambda part: tuple(t[rows[part], cols] for t in flat)
+        return lambda rows, cols=slice(None): lambda part, T: tuple(t[rows[part], cols] for t in flat)
 
 
 def chirplet_bank_transform(signal, bank: WindowBank, grid: TfcGrid) -> BankTensors:

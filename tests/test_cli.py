@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tfchirp.cli import main
+from tfchirp.cli import MAX_TAPS, main
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution
 from tfchirp.synth import crossing_chirp_pair
 from tfchirp.tensorio import read_tensor, write_signal_csv, write_tensor
@@ -319,10 +319,18 @@ def test_memory_error_exits_3_with_grid_and_knob(crossing_csv, tmp_path, monkeyp
         ("reconstruct", {"half_len": 10000000000}, [], ["the 20000000001-tap window", "lower half_len"]),
         ("reconstruct", {}, ["--recon-alpha", "1e-14"],
          ["the 8600000001-tap reconstruction window", "raise --recon-alpha (now 1e-14)"]),
+        # windows no array can hold: their half length overflows a float, or numpy cannot size them
+        ("transform", {}, ["--rate", "1e308"], [f"the >{MAX_TAPS}-tap window", "raise alpha_w (now 1.0)"]),
+        ("sct", {}, ["--rate", "1e300"], [f"the >{MAX_TAPS}-tap window", "raise alpha_w (now 1.0)"]),
+        ("transform", {"alpha_w": 1e-300}, [], [f"the >{MAX_TAPS}-tap window", "raise alpha_w (now 1e-300)"]),
+        ("sct", {"half_len": 10**20}, [], [f"the >{MAX_TAPS}-tap window", f"lower half_len (now {10**20})"]),
+        ("reconstruct", {}, ["--recon-alpha", "1e-300"],
+         [f"the >{MAX_TAPS}-tap reconstruction window", "raise --recon-alpha (now 1e-300)"]),
     ],
 )
 def test_memory_error_names_the_window(crossing_csv, tmp_path, monkeypatch, capsys, command, config, flags, names):
-    # every bank is built under the guard, the reconstruction bank before the SCT
+    # every bank is built under the guard, the reconstruction bank before the SCT;
+    # a window no array can hold is refused before any bank is built
     from tfchirp import cli
 
     built = []
@@ -334,15 +342,17 @@ def test_memory_error_names_the_window(crossing_csv, tmp_path, monkeypatch, caps
     monkeypatch.setattr(cli, "make_window_bank", out_of_memory)
     monkeypatch.setattr(cli, "run_sct", out_of_memory)
     outputs = {
-        "reconstruct": ["--ridge-csv", str(tmp_path / "r.csv"), "--mode-prefix", str(tmp_path / "mode"), *flags],
+        "reconstruct": ["--ridge-csv", str(tmp_path / "r.csv"), "--mode-prefix", str(tmp_path / "mode")],
     }.get(command, ["--output", str(tmp_path / "out.tfc1")])
     code = main(["--config", write_config(tmp_path, **config), command, "--input", crossing_csv, "--rate", "100",
-                 *outputs])
+                 *outputs, *flags])
     assert code == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "100x51x401" in err and "alpha_sq" in err
     assert all(name in err for name in names), err
-    if command == "reconstruct":
+    if any(">" in name for name in names):
+        assert built == []
+    elif command == "reconstruct":
         assert built == [WindowFamily(0, float(flags[-1]) if flags else 1.0)]  # the SCT never ran
     assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.tfc1"))
 

@@ -1,9 +1,13 @@
 import numpy as np
+import pytest
 
-from tfchirp.pipeline import crossing_study, ct_ridges, run_sct, sct_ridges
+from tfchirp.metrics import ot_if_metric
+from tfchirp.pipeline import _match_components, crossing_study, ct_ridges, run_sct, sct_ridges
 from tfchirp.ridge import RidgeParams
-from tfchirp.signal import WindowFamily
+from tfchirp.signal import WindowFamily, grid_from_resolution
 from tfchirp.synth import SyntheticScene
+
+from conftest import FS, interior_mask, sinusoidal_fm_pair
 
 
 def small_crossing_scene(fs=50.0, duration=6.0):
@@ -55,3 +59,23 @@ def test_ct_ridges_baseline_tracks():
     err10 = np.abs(ridges.omega_hz[1] - scene.ifs_hz[0])[inner].mean()
     # curve 0 has the smaller mean chirp: matches the falling component
     assert err01 < 1.0 and err10 < 1.0
+
+
+@pytest.mark.parametrize(
+    "duration_s",
+    [
+        10,
+        pytest.param(30, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 2: one global spectral cut follows the IF branches past one crossing",
+        )),
+    ],
+)
+def test_cli_defaults_track_a_long_fm_pair(duration_s):
+    # CLI defaults on the sinusoidal-FM pair, W1 per mode matched by IF over the record less 1 s at each end
+    signal, ifs = sinusoidal_fm_pair(duration_s)
+    grid = grid_from_resolution(0.01, len(signal), FS)
+    ridges = sct_ridges(run_sct(signal, WindowFamily(), grid), 2, RidgeParams())
+    window = interior_mask(grid.n_time, FS, 1.0)
+    assign = _match_components(ridges.omega_hz, ifs, window)
+    w1 = [ot_if_metric(ridges.omega_hz[i], ifs[j], window) for i, j in enumerate(assign)]
+    assert max(w1) < 0.2, w1

@@ -556,7 +556,7 @@ def test_landed_sources_match_squeeze_destinations(crossing_sct_g2):
     bins = bins[bins % n_time // ridge.FRAME_CHUNK != 2]
     unreached = np.setdiff1d(np.arange(field.codes.size), reached)[-1:]
     bins = rng.permutation(np.concatenate((bins, unreached)))
-    got_src, which, _, _ = field.sources(bins)
+    got_src, which, _, _, _ = field.sources(bins)
     hit = np.isin(dest, bins)
     want_src, want_dest = src[hit], dest[hit]
     order = np.lexsort((want_src % n_time, want_src // n_time, want_src % n_time // ridge.FRAME_CHUNK))

@@ -206,7 +206,7 @@ def _recomputed(field, flat):
     omega, mu = np.empty(flat.size), np.empty(flat.size)
     for t in np.unique(tile):
         sel, t0 = tile == t, t * FRAME_CHUNK
-        omega[sel], mu[sel] = field._recompute_tile(blocks, flat[sel] // n_time, flat[sel] % n_time - t0, t0)
+        omega[sel], mu[sel], _ = field._recompute_tile(blocks, flat[sel] // n_time, flat[sel] % n_time - t0, t0)
     return omega, mu
 
 
@@ -232,9 +232,10 @@ def test_estimates_equal_the_volumes_bit_for_bit(coded_field):
         assert np.array_equal(omega, field.omega.ravel()[flat], equal_nan=True)
         assert np.array_equal(mu, field.mu.ravel()[flat], equal_nan=True)
     bins = np.random.default_rng(2).choice(np.unique(dest), 300, replace=False)
-    landed, _, omega, mu = field.sources(bins)
+    landed, _, omega, mu, magnitude = field.sources(bins)
     assert landed.size >= bins.size
     assert np.array_equal(omega, field.omega.ravel()[landed]) and np.array_equal(mu, field.mu.ravel()[landed])
+    assert np.array_equal(magnitude, np.abs(field.h.values.ravel()[landed]))
 
 
 @pytest.mark.parametrize("fixture", ["crossing_sct_g0", "crossing_sct_g2"])
@@ -250,7 +251,7 @@ def test_estimates_hold_one_tile_of_sums(request, fixture, monkeypatch):
     )
     sct_ridges(field, 2, RidgeParams(seed=0))
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
-    (src, _, omega, _), peak, _ = traced_volumes(lambda: sources(field, traced[0]), volume)
+    (src, _, omega, _, _), peak, _ = traced_volumes(lambda: sources(field, traced[0]), volume)
     assert omega.size == src.size > 10_000
     assert peak <= 0.5
 

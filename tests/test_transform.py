@@ -291,7 +291,7 @@ def test_bank_transform_matches_single_calls():
     banks = streamed_bank_transform(signal, bank, grid)
     assert np.array_equal(banks.h.values, chirplet_transform(signal, bank.h, grid).values)
     rows = np.arange(grid.n_chirp * grid.n_freq)
-    companions = banks.companion_rows()(rows)(slice(None))
+    companions = banks.companion_rows()(rows)(slice(None), banks.h.values.reshape(rows.size, -1))
     windows = bank_windows(bank)
     for name, got in zip(("h_prime", "h_second", "th", "th_prime", "t2h"), companions):
         direct = chirplet_transform(signal, windows[name], grid).values
