@@ -21,12 +21,11 @@ from .pipeline import random_study, run_sct, sct_ridges
 from .reassign import DEFAULT_NU_REL, squeeze_conservation, synchrosqueeze
 from .reconstruct import check_window_condition, reconstruct_modes
 from .ridge import RidgeParams, extract_ridges
-from .signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
+from .signal import MAX_TAPS, Signal, WindowFamily, grid_from_resolution, make_window_bank
 from .synth import crossing_chirp_pair, random_ict_scene
 from .transform import chirplet_transform, project_tfc_to_tf
 
 USAGE_ERROR, IO_ERROR, NUMERICAL_ERROR = 1, 2, 3
-MAX_TAPS = np.iinfo(np.intp).max // 16  # numpy refuses a longer complex window with a ValueError, not a MemoryError
 _FAMILY, _RIDGE = WindowFamily(), RidgeParams()  # the library defaults the config starts from
 
 
@@ -149,10 +148,10 @@ def _analysis_window(config: RunConfig, signal: Signal) -> tuple:
 
 
 def _default_half_len(family: WindowFamily, signal: Signal):
-    """``family.default_half_len`` at the signal's rate, or inf where it outgrows a float."""
+    """``family.default_half_len`` at the signal's rate, or inf where no array could hold the window."""
     try:
         return family.default_half_len(signal.dt_s)
-    except OverflowError:
+    except ResourceError:
         return np.inf
 
 

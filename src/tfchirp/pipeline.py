@@ -32,15 +32,15 @@ def run_sct(
 ) -> ReassignmentField:
     """The SCT of a signal: T^h and its reassignment field in one go.
 
-    T^h is the only bank volume kept, as the field's ``h``; the field sums
-    the companion transforms block by block over its resolvable rows and
-    keeps only each entry's int16 (or, on grids taller than 32767 rows,
-    int32) squeeze code, no estimate volume.  Entries at or below ``nu_rel``
-    times the peak of |T^h| are undefined.  S is ``synchrosqueeze(field)``.
+    T^h is the only bank volume kept, on the resolvable rows alone, as the
+    field's ``banks``; the field sums the companions block by block over those
+    rows and keeps only each entry's int16 (int32 on grids taller than 32767
+    rows) squeeze code.  Entries at or below ``nu_rel`` times the peak of
+    |T^h| over every row are undefined.  S is ``synchrosqueeze(field)``.
     """
     bank = make_window_bank(family, half_len or family.default_half_len(signal.dt_s), signal.dt_s)
     banks = streamed_bank_transform(signal, bank, grid)
-    return reassignment_field(banks, nu=default_threshold(banks.h.values, nu_rel))
+    return reassignment_field(banks, nu=default_threshold(banks.peak, nu_rel))
 
 
 def sct_ridges(field: ReassignmentField, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
@@ -52,8 +52,8 @@ def sct_ridges(field: ReassignmentField, n_components: int, params: RidgeParams 
 
 
 def ct_ridges(field: ReassignmentField, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
-    """Baseline: the same extraction applied to the raw transform volume."""
-    return extract_ridges(field.h, n_components, params)
+    """Baseline: the same extraction applied to |T^h| over every row (``StreamedBank.magnitude_tiles``)."""
+    return extract_ridges(field.banks, n_components, params)
 
 
 @dataclass(frozen=True)

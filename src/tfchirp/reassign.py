@@ -22,12 +22,12 @@ threshold; |M2| < 1e-12*|M1| (the degenerate denominator the accuracy
 guarantee excludes); and slots whose chirped atom is undersampled, i.e. the
 atom's instantaneous frequency m/(2M) + lam*j leaves the Nyquist band over a
 non-negligible part of the window support, where the quadratic phase aliases
-and the ratio estimates turn into noise.  The field keeps one code per entry:
-its squeeze destination, or the cause it has none; int16 while every code
-fits (a grid height ``n_chirp * n_freq`` of at most 32767), int32 above.
-Source tracing (``ReassignmentField.sources``) reads the codes a time tile
-at a time and recomputes the estimates of the landed entries alone: a row's
-sums depend neither on the other rows nor on the tile.
+and the ratio estimates turn into noise.  Those aliased rows are never kept:
+the field keeps one code per entry of T^h's resolvable rows, its squeeze
+destination or the cause it has none; int16 while every code fits (a grid
+height of at most 32767), int32 above.  Source tracing (``sources``) reads the
+codes a time tile at a time and recomputes the estimates of the landed entries
+alone: a row's sums depend neither on the other rows nor on the tile.
 """
 
 from __future__ import annotations
@@ -43,14 +43,13 @@ from .transform import PHASE_BLOCK, StreamedBank, TfcTensor, TfMatrix, _companio
 
 M2_GUARD = 1e-12
 DEFAULT_NU_REL = 1e-4
-ALIAS_TOL = 1e-3
 FRAME_CHUNK = 64  # frames per time tile: of source tracing, and of ridge selection's squeeze, quantile and peaks
 ENTRY_BLOCK = 1 << 16  # entries per elementwise block: bounds the temporaries of a pass over a volume
 
 
 # Squeeze codes of the entries that move nowhere, by cause; a code >= 0 is the
 # in-frame destination bin ``l * n_freq + m``
-ALIASED = -1  # the slot's chirped atom is undersampled
+ALIASED = -1  # the slot's chirped atom is undersampled: its row holds no code at all
 BELOW = -2  # |T| at or below the threshold
 DEGENERATE = -3  # |M2| < M2_GUARD * |M1|, or a non-finite estimate
 OFF_GRID = -4  # defined, but the rounded (omega, mu) falls outside the grid
@@ -58,71 +57,70 @@ OFF_GRID = -4  # defined, but the rounded (omega, mu) falls outside the grid
 
 @dataclass(frozen=True)
 class ReassignmentField:
-    """Where the squeeze moves each entry of T^h ``h``: one int16 code per entry (int32 on a
-    grid taller than 32767 rows).
+    """Where the squeeze moves each entry of T^h on the bank's resolvable rows: int16 codes (int32 on a
+    grid taller than 32767 rows), [banks.rows.size, n_time], row for row with T^h.
 
-    ``codes`` holds the in-frame destination bin ``l * n_freq + m`` of every
-    entry that moves, and a negative cause (``ALIASED``, ``BELOW``,
-    ``DEGENERATE``, ``OFF_GRID``) for every other.  The estimates are not
-    stored: ``sources`` recomputes them for the entries that land on given
-    bins from the bank source ``banks`` and threshold ``nu`` the codes were
-    built from; the ``omega``/``mu`` volumes are built on first access.
+    ``codes`` holds the in-frame destination bin ``l * n_freq + m`` of every entry that moves, and a
+    negative cause (``BELOW``, ``DEGENERATE``, ``OFF_GRID``) for every other.  The estimates are not
+    stored: ``sources`` recomputes them for the entries that land on given bins from the bank source
+    ``banks`` and threshold ``nu`` the codes were built from; whole-grid ``omega``/``mu`` are built on use.
     """
 
-    codes: np.ndarray  # int16 or int32 [n_chirp, n_freq, n_time]
-    banks: StreamedBank  # or any other holder of T^h ``h`` and ``companion_rows()``
+    codes: np.ndarray  # int16 or int32 [banks.rows.size, n_time]
+    banks: StreamedBank  # or any other holder of ``rows``, ``h_rows()`` and ``companion_rows()``
     nu: float
 
     def __post_init__(self):
-        if self.codes.shape != self.h.values.shape:
-            raise ShapeError("codes shape does not match T^h")
-
-    @property
-    def h(self) -> TfcTensor:
-        return self.banks.h
+        if self.codes.shape != (self.banks.rows.size, self.grid.n_time):
+            raise ShapeError("codes shape does not match the bank's resolvable rows")
 
     @property
     def grid(self) -> TfcGrid:
-        return self.h.grid
+        return self.banks.grid
 
     @property
     def defined(self) -> np.ndarray:
-        """Boolean validity of every entry, computed on each access: a new volume."""
-        return (self.codes >= 0) | (self.codes == OFF_GRID)
+        """Boolean validity of every entry of the grid, computed on each access: a new volume."""
+        defined = np.zeros((self.grid.n_chirp * self.grid.n_freq, self.grid.n_time), dtype=bool)
+        defined[self.banks.rows] = (self.codes >= 0) | (self.codes == OFF_GRID)
+        return defined.reshape(self.grid.n_chirp, self.grid.n_freq, -1)
 
     @cached_property
     def omega(self) -> np.ndarray:
-        """Frequency estimates [Hz], NaN where undefined: built with ``mu`` on first access."""
+        """Frequency estimates [Hz] on the whole grid, NaN where undefined: built with ``mu`` on first use."""
         return self._volumes("omega")
 
     @cached_property
     def mu(self) -> np.ndarray:
-        """Chirp-rate estimates [Hz/s], NaN where undefined: built with ``omega`` on first access."""
+        """Chirp-rate estimates [Hz/s] on the whole grid, NaN where undefined: built with ``omega`` on first use."""
         return self._volumes("mu")
 
     def _volumes(self, name: str) -> np.ndarray:
-        grid = self.grid
-        rows = np.flatnonzero(self.codes.reshape(-1, grid.n_time)[:, 0] != ALIASED)
+        grid, rows = self.grid, self.banks.rows
         omega = np.full((grid.n_chirp * grid.n_freq, grid.n_time), np.nan)
         mu = np.full(omega.shape, np.nan)
-        for part, inputs in _field_blocks(self.banks)(rows):
+        for part, inputs in _field_blocks(self.banks)():
             mu[rows[part]], omega[rows[part]], _ = _mu_omega(*inputs, self.nu)
-        self.__dict__.update(omega=omega.reshape(self.codes.shape), mu=mu.reshape(self.codes.shape))
+        shape = (grid.n_chirp, grid.n_freq, grid.n_time)
+        self.__dict__.update(omega=omega.reshape(shape), mu=mu.reshape(shape))
         return self.__dict__[name]
 
+    def magnitude_tiles(self):
+        """``tile(cols)``: |S| over the frames ``cols``, frame-major, squeezed from those frames alone."""
+        return lambda cols: np.abs(synchrosqueeze(self, cols).values.transpose(2, 0, 1), order="C")
+
     def sources(self, bins: np.ndarray) -> tuple:
-        """(src, which, omega, mu, magnitude): the flat entries of ``h`` that the squeeze moves onto the flat
-        S bins ``bins``, tile by tile in (row, frame) order, the index in ``bins`` of the bin each lands on,
-        their estimates, ``omega.ravel()[src]`` and ``mu.ravel()[src]`` to the bit, and |T^h| there.  One
+        """(src, which, omega, mu, magnitude): the flat entries of the grid that the squeeze moves onto the
+        flat S bins ``bins``, tile by tile in (row, frame) order, the index in ``bins`` of the bin each lands
+        on, their estimates, ``omega.ravel()[src]`` and ``mu.ravel()[src]`` to the bit, and |T^h| there.  One
         loop over the time tiles of ``FRAME_CHUNK`` frames that hold a bin.
         """
-        n_time = self.grid.n_time
-        codes = self.codes.reshape(-1, n_time)
+        grid, n_time = self.grid, self.grid.n_time
         bins = np.asarray(bins, dtype=np.intp)
         bin_tile = bins % n_time // FRAME_CHUNK
         # row (code + 4) of the table holds the owners of one destination row
         # over the tile's frames; the four negative causes fall on rows that own nothing
-        owner = np.full((codes.shape[0] + 4) * FRAME_CHUNK, -1, dtype=np.int32)
+        owner = np.full((grid.n_chirp * grid.n_freq + 4) * FRAME_CHUNK, -1, dtype=np.int32)
         blocks = _field_blocks(self.banks)
         found = [(np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0), np.empty(0), np.empty(0))]
         for tile in np.unique(bin_tile):
@@ -130,7 +128,7 @@ class ReassignmentField:
             mine = np.flatnonzero(bin_tile == tile)
             marks = (bins[mine] // n_time + 4) * FRAME_CHUNK + bins[mine] % n_time - t0
             owner[marks] = mine
-            keys = codes[:, t0 : t0 + FRAME_CHUNK].astype(np.intp)  # in intp: no grid overflows it
+            keys = self.codes[:, t0 : t0 + FRAME_CHUNK].astype(np.intp)  # in intp: no grid overflows it
             keys += 4
             keys *= FRAME_CHUNK
             keys += np.arange(keys.shape[1])
@@ -140,13 +138,14 @@ class ReassignmentField:
             landed = np.flatnonzero(which >= 0)
             rows, cols = np.divmod(landed, which.shape[1])
             which = which.reshape(-1)[landed]
-            found.append((rows * n_time + t0 + cols, which, *self._recompute_tile(blocks, rows, cols, t0)))
+            src = self.banks.rows[rows] * n_time + t0 + cols
+            found.append((src, which, *self._recompute_tile(blocks, rows, cols, t0)))
         return tuple(np.concatenate(part) for part in zip(*found))
 
     def _recompute_tile(self, blocks, rows: np.ndarray, cols: np.ndarray, t0: int) -> tuple:
-        """(omega, mu, |T^h|) at the entries (``rows``, ``t0 + cols``) of the tile from frame
-        ``t0``, in (row, frame) order: ``blocks`` (of ``_field_blocks``) sum the companions of
-        their rows over the tile's frames alone, and the estimates are formed at the entries alone.
+        """(omega, mu, |T^h|) at the entries (``rows`` of the bank's, ``t0 + cols``) of the tile from frame
+        ``t0``, in (row, frame) order: ``blocks`` (of ``_field_blocks``) sum the companions of their
+        rows over the tile's frames alone, and the estimates are formed at the entries alone.
         """
         rows, inverse = np.unique(rows, return_inverse=True)
         omega, mu, magnitude = np.empty(inverse.size), np.empty(inverse.size), np.empty(inverse.size)
@@ -166,8 +165,7 @@ def default_threshold(values: np.ndarray, rel: float = DEFAULT_NU_REL) -> float:
     +inf so that every entry is undefined and the squeeze of silence is
     silence.
     """
-    flat = np.ravel(values)
-    peak = float(np.max([np.abs(flat[b]).max() for b in _entry_blocks(flat.size)]))
+    peak = float(np.abs(values).max())
     return rel * peak if peak > 0 else np.inf
 
 
@@ -197,52 +195,34 @@ def _mu_omega(T, T1, T2, U, U1, V, lam, freqs, nu):
     return np.where(defined, mu, np.nan), np.where(defined, omega, np.nan), above
 
 
-def resolvable_slots(grid: TfcGrid, bank: WindowBank) -> np.ndarray:
-    """Boolean [n_chirp, n_freq] map of slots whose atom the window resolves.
-
-    A slot is resolvable when the window mass carried by samples where the
-    atom's instantaneous frequency lies outside [-1/2, 1/2] cycles/sample is
-    at most ``ALIAS_TOL`` of the total window mass.
-    """
-    j = np.arange(-bank.half_len, bank.half_len + 1)
-    w = np.abs(bank.h)
-    total = w.sum()
-    freq_term = (np.arange(grid.n_freq) / (2 * grid.M))[:, None]
-    ok = np.empty((grid.n_chirp, grid.n_freq), dtype=bool)
-    # one chirp slice at a time: a [n_chirp, n_freq, 2K+1] map would rival
-    # the volume itself
-    for i, l in enumerate(grid.chirp_indices):
-        rate = l / (4 * grid.M**2)
-        ok[i] = (np.abs(rate * j[None, :] + freq_term) > 0.5) @ w <= ALIAS_TOL * total
-    return ok
-
-
 def _field_blocks(banks):
     """The inputs of ``_mu_omega``, a block of rows at a time: ``blocks(rows, cols)`` yields
-    ``(part, (T, T1, T2, U, U1, V, lam, freqs))`` for consecutive slices ``part`` of the flat
-    (chirp, frequency) ``rows``: T^h and its companions on ``rows[part]`` over the frames of the
-    slice ``cols`` (all by default), and their chirp rate and frequency, [rows, 1].  ``banks``
-    holds T^h, gathered here once per block, and forms the companions from that T through one
-    ``companion_rows()``.  A row's sums depend neither on which rows share its block nor on the
-    column range.
+    ``(part, (T, T1, T2, U, U1, V, lam, freqs))`` for consecutive slices ``part`` of ``rows``, ascending
+    indices of the bank's resolvable rows ``banks.rows`` (all of them by default): T^h and its
+    companions on those rows over the frames of the slice ``cols`` (all by default), and their chirp
+    rate and frequency, [rows, 1].  T^h is read once per block through ``banks.h_rows`` (as a view
+    when ``rows`` is all), and the companions are formed from that T through one ``companion_rows()``.
+    A row's sums depend neither on which rows share its block nor on the column range.
     """
-    grid = banks.h.grid
+    grid = banks.grid
     companions = banks.companion_rows()
-    T_rows = banks.h.values.reshape(-1, grid.n_time)
     step = max(1, PHASE_BLOCK // banks.bank.h.size)  # rows per product: its phases are bounded as T^h's
 
-    def blocks(rows, cols=slice(None)):
+    def blocks(rows=None, cols=slice(None)):
+        every = rows is None
+        rows = np.arange(banks.rows.size) if every else rows
         block = max(1, ENTRY_BLOCK // len(range(grid.n_time)[cols]))  # rows per elementwise block
         for lo in range(0, rows.size, step):
             fetched = rows[lo : lo + step]
-            companions_of = companions(fetched, cols)
+            companions_of = companions(banks.rows[fetched], cols)
             for sub in range(0, fetched.size, block):
                 part = slice(sub, min(sub + block, fetched.size))
-                r = fetched[part]
+                at = slice(lo + part.start, lo + part.stop)
+                r = banks.rows[fetched[part]]
                 lam = grid.chirps_hzps[r // grid.n_freq, None]
                 freqs = grid.freqs_hz[r % grid.n_freq, None]
-                T = T_rows[r, cols]
-                yield slice(lo + part.start, lo + part.stop), (T, *companions_of(part, T), lam, freqs)
+                T = banks.h_rows(at if every else fetched[part], cols)
+                yield at, (T, *companions_of(part, T), lam, freqs)
 
     return blocks
 
@@ -259,30 +239,27 @@ def _codes(grid: TfcGrid, mu: np.ndarray, omega: np.ndarray, above: np.ndarray) 
 
 
 def reassignment_field(banks: StreamedBank, nu: float | None = None) -> ReassignmentField:
-    """The squeeze codes of every entry of a TFC volume (``ReassignmentField``).
+    """The squeeze codes of every entry of a bank's resolvable rows (``ReassignmentField``).
 
-    ``banks`` holds T^h and supplies the companion rows through
+    ``banks`` holds T^h on those rows and supplies the companion rows through
     ``companion_rows()``.  ``nu`` is the hard modulus threshold below which
-    entries are undefined; ``None`` applies ``default_threshold`` to T^h.
-    The estimates are computed a block of rows at a time and only their
-    codes are kept.
+    entries are undefined; ``None`` applies ``default_threshold`` to the peak
+    of |T^h| over every row.  The estimates are computed a block of rows at a
+    time and only their codes are kept: the aliased rows are never evaluated.
     """
-    grid = banks.h.grid
+    grid = banks.grid
     if nu is None:
-        nu = default_threshold(banks.h.values)
+        nu = default_threshold(banks.peak)
     if not (nu > 0):
         raise ParameterError("nu must be positive")
-    # aliased slots are undefined whatever the bank values: evaluate the
-    # resolvable (chirp, frequency) rows of the volume only
-    rows_ok = np.flatnonzero(resolvable_slots(grid, banks.bank))
     # int16 holds every code while the destinations (below the grid height) do; the causes go down to -4
     dtype = np.int16 if grid.n_chirp * grid.n_freq <= np.iinfo(np.int16).max else np.int32
-    codes = np.full((grid.n_chirp * grid.n_freq, grid.n_time), ALIASED, dtype=dtype)
-    for part, inputs in _field_blocks(banks)(rows_ok):
+    codes = np.empty((banks.rows.size, grid.n_time), dtype=dtype)
+    for part, inputs in _field_blocks(banks)():
         estimates = _mu_omega(*inputs, nu)
         del inputs  # the block's sums are not kept alive beside the codes' temporaries
-        codes[rows_ok[part]] = _codes(grid, *estimates)
-    return ReassignmentField(codes=codes.reshape(banks.h.values.shape), banks=banks, nu=nu)
+        codes[part] = _codes(grid, *estimates)
+    return ReassignmentField(codes=codes, banks=banks, nu=nu)
 
 
 def synchrosqueeze(field: ReassignmentField, frames: slice = slice(None)) -> TfcTensor:
@@ -298,19 +275,18 @@ def synchrosqueeze(field: ReassignmentField, frames: slice = slice(None)) -> Tfc
     if frames.step not in (None, 1) or not 0 <= start < stop <= grid.n_time:
         raise ParameterError(f"frames must be a unit-step range within the {grid.n_time} frames, got {frames}")
     width = stop - start
-    values, codes = field.h.values.reshape(-1), field.codes.reshape(-1)
-    in_range = codes.reshape(-1, grid.n_time)[:, start:stop]
-    out = np.zeros(in_range.size, dtype=np.complex128)
+    in_range = field.codes[:, start:stop]
+    out = np.zeros(grid.n_chirp * grid.n_freq * width, dtype=np.complex128)
     # blocks of at most ENTRY_BLOCK entries, rows ascending: each bin receives
     # its sources (of its own frame) in ascending row order, as in one pass
     rows_per = max(1, ENTRY_BLOCK // width)
     for lo in range(0, in_range.shape[0], rows_per):
+        values = field.banks.h_rows(slice(lo, lo + rows_per), slice(start, stop))
         for c0 in range(0, width, ENTRY_BLOCK):
-            moves = in_range[lo : lo + rows_per, c0 : c0 + ENTRY_BLOCK] >= 0
-            rows, cols = np.divmod(np.flatnonzero(moves), moves.shape[1])  # faster than a 2-D nonzero
-            cols += c0
-            src = (rows + lo) * grid.n_time + (cols + start)
-            np.add.at(out, codes[src].astype(np.intp) * width + cols, values[src])
+            codes = in_range[lo : lo + rows_per, c0 : c0 + ENTRY_BLOCK]
+            moves = codes >= 0
+            cols = np.flatnonzero(moves) % moves.shape[1] + c0
+            np.add.at(out, codes[moves].astype(np.intp) * width + cols, values[:, c0 : c0 + ENTRY_BLOCK][moves])
     return TfcTensor(out.reshape(grid.n_chirp, grid.n_freq, width), replace(grid, n_time=width))
 
 
@@ -320,7 +296,7 @@ def squeeze_conservation(field: ReassignmentField, squeezed: TfcTensor) -> np.nd
     The contributing entries are those with a destination code (``codes >= 0``).
     """
     lhs = squeezed.values.sum(axis=(0, 1))
-    rhs = np.sum(field.h.values, axis=(0, 1), where=field.codes >= 0)  # no masked copy of the volume
+    rhs = np.sum(field.banks.h_rows(), axis=0, where=field.codes >= 0)  # no masked copy of T^h
     scale = np.maximum(np.abs(rhs), 1e-300)
     return np.abs(lhs - rhs) / scale
 

@@ -21,9 +21,9 @@ from .errors import (
     ParameterError,
     ResourceError,
 )
-from .reassign import FRAME_CHUNK, ReassignmentField, _entry_blocks, synchrosqueeze
+from .reassign import FRAME_CHUNK, ReassignmentField, _entry_blocks
 from .signal import TfcGrid
-from .transform import TfcTensor
+from .transform import StreamedBank, TfcTensor
 
 
 @dataclass(frozen=True)
@@ -97,23 +97,24 @@ FIT_ITERS = 4
 FIT_CLIP = 4.0
 
 
-def select_high_energy(source: TfcTensor | ReassignmentField, q: float, min_per_frame: int = 0) -> TfcPointCloud:
+def select_high_energy(
+    source: TfcTensor | ReassignmentField | StreamedBank, q: float, min_per_frame: int = 0
+) -> TfcPointCloud:
     """Entries with |S| above the q-quantile, as a normalized point cloud.
 
-    ``source`` is S itself, or a reassignment field whose S is squeezed a
-    tile at a time.  ``min_per_frame`` additionally admits each frame's
-    strongest nonzero entries, so that frames whose ridge mass falls below
-    the global threshold (the threshold chases the loudest spikes) still
-    contribute; the quantile entries are then marked in ``core``, and the
-    normalization is fitted to them.
+    ``source`` is S itself, a reassignment field whose S is squeezed a tile at a time, or a bank whose
+    |T^h| on every row takes the place of |S|.  ``min_per_frame`` additionally admits each frame's
+    strongest nonzero entries, so that frames whose ridge mass falls below the global threshold (the
+    threshold chases the loudest spikes) still contribute; the quantile entries are then marked in
+    ``core``, and the normalization is fitted to them.
     """
     if not (0 <= q < 1):
         raise ParameterError("q must lie in [0, 1)")
     if min_per_frame < 0:
         raise ParameterError(f"min_per_frame must be >= 0, got {min_per_frame}")
     grid = source.grid
-    sourced = isinstance(source, ReassignmentField)
-    threshold, picked, weights = _tile_walk(source if sourced else source.values, q, min_per_frame)
+    volume = source.values if isinstance(source, TfcTensor) else source
+    threshold, picked, weights = _tile_walk(volume, q, min_per_frame)
     core = weights > threshold
     if not core.any():
         raise EmptyCloudError("no entries above the energy quantile")
@@ -134,7 +135,7 @@ def select_high_energy(source: TfcTensor | ReassignmentField, q: float, min_per_
 def _tile_walk(source, q: float, count: int) -> tuple:
     """(``np.quantile(|S|, q)``, the ascending flat indices above it and of each frame's ``count``
     strongest separated peaks, |S| there), in one walk over the ``FRAME_CHUNK``-frame tiles of a
-    volume ``source``, or of ``synchrosqueeze(source, tile)`` for a field.
+    volume ``source``, or of a field's or a bank's ``magnitude_tiles()``, frame-major.
 
     A tile's magnitudes, frame-major, feed the quantile ``ENTRY_BLOCK`` at a
     time: those above a rising floor are held with their indices, the rest
@@ -146,8 +147,10 @@ def _tile_walk(source, q: float, count: int) -> tuple:
     (chirp, frequency) bins around it, so a frame whose weaker component falls
     below the global threshold still contributes its ridge point.
     """
-    sourced = isinstance(source, ReassignmentField)
-    shape = source.codes.shape if sourced else source.shape
+    if isinstance(source, np.ndarray):  # magnitudes frame-major, for the peaks, which peel them in place
+        shape, tile_of = source.shape, lambda frames: np.abs(source[..., frames].transpose(2, 0, 1), order="C")
+    else:
+        shape, tile_of = (source.grid.n_chirp, source.grid.n_freq, source.grid.n_time), source.magnitude_tiles()
     (n_chirp, n_freq, n_time), n = shape, int(np.prod(shape))
     virtual = (n - 1) * q
     prev = int(np.floor(virtual))
@@ -156,9 +159,7 @@ def _tile_walk(source, q: float, count: int) -> tuple:
     floor, held, idx, mags, peaks = 0.0, 0, [], [], []
     for t0 in range(0, n_time, FRAME_CHUNK):
         frames = slice(t0, min(t0 + FRAME_CHUNK, n_time))
-        tile = synchrosqueeze(source, frames).values if sourced else source[..., frames]
-        # frame-major, for the peaks, which peel it in place
-        tile = np.abs(tile.transpose(2, 0, 1), order="C").reshape(-1)
+        tile = tile_of(frames).reshape(-1)
         width = frames.stop - t0
         for b in _entry_blocks(tile.size):
             hit = np.flatnonzero(~(tile[b] <= floor)) + b.start  # NaN is held, and ends the walk
@@ -490,7 +491,7 @@ def ridges_from_sources(cloud: TfcPointCloud, labels: np.ndarray, field) -> Ridg
 
 
 def extract_ridges(
-    source: TfcTensor | ReassignmentField,
+    source: TfcTensor | ReassignmentField | StreamedBank,
     n_components: int,
     params: RidgeParams | None = None,
 ) -> RidgeSet:
@@ -498,8 +499,8 @@ def extract_ridges(
 
     Returns exactly ``n_components`` curves or raises ``ExtractionError``.
     ``n_components == 1`` bypasses the clustering and treats every selected
-    point as one ridge.  From a volume ``source`` (a ``TfcTensor``) the
-    curves are the per-frame centroids of the selected bins themselves.
+    point as one ridge.  From a volume ``source`` (a ``TfcTensor``) or a bank
+    (its |T^h|) the curves are the per-frame centroids of the selected bins.
     From a reassignment field, the selection squeezes S a tile at a time
     and never holds it whole; the curves are aggregated from
     the entries of the field's T^h behind each selected bin (sub-bin

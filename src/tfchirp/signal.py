@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceError
 
 # Half-window policy: ceil(4.3 / sqrt(alpha_w) / dt) samples puts the Gaussian
 # factor at the window edge far below 1e-8 of its peak, so truncation is
 # invisible at float32 scale.
 HALF_LEN_FACTOR = 4.3
+MAX_TAPS = np.iinfo(np.intp).max // 16  # numpy refuses a longer complex window with a ValueError, not a MemoryError
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,10 @@ class WindowFamily:
         return x**self.n * np.exp(-np.pi * self.alpha_w * x * x)
 
     def default_half_len(self, dt_s: float) -> int:
-        return int(math.ceil(HALF_LEN_FACTOR / math.sqrt(self.alpha_w) / dt_s))
+        half_len = HALF_LEN_FACTOR / math.sqrt(self.alpha_w) / dt_s
+        if not 2 * half_len + 1 <= MAX_TAPS:
+            raise ResourceError(f"the window of alpha_w {self.alpha_w} at dt_s {dt_s} has over {MAX_TAPS} taps")
+        return int(math.ceil(half_len))
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,8 @@ def make_window_bank(family: WindowFamily, half_len: int, dt_s: float) -> Window
     """
     if half_len < 1:
         raise ParameterError("half_len must be >= 1")
+    if 2 * half_len + 1 > MAX_TAPS:
+        raise ResourceError(f"a window of {2 * half_len + 1} taps is longer than any array ({MAX_TAPS} taps)")
     if not (dt_s > 0):
         raise ParameterError("dt_s must be positive")
     x = np.arange(-half_len, half_len + 1) * dt_s

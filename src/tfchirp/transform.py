@@ -23,6 +23,7 @@ from .errors import ParameterError, ShapeError, UnsupportedWindowError
 from .signal import Signal, TfcGrid, WindowBank, WindowFamily
 
 PHASE_BLOCK = 1 << 17  # phase entries (rows x taps) per block of a full volume
+ALIAS_TOL = 1e-3  # window mass share beyond Nyquist above which a slot's atom counts as undersampled
 
 
 @dataclass(frozen=True)
@@ -53,11 +54,20 @@ class TfMatrix:
 
 @dataclass(frozen=True)
 class StreamedBank:
-    """T^h of a signal; the companion transforms are formed per row block and never stored."""
+    """T^h of a signal on ``rows``, the ascending flat rows ``resolvable_slots`` keeps, [rows.size, n_time],
+    and ``peak``, max |T^h| over every row; the companion transforms are formed per row block.  ``h_rows`` is
+    the one reader of T^h."""
 
-    h: TfcTensor
+    values: np.ndarray
+    rows: np.ndarray
+    peak: float
+    grid: TfcGrid
     signal: Signal
     bank: WindowBank
+
+    def h_rows(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """T^h on the rows ``self.rows[rows]`` over the frames of the slice ``cols``: a view for slices."""
+        return self.values[rows, cols]
 
     def companion_rows(self):
         """Row source of the companions: ``fetch(rows, cols)(part, T)`` is the tuple
@@ -67,7 +77,7 @@ class StreamedBank:
         ``fetch`` sums all of ``rows`` in one matrix product; ``part`` combines
         a slice of them and ``T`` into the companions.  The phases are built once per call.
         """
-        grid, bank = self.h.grid, self.bank
+        grid, bank = self.grid, self.bank
         windows = [bank.th, bank.t2h, *bank.basis]
         sums_of = _windowed_sums(self.signal, windows, grid)
 
@@ -76,6 +86,23 @@ class StreamedBank:
             return lambda part, T: _companions(bank.family, T, sums[part])
 
         return fetch
+
+    def magnitude_tiles(self):
+        """``tile(cols)``: |T^h| on every row over the frames ``cols``, frame-major, [width, n_chirp * n_freq];
+        the aliased rows are summed again, once, into float64 magnitudes that ``tile`` holds."""
+        grid = self.grid
+        aliased = np.setdiff1d(np.arange(grid.n_chirp * grid.n_freq), self.rows, assume_unique=True)
+        magnitudes = np.empty((aliased.size, grid.n_time))
+        for part, T in _row_blocks(self.signal, self.bank.h, grid, aliased):
+            magnitudes[part] = np.abs(T)
+
+        def tile(cols):
+            out = np.empty((len(range(grid.n_time)[cols]), grid.n_chirp * grid.n_freq))
+            out[:, self.rows] = np.abs(self.h_rows(cols=cols)).T
+            out[:, aliased] = magnitudes[:, cols].T
+            return out
+
+        return tile
 
 
 def _companions(family: WindowFamily, T, sums) -> tuple:
@@ -160,20 +187,13 @@ def _windowed_sums(signal: Signal, windows, grid: TfcGrid):
     return sums
 
 
-def _volume(signal: Signal, window: np.ndarray, grid: TfcGrid) -> TfcTensor:
-    """The transform against one window over the whole grid, a row block at a time.
-
-    One window per product: stacking windows changes how BLAS blocks the
-    product and with it the last bits of each volume.
+def _row_blocks(signal: Signal, window: np.ndarray, grid: TfcGrid, rows: np.ndarray):
+    """``(part, T)`` for consecutive slices ``part`` of the flat rows ``rows``: the transform against one
+    window on ``rows[part]``, [rows, n_time], ``PHASE_BLOCK // taps`` rows per product.  One window per
+    product: stacking windows changes how BLAS blocks the product and with it the last bits of each volume.
     """
-    sums = _windowed_sums(signal, [window], grid)
-    n_rows = grid.n_chirp * grid.n_freq
-    values = np.empty((n_rows, grid.n_time), dtype=np.complex128)
-    block = max(1, PHASE_BLOCK // window.size)
-    for lo in range(0, n_rows, block):
-        hi = min(lo + block, n_rows)
-        values[lo:hi] = sums(np.arange(lo, hi))[:, 0]
-    return TfcTensor(values.reshape(grid.n_chirp, grid.n_freq, grid.n_time), grid)
+    sums, step = _windowed_sums(signal, [window], grid), max(1, PHASE_BLOCK // window.size)
+    return ((slice(lo, lo + step), sums(rows[lo : lo + step])[:, 0]) for lo in range(0, rows.size, step))
 
 
 def chirplet_transform(signal: Signal, window: np.ndarray, grid: TfcGrid) -> TfcTensor:
@@ -183,13 +203,41 @@ def chirplet_transform(signal: Signal, window: np.ndarray, grid: TfcGrid) -> Tfc
     of rows); no FFT factorization.  Output entries are plain sums, i.e.
     carry a 1/dt scale relative to the continuous-integral transform.
     """
-    return _volume(signal, _check_window(window), grid)
+    values = np.empty((grid.n_chirp * grid.n_freq, grid.n_time), dtype=np.complex128)
+    for part, T in _row_blocks(signal, _check_window(window), grid, np.arange(values.shape[0])):
+        values[part] = T
+    return TfcTensor(values.reshape(grid.n_chirp, grid.n_freq, grid.n_time), grid)
 
 
 def streamed_bank_transform(signal: Signal, bank: WindowBank, grid: TfcGrid) -> StreamedBank:
-    """T^h, equal to ``chirplet_transform(signal, bank.h, ...)``, and the companions on demand."""
+    """T^h on the resolvable rows, as ``chirplet_transform(signal, bank.h, ...)``; the aliased rows give ``peak``."""
     bank.check_rate(signal)
-    return StreamedBank(_volume(signal, bank.h, grid), signal, bank)
+    resolvable = resolvable_slots(grid, bank).ravel()
+    rows, values = np.flatnonzero(resolvable), np.empty((np.count_nonzero(resolvable), grid.n_time), np.complex128)
+    peaks = [np.abs(T).max() for _, T in _row_blocks(signal, bank.h, grid, np.flatnonzero(~resolvable))]
+    for part, T in _row_blocks(signal, bank.h, grid, rows):
+        values[part] = T
+        peaks.append(np.abs(T).max())
+    return StreamedBank(values, rows, float(np.max(peaks)), grid, signal, bank)
+
+
+def resolvable_slots(grid: TfcGrid, bank: WindowBank) -> np.ndarray:
+    """Boolean [n_chirp, n_freq] map of slots whose atom the window resolves.
+
+    A slot is resolvable when the window mass carried by samples where the
+    atom's instantaneous frequency lies outside [-1/2, 1/2] cycles/sample is
+    at most ``ALIAS_TOL`` of the total window mass.
+    """
+    j = np.arange(-bank.half_len, bank.half_len + 1)
+    w = np.abs(bank.h)
+    total = w.sum()
+    freq_term = (np.arange(grid.n_freq) / (2 * grid.M))[:, None]
+    ok = np.empty((grid.n_chirp, grid.n_freq), dtype=bool)
+    # one chirp slice at a time: a [n_chirp, n_freq, 2K+1] map would rival the volume itself
+    for i, l in enumerate(grid.chirp_indices):
+        rate = l / (4 * grid.M**2)
+        ok[i] = (np.abs(rate * j[None, :] + freq_term) > 0.5) @ w <= ALIAS_TOL * total
+    return ok
 
 
 def _zero_chirp_rows(grid: TfcGrid) -> np.ndarray:

@@ -8,8 +8,14 @@ straightforward forms it is checked against:
   window's derivatives, and the six bank windows sampled from them;
 - ``BankTensors`` / ``chirplet_bank_transform``: all six bank transforms as
   stored volumes, each one call of ``chirplet_transform``;
+- ``whole_h`` and ``whole_codes``: T^h and a field's codes on every row of
+  the grid, the aliased rows included, where the library keeps the
+  resolvable rows alone;
 - ``squeeze_destinations`` and ``conservation_full_volume``: the squeeze's
   rounding and the conservation residual over the whole volume in one pass;
+- ``squeeze_whole``, ``conservation_whole`` and ``sources_whole``: the
+  squeeze, the conservation residual and source tracing over T^h and the
+  codes on every row of the grid, each in one pass;
 - ``select_high_energy`` and ``admit_frame_peaks_loop``: the ridge cloud
   selected on a whole |S| volume with a boolean mask, and the per-frame
   peaks peeled one frame at a time;
@@ -21,6 +27,7 @@ straightforward forms it is checked against:
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -29,7 +36,8 @@ from scipy.special import fresnel
 from tfchirp.errors import DegenerateCloudError, EmptyCloudError, ParameterError, ShapeError
 from tfchirp.ridge import TfcPointCloud, _weighted_quantiles
 from tfchirp.signal import TfcGrid, WindowBank, WindowFamily, round_half_away
-from tfchirp.transform import TfcTensor, chirplet_transform
+from tfchirp.reassign import ALIASED
+from tfchirp.transform import TfcTensor, chirplet_transform, resolvable_slots
 
 # the companions in the argument order of the reassignment rule: T1, T2, U, U1, V
 _COMPANIONS = ("h_prime", "h_second", "th", "th_prime", "t2h")
@@ -93,6 +101,23 @@ class BankTensors:
     t2h: TfcTensor
     bank: WindowBank
 
+    @property
+    def grid(self):
+        return self.h.grid
+
+    @cached_property
+    def rows(self):
+        """The resolvable rows, as ``StreamedBank.rows``."""
+        return np.flatnonzero(resolvable_slots(self.grid, self.bank))
+
+    @property
+    def peak(self):
+        return float(np.abs(self.h.values).max())
+
+    def h_rows(self, rows=slice(None), cols=slice(None)):
+        """T^h on the rows ``self.rows[rows]``, as ``StreamedBank.h_rows``."""
+        return self.h.values.reshape(-1, self.grid.n_time)[self.rows[rows], cols]
+
     def companion_rows(self):
         """Row source of the companions, as ``StreamedBank.companion_rows``:
         ``fetch(rows, cols)(part, T)`` is the tuple (T1, T2, U, U1, V) of the flat
@@ -109,6 +134,21 @@ def chirplet_bank_transform(signal, bank: WindowBank, grid: TfcGrid) -> BankTens
     """All six bank transforms, stored."""
     tensors = {name: chirplet_transform(signal, w, grid) for name, w in bank_windows(bank).items()}
     return BankTensors(bank=bank, **tensors)
+
+
+def whole_h(banks) -> np.ndarray:
+    """T^h of a bank on every row of the grid, [n_chirp, n_freq, n_time]: stored, or one ``chirplet_transform``."""
+    if isinstance(banks, BankTensors):
+        return banks.h.values
+    return chirplet_transform(banks.signal, banks.bank.h, banks.grid).values
+
+
+def whole_codes(field) -> np.ndarray:
+    """The field's codes on every row of the grid, ``ALIASED`` on the rows the field leaves out."""
+    grid = field.grid
+    codes = np.full((grid.n_chirp * grid.n_freq, grid.n_time), ALIASED, dtype=field.codes.dtype)
+    codes[field.banks.rows] = field.codes
+    return codes.reshape(grid.n_chirp, grid.n_freq, grid.n_time)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +181,45 @@ def conservation_full_volume(field, squeezed):
     with np.errstate(invalid="ignore"):
         contrib = field.defined & (l_dest >= 0) & (l_dest < grid.n_chirp) & (m_dest >= 0) & (m_dest < grid.n_freq)
     lhs = squeezed.values.sum(axis=(0, 1))
-    rhs = np.where(contrib, field.h.values, 0).sum(axis=(0, 1))
+    rhs = np.where(contrib, whole_h(field.banks), 0).sum(axis=(0, 1))
     return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+
+
+def squeeze_whole(h, codes, frames=slice(None)):
+    """S over the frames ``frames`` from T^h and the codes on every row of the grid: one ``np.add.at``
+    over the contributing entries of those frames in flat order."""
+    n_chirp, n_freq, n_time = h.shape
+    start, stop, _ = frames.indices(n_time)
+    width = stop - start
+    codes, values = (x[..., start:stop].reshape(-1, width) for x in (codes, h))
+    rows, cols = np.nonzero(codes >= 0)
+    out = np.zeros(n_chirp * n_freq * width, dtype=np.complex128)
+    np.add.at(out, codes[rows, cols].astype(np.intp) * width + cols, values[rows, cols])
+    return out.reshape(n_chirp, n_freq, width)
+
+
+def conservation_whole(h, codes, squeezed):
+    """The per-frame residual with the contributing T^h summed over every row of the grid."""
+    lhs = squeezed.sum(axis=(0, 1))
+    rhs = np.sum(h, axis=(0, 1), where=codes >= 0)
+    return np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+
+
+def sources_whole(field, h, codes, bins, frame_chunk=64):
+    """``field.sources(bins)`` from the codes on every row of the grid: the contributing entries whose
+    destination is one of the distinct ``bins``, tile by tile in flat order, the index in ``bins`` of
+    each one's bin, the field's whole-grid ``omega``/``mu`` and |T^h| there."""
+    n_time = h.shape[-1]
+    flat = codes.reshape(-1)
+    src = np.flatnonzero(flat >= 0)
+    dest = flat[src].astype(np.intp) * n_time + src % n_time
+    hit = np.isin(dest, bins)
+    src, dest = src[hit], dest[hit]
+    order = np.lexsort((src, src % n_time // frame_chunk))
+    src, dest = src[order], dest[order]
+    sorter = np.argsort(bins)
+    which = sorter[np.searchsorted(bins, dest, sorter=sorter)]
+    return src, which, field.omega.ravel()[src], field.mu.ravel()[src], np.abs(h.ravel()[src])
 
 
 # ---------------------------------------------------------------------------

@@ -316,9 +316,12 @@ def test_admit_frame_peaks_matches_per_frame_loop(count):
 def test_blocked_selection_equals_the_whole_volume_selection(
     crossing_sct_g2, crossing_s_g2, monkeypatch, volume, q, min_per_frame
 ):
-    # a field's S is squeezed tile by tile inside the selection
-    source = {"sct": crossing_s_g2, "ct": crossing_sct_g2.h, "field": crossing_sct_g2}[volume]
-    want = reference.select_high_energy(crossing_sct_g2.h if volume == "ct" else crossing_s_g2, q, min_per_frame)
+    # a field's S is squeezed tile by tile inside the selection; a bank's |T^h|
+    # joins its resolvable rows to the aliased rows' magnitudes summed again
+    banks = crossing_sct_g2.banks
+    source = {"sct": crossing_s_g2, "ct": banks, "field": crossing_sct_g2}[volume]
+    whole = TfcTensor(reference.whole_h(banks), banks.grid) if volume == "ct" else crossing_s_g2
+    want = reference.select_high_energy(whole, q, min_per_frame)
     assert (want.core is None) == (min_per_frame == 0)
     # 997 entries: block edges fall inside the rows of every frame
     for block in (reassign.ENTRY_BLOCK, 997):
@@ -503,8 +506,10 @@ def test_select_from_a_field_holds_no_s():
     x = np.arange(6401) / fs
     signal = Signal(np.exp(2j * np.pi * (2 * x + 0.01 * x**2)) + np.exp(2j * np.pi * (8 * x - 0.01 * x**2)), fs)
     field = run_sct(signal, WindowFamily(0, 1.0), grid_from_resolution(0.05, len(signal), fs), half_len=20)
-    assert field.codes.shape == (20, 11, 6401)
-    cloud, peak, _ = traced_volumes(lambda: select_high_energy(field, 0.9995, 0), field.codes.size * 16)
+    grid = field.grid
+    assert (grid.n_chirp, grid.n_freq, grid.n_time) == (20, 11, 6401)
+    volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
+    cloud, peak, _ = traced_volumes(lambda: select_high_energy(field, 0.9995, 0), volume)
     assert len(cloud) > 0 and cloud.core is None
     assert peak <= 0.25
 
@@ -554,7 +559,7 @@ def test_landed_sources_match_squeeze_destinations(crossing_sct_g2):
     reached = np.unique(dest)
     bins = rng.choice(reached, 3000, replace=False)
     bins = bins[bins % n_time // ridge.FRAME_CHUNK != 2]
-    unreached = np.setdiff1d(np.arange(field.codes.size), reached)[-1:]
+    unreached = np.setdiff1d(np.arange(field.defined.size), reached)[-1:]
     bins = rng.permutation(np.concatenate((bins, unreached)))
     got_src, which, _, _, _ = field.sources(bins)
     hit = np.isin(dest, bins)

@@ -3,8 +3,16 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from tfchirp.errors import ParameterError
-from tfchirp.signal import Signal, WindowBank, WindowFamily, grid_from_resolution, make_window_bank, round_half_away
+from tfchirp.errors import ParameterError, ResourceError
+from tfchirp.signal import (
+    MAX_TAPS,
+    Signal,
+    WindowBank,
+    WindowFamily,
+    grid_from_resolution,
+    make_window_bank,
+    round_half_away,
+)
 
 from reference import _poly_term, bank_windows, g_prime, g_second
 
@@ -50,6 +58,30 @@ def test_window_family_validation():
         WindowFamily(0, 0.0)
     with pytest.raises(ParameterError):
         WindowFamily(-1, 1.0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WindowFamily(1, 1.0).default_half_len(1e-308),  # the half length overflows a float
+        lambda: WindowFamily(0, 1e-300).default_half_len(0.01),  # finite, but no array holds it
+        lambda: make_window_bank(WindowFamily(), 10**20, 0.01),
+        lambda: make_window_bank(WindowFamily(), MAX_TAPS // 2 + 1, 0.01),
+    ],
+)
+def test_a_window_no_array_can_hold_is_a_resource_error(build):
+    # one line, before numpy is asked for the samples
+    with pytest.raises(ResourceError, match=f"{MAX_TAPS} taps") as caught:
+        build()
+    assert "\n" not in str(caught.value)
+
+
+def test_run_sct_at_an_extreme_rate_is_a_resource_error():
+    from tfchirp.pipeline import run_sct
+
+    signal = Signal(np.ones(4), 1e308)
+    with pytest.raises(ResourceError, match="taps"):
+        run_sct(signal, WindowFamily(0, 1.0), grid_from_resolution(0.5, 4, 1e308))
 
 
 def test_gaussian_samples_tiny_bank():

@@ -19,17 +19,24 @@ from tfchirp.reassign import (
     FRAME_CHUNK,
     OFF_GRID,
     reassignment_field,
-    resolvable_slots,
     squeeze_conservation,
     synchrosqueeze,
 )
-from tfchirp.ridge import RidgeParams
+from tfchirp.ridge import RidgeParams, extract_ridges
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from tfchirp.synth import add_student_t_noise
-from tfchirp.transform import PHASE_BLOCK, TfcTensor, streamed_bank_transform
+from tfchirp.transform import PHASE_BLOCK, TfcTensor, resolvable_slots, streamed_bank_transform
 
 from conftest import traced_volumes
-from reference import BankTensors, chirplet_bank_transform, conservation_full_volume, squeeze_destinations
+import reference
+from reference import (
+    BankTensors,
+    chirplet_bank_transform,
+    conservation_full_volume,
+    squeeze_destinations,
+    whole_codes,
+    whole_h,
+)
 
 FS = 20.0
 
@@ -53,7 +60,9 @@ def test_streamed_field_matches_stored_bank(analysis):
     signal, grid, bank, nu_rel = analysis
     stored = chirplet_bank_transform(signal, bank, grid)
     streamed = streamed_bank_transform(signal, bank, grid)
-    assert np.array_equal(streamed.h.values, stored.h.values)
+    assert np.array_equal(streamed.rows, np.flatnonzero(resolvable_slots(grid, bank)))
+    assert np.array_equal(streamed.values, stored.h.values.reshape(-1, grid.n_time)[streamed.rows])
+    assert streamed.peak == np.abs(stored.h.values).max()  # over every row, the aliased ones too
     nu = nu_rel * np.abs(stored.h.values).max()
     ref = reassignment_field(stored, nu=nu)
     field = reassignment_field(streamed, nu=nu)
@@ -70,7 +79,9 @@ def test_run_sct_keeps_bank_h_and_conserves_mass(analysis):
     # criterion 06 over random grids, windows and thresholds
     signal, grid, bank, nu_rel = analysis
     field = run_sct(signal, bank.family, grid, bank.half_len, nu_rel=nu_rel)
-    assert np.array_equal(field.h.values, chirplet_bank_transform(signal, bank, grid).h.values)
+    h = chirplet_bank_transform(signal, bank, grid).h.values
+    assert np.array_equal(field.banks.values, h.reshape(-1, grid.n_time)[field.banks.rows])
+    assert field.nu == nu_rel * np.abs(h).max() or not np.abs(h).max()
     assert squeeze_conservation(field, synchrosqueeze(field)).max() <= 1e-10
 
 
@@ -96,8 +107,8 @@ def test_blocked_squeeze_equals_one_pass(chirp_f1_sct, monkeypatch):
     # S to the bit against one np.add.at over every (source, destination) pair
     _, _, field = chirp_f1_sct
     src, dest = squeeze_destinations(field)
-    one_pass = np.zeros(field.codes.size, dtype=np.complex128)
-    np.add.at(one_pass, dest, field.h.values.ravel()[src])
+    one_pass = np.zeros(field.defined.size, dtype=np.complex128)
+    np.add.at(one_pass, dest, whole_h(field.banks).ravel()[src])
     assert src.size > 10 * 997
     conservation = squeeze_conservation(field, synchrosqueeze(field))
     for block in (reassign.ENTRY_BLOCK, 997):
@@ -154,7 +165,7 @@ def coded_field(request):
 def test_codes_name_the_squeeze_destinations(coded_field):
     field = coded_field
     src, dest = squeeze_destinations(field)
-    codes = field.codes.reshape(-1)
+    codes = whole_codes(field).reshape(-1)
     moved = np.flatnonzero(codes >= 0)
     assert field.grid.n_chirp * field.grid.n_freq <= 32767  # every code fits int16
     assert field.codes.dtype == np.int16 and src.size > 0
@@ -170,7 +181,7 @@ def test_codes_of_a_grid_above_32767_rows_are_int32():
     signal = Signal(rng.standard_normal(12) + 1j * rng.standard_normal(12), FS)
     field = reassignment_field(streamed_bank_transform(signal, make_window_bank(WindowFamily(0, 1.0), 5, 1 / FS), grid))
     src, dest = squeeze_destinations(field)
-    codes = field.codes.reshape(-1)
+    codes = whole_codes(field).reshape(-1)
     assert field.codes.dtype == np.int32 and codes.max() > np.iinfo(np.int16).max
     assert np.array_equal(np.flatnonzero(codes >= 0), src)
     assert np.array_equal(codes[src].astype(np.intp) * grid.n_time + src % grid.n_time, dest)
@@ -178,9 +189,9 @@ def test_codes_of_a_grid_above_32767_rows_are_int32():
 
 def test_codes_hold_each_cause(coded_field):
     field = coded_field
-    codes = field.codes
+    codes = whole_codes(field)
     resolvable = np.broadcast_to(resolvable_slots(field.grid, field.banks.bank)[:, :, None], codes.shape)
-    above = np.abs(field.h.values) > field.nu
+    above = np.abs(whole_h(field.banks)) > field.nu
     defined = ~np.isnan(field.omega)
     moved = np.zeros(codes.size, dtype=bool)
     moved[squeeze_destinations(field)[0]] = True
@@ -199,14 +210,17 @@ def test_codes_hold_each_cause(coded_field):
 
 
 def _recomputed(field, flat):
-    """(omega, mu) at the ascending flat entries ``flat``, through source tracing's per-tile recompute."""
+    """(omega, mu) at the ascending flat entries ``flat`` of resolvable rows, through source tracing's
+    per-tile recompute."""
     n_time = field.grid.n_time
     blocks = reassign._field_blocks(field.banks)
     tile = flat % n_time // FRAME_CHUNK
+    rows = np.searchsorted(field.banks.rows, flat // n_time)  # among the resolvable rows
+    assert np.array_equal(field.banks.rows[rows], flat // n_time)
     omega, mu = np.empty(flat.size), np.empty(flat.size)
     for t in np.unique(tile):
         sel, t0 = tile == t, t * FRAME_CHUNK
-        omega[sel], mu[sel], _ = field._recompute_tile(blocks, flat[sel] // n_time, flat[sel] % n_time - t0, t0)
+        omega[sel], mu[sel], _ = field._recompute_tile(blocks, rows[sel], flat[sel] % n_time - t0, t0)
     return omega, mu
 
 
@@ -235,7 +249,7 @@ def test_estimates_equal_the_volumes_bit_for_bit(coded_field):
     landed, _, omega, mu, magnitude = field.sources(bins)
     assert landed.size >= bins.size
     assert np.array_equal(omega, field.omega.ravel()[landed]) and np.array_equal(mu, field.mu.ravel()[landed])
-    assert np.array_equal(magnitude, np.abs(field.h.values.ravel()[landed]))
+    assert np.array_equal(magnitude, np.abs(whole_h(field.banks).ravel()[landed]))
 
 
 @pytest.mark.parametrize("fixture", ["crossing_sct_g0", "crossing_sct_g2"])
@@ -270,7 +284,7 @@ def test_codes_do_not_depend_on_block_sizes(crossing_scene, crossing_grid, reque
         monkeypatch.setattr(module, "PHASE_BLOCK", rows * bank.h.size)
     monkeypatch.setattr(reassign, "ENTRY_BLOCK", 997)
     field = run_sct(crossing_scene.signal(), bank.family, crossing_grid)
-    assert np.array_equal(field.h.values, want.h.values)
+    assert np.array_equal(field.banks.values, want.banks.values) and field.banks.peak == want.banks.peak
     assert np.array_equal(field.codes, want.codes)
     for got, expected in zip(field.sources(bins), wanted):
         assert np.array_equal(got, expected)
@@ -303,31 +317,68 @@ def test_conservation_matches_full_volume_formula():
     assert np.max(np.abs(new - old)) <= 1e-12
 
 
+@pytest.mark.parametrize("fixture", ["crossing_sct_g0", "crossing_sct_g2"])
+def test_the_resolvable_rows_give_the_whole_grid_outputs(request, fixture):
+    # T^h and the codes on the resolvable rows alone, against the squeeze
+    # (whole record and each tile), source tracing, the conservation residual
+    # and the CT baseline over every row of the grid, to the bit
+    field = request.getfixturevalue(fixture)
+    grid, rows = field.grid, field.banks.rows
+    h, codes = whole_h(field.banks), whole_codes(field)
+    assert 0.5 < 1 - rows.size / (grid.n_chirp * grid.n_freq) < 0.7  # the aliased share of the grid
+    assert np.array_equal(field.banks.values, h.reshape(-1, grid.n_time)[rows])
+    squeezed = synchrosqueeze(field)
+    assert np.array_equal(squeezed.values, reference.squeeze_whole(h, codes))
+    for t0 in range(0, grid.n_time, FRAME_CHUNK):
+        frames = slice(t0, min(t0 + FRAME_CHUNK, grid.n_time))
+        assert np.array_equal(synchrosqueeze(field, frames).values, reference.squeeze_whole(h, codes, frames))
+    residual = squeeze_conservation(field, squeezed)
+    assert np.array_equal(residual, reference.conservation_whole(h, codes, squeezed.values))
+    mags = np.abs(squeezed.values).ravel()
+    bins = np.random.default_rng(6).permutation(np.flatnonzero(mags > np.quantile(mags, 0.99)))
+    got, want = field.sources(bins), reference.sources_whole(field, h, codes, bins)
+    assert got[0].size > 1000
+    for part, expected in zip(got, want):
+        assert np.array_equal(part, expected)
+    for min_per_frame in (0, 3):
+        params = RidgeParams(seed=0, min_per_frame=min_per_frame)
+        ridges = ct_ridges(field, 2, params)
+        expected = extract_ridges(TfcTensor(h, grid), 2, params)
+        for name in ("omega_hz", "mu_hzps", "valid", "observed"):
+            assert np.array_equal(getattr(ridges, name), getattr(expected, name)), (min_per_frame, name)
+
+
 @pytest.mark.parametrize("n", [0, 2])
 def test_run_sct_memory_budget(crossing_scene, crossing_grid, n):
-    # both peak in the field pass: T^h, the codes and the windowed segments of
-    # the companion windows over all frames (0.34 volumes at n = 0, 0.68 at
-    # n = 2, which has two more windows), beside one product's sums and
-    # estimates (measured 1.967 and 2.364 volumes)
-    budget = {0: 2.05, 2: 2.45}[n]
+    # both peak in the field pass: T^h and the codes on the resolvable rows
+    # (1.125 volumes times 0.405 at n = 0 and 0.325 at n = 2) and the windowed
+    # segments of the companion windows over all frames (0.34 volumes at n = 0,
+    # 0.68 at n = 2, which has two more windows), beside one product's sums and
+    # estimates (measured 1.266 and 1.575 volumes; 1.967 and 2.364 when T^h and
+    # the codes covered every row)
+    budget = {0: 1.35, 2: 1.66}[n]
     signal = crossing_scene.signal()
     grid = crossing_grid
     assert (grid.n_chirp, grid.n_freq, grid.n_time) == (100, 51, 401)
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
     field, peak, retained = traced_volumes(lambda: run_sct(signal, WindowFamily(n, 1.0), grid), volume)
-    assert field.codes.shape == (100, 51, 401)
+    assert field.codes.shape == field.banks.values.shape == (field.banks.rows.size, 401)
     assert peak <= budget
     assert retained <= 1.2
 
 
 @pytest.mark.parametrize("n", [0, 2])
 def test_run_sct_retains_no_mask(crossing_scene, crossing_grid, n):
-    # T^h and the field's int16 codes: 1.125 volumes, and no S, mask or estimate beside them
+    # T^h and the field's int16 codes on the resolvable rows alone: 1.125 volumes
+    # times the resolvable share (0.405 at n = 0, 0.325 at n = 2), and no S,
+    # mask or estimate beside them
     signal = crossing_scene.signal()
     grid = crossing_grid
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
-    _, _, retained = traced_volumes(lambda: run_sct(signal, WindowFamily(n, 1.0), grid), volume)
-    assert retained <= 1.2
+    field, _, retained = traced_volumes(lambda: run_sct(signal, WindowFamily(n, 1.0), grid), volume)
+    share = field.banks.rows.size / (grid.n_chirp * grid.n_freq)
+    assert share < 0.41
+    assert retained <= 1.125 * share + 0.01
 
 
 def test_the_analysis_builds_no_estimate_volume(crossing_scene, crossing_grid):
@@ -369,11 +420,31 @@ def test_sct_ridges_memory_budget(crossing_sct_g2, min_per_frame):
     import scipy.sparse.linalg  # noqa: F401  (the embedding's imports stay out of the trace)
 
     field = crossing_sct_g2
-    volume = field.codes.size * 16
+    volume = field.defined.size * 16
     params = RidgeParams(seed=0, min_per_frame=min_per_frame)
     ridges, peak, _ = traced_volumes(lambda: sct_ridges(field, 2, params), volume)
     assert ridges.n_components == 2
     assert peak < 0.75
+
+
+@pytest.mark.parametrize("min_per_frame", [0, 3])
+@pytest.mark.parametrize("fixture", ["crossing_sct_g0", "crossing_sct_g2"])
+def test_ct_ridges_memory_budget(request, fixture, min_per_frame):
+    # the CT baseline reads |T^h| on every row: the aliased rows are summed
+    # again into float64 magnitudes (0.30 volumes at n = 0, 0.34 at n = 2),
+    # beside the window's segments over all frames (0.17 volumes at 861 taps)
+    # and one product's phases and sums; no complex volume (measured 0.66 and
+    # 0.70 volumes, at min_per_frame 0 and 3 alike), and nothing is kept
+    import scipy.spatial
+    import scipy.sparse.linalg  # noqa: F401  (the embedding's imports stay out of the trace)
+
+    field = request.getfixturevalue(fixture)
+    volume = field.defined.size * 16
+    params = RidgeParams(seed=0, min_per_frame=min_per_frame)
+    ridges, peak, retained = traced_volumes(lambda: ct_ridges(field, 2, params), volume)
+    assert ridges.n_components == 2
+    assert peak < 0.75
+    assert retained < 0.01
 
 
 def test_squeeze_conservation_copies_no_volume(crossing_sct_g2, crossing_s_g2):
