@@ -14,7 +14,7 @@ from .errors import (
     UnsupportedWindowError,
 )
 from .metrics import ot_if_metric, rel_error, snr_db, wasserstein1_1d
-from .pipeline import crossing_study, ct_ridges, random_study, run_sct, sct_ridges
+from .pipeline import crossing_study, ct_ridges, random_study, run_sct
 from .reassign import (
     ReassignmentField,
     reassignment_field,

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensorio
 from .errors import FormatError, ParameterError, ResourceError, TfchirpError, UnsupportedWindowError
 from .metrics import rel_error
-from .pipeline import random_study, run_sct, sct_ridges
+from .pipeline import random_study, run_sct
 from .reassign import DEFAULT_NU_REL, squeeze_conservation, synchrosqueeze
 from .reconstruct import check_window_condition, reconstruct_modes
 from .ridge import RidgeParams, extract_ridges
@@ -159,14 +159,14 @@ def _default_half_len(family: WindowFamily, signal: Signal):
 def _memory_guard(grid, *windows, q=None):
     """Turn a ``MemoryError`` into a one-line error naming the grid, ``q`` of a ridge cloud clustered under the
     guard, and each window built under it, given as (label, half length, the knob that shortens it); a window of
-    more than ``MAX_TAPS`` taps fails so on entry."""
+    more than ``MAX_TAPS`` taps, or a grid whose complex volume no array can size, fails so on entry."""
     taps = [(label, 2 * half_len + 1) for label, half_len, _ in windows]
+    volume = grid.n_chirp * grid.n_freq * grid.n_time * np.dtype(np.complex128).itemsize
     try:
-        if any(n > MAX_TAPS for _, n in taps):
+        if volume > np.iinfo(np.intp).max or any(n > MAX_TAPS for _, n in taps):
             raise MemoryError
         yield
     except MemoryError:
-        volume = grid.n_chirp * grid.n_freq * grid.n_time * np.dtype(np.complex128).itemsize
         names = " and ".join(f"the {n if n <= MAX_TAPS else f'>{MAX_TAPS}'}-tap {label}" for label, n in taps)
         knobs = ", or ".join(
             [f"raise alpha_sq (now {grid.alpha_sq}) for a coarser grid"]
@@ -298,7 +298,7 @@ def cmd_reconstruct(args) -> int:
     recon_window = ("reconstruction window", recon_half_len, f"raise --recon-alpha (now {args.recon_alpha})")
     with _memory_guard(grid, _analysis_window(config, signal), recon_window, q=config.q):
         recon_bank = make_window_bank(recon_family, recon_half_len, signal.dt_s)
-        ridges = sct_ridges(_run_sct(config, signal, grid), config.n_components, config.ridge_params())
+        ridges = extract_ridges(_run_sct(config, signal, grid), config.n_components, config.ridge_params())
         modes = reconstruct_modes(signal, ridges, recon_bank)
     _write_ridges(args.ridge_csv, ridges, signal.times_s)
     for path, mode in zip(modes_csv, modes.modes):

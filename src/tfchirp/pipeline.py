@@ -43,14 +43,6 @@ def run_sct(
     return reassignment_field(banks, nu=default_threshold(banks.peak, nu_rel))
 
 
-def sct_ridges(field: ReassignmentField, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
-    """Ridge curves from the squeezed volume, refined through its sources.
-
-    The selection squeezes S one 64-frame tile at a time: S is never held whole.
-    """
-    return extract_ridges(field, n_components, params)
-
-
 def ct_ridges(field: ReassignmentField, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
     """Baseline: the same extraction applied to |T^h| over every row (``StreamedBank.magnitude_tiles``)."""
     return extract_ridges(field.banks, n_components, params)
@@ -104,7 +96,7 @@ def crossing_study(
     k = scene.components.shape[0]
 
     field = run_sct(signal, analysis_family, grid, half_len=half_len)
-    ridges_sct = sct_ridges(field, k, params)
+    ridges_sct = extract_ridges(field, k, params)
     ridges_ct = ct_ridges(field, k, params)
 
     recon_bank = make_window_bank(

@@ -67,7 +67,7 @@ class ReassignmentField:
     """
 
     codes: np.ndarray  # int16 or int32 [banks.rows.size, n_time]
-    banks: StreamedBank  # or any other holder of ``rows``, ``h_rows()`` and ``companion_rows()``
+    banks: StreamedBank  # or any holder of ``rows``, ``grid``, ``bank``, ``peak``, ``h_rows()``, ``companion_rows()``
     nu: float
 
     def __post_init__(self):
@@ -275,18 +275,15 @@ def synchrosqueeze(field: ReassignmentField, frames: slice = slice(None)) -> Tfc
     if frames.step not in (None, 1) or not 0 <= start < stop <= grid.n_time:
         raise ParameterError(f"frames must be a unit-step range within the {grid.n_time} frames, got {frames}")
     width = stop - start
-    in_range = field.codes[:, start:stop]
     out = np.zeros(grid.n_chirp * grid.n_freq * width, dtype=np.complex128)
-    # blocks of at most ENTRY_BLOCK entries, rows ascending: each bin receives
-    # its sources (of its own frame) in ascending row order, as in one pass
+    # blocks of at most ENTRY_BLOCK entries (one row, if wider), rows ascending:
+    # each bin receives its sources (of its own frame) in ascending row order, as in one pass
     rows_per = max(1, ENTRY_BLOCK // width)
-    for lo in range(0, in_range.shape[0], rows_per):
+    for lo in range(0, field.codes.shape[0], rows_per):
+        codes = field.codes[lo : lo + rows_per, start:stop]
+        moves = codes >= 0
         values = field.banks.h_rows(slice(lo, lo + rows_per), slice(start, stop))
-        for c0 in range(0, width, ENTRY_BLOCK):
-            codes = in_range[lo : lo + rows_per, c0 : c0 + ENTRY_BLOCK]
-            moves = codes >= 0
-            cols = np.flatnonzero(moves) % moves.shape[1] + c0
-            np.add.at(out, codes[moves].astype(np.intp) * width + cols, values[:, c0 : c0 + ENTRY_BLOCK][moves])
+        np.add.at(out, codes[moves].astype(np.intp) * width + np.flatnonzero(moves) % width, values[moves])
     return TfcTensor(out.reshape(grid.n_chirp, grid.n_freq, width), replace(grid, n_time=width))
 
 

@@ -292,13 +292,10 @@ def kmeans_cluster(embedding: np.ndarray, n_clusters: int, seed: int = 0) -> np.
     pts = np.asfortranarray(embedding, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    n = pts.shape[0]
     if n_clusters < 1:
         raise ParameterError("n_clusters must be >= 1")
-    if n < n_clusters:
+    if pts.shape[0] < n_clusters:
         raise ParameterError("fewer points than clusters")
-    if n_clusters == 1:
-        return np.zeros(n, dtype=int)
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(KMEANS_RESTARTS):

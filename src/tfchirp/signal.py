@@ -9,6 +9,7 @@ All arrays are 0-based.  Frequency bin ``m`` of a grid covers
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -122,18 +123,21 @@ def make_window_bank(family: WindowFamily, half_len: int, dt_s: float) -> Window
     if not (dt_s > 0):
         raise ParameterError("dt_s must be positive")
     x = np.arange(-half_len, half_len + 1) * dt_s
-    g = family.g(x)
-    e, n = np.exp(-np.pi * family.alpha_w * x * x), family.n
-    bank = WindowBank(
-        family=family,
-        half_len=half_len,
-        dt_s=dt_s,
-        h=g,
-        th=x * g,
-        t2h=x * x * g,
-        basis=tuple(x ** (n - d) * e for d in (1, 2) if n >= d),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # samples past the float range are refused below
+        g = family.g(x)
+        e, n = np.exp(-np.pi * family.alpha_w * x * x), family.n
+        bank = WindowBank(
+            family=family,
+            half_len=half_len,
+            dt_s=dt_s,
+            h=g,
+            th=x * g,
+            t2h=x * x * g,
+            basis=tuple(x ** (n - d) * e for d in (1, 2) if n >= d),
+        )
     for seq in (bank.h, bank.th, bank.t2h, *bank.basis):
+        if not np.isfinite(seq).all():
+            raise ParameterError(f"the {bank.length}-tap window at dt_s {dt_s} has samples outside the float range")
         seq.flags.writeable = False
     return bank
 
@@ -160,6 +164,13 @@ class TfcGrid:
     def n_chirp(self) -> int:
         return 2 * self.M
 
+    def _check_domain(self):
+        """Raise ``ParameterError`` unless both steps, and with them the sample rate, are positive finite floats."""
+        with suppress(OverflowError):  # Python float arithmetic past the float range raises where numpy's gives inf
+            if 0 < self.freq_step_hz < np.inf and 0 < self.chirp_step_hzps < np.inf:
+                return
+        raise ParameterError(f"sample_rate_hz {self.sample_rate_hz} puts the grid's steps outside the float range")
+
     @property
     def freq_step_hz(self) -> float:
         return self.sample_rate_hz / (2 * self.M)
@@ -183,14 +194,14 @@ class TfcGrid:
 
 
 def grid_from_resolution(alpha_sq: float, n_time: int, sample_rate_hz: float) -> TfcGrid:
-    """Build the TFC grid for a squeezing resolution ``alpha_sq``."""
+    """Build the TFC grid for a squeezing resolution ``alpha_sq``; ``TfcGrid._check_domain`` checks its rate."""
     if not (0 < alpha_sq <= 0.5):
         raise ParameterError("alpha_sq must lie in (0, 0.5]")
     if n_time < 1:
         raise ParameterError("n_time must be >= 1")
-    if not (sample_rate_hz > 0):
-        raise ParameterError("sample_rate_hz must be positive")
-    M = int(math.floor(0.5 / alpha_sq))
+    # 0.5 / alpha_sq is inf below alpha_sq 2.8e-309: M is then taken exactly, for a grid that no array holds
+    p, q = alpha_sq.as_integer_ratio()
+    M = math.floor(0.5 / alpha_sq) if 0.5 / alpha_sq < math.inf else q // (2 * p)
     return TfcGrid(alpha_sq=alpha_sq, M=M, n_time=n_time, sample_rate_hz=sample_rate_hz)
 
 

@@ -111,6 +111,7 @@ def _read_header(fh):
         )
     try:
         grid = grid_from_resolution(alpha_sq, n_time, fs)
+        grid._check_domain()
     except ParameterError as exc:
         raise FormatError(f"TFC1 header outside the grid's domain: {exc}") from None
     if not np.isfinite(t0):
@@ -179,7 +180,7 @@ def read_wav(path: str, downsample: int = 1) -> Signal:
     return Signal(samples, rate / downsample, 0.0)
 
 
-def read_signal_csv(path: str, sample_rate_hz: float, t0_s: float = 0.0) -> Signal:
+def read_signal_csv(path: str, sample_rate_hz: float) -> Signal:
     """CSV with columns ``re[,im]`` (header optional)."""
     rows = []
     with open(path, newline="") as fh:
@@ -196,7 +197,7 @@ def read_signal_csv(path: str, sample_rate_hz: float, t0_s: float = 0.0) -> Sign
         raise FormatError(f"no samples in {path}")
     re = np.array([r[0] for r in rows])
     im = np.array([r[1] if len(r) > 1 else 0.0 for r in rows])
-    return Signal(re + 1j * im, sample_rate_hz, t0_s)
+    return Signal(re + 1j * im, sample_rate_hz, 0.0)
 
 
 def write_signal_csv(path: str, signal: Signal):

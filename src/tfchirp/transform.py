@@ -167,6 +167,7 @@ def _windowed_sums(signal: Signal, windows, grid: TfcGrid):
     """
     if grid.n_time != len(signal):
         raise ShapeError(f"grid.n_time={grid.n_time} != signal length {len(signal)}")
+    grid._check_domain()
     half_len = (windows[0].size - 1) // 2
     chirp_phase, freq_phase = _phase_factors(grid, half_len)
     S = _padded_segments(signal, half_len)

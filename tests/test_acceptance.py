@@ -10,10 +10,10 @@ import time
 import numpy as np
 
 from tfchirp.metrics import rel_error, wasserstein1_1d
-from tfchirp.pipeline import random_study, run_sct, sct_ridges
+from tfchirp.pipeline import random_study, run_sct
 from tfchirp.reassign import sst2, squeeze_conservation, synchrosqueeze, reassignment_field
 from tfchirp.reconstruct import reconstruct_modes, sst_band_reconstruct
-from tfchirp.ridge import RidgeParams
+from tfchirp.ridge import RidgeParams, extract_ridges
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from tfchirp.transform import chirplet_transform, g_check, streamed_bank_transform
 
@@ -100,7 +100,7 @@ def test_criterion_03_reassignment_exactness(chirp_f1_sct):
 
 def test_criterion_04_reconstruction_ordering(crossing_scene, crossing_grid, crossing_sct_g2):
     signal = crossing_scene.signal()
-    ridges = sct_ridges(crossing_sct_g2, 2, RidgeParams(seed=0))
+    ridges = extract_ridges(crossing_sct_g2, 2, RidgeParams(seed=0))
     fam0 = WindowFamily(0, 1.0)
     bank0 = make_window_bank(fam0, fam0.default_half_len(signal.dt_s), signal.dt_s)
     modes = reconstruct_modes(signal, ridges, bank0)

@@ -10,6 +10,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
 import re
 import sys
 from pathlib import Path
@@ -90,6 +91,18 @@ def test_hooks_count_a_traced_study_unit(tmp_path):
     assert not workloads.study_check(inputs, out)
     metrics = tracing.layer_metrics([tracer.records()], 1.0)
     assert not [name for name in COUNTED if not metrics[name] > 0]
+
+
+def test_cli_crossing_session_passes_its_check(tmp_path, monkeypatch):
+    # the cli_crossing workload's session (sct, ridge, reconstruct) at the tiny size: a change to the
+    # commands, options or outputs it runs fails here, not only in the benchmark
+    workloads = _load(TRACING.parent / "workloads.py", "perfbench_workloads")
+    src = str(TRACING.parent.parent / "src")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    inputs = workloads.cli_inputs(0, workloads.TINY, str(tmp_path))
+    out = workloads.cli_unit(inputs, False)
+    workloads.cli_collect(inputs, out)
+    assert workloads.cli_check(inputs, out) == []
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -394,6 +394,42 @@ def test_tfc1_header_outside_its_domain_exits_2(tmp_path, capsys, dims, alpha_sq
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command, key, value, rate, code",
+    [
+        # grids whose complex volume no array can size, on a 64-sample record: refused on entry, naming alpha_sq
+        *[("transform", "alpha_sq", a, "64", 3) for a in (1e-10, 1e-12, 1e-300, 1e-320)],
+        *[(c, "alpha_sq", a, "64", 3) for c in ("sct", "reconstruct") for a in (1e-300, 1e-320)],
+        # a TFC1 header rate that puts the grid's steps outside the float range
+        *[("ridge", "seed", 0, r, 2) for r in ("inf", "1e308", "1e-320")],
+        # a --rate that puts the grid's steps, or the window's samples, outside the float range
+        *[(c, "half_len", 10, r, 1) for c in ("transform", "sct") for r in ("1e160", "1e-200")],
+        ("reconstruct", "half_len", 10, "1e-200", 1),
+    ],
+)
+def test_grid_outside_the_float_range_ends_in_one_line(tmp_path, capsys, command, key, value, rate, code):
+    import struct
+    import warnings
+
+    x = np.arange(64) / 64
+    write_signal_csv(str(tmp_path / "s.csv"), Signal(np.exp(2j * np.pi * (8 * x + 4 * x * x)), 64.0))
+    (tmp_path / "t.tfc1").write_bytes(struct.pack("<4sHH3Iddd", b"TFC1", 1, 1, 4, 3, 4, 0.25, float(rate), 0.0)
+                                      + b"\0" * (16 * 4 * 3 * 4))
+    args = {
+        "ridge": ["--tensor", str(tmp_path / "t.tfc1"), "--output", str(tmp_path / "r.csv")],
+        "reconstruct": ["--input", str(tmp_path / "s.csv"), "--rate", rate, "--ridge-csv", str(tmp_path / "r.csv"),
+                        "--mode-prefix", str(tmp_path / "mode")],
+    }.get(command, ["--input", str(tmp_path / "s.csv"), "--rate", rate, "--output", str(tmp_path / "o.tfc1")])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", write_config(tmp_path, **{key: value}), command, *args]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not caught and "Traceback" not in err and "Warning" not in err
+    assert ("alpha_sq" in err) == (code == 3)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg", "s.csv", "t.tfc1"]
+
+
 @pytest.mark.parametrize("command", ["info", "ridge"])
 @pytest.mark.parametrize("kind", ["text", "truncated"])
 def test_tensor_errors_name_the_flag_and_the_file(tmp_path, capsys, kind, command):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tfchirp.metrics import ot_if_metric
-from tfchirp.pipeline import _match_components, crossing_study, ct_ridges, run_sct, sct_ridges
-from tfchirp.ridge import RidgeParams
+from tfchirp.pipeline import _match_components, crossing_study, ct_ridges, run_sct
+from tfchirp.ridge import RidgeParams, extract_ridges
 from tfchirp.signal import WindowFamily, grid_from_resolution
 from tfchirp.synth import SyntheticScene
 
@@ -74,7 +74,7 @@ def test_cli_defaults_track_a_long_fm_pair(duration_s):
     # CLI defaults on the sinusoidal-FM pair, W1 per mode matched by IF over the record less 1 s at each end
     signal, ifs = sinusoidal_fm_pair(duration_s)
     grid = grid_from_resolution(0.01, len(signal), FS)
-    ridges = sct_ridges(run_sct(signal, WindowFamily(), grid), 2, RidgeParams())
+    ridges = extract_ridges(run_sct(signal, WindowFamily(), grid), 2, RidgeParams())
     window = interior_mask(grid.n_time, FS, 1.0)
     assign = _match_components(ridges.omega_hz, ifs, window)
     w1 = [ot_if_metric(ridges.omega_hz[i], ifs[j], window) for i, j in enumerate(assign)]

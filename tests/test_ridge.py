@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from tfchirp import reassign, ridge
 from tfchirp.errors import DegenerateCloudError, EmptyCloudError, ParameterError
-from tfchirp.pipeline import run_sct, sct_ridges
+from tfchirp.pipeline import run_sct
 from tfchirp.ridge import (
     RidgeParams,
     TfcPointCloud,
@@ -205,7 +205,7 @@ def test_single_chirp_k1_extraction(chirp_f1_sct):
 
 
 def test_crossing_pair_extraction(crossing_sct_g2, crossing_scene, crossing_grid):
-    ridges = sct_ridges(crossing_sct_g2, 2, RidgeParams(seed=0))
+    ridges = extract_ridges(crossing_sct_g2, 2, RidgeParams(seed=0))
     step = crossing_grid.chirp_step_hzps
     assert abs(ridges.mu_hzps[0].mean() - (-2 * np.pi)) <= step
     assert abs(ridges.mu_hzps[1].mean() - 8.0) <= step
@@ -240,8 +240,8 @@ def test_selection_scale_invariance(crossing_s_g2):
 
 def test_extraction_deterministic(crossing_sct_g2):
     p = RidgeParams(seed=7)
-    a = sct_ridges(crossing_sct_g2, 2, p)
-    b = sct_ridges(crossing_sct_g2, 2, p)
+    a = extract_ridges(crossing_sct_g2, 2, p)
+    b = extract_ridges(crossing_sct_g2, 2, p)
     assert np.array_equal(a.omega_hz, b.omega_hz)
     assert np.array_equal(a.mu_hzps, b.mu_hzps)
 
@@ -354,7 +354,7 @@ def test_emptied_cluster_raises_extraction_error(crossing_sct_g2, crossing_s_g2,
 
     monkeypatch.setattr(ridge, "kmeans_cluster", lambda emb, k, **kw: np.zeros(len(emb), dtype=int))
     with pytest.raises(ExtractionError):
-        sct_ridges(crossing_sct_g2, 2, RidgeParams(seed=0))
+        extract_ridges(crossing_sct_g2, 2, RidgeParams(seed=0))
     with pytest.raises(ExtractionError):
         extract_ridges(crossing_s_g2, 2, RidgeParams(seed=0, min_per_frame=2))
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tfchirp import reassign, ridge, transform
 from tfchirp.errors import ParameterError
-from tfchirp.pipeline import ct_ridges, run_sct, sct_ridges
+from tfchirp.pipeline import ct_ridges, run_sct
 from tfchirp.reassign import (
     ALIASED,
     BELOW,
@@ -111,7 +111,8 @@ def test_blocked_squeeze_equals_one_pass(chirp_f1_sct, monkeypatch):
     np.add.at(one_pass, dest, whole_h(field.banks).ravel()[src])
     assert src.size > 10 * 997
     conservation = squeeze_conservation(field, synchrosqueeze(field))
-    for block in (reassign.ENTRY_BLOCK, 997):
+    # at 100 each block is one row of 401 frames, wider than the block
+    for block in (reassign.ENTRY_BLOCK, 997, 100):
         monkeypatch.setattr(reassign, "ENTRY_BLOCK", block)
         squeezed = synchrosqueeze(field)
         assert np.array_equal(squeezed.values.ravel(), one_pass)
@@ -254,7 +255,7 @@ def test_estimates_equal_the_volumes_bit_for_bit(coded_field):
 
 @pytest.mark.parametrize("fixture", ["crossing_sct_g0", "crossing_sct_g2"])
 def test_estimates_hold_one_tile_of_sums(request, fixture, monkeypatch):
-    # source tracing for the bins of ``sct_ridges``' cloud, recomputed tile by
+    # source tracing for the bins of the cloud ``extract_ridges(field, …)`` selects, recomputed tile by
     # tile: no owner volume, no whole-row fetch and no whole-record windowed segments
     field = request.getfixturevalue(fixture)
     grid = field.grid
@@ -263,7 +264,7 @@ def test_estimates_hold_one_tile_of_sums(request, fixture, monkeypatch):
     monkeypatch.setattr(
         reassign.ReassignmentField, "sources", lambda field, bins: traced.append(bins) or sources(field, bins)
     )
-    sct_ridges(field, 2, RidgeParams(seed=0))
+    extract_ridges(field, 2, RidgeParams(seed=0))
     volume = grid.n_chirp * grid.n_freq * grid.n_time * 16
     (src, _, omega, _, _), peak, _ = traced_volumes(lambda: sources(field, traced[0]), volume)
     assert omega.size == src.size > 10_000
@@ -384,12 +385,12 @@ def test_run_sct_retains_no_mask(crossing_scene, crossing_grid, n):
 def test_the_analysis_builds_no_estimate_volume(crossing_scene, crossing_grid):
     # source tracing recomputes the estimates of the landed entries alone
     field = run_sct(crossing_scene.signal(), WindowFamily(2, 1.0), crossing_grid)
-    sct_ridges(field, 2, RidgeParams(seed=0))
+    extract_ridges(field, 2, RidgeParams(seed=0))
     ct_ridges(field, 2, RidgeParams(seed=0))
     assert not {"omega", "mu"} & field.__dict__.keys()
 
 
-def test_sct_ridges_embed_without_s(crossing_scene, crossing_grid, monkeypatch):
+def test_extract_ridges_embed_without_s(crossing_scene, crossing_grid, monkeypatch):
     # at the embedding, the analysis holds T^h, the int16 codes and the cloud:
     # the selection squeezed S a tile at a time (2.25 volumes with S alive)
     signal, grid = crossing_scene.signal(), crossing_grid
@@ -406,14 +407,14 @@ def test_sct_ridges_embed_without_s(crossing_scene, crossing_grid, monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        sct_ridges(run_sct(signal, WindowFamily(2, 1.0), grid), 2, params)
+        extract_ridges(run_sct(signal, WindowFamily(2, 1.0), grid), 2, params)
     finally:
         tracemalloc.stop()
     assert len(at_embed) == 1 and (at_embed[0] - base) / volume <= 1.2
 
 
 @pytest.mark.parametrize("min_per_frame", [0, 3])
-def test_sct_ridges_memory_budget(crossing_sct_g2, min_per_frame):
+def test_extract_ridges_memory_budget(crossing_sct_g2, min_per_frame):
     # the selection squeezes one 64-frame tile of S at a time: no S is held
     # beside T^h and the codes (a whole S alone is 1 volume; measured 0.43 and 0.44)
     import scipy.spatial
@@ -422,7 +423,7 @@ def test_sct_ridges_memory_budget(crossing_sct_g2, min_per_frame):
     field = crossing_sct_g2
     volume = field.defined.size * 16
     params = RidgeParams(seed=0, min_per_frame=min_per_frame)
-    ridges, peak, _ = traced_volumes(lambda: sct_ridges(field, 2, params), volume)
+    ridges, peak, _ = traced_volumes(lambda: extract_ridges(field, 2, params), volume)
     assert ridges.n_components == 2
     assert peak < 0.75
 

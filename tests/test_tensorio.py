@@ -128,8 +128,8 @@ def test_signal_csv_round_trip(tmp_path):
     sig = Signal(rng.standard_normal(20) + 1j * rng.standard_normal(20), 25.0, t0_s=0.5)
     path = tmp_path / "sig.csv"
     write_signal_csv(str(path), sig)
-    back = read_signal_csv(str(path), 25.0, t0_s=0.5)
-    assert np.array_equal(back.samples, sig.samples)
+    back = read_signal_csv(str(path), 25.0)
+    assert np.array_equal(back.samples, sig.samples) and back.t0_s == 0.0
 
 
 def test_signal_raw(tmp_path):
