@@ -159,24 +159,34 @@ def _default_half_len(family: WindowFamily, signal: Signal):
 def _memory_guard(grid, *windows, q=None):
     """Turn a ``MemoryError`` into a one-line error naming the grid, ``q`` of a ridge cloud clustered under the
     guard, and each window built under it, given as (label, half length, the knob that shortens it); a window of
-    more than ``MAX_TAPS`` taps, or a grid whose complex volume no array can size, fails so on entry."""
+    more than ``MAX_TAPS`` taps, or a grid whose complex volume no array can size, fails so on entry: such a grid
+    names ``alpha_sq`` alone, as no other knob shrinks it."""
     taps = [(label, 2 * half_len + 1) for label, half_len, _ in windows]
     volume = grid.n_chirp * grid.n_freq * grid.n_time * np.dtype(np.complex128).itemsize
+    unsizable = volume > np.iinfo(np.intp).max
     try:
-        if volume > np.iinfo(np.intp).max or any(n > MAX_TAPS for _, n in taps):
+        if unsizable or any(n > MAX_TAPS for _, n in taps):
             raise MemoryError
         yield
     except MemoryError:
+        if unsizable:
+            taps, windows, q = [], (), None
         names = " and ".join(f"the {n if n <= MAX_TAPS else f'>{MAX_TAPS}'}-tap {label}" for label, n in taps)
         knobs = ", or ".join(
             [f"raise alpha_sq (now {grid.alpha_sq}) for a coarser grid"]
             + ([f"raise q (now {q}) for a smaller cloud"] if q is not None else [])
             + [f"{knob} for a shorter {label}" for label, _, knob in windows]
         )
+        dims = "x".join(map(_size, (grid.n_chirp, grid.n_freq, grid.n_time)))
         raise ResourceError(
-            f"out of memory on the {grid.n_chirp}x{grid.n_freq}x{grid.n_time} grid "
-            f"({volume} bytes per complex volume){f' with {names}' if windows else ''}; {knobs}"
+            f"out of memory on the {dims} grid ({_size(volume)} bytes per complex volume)"
+            f"{f' with {names}' if windows else ''}; {knobs}"
         ) from None
+
+
+def _size(n: int) -> str:
+    """``n``, or ``>`` intp max for a size no array can have: such a grid's sizes run to hundreds of digits."""
+    return str(n) if n <= np.iinfo(np.intp).max else f">{np.iinfo(np.intp).max}"
 
 
 def _run_sct(config: RunConfig, signal: Signal, grid):

@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ParameterError, ShapeError
 from .signal import Signal, TfcGrid, WindowBank, round_half_away
-from .transform import PHASE_BLOCK, StreamedBank, TfcTensor, TfMatrix, _companions, _windowed_sums, _zero_chirp_rows
+from .transform import StreamedBank, TfcTensor, TfMatrix, _companions, _windowed_sums, _zero_chirp_rows
 
 M2_GUARD = 1e-12
 DEFAULT_NU_REL = 1e-4
@@ -67,7 +67,7 @@ class ReassignmentField:
     """
 
     codes: np.ndarray  # int16 or int32 [banks.rows.size, n_time]
-    banks: StreamedBank  # or any holder of ``rows``, ``grid``, ``bank``, ``peak``, ``h_rows()``, ``companion_rows()``
+    banks: StreamedBank  # or any holder of ``rows``, ``grid``, ``bank``, ``peak``, ``h_rows()``, ``companion_blocks()``
     nu: float
 
     def __post_init__(self):
@@ -99,7 +99,7 @@ class ReassignmentField:
         grid, rows = self.grid, self.banks.rows
         omega = np.full((grid.n_chirp * grid.n_freq, grid.n_time), np.nan)
         mu = np.full(omega.shape, np.nan)
-        for part, inputs in _field_blocks(self.banks)():
+        for part, inputs in _field_blocks(self.banks):
             mu[rows[part]], omega[rows[part]], _ = _mu_omega(*inputs, self.nu)
         shape = (grid.n_chirp, grid.n_freq, grid.n_time)
         self.__dict__.update(omega=omega.reshape(shape), mu=mu.reshape(shape))
@@ -121,7 +121,6 @@ class ReassignmentField:
         # row (code + 4) of the table holds the owners of one destination row
         # over the tile's frames; the four negative causes fall on rows that own nothing
         owner = np.full((grid.n_chirp * grid.n_freq + 4) * FRAME_CHUNK, -1, dtype=np.int32)
-        blocks = _field_blocks(self.banks)
         found = [(np.empty(0, np.intp), np.empty(0, np.int32), np.empty(0), np.empty(0), np.empty(0))]
         for tile in np.unique(bin_tile):
             t0 = tile * FRAME_CHUNK
@@ -139,17 +138,17 @@ class ReassignmentField:
             rows, cols = np.divmod(landed, which.shape[1])
             which = which.reshape(-1)[landed]
             src = self.banks.rows[rows] * n_time + t0 + cols
-            found.append((src, which, *self._recompute_tile(blocks, rows, cols, t0)))
+            found.append((src, which, *self._recompute_tile(rows, cols, t0)))
         return tuple(np.concatenate(part) for part in zip(*found))
 
-    def _recompute_tile(self, blocks, rows: np.ndarray, cols: np.ndarray, t0: int) -> tuple:
+    def _recompute_tile(self, rows: np.ndarray, cols: np.ndarray, t0: int) -> tuple:
         """(omega, mu, |T^h|) at the entries (``rows`` of the bank's, ``t0 + cols``) of the tile from frame
-        ``t0``, in (row, frame) order: ``blocks`` (of ``_field_blocks``) sum the companions of their
-        rows over the tile's frames alone, and the estimates are formed at the entries alone.
+        ``t0``, in (row, frame) order: the companions of the rows are summed over the tile's frames alone,
+        and the estimates are formed at the entries alone.
         """
         rows, inverse = np.unique(rows, return_inverse=True)
         omega, mu, magnitude = np.empty(inverse.size), np.empty(inverse.size), np.empty(inverse.size)
-        for part, inputs in blocks(rows, slice(t0, t0 + FRAME_CHUNK)):
+        for part, inputs in _field_blocks(self.banks, rows, slice(t0, t0 + FRAME_CHUNK)):
             span = slice(*np.searchsorted(inverse, (part.start, part.stop)))  # the entries of rows[part]
             at = (inverse[span] - part.start, cols[span])
             T, *entries = (np.broadcast_to(x, inputs[0].shape)[at] for x in inputs)
@@ -195,36 +194,24 @@ def _mu_omega(T, T1, T2, U, U1, V, lam, freqs, nu):
     return np.where(defined, mu, np.nan), np.where(defined, omega, np.nan), above
 
 
-def _field_blocks(banks):
-    """The inputs of ``_mu_omega``, a block of rows at a time: ``blocks(rows, cols)`` yields
-    ``(part, (T, T1, T2, U, U1, V, lam, freqs))`` for consecutive slices ``part`` of ``rows``, ascending
-    indices of the bank's resolvable rows ``banks.rows`` (all of them by default): T^h and its
-    companions on those rows over the frames of the slice ``cols`` (all by default), and their chirp
-    rate and frequency, [rows, 1].  T^h is read once per block through ``banks.h_rows`` (as a view
-    when ``rows`` is all), and the companions are formed from that T through one ``companion_rows()``.
-    A row's sums depend neither on which rows share its block nor on the column range.
+def _field_blocks(banks, rows=None, cols=slice(None)):
+    """The inputs of ``_mu_omega``, a block of rows at a time: ``(part, (T, T1, T2, U, U1, V, lam, freqs))``
+    for consecutive slices ``part`` of ``rows``, ascending indices of the bank's resolvable rows
+    ``banks.rows`` (all of them by default): T^h and its companions on those rows over the frames of the
+    slice ``cols`` (all by default), and their chirp rate and frequency, [rows, 1].  Each product of
+    ``banks.companion_blocks`` is split into blocks of about ``ENTRY_BLOCK`` entries; T^h is read once per
+    block through ``banks.h_rows``, as a view when ``rows`` is all.
     """
-    grid = banks.grid
-    companions = banks.companion_rows()
-    step = max(1, PHASE_BLOCK // banks.bank.h.size)  # rows per product: its phases are bounded as T^h's
-
-    def blocks(rows=None, cols=slice(None)):
-        every = rows is None
-        rows = np.arange(banks.rows.size) if every else rows
-        block = max(1, ENTRY_BLOCK // len(range(grid.n_time)[cols]))  # rows per elementwise block
-        for lo in range(0, rows.size, step):
-            fetched = rows[lo : lo + step]
-            companions_of = companions(banks.rows[fetched], cols)
-            for sub in range(0, fetched.size, block):
-                part = slice(sub, min(sub + block, fetched.size))
-                at = slice(lo + part.start, lo + part.stop)
-                r = banks.rows[fetched[part]]
-                lam = grid.chirps_hzps[r // grid.n_freq, None]
-                freqs = grid.freqs_hz[r % grid.n_freq, None]
-                T = banks.h_rows(at if every else fetched[part], cols)
-                yield at, (T, *companions_of(part, T), lam, freqs)
-
-    return blocks
+    grid, every = banks.grid, rows is None
+    rows = np.arange(banks.rows.size) if every else rows
+    block = max(1, ENTRY_BLOCK // len(range(grid.n_time)[cols]))  # rows per elementwise block
+    for at, companions_of in banks.companion_blocks(banks.rows[rows], cols):
+        for lo in range(at.start, at.stop, block):
+            part = slice(lo, min(lo + block, at.stop))
+            r = banks.rows[rows[part]]
+            T = banks.h_rows(part if every else rows[part], cols)
+            companions = companions_of(slice(lo - at.start, part.stop - at.start), T)
+            yield part, (T, *companions, grid.chirps_hzps[r // grid.n_freq, None], grid.freqs_hz[r % grid.n_freq, None])
 
 
 def _codes(grid: TfcGrid, mu: np.ndarray, omega: np.ndarray, above: np.ndarray) -> np.ndarray:
@@ -241,8 +228,8 @@ def _codes(grid: TfcGrid, mu: np.ndarray, omega: np.ndarray, above: np.ndarray) 
 def reassignment_field(banks: StreamedBank, nu: float | None = None) -> ReassignmentField:
     """The squeeze codes of every entry of a bank's resolvable rows (``ReassignmentField``).
 
-    ``banks`` holds T^h on those rows and supplies the companion rows through
-    ``companion_rows()``.  ``nu`` is the hard modulus threshold below which
+    ``banks`` holds T^h on those rows and supplies the companions through
+    ``companion_blocks()``.  ``nu`` is the hard modulus threshold below which
     entries are undefined; ``None`` applies ``default_threshold`` to the peak
     of |T^h| over every row.  The estimates are computed a block of rows at a
     time and only their codes are kept: the aliased rows are never evaluated.
@@ -255,7 +242,7 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
     # int16 holds every code while the destinations (below the grid height) do; the causes go down to -4
     dtype = np.int16 if grid.n_chirp * grid.n_freq <= np.iinfo(np.int16).max else np.int32
     codes = np.empty((banks.rows.size, grid.n_time), dtype=dtype)
-    for part, inputs in _field_blocks(banks)():
+    for part, inputs in _field_blocks(banks):
         estimates = _mu_omega(*inputs, nu)
         del inputs  # the block's sums are not kept alive beside the codes' temporaries
         codes[part] = _codes(grid, *estimates)

@@ -12,6 +12,7 @@ import csv
 import errno
 import os
 import struct
+import wave
 from contextlib import contextmanager
 
 import numpy as np
@@ -25,6 +26,7 @@ TFC1_VERSION = 1
 _HEADER = struct.Struct("<4sHH3Iddd")
 _DTYPES = {0: np.complex64, 1: np.complex128}
 _CODES = {np.dtype(np.complex64): 0, np.dtype(np.complex128): 1}
+_BLOCK = 1 << 17  # floats per finiteness check: no volume-sized temporary
 
 
 @contextmanager
@@ -68,6 +70,13 @@ def write_tensor(path: str, tensor: TfcTensor, t0_s: float = 0.0):
     if code is None:
         raise ParameterError(f"unsupported tensor dtype {values.dtype}")
     grid = tensor.grid
+    # what ``read_tensor`` refuses is refused before any file is made
+    grid._check_domain()
+    if not np.isfinite(t0_s):
+        raise ParameterError(f"t0_s must be finite, got {t0_s}")
+    floats = values.reshape(-1).view(values.real.dtype)
+    if not all(np.isfinite(floats[lo : lo + _BLOCK]).all() for lo in range(0, floats.size, _BLOCK)):
+        raise ParameterError("tensor contains non-finite entries")
     header = _HEADER.pack(
         TFC1_MAGIC,
         TFC1_VERSION,
@@ -140,44 +149,26 @@ def read_tensor(path: str):
 
 
 def read_wav(path: str, downsample: int = 1) -> Signal:
-    """Mono 16-bit PCM WAV reader; samples scaled to [-1, 1).
+    """Mono 16-bit PCM WAV reader (the standard library's ``wave``); samples scaled to [-1, 1).
 
     ``downsample`` keeps every k-th sample (plain decimation, no filtering).
     """
     if downsample < 1:
         raise ParameterError("downsample must be >= 1")
-    with open(path, "rb") as fh:
-        head = fh.read(12)
-        if len(head) < 12 or head[:4] != b"RIFF" or head[8:12] != b"WAVE":
-            raise FormatError("not a RIFF/WAVE file")
-        fmt = None
-        data = None
-        while True:
-            chunk = fh.read(8)
-            if len(chunk) < 8:
-                break
-            cid, size = struct.unpack("<4sI", chunk)
-            body = fh.read(size)
-            if len(body) < size:
-                raise FormatError(f"truncated {cid.decode(errors='replace')} chunk")
-            if cid == b"fmt ":
-                fmt = body
-            elif cid == b"data":
-                data = body
-            if size % 2:
-                fh.seek(1, 1)
-        if fmt is None or data is None:
-            raise FormatError("missing fmt or data chunk")
-    if len(fmt) < 16:
-        raise FormatError("fmt chunk too short")
-    audio_format, channels, rate, _, _, bits = struct.unpack("<HHIIHH", fmt[:16])
-    if audio_format != 1 or bits != 16:
-        raise FormatError("only 16-bit PCM WAV is supported")
-    if channels != 1:
-        raise FormatError("only mono WAV is supported")
+    try:
+        with wave.open(path, "rb") as wav:
+            if wav.getsampwidth() != 2:
+                raise FormatError("only 16-bit PCM WAV is supported")
+            if wav.getnchannels() != 1:
+                raise FormatError("only mono WAV is supported")
+            rate, count = wav.getframerate(), wav.getnframes()
+            data = wav.readframes(count)
+    except (wave.Error, EOFError) as exc:
+        raise FormatError(f"not a PCM WAV file: {str(exc) or 'it ends inside a chunk header'}") from None
+    if len(data) < 2 * count:
+        raise FormatError("truncated data chunk")
     samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    samples = samples[::downsample]
-    return Signal(samples, rate / downsample, 0.0)
+    return Signal(samples[::downsample], rate / downsample, 0.0)
 
 
 def read_signal_csv(path: str, sample_rate_hz: float) -> Signal:

@@ -14,7 +14,6 @@ transform on the (frequency x chirp-rate) product grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -69,23 +68,13 @@ class StreamedBank:
         """T^h on the rows ``self.rows[rows]`` over the frames of the slice ``cols``: a view for slices."""
         return self.values[rows, cols]
 
-    def companion_rows(self):
-        """Row source of the companions: ``fetch(rows, cols)(part, T)`` is the tuple
-        (T1, T2, U, U1, V) of the flat (chirp, frequency) rows ``rows[part]``
-        over the frames of the slice ``cols`` (all by default), given T^h there, ``T``.
-
-        ``fetch`` sums all of ``rows`` in one matrix product; ``part`` combines
-        a slice of them and ``T`` into the companions.  The phases are built once per call.
-        """
-        grid, bank = self.grid, self.bank
-        windows = [bank.th, bank.t2h, *bank.basis]
-        sums_of = _windowed_sums(self.signal, windows, grid)
-
-        def fetch(rows, cols=slice(None)):
-            sums = sums_of(rows, cols)
-            return lambda part, T: _companions(bank.family, T, sums[part])
-
-        return fetch
+    def companion_blocks(self, rows: np.ndarray, cols=slice(None)):
+        """``(part, companions_of)``, one per product of ``_row_blocks`` over the flat (chirp, frequency)
+        rows ``rows`` and the frames of the slice ``cols``: ``companions_of(sub, T)`` is the tuple
+        (T1, T2, U, U1, V) of the rows ``rows[part][sub]``, given T^h there, ``T``."""
+        bank = self.bank
+        for part, sums in _row_blocks(self.signal, [bank.th, bank.t2h, *bank.basis], self.grid, rows, cols):
+            yield part, lambda sub, T, sums=sums: _companions(bank.family, T, sums[sub])
 
     def magnitude_tiles(self):
         """``tile(cols)``: |T^h| on every row over the frames ``cols``, frame-major, [width, n_chirp * n_freq];
@@ -93,8 +82,8 @@ class StreamedBank:
         grid = self.grid
         aliased = np.setdiff1d(np.arange(grid.n_chirp * grid.n_freq), self.rows, assume_unique=True)
         magnitudes = np.empty((aliased.size, grid.n_time))
-        for part, T in _row_blocks(self.signal, self.bank.h, grid, aliased):
-            magnitudes[part] = np.abs(T)
+        for part, sums in _row_blocks(self.signal, [self.bank.h], grid, aliased):
+            magnitudes[part] = np.abs(sums[:, 0])
 
         def tile(cols):
             out = np.empty((len(range(grid.n_time)[cols]), grid.n_chirp * grid.n_freq))
@@ -155,46 +144,44 @@ def _padded_segments(signal: Signal, half_len: int) -> np.ndarray:
     return sliding_window_view(fp, n)  # row k is fp[k : k + n]
 
 
-def _windowed_sums(signal: Signal, windows, grid: TfcGrid):
-    """The module docstring's sum against several windows of one length.
+def _windowed_sums(signal: Signal, windows, grid: TfcGrid, cols=slice(None)):
+    """The module docstring's sum against several windows of one length, over the frames of the slice ``cols``.
 
-    Returns ``sums(rows, cols)``, [rows.size, len(windows), width]: the flat
+    Returns ``sums(rows)``, [rows.size, len(windows), width]: the flat
     (chirp, frequency) rows ``rows`` (flat row ``l_slot * n_freq + m``) against
-    each window over the frames of the slice ``cols`` (all by default), in one
-    matrix product of the rows' phases (never the whole grid's) with the
-    windowed segments ``hstack(w * S)`` of those frames, kept for the last
-    range only.  A row's sums depend neither on the other rows nor on the range.
+    each window, in one matrix product of the rows' phases (never the whole
+    grid's) with the windowed segments ``hstack(w * S)`` of those frames,
+    stacked once, here.  A row's sums depend neither on the other rows nor on the range.
     """
     if grid.n_time != len(signal):
         raise ShapeError(f"grid.n_time={grid.n_time} != signal length {len(signal)}")
     grid._check_domain()
     half_len = (windows[0].size - 1) // 2
     chirp_phase, freq_phase = _phase_factors(grid, half_len)
-    S = _padded_segments(signal, half_len)
+    S = _padded_segments(signal, half_len)[:, cols]
+    # [2K+1, len(windows), width] viewed as [2K+1, len(windows) * width]
+    stacked = np.multiply(np.stack(windows, axis=1)[:, :, None], S[:, None]).reshape(S.shape[0], -1)
 
-    @lru_cache(maxsize=1)
-    def segments(start, stop, step):  # [2K+1, len(windows), width] viewed as [2K+1, len(windows) * width]
-        return np.multiply(np.stack(windows, axis=1)[:, :, None], S[:, None, start:stop:step]).reshape(S.shape[0], -1)
-
-    def sums(rows, cols=slice(None)):
-        stacked = segments(*cols.indices(grid.n_time))
+    def sums(rows):
         # one row would run as a matrix-vector product, whose bits differ from
-        # the same row's in a larger fetch: sum it twice and keep one
+        # the same row's in a larger product: sum it twice and keep one
         fetched = np.repeat(rows, 2) if rows.size == 1 else rows
         E = chirp_phase[fetched // grid.n_freq]
         E *= freq_phase[fetched % grid.n_freq]
-        return (E @ stacked)[: rows.size].reshape(rows.size, len(windows), stacked.shape[1] // len(windows))
+        return (E @ stacked)[: rows.size].reshape(rows.size, len(windows), S.shape[1])
 
     return sums
 
 
-def _row_blocks(signal: Signal, window: np.ndarray, grid: TfcGrid, rows: np.ndarray):
-    """``(part, T)`` for consecutive slices ``part`` of the flat rows ``rows``: the transform against one
-    window on ``rows[part]``, [rows, n_time], ``PHASE_BLOCK // taps`` rows per product.  One window per
-    product: stacking windows changes how BLAS blocks the product and with it the last bits of each volume.
+def _row_blocks(signal: Signal, windows, grid: TfcGrid, rows: np.ndarray, cols=slice(None)):
+    """``(part, sums)`` for consecutive exact slices ``part`` of the flat rows ``rows``: ``_windowed_sums``
+    against ``windows`` on ``rows[part]`` over the frames of the slice ``cols``, ``PHASE_BLOCK // taps`` rows
+    per product, which bounds its phases as T^h's.  A full volume passes one window: stacking windows changes
+    how BLAS blocks the product and with it the last bits of each volume.
     """
-    sums, step = _windowed_sums(signal, [window], grid), max(1, PHASE_BLOCK // window.size)
-    return ((slice(lo, lo + step), sums(rows[lo : lo + step])[:, 0]) for lo in range(0, rows.size, step))
+    sums, step = _windowed_sums(signal, windows, grid, cols), max(1, PHASE_BLOCK // windows[0].size)
+    for lo in range(0, rows.size, step):
+        yield slice(lo, min(lo + step, rows.size)), sums(rows[lo : lo + step])
 
 
 def chirplet_transform(signal: Signal, window: np.ndarray, grid: TfcGrid) -> TfcTensor:
@@ -205,8 +192,8 @@ def chirplet_transform(signal: Signal, window: np.ndarray, grid: TfcGrid) -> Tfc
     carry a 1/dt scale relative to the continuous-integral transform.
     """
     values = np.empty((grid.n_chirp * grid.n_freq, grid.n_time), dtype=np.complex128)
-    for part, T in _row_blocks(signal, _check_window(window), grid, np.arange(values.shape[0])):
-        values[part] = T
+    for part, sums in _row_blocks(signal, [_check_window(window)], grid, np.arange(values.shape[0])):
+        values[part] = sums[:, 0]
     return TfcTensor(values.reshape(grid.n_chirp, grid.n_freq, grid.n_time), grid)
 
 
@@ -215,10 +202,10 @@ def streamed_bank_transform(signal: Signal, bank: WindowBank, grid: TfcGrid) -> 
     bank.check_rate(signal)
     resolvable = resolvable_slots(grid, bank).ravel()
     rows, values = np.flatnonzero(resolvable), np.empty((np.count_nonzero(resolvable), grid.n_time), np.complex128)
-    peaks = [np.abs(T).max() for _, T in _row_blocks(signal, bank.h, grid, np.flatnonzero(~resolvable))]
-    for part, T in _row_blocks(signal, bank.h, grid, rows):
-        values[part] = T
-        peaks.append(np.abs(T).max())
+    peaks = [np.abs(sums).max() for _, sums in _row_blocks(signal, [bank.h], grid, np.flatnonzero(~resolvable))]
+    for part, sums in _row_blocks(signal, [bank.h], grid, rows):
+        values[part] = sums[:, 0]
+        peaks.append(np.abs(sums).max())
     return StreamedBank(values, rows, float(np.max(peaks)), grid, signal, bank)
 
 

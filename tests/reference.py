@@ -118,16 +118,15 @@ class BankTensors:
         """T^h on the rows ``self.rows[rows]``, as ``StreamedBank.h_rows``."""
         return self.h.values.reshape(-1, self.grid.n_time)[self.rows[rows], cols]
 
-    def companion_rows(self):
-        """Row source of the companions, as ``StreamedBank.companion_rows``:
-        ``fetch(rows, cols)(part, T)`` is the tuple (T1, T2, U, U1, V) of the flat
-        (chirp, frequency) rows ``rows[part]`` over the frames ``cols``; the stored
-        companions need no ``T``."""
+    def companion_blocks(self, rows, cols=slice(None)):
+        """The companions, as ``StreamedBank.companion_blocks``, in one block: ``companions_of(sub, T)``
+        is the tuple (T1, T2, U, U1, V) of the flat (chirp, frequency) rows ``rows[sub]`` over the frames
+        ``cols``; the stored companions need no ``T``."""
         companions = [getattr(self, name).values for name in _COMPANIONS]
         if len({t.shape for t in companions} | {self.h.values.shape}) != 1:
             raise ShapeError("bank tensors disagree in shape")
         flat = [t.reshape(-1, self.h.grid.n_time) for t in companions]
-        return lambda rows, cols=slice(None): lambda part, T: tuple(t[rows[part], cols] for t in flat)
+        yield slice(0, rows.size), lambda sub, T: tuple(t[rows[sub], cols] for t in flat)
 
 
 def chirplet_bank_transform(signal, bank: WindowBank, grid: TfcGrid) -> BankTensors:

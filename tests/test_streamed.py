@@ -214,14 +214,13 @@ def _recomputed(field, flat):
     """(omega, mu) at the ascending flat entries ``flat`` of resolvable rows, through source tracing's
     per-tile recompute."""
     n_time = field.grid.n_time
-    blocks = reassign._field_blocks(field.banks)
     tile = flat % n_time // FRAME_CHUNK
     rows = np.searchsorted(field.banks.rows, flat // n_time)  # among the resolvable rows
     assert np.array_equal(field.banks.rows[rows], flat // n_time)
     omega, mu = np.empty(flat.size), np.empty(flat.size)
     for t in np.unique(tile):
         sel, t0 = tile == t, t * FRAME_CHUNK
-        omega[sel], mu[sel], _ = field._recompute_tile(blocks, rows[sel], flat[sel] % n_time - t0, t0)
+        omega[sel], mu[sel], _ = field._recompute_tile(rows[sel], flat[sel] % n_time - t0, t0)
     return omega, mu
 
 
@@ -281,8 +280,7 @@ def test_codes_do_not_depend_on_block_sizes(crossing_scene, crossing_grid, reque
     bank = want.banks.bank
     bins = np.random.default_rng(4).choice(squeeze_destinations(want)[1], 100, replace=False)
     wanted = want.sources(bins)
-    for module in (transform, reassign):
-        monkeypatch.setattr(module, "PHASE_BLOCK", rows * bank.h.size)
+    monkeypatch.setattr(transform, "PHASE_BLOCK", rows * bank.h.size)
     monkeypatch.setattr(reassign, "ENTRY_BLOCK", 997)
     field = run_sct(crossing_scene.signal(), bank.family, crossing_grid)
     assert np.array_equal(field.banks.values, want.banks.values) and field.banks.peak == want.banks.peak

@@ -4,6 +4,7 @@ import stat
 import numpy as np
 import pytest
 
+from tfchirp import tensorio
 from tfchirp.errors import FormatError, ParameterError
 from tfchirp.signal import Signal, grid_from_resolution
 from tfchirp.tensorio import (
@@ -107,20 +108,29 @@ def test_wav_downsample(tmp_path):
 
 
 def test_wav_format_errors(tmp_path):
-    bad = tmp_path / "bad.wav"
-    bad.write_bytes(b"RIFF")
-    with pytest.raises(FormatError):
-        read_wav(str(bad))
-    # stereo rejected
     import struct
 
-    payload = struct.pack("<4sI4s", b"RIFF", 36, b"WAVE")
-    payload += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 2, 8000, 32000, 4, 16)
-    payload += b"data" + struct.pack("<I", 0)
-    stereo = tmp_path / "st.wav"
-    stereo.write_bytes(payload)
-    with pytest.raises(FormatError):
-        read_wav(str(stereo))
+    def riff(fmt=(1, 1, 8000, 16000, 2, 16), data=b"", claimed=None, data_first=False):
+        fmt = b"fmt " + struct.pack("<IHHIIHH", 16, *fmt)
+        data = b"" if data is None else b"data" + struct.pack("<I", len(data) if claimed is None else claimed) + data
+        chunks = data + fmt if data_first else fmt + data
+        return b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+    cases = {
+        "short.wav": (b"RIFF", "ends inside a chunk header"),
+        "stereo.wav": (riff(fmt=(1, 2, 8000, 32000, 4, 16)), "mono"),
+        "truncated.wav": (riff(data=b"\0" * 8, claimed=16), "truncated data chunk"),
+        "8bit.wav": (riff(fmt=(1, 1, 8000, 8000, 1, 8), data=b"\0" * 8), "16-bit"),
+        "float.wav": (riff(fmt=(3, 1, 8000, 32000, 4, 32), data=b"\0" * 8), "unknown format: 3"),
+        "no-data.wav": (riff(data=None), "data chunk missing"),
+        "data-first.wav": (riff(data=b"\0" * 8, data_first=True), "data chunk before fmt chunk"),
+    }
+    for name, (payload, message) in cases.items():
+        (tmp_path / name).write_bytes(payload)
+        with pytest.raises(FormatError, match=message):
+            read_wav(str(tmp_path / name))
+    (tmp_path / "ok.wav").write_bytes(riff(data=b"\0\x40" * 4))
+    assert np.array_equal(read_wav(str(tmp_path / "ok.wav")).samples, np.full(4, 0.5))
 
 
 def test_signal_csv_round_trip(tmp_path):
@@ -149,13 +159,31 @@ def test_signal_raw(tmp_path):
 
 
 def test_tensor_rejects_nonfinite_payload(tmp_path):
-    tensor = random_tensor()
-    values = tensor.values.copy()
-    values[0, 0, 0] = np.nan + 0j
     path = tmp_path / "nan.tfc1"
-    write_tensor(str(path), TfcTensor(values, tensor.grid))
+    write_tensor(str(path), random_tensor())
+    raw = bytearray(path.read_bytes())
+    raw[44:52] = np.array(np.nan, "<f8").tobytes()  # the real part of the first entry
+    path.write_bytes(bytes(raw))
     with pytest.raises(FormatError):
         read_tensor(str(path))
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_write_refuses_what_read_refuses(tmp_path, monkeypatch, dtype):
+    # a grid outside its domain, a non-finite t0 and a non-finite entry, in any
+    # block of the payload's check: refused before any file is made
+    monkeypatch.setattr(tensorio, "_BLOCK", 7)
+    tensor = random_tensor(dtype=dtype)
+    far = grid_from_resolution(0.25, 4, 1e308)
+    cases = [(TfcTensor(np.zeros((far.n_chirp, far.n_freq, 4), dtype), far), 0.0), (tensor, float("nan"))]
+    for at in (0, 100, tensor.values.size - 1):
+        values = tensor.values.copy()
+        values.reshape(-1)[at] = complex(0.0, np.nan) if at else complex(np.inf, 0.0)
+        cases.append((TfcTensor(values, tensor.grid), 0.0))
+    for bad, t0 in cases:
+        with pytest.raises(ParameterError):
+            write_tensor(str(tmp_path / "t.tfc1"), bad, t0)
+    assert not list(tmp_path.iterdir())
 
 
 def test_wav_rejects_non_integer_rate(tmp_path):

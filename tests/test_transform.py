@@ -293,7 +293,9 @@ def test_bank_transform_matches_single_calls():
     rows = np.arange(grid.n_chirp * grid.n_freq)
     assert 0 < banks.rows.size < rows.size
     assert np.array_equal(banks.values, h.reshape(rows.size, -1)[banks.rows])
-    companions = banks.companion_rows()(rows)(slice(None), h.reshape(rows.size, -1))
+    ((part, companions_of),) = banks.companion_blocks(rows)  # one product: the grid is smaller than a block
+    assert part == slice(0, rows.size)
+    companions = companions_of(slice(None), h.reshape(rows.size, -1))
     windows = bank_windows(bank)
     for name, got in zip(("h_prime", "h_second", "th", "th_prime", "t2h"), companions):
         direct = chirplet_transform(signal, windows[name], grid).values
