@@ -266,10 +266,11 @@ def cmd_ridge(args) -> int:
     config = _config(args)
     tensorio._check_writable(args.output)
     with _naming("--tensor", args.tensor):
-        tensor, t0 = tensorio.read_tensor(args.tensor)
-    with _memory_guard(tensor.grid, q=config.q):
-        ridges = extract_ridges(tensor, config.n_components, config.ridge_params())
-    _write_ridges(args.output, ridges, t0 + np.arange(tensor.grid.n_time) / tensor.grid.sample_rate_hz)
+        source = tensorio.TensorFile(args.tensor)
+    grid = source.grid
+    with _memory_guard(grid, q=config.q):
+        ridges = extract_ridges(source, config.n_components, config.ridge_params())
+    _write_ridges(args.output, ridges, source.t0_s + np.arange(grid.n_time) / grid.sample_rate_hz)
     return 0
 
 

@@ -5,12 +5,14 @@ spectral embedding of the selected (time, frequency, chirp-rate) points,
 k-means on the embedding, then per-frame aggregation of each cluster into a
 single (frequency, chirp-rate) curve.  The selection is one walk over the
 64-frame time tiles of |S| (``FRAME_CHUNK``); from a field, each tile of S
-is squeezed when the walk reaches it, so S is never held whole.
+is squeezed when the walk reaches it, and from a TFC1 file it is read when
+the walk reaches it, so S is never held whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +26,9 @@ from .errors import (
 from .reassign import FRAME_CHUNK, ReassignmentField, _entry_blocks
 from .signal import TfcGrid
 from .transform import StreamedBank, TfcTensor
+
+if TYPE_CHECKING:
+    from .tensorio import TensorFile
 
 
 @dataclass(frozen=True)
@@ -98,15 +103,15 @@ FIT_CLIP = 4.0
 
 
 def select_high_energy(
-    source: TfcTensor | ReassignmentField | StreamedBank, q: float, min_per_frame: int = 0
+    source: TfcTensor | ReassignmentField | StreamedBank | TensorFile, q: float, min_per_frame: int = 0
 ) -> TfcPointCloud:
     """Entries with |S| above the q-quantile, as a normalized point cloud.
 
-    ``source`` is S itself, a reassignment field whose S is squeezed a tile at a time, or a bank whose
-    |T^h| on every row takes the place of |S|.  ``min_per_frame`` additionally admits each frame's
-    strongest nonzero entries, so that frames whose ridge mass falls below the global threshold (the
-    threshold chases the loudest spikes) still contribute; the quantile entries are then marked in
-    ``core``, and the normalization is fitted to them.
+    ``source`` is S itself, a reassignment field whose S is squeezed a tile at a time, a TFC1 file
+    whose S is read a tile at a time, or a bank whose |T^h| on every row takes the place of |S|.
+    ``min_per_frame`` additionally admits each frame's strongest nonzero entries, so that frames whose
+    ridge mass falls below the global threshold (the threshold chases the loudest spikes) still
+    contribute; the quantile entries are then marked in ``core``, and the normalization is fitted to them.
     """
     if not (0 <= q < 1):
         raise ParameterError("q must lie in [0, 1)")
@@ -135,7 +140,7 @@ def select_high_energy(
 def _tile_walk(source, q: float, count: int) -> tuple:
     """(``np.quantile(|S|, q)``, the ascending flat indices above it and of each frame's ``count``
     strongest separated peaks, |S| there), in one walk over the ``FRAME_CHUNK``-frame tiles of a
-    volume ``source``, or of a field's or a bank's ``magnitude_tiles()``, frame-major.
+    volume ``source``, or of a field's, a TFC1 file's or a bank's ``magnitude_tiles()``, frame-major.
 
     A tile's magnitudes, frame-major, feed the quantile ``ENTRY_BLOCK`` at a
     time: those above a rising floor are held with their indices, the rest
@@ -488,7 +493,7 @@ def ridges_from_sources(cloud: TfcPointCloud, labels: np.ndarray, field) -> Ridg
 
 
 def extract_ridges(
-    source: TfcTensor | ReassignmentField | StreamedBank,
+    source: TfcTensor | ReassignmentField | StreamedBank | TensorFile,
     n_components: int,
     params: RidgeParams | None = None,
 ) -> RidgeSet:
@@ -496,8 +501,9 @@ def extract_ridges(
 
     Returns exactly ``n_components`` curves or raises ``ExtractionError``.
     ``n_components == 1`` bypasses the clustering and treats every selected
-    point as one ridge.  From a volume ``source`` (a ``TfcTensor``) or a bank
-    (its |T^h|) the curves are the per-frame centroids of the selected bins.
+    point as one ridge.  From a volume ``source`` (a ``TfcTensor``, or a TFC1
+    file read a tile at a time) or a bank (its |T^h|) the curves are the
+    per-frame centroids of the selected bins.
     From a reassignment field, the selection squeezes S a tile at a time
     and never holds it whole; the curves are aggregated from
     the entries of the field's T^h behind each selected bin (sub-bin

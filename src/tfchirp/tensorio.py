@@ -74,8 +74,7 @@ def write_tensor(path: str, tensor: TfcTensor, t0_s: float = 0.0):
     grid._check_domain()
     if not np.isfinite(t0_s):
         raise ParameterError(f"t0_s must be finite, got {t0_s}")
-    floats = values.reshape(-1).view(values.real.dtype)
-    if not all(np.isfinite(floats[lo : lo + _BLOCK]).all() for lo in range(0, floats.size, _BLOCK)):
+    if not _all_finite(values):
         raise ParameterError("tensor contains non-finite entries")
     header = _HEADER.pack(
         TFC1_MAGIC,
@@ -130,18 +129,69 @@ def _read_header(fh):
     return grid, dtype, t0
 
 
-def read_tensor(path: str):
-    """Read a TFC1 file; returns (TfcTensor, t0_s)."""
-    with open(path, "rb") as fh:
-        grid, dtype, t0 = _read_header(fh)
-        count = grid.n_chirp * grid.n_freq * grid.n_time
-        values = np.fromfile(fh, dtype=dtype.newbyteorder("<"), count=count)
-        if values.size != count:
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every real and imaginary part of the contiguous complex array ``values`` is finite,
+    checked ``_BLOCK`` floats at a time."""
+    floats = values.reshape(-1).view(values.real.dtype)
+    return all(np.isfinite(floats[lo : lo + _BLOCK]).all() for lo in range(0, floats.size, _BLOCK))
+
+
+def _read_into(fh, view: memoryview, offset: int):
+    """Fill the byte view ``view`` from byte ``offset`` of the unbuffered file ``fh``; a short read raises
+    ``FormatError``."""
+    fh.seek(offset)
+    while view:
+        got = fh.readinto(view)
+        if not got:
             raise FormatError("TFC1 payload truncated")
-        values = values.astype(dtype, copy=False).reshape(grid.n_chirp, grid.n_freq, grid.n_time)
-    if not np.all(np.isfinite(values.view(values.real.dtype))):
-        raise FormatError("TFC1 payload contains non-finite entries")
-    return TfcTensor(values=values, grid=grid), t0
+        view = view[got:]
+
+
+class TensorFile:
+    """A TFC1 file, read from the file one range of frames at a time: ridge selection
+    (``extract_ridges``) takes it in place of a ``TfcTensor`` and never holds the payload.
+
+    Opening checks the header (``_read_header``), then reads the payload once, ``_BLOCK`` floats at a
+    time, and refuses a non-finite entry.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        with open(path, "rb", buffering=0) as fh:
+            self.grid, self.dtype, self.t0_s = _read_header(fh)
+            count = self.grid.n_chirp * self.grid.n_freq * self.grid.n_time
+            block = np.empty(_BLOCK // 2, self.dtype.newbyteorder("<"))
+            for lo in range(0, count, block.size):
+                part = block[: count - lo]
+                _read_into(fh, memoryview(part.view(np.uint8)), _HEADER.size + lo * self.dtype.itemsize)
+                if not _all_finite(part):
+                    raise FormatError("TFC1 payload contains non-finite entries")
+
+    def read(self, frames: slice) -> np.ndarray:
+        """The payload over the frames of the unit-step slice ``frames``, [n_chirp * n_freq, width], in
+        the file's byte order, one read per row."""
+        grid, itemsize = self.grid, self.dtype.itemsize
+        start, stop, _ = frames.indices(grid.n_time)
+        out = np.empty((grid.n_chirp * grid.n_freq, stop - start), self.dtype.newbyteorder("<"))
+        view, span = memoryview(out.reshape(-1).view(np.uint8)), out[0].nbytes
+        with open(self.path, "rb", buffering=0) as fh:
+            for row in range(out.shape[0]):
+                offset = _HEADER.size + (row * grid.n_time + start) * itemsize
+                _read_into(fh, view[row * span : (row + 1) * span], offset)
+        return out
+
+    def magnitude_tiles(self):
+        """``tile(frames)``: |S| over the frames of the unit-step slice ``frames``, frame-major,
+        [width, n_chirp * n_freq], in the file's precision (float32 for complex64)."""
+        return lambda frames: np.abs(self.read(frames).T, order="C")
+
+
+def read_tensor(path: str):
+    """Read a TFC1 file; returns (TfcTensor, t0_s): a checked ``TensorFile``'s whole record."""
+    source = TensorFile(path)
+    grid = source.grid
+    values = source.read(slice(None)).astype(source.dtype, copy=False)
+    return TfcTensor(values=values.reshape(grid.n_chirp, grid.n_freq, grid.n_time), grid=grid), source.t0_s
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ from tfchirp.errors import ResourceError
 from tfchirp.ridge import RidgeParams, extract_ridges, select_high_energy
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution
 from tfchirp.synth import crossing_chirp_pair
-from tfchirp.tensorio import read_tensor, write_signal_csv, write_tensor
+from tfchirp.tensorio import TensorFile, read_tensor, write_signal_csv, write_tensor
 from tfchirp.transform import TfcTensor
 
-from conftest import write_wav
+from conftest import traced_volumes, write_wav
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +24,14 @@ def crossing_csv(tmp_path_factory):
     scene = crossing_chirp_pair()
     path = tmp_path_factory.mktemp("scene") / "crossing.csv"
     write_signal_csv(str(path), scene.signal())
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def crossing_sct(crossing_csv, tmp_path_factory):
+    """The ``sct`` TFC1 file of the crossing scene: complex128, 100x51x401."""
+    path = tmp_path_factory.mktemp("sct") / "sct.tfc1"
+    assert main(["sct", "--input", crossing_csv, "--rate", "100", "--t0", "1.0", "--output", str(path)]) == 0
     return str(path)
 
 
@@ -137,6 +145,64 @@ def test_ridge_missing_tensor_exits_2(tmp_path):
     code = main(["ridge", "--tensor", str(tmp_path / "nope.tfc1"), "--output", str(tmp_path / "r.csv")])
     assert code == 2
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("kind", ["complex128", "complex64", "short"])
+def test_ridge_reads_tiles_to_the_bits_of_the_whole_tensor(crossing_sct, tmp_path, kind):
+    # the crossing sct file; its S in complex64, whose magnitudes stay float32;
+    # and a 50-frame record, shorter than one FRAME_CHUNK tile
+    path, n_components = crossing_sct, 2
+    if kind == "complex64":
+        tensor, t0 = read_tensor(crossing_sct)
+        path = str(tmp_path / "c64.tfc1")
+        write_tensor(path, TfcTensor(tensor.values.astype(np.complex64), tensor.grid), t0)
+    elif kind == "short":
+        x = np.arange(50) / 50.0
+        src, path, n_components = tmp_path / "chirp.csv", str(tmp_path / "short.tfc1"), 1
+        write_signal_csv(str(src), Signal(np.exp(2j * np.pi * (10 * x + 6 * x**2)), 50.0))
+        cfg = write_config(tmp_path, alpha_sq=0.02, half_len=12)
+        assert main(["--config", cfg, "sct", "--input", str(src), "--rate", "50", "--t0", "0.5", "--output", path]) == 0
+    out = tmp_path / "r.csv"
+    assert main(["--config", write_config(tmp_path, n_components=n_components), "ridge", "--tensor", path,
+                 "--output", str(out)]) == 0
+    tensor, t0 = read_tensor(path)
+    grid = tensor.grid
+    tile = TensorFile(path).magnitude_tiles()(slice(0, 64))
+    assert tile.dtype == tensor.values.real.dtype and tile.shape == (min(64, grid.n_time), grid.n_chirp * grid.n_freq)
+    whole = extract_ridges(tensor, n_components, RidgeParams())
+    columns = [t0 + np.arange(grid.n_time) / grid.sample_rate_hz]
+    for k in range(n_components):
+        columns += [whole.omega_hz[k], whole.mu_hzps[k]]
+    _, rows = read_rows(str(out))
+    assert np.array_equal(np.array(rows, dtype=float), np.column_stack(columns))
+
+
+def test_ridge_refuses_a_nonfinite_entry_in_the_last_tile(tmp_path, monkeypatch, capsys):
+    from tfchirp import cli
+
+    grid = grid_from_resolution(0.25, 100, 4.0)
+    path, out = tmp_path / "t.tfc1", tmp_path / "r.csv"
+    write_tensor(str(path), TfcTensor(np.ones((grid.n_chirp, grid.n_freq, 100), dtype=complex), grid))
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.array(np.nan, "<f8").tobytes()  # the imaginary part of the last row's last frame
+    path.write_bytes(bytes(raw))
+    extracted = []
+    monkeypatch.setattr(cli, "extract_ridges", lambda *args, **kwargs: extracted.append(args))
+    assert main(["ridge", "--tensor", str(path), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --tensor {path}: TFC1 payload contains non-finite entries\n"
+    assert not extracted and not out.exists()
+
+
+def test_ridge_holds_one_tile_and_no_payload(crossing_sct, tmp_path):
+    import scipy.sparse.linalg  # noqa: F401  imported before tracing: the modules are not the command's memory
+    import scipy.spatial  # noqa: F401
+
+    # a 64-frame tile's complex rows and magnitudes beside the previous tile's magnitudes, 0.32 volumes,
+    # set the peak; the clustering's affinity holds 0.26 (1023 points), and a payload would be 1.0 more
+    out = tmp_path / "r.csv"
+    volume = os.path.getsize(crossing_sct) - 44
+    _, peak, _ = traced_volumes(lambda: main(["ridge", "--tensor", crossing_sct, "--output", str(out)]), volume)
+    assert peak < 0.4, peak
 
 
 def test_reconstruct_with_truth_report(tmp_path):
@@ -468,6 +534,8 @@ def test_tensor_errors_name_the_flag_and_the_file(tmp_path, capsys, kind, comman
     assert main([command, "--tensor", str(path), *args]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --tensor {path}: ") and err.count("\n") == 1, err
+    if kind == "truncated":  # one entry short: refused by the header's check of the file's size
+        assert "TFC1 payload truncated: the header claims" in err, err
 
 
 def test_ridge_memory_error_exits_3_with_grid(tmp_path, monkeypatch, capsys):
@@ -492,12 +560,11 @@ def test_ridge_memory_error_exits_3_with_grid(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_ridge_at_q_zero_names_q_under_an_address_space_limit(crossing_csv, tmp_path):
+def test_ridge_at_q_zero_names_q_under_an_address_space_limit(crossing_sct, tmp_path):
     # q = 0 makes every nonzero bin of the crossing SCT a cloud point (396,929),
     # whose affinity would take 1.26 TB; the child's own RLIMIT_AS makes the
     # allocation fail whatever the machine's overcommit policy
-    tensor, out = tmp_path / "sct.tfc1", tmp_path / "r.csv"
-    assert main(["sct", "--input", crossing_csv, "--rate", "100", "--t0", "1.0", "--output", str(tensor)]) == 0
+    tensor, out = crossing_sct, tmp_path / "r.csv"
     child = (
         "import resource, sys\n"
         "from tfchirp.cli import main\n"

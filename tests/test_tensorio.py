@@ -9,6 +9,7 @@ from tfchirp.errors import FormatError, ParameterError
 from tfchirp.signal import Signal, grid_from_resolution
 from tfchirp.tensorio import (
     read_signal_csv,
+    TensorFile,
     read_signal_raw,
     read_tensor,
     read_wav,
@@ -43,7 +44,7 @@ def test_tensor_round_trip(tmp_path, dtype):
 
 
 def test_tensor_io_memory_budget(tmp_path):
-    """Writing copies nothing; reading holds the payload once."""
+    """Writing copies nothing; reading holds the payload once, and its finiteness check one block."""
     grid = grid_from_resolution(0.01, 401, 100.0)
     shape = (grid.n_chirp, grid.n_freq, grid.n_time)
     values = np.exp(1j * np.arange(np.prod(shape)).reshape(shape))
@@ -54,7 +55,7 @@ def test_tensor_io_memory_budget(tmp_path):
     with open(path, "rb") as fh:
         assert fh.read()[44:] == values.tobytes()  # the payload bytes are unchanged
     (back, t0), peak, _ = traced_volumes(lambda: read_tensor(path), values.nbytes)
-    assert peak <= 1.2
+    assert peak <= 1.05
     assert t0 == 2.0 and np.array_equal(back.values, values)
 
 
@@ -158,14 +159,36 @@ def test_signal_raw(tmp_path):
     assert np.array_equal(sig2.samples, data - 1j * data)
 
 
-def test_tensor_rejects_nonfinite_payload(tmp_path):
+def test_tensor_rejects_nonfinite_payload(tmp_path, monkeypatch):
+    # a non-finite real or imaginary part in any block of the check, the last one short
+    monkeypatch.setattr(tensorio, "_BLOCK", 14)
     path = tmp_path / "nan.tfc1"
-    write_tensor(str(path), random_tensor())
-    raw = bytearray(path.read_bytes())
-    raw[44:52] = np.array(np.nan, "<f8").tobytes()  # the real part of the first entry
-    path.write_bytes(bytes(raw))
-    with pytest.raises(FormatError):
-        read_tensor(str(path))
+    for dtype in (np.complex64, np.complex128):
+        write_tensor(str(path), random_tensor(dtype=dtype))
+        good = path.read_bytes()
+        real = np.dtype(f"<{np.dtype(dtype).char.lower()}")
+        floats = (len(good) - 44) // real.itemsize
+        assert floats % 14
+        for at in (0, 15, floats - 1):
+            raw = bytearray(good)
+            raw[44 + at * real.itemsize : 44 + (at + 1) * real.itemsize] = np.array(np.nan if at else np.inf, real).tobytes()
+            path.write_bytes(bytes(raw))
+            for read in (read_tensor, TensorFile):
+                with pytest.raises(FormatError, match="non-finite"):
+                    read(str(path))
+
+
+def test_tensor_file_tiles_and_short_reads(tmp_path):
+    tensor = random_tensor()
+    path = tmp_path / "t.tfc1"
+    write_tensor(str(path), tensor, t0_s=0.5)
+    source = TensorFile(str(path))
+    assert source.t0_s == 0.5 and source.grid.n_time == 6
+    tile = source.magnitude_tiles()
+    assert np.array_equal(tile(slice(2, 5)), np.abs(tensor.values[..., 2:5].transpose(2, 0, 1)).reshape(3, -1))
+    path.write_bytes(path.read_bytes()[:-16])  # one entry gone once the file was checked
+    with pytest.raises(FormatError, match="truncated"):
+        tile(slice(0, 6))
 
 
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
