@@ -194,6 +194,7 @@ def _tile_walk(source, q: float, count: int) -> tuple:
             inside = (ll >= 0) & (ll < n_chirp) & (mm >= 0) & (mm < n_freq)
             rows = np.broadcast_to(live[:, None, None], inside.shape)
             tile[rows[inside], (ll * n_freq + mm)[inside]] = 0.0
+        del tile  # before the next tile is made: the walk holds one tile, not two
     idx, mags = np.concatenate(idx), np.concatenate(mags)
     ranks = [r - n + held for r in (prev, min(prev + 1, n - 1))]  # within the held magnitudes
     part = np.partition(mags, [max(r, 0) for r in ranks]) if ranks[1] >= 0 else mags
@@ -262,13 +263,18 @@ def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = R
 def _gaussian_affinity(points: np.ndarray, sigma_pct: float) -> tuple:
     """The Gaussian affinity (unit diagonal) and its sigma, ``np.percentile`` of the pairwise
     distances, in one n x n buffer that first holds the condensed distances and a partitioned copy."""
-    from scipy.spatial.distance import pdist
-
     n = points.shape[0]
     size = n * (n - 1) // 2
     sym = np.empty((n, n))
     flat = sym.reshape(-1)
-    dists = pdist(points, out=flat[:size])
+    dists, coords = flat[:size], np.ascontiguousarray(points.T, dtype=float)
+    diff = np.empty_like(coords)
+    for i in range(n - 1):  # scipy's pdist to the bit: the squares summed in coordinate order, then the root
+        d = diff[:, : n - 1 - i]
+        np.subtract(coords[:, i, None], coords[:, i + 1 :], out=d)
+        d *= d
+        np.add.reduce(d, axis=0, out=dists[i * n - i * (i + 1) // 2 :][: n - 1 - i])
+    np.sqrt(dists, out=dists)
     part = flat[size : 2 * size]
     part[:] = dists
     virtual = (size - 1) * (sigma_pct / 100)

@@ -14,6 +14,7 @@ transform on the (frequency x chirp-rate) product grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,15 +55,25 @@ class TfMatrix:
 @dataclass(frozen=True)
 class StreamedBank:
     """T^h of a signal on ``rows``, the ascending flat rows ``resolvable_slots`` keeps, [rows.size, n_time],
-    and ``peak``, max |T^h| over every row; the companion transforms are formed per row block.  ``h_rows`` is
+    and ``rows_peak``, max |T^h| over them; the companion transforms are formed per row block.  ``h_rows`` is
     the one reader of T^h."""
 
     values: np.ndarray
     rows: np.ndarray
-    peak: float
+    rows_peak: float
     grid: TfcGrid
     signal: Signal
     bank: WindowBank
+
+    @cached_property
+    def peak(self) -> float:
+        """max |T^h| over every row: the aliased rows are summed once, here or by ``magnitude_tiles``."""
+        peaks = [np.abs(sums).max() for _, sums in _row_blocks(self.signal, [self.bank.h], self.grid, self._aliased)]
+        return float(np.max(peaks, initial=self.rows_peak))
+
+    @property
+    def _aliased(self) -> np.ndarray:
+        return np.setdiff1d(np.arange(self.grid.n_chirp * self.grid.n_freq), self.rows, assume_unique=True)
 
     def h_rows(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
         """T^h on the rows ``self.rows[rows]`` over the frames of the slice ``cols``: a view for slices."""
@@ -78,12 +89,13 @@ class StreamedBank:
 
     def magnitude_tiles(self):
         """``tile(cols)``: |T^h| on every row over the frames ``cols``, frame-major, [width, n_chirp * n_freq];
-        the aliased rows are summed again, once, into float64 magnitudes that ``tile`` holds."""
-        grid = self.grid
-        aliased = np.setdiff1d(np.arange(grid.n_chirp * grid.n_freq), self.rows, assume_unique=True)
+        the aliased rows are summed, once, into float64 magnitudes that ``tile`` holds, and give ``peak``
+        if nothing has yet."""
+        grid, aliased = self.grid, self._aliased
         magnitudes = np.empty((aliased.size, grid.n_time))
         for part, sums in _row_blocks(self.signal, [self.bank.h], grid, aliased):
             magnitudes[part] = np.abs(sums[:, 0])
+        self.__dict__.setdefault("peak", float(np.max(magnitudes, initial=self.rows_peak)))
 
         def tile(cols):
             out = np.empty((len(range(grid.n_time)[cols]), grid.n_chirp * grid.n_freq))
@@ -198,15 +210,15 @@ def chirplet_transform(signal: Signal, window: np.ndarray, grid: TfcGrid) -> Tfc
 
 
 def streamed_bank_transform(signal: Signal, bank: WindowBank, grid: TfcGrid) -> StreamedBank:
-    """T^h on the resolvable rows, as ``chirplet_transform(signal, bank.h, ...)``; the aliased rows give ``peak``."""
+    """T^h on the resolvable rows, as ``chirplet_transform(signal, bank.h, ...)``; the aliased rows are left
+    to ``peak`` or ``magnitude_tiles``, whichever comes first."""
     bank.check_rate(signal)
-    resolvable = resolvable_slots(grid, bank).ravel()
-    rows, values = np.flatnonzero(resolvable), np.empty((np.count_nonzero(resolvable), grid.n_time), np.complex128)
-    peaks = [np.abs(sums).max() for _, sums in _row_blocks(signal, [bank.h], grid, np.flatnonzero(~resolvable))]
+    rows = np.flatnonzero(resolvable_slots(grid, bank))
+    values, peaks = np.empty((rows.size, grid.n_time), np.complex128), []
     for part, sums in _row_blocks(signal, [bank.h], grid, rows):
         values[part] = sums[:, 0]
         peaks.append(np.abs(sums).max())
-    return StreamedBank(values, rows, float(np.max(peaks)), grid, signal, bank)
+    return StreamedBank(values, rows, float(np.max(peaks, initial=0.0)), grid, signal, bank)
 
 
 def resolvable_slots(grid: TfcGrid, bank: WindowBank) -> np.ndarray:

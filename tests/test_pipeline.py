@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from tfchirp import transform
 from tfchirp.metrics import ot_if_metric
 from tfchirp.pipeline import _match_components, crossing_study, ct_ridges, run_sct
 from tfchirp.ridge import RidgeParams, extract_ridges
-from tfchirp.signal import WindowFamily, grid_from_resolution
+from tfchirp.signal import WindowFamily, grid_from_resolution, make_window_bank
 from tfchirp.synth import SyntheticScene
+from tfchirp.transform import resolvable_slots
 
 from conftest import FS, interior_mask, sinusoidal_fm_pair
 
@@ -45,6 +47,28 @@ def test_crossing_study_rows_and_sanity():
     assert max(by["sct"].rel_errors) < 0.5
 
 
+def test_crossing_study_sums_each_row_against_h_once(monkeypatch):
+    # T^h's pass sums the resolvable rows and the CT baseline's magnitudes the aliased ones, which also
+    # give the threshold's peak: no row of the grid is summed against the analysis window twice
+    scene = small_crossing_scene()
+    x, dt, family = scene.times_s, 1 / scene.sample_rate_hz, WindowFamily(2, 1.0)
+    grid = grid_from_resolution(0.02, x.size, scene.sample_rate_hz)
+    bank = make_window_bank(family, family.default_half_len(dt), dt)
+    summed, row_blocks = [], transform._row_blocks
+
+    def spy(signal, windows, grid, rows, cols=slice(None)):
+        if len(windows) == 1 and np.array_equal(windows[0], bank.h):
+            summed.append(rows)
+        return row_blocks(signal, windows, grid, rows, cols)
+
+    monkeypatch.setattr(transform, "_row_blocks", spy)
+    crossing_study(scene, (x >= 1.0) & (x <= 5.0), family, WindowFamily(0, 1.0), alpha_sq=0.02,
+                   ridge_params=RidgeParams(seed=0))
+    aliased = np.flatnonzero(~resolvable_slots(grid, bank))
+    assert len(summed) == 2 and aliased.size > 0 and np.array_equal(summed[1], aliased)
+    assert np.array_equal(np.bincount(np.concatenate(summed)), np.ones(grid.n_chirp * grid.n_freq, dtype=int))
+
+
 def test_ct_ridges_baseline_tracks():
     scene = small_crossing_scene()
     from tfchirp.signal import grid_from_resolution
@@ -52,7 +76,7 @@ def test_ct_ridges_baseline_tracks():
     signal = scene.signal()
     grid = grid_from_resolution(0.02, len(signal), scene.sample_rate_hz)
     field = run_sct(signal, WindowFamily(2, 1.0), grid)
-    ridges = ct_ridges(field, 2, RidgeParams(seed=0))
+    ridges = ct_ridges(field.banks, 2, RidgeParams(seed=0))
     x = scene.times_s
     inner = (x >= 1.0) & (x <= 5.0)
     err01 = np.abs(ridges.omega_hz[0] - scene.ifs_hz[1])[inner].mean()

@@ -484,7 +484,7 @@ def test_select_high_energy_memory_budget(crossing_s_g2):
     volume = tensor.values.size * 8  # one float64 volume
     cloud, peak, _ = traced_volumes(lambda: select_high_energy(tensor, 0.9995, min_per_frame=3), volume)
     assert cloud.core is not None and cloud.core.any()
-    assert peak <= 0.34
+    assert peak <= 0.25  # one tile's magnitudes and its peeling (measured 0.19; 0.32 when two tiles were held)
 
 
 def test_select_high_energy_memory_budget_on_a_sparse_volume(crossing_grid):
@@ -496,7 +496,7 @@ def test_select_high_energy_memory_budget_on_a_sparse_volume(crossing_grid):
     tensor = TfcTensor(values, crossing_grid)
     cloud, peak, _ = traced_volumes(lambda: select_high_energy(tensor, 0.9995, min_per_frame=3), values.size * 8)
     assert cloud.core is not None and cloud.core.sum() == 613
-    assert peak <= 0.34
+    assert peak <= 0.25  # measured 0.17; 0.32 when two tiles were held
 
 
 def test_select_from_a_field_holds_no_s():
@@ -547,6 +547,19 @@ def test_affinity_in_one_buffer_equals_squareform(n, sigma_pct, monkeypatch):
     embedding = spectral_embed(cloud, 2, sigma_pct)
     monkeypatch.setattr(ridge, "_gaussian_affinity", reference.gaussian_affinity_squareform)
     assert np.array_equal(embedding, spectral_embed(cloud, 2, sigma_pct))
+    # zero distances: half the points at one place, and every point twice; a zero sigma raises in both
+    coincident = pts.copy()
+    coincident[: (n + 1) // 2] = pts[0]
+    for cloud_pts in (coincident, np.repeat(pts[: (n + 1) // 2], 2, axis=0)[:n]):
+        try:
+            want, want_sigma = reference.gaussian_affinity_squareform(cloud_pts, sigma_pct)
+        except DegenerateCloudError:
+            with pytest.raises(DegenerateCloudError):
+                ridge._gaussian_affinity(cloud_pts, sigma_pct)
+            continue
+        sym, sigma = ridge._gaussian_affinity(cloud_pts, sigma_pct)
+        assert float(sigma).hex() == float(want_sigma).hex()
+        assert np.array_equal(sym, want)
 
 
 def test_landed_sources_match_squeeze_destinations(crossing_sct_g2):

@@ -25,7 +25,13 @@ from tfchirp.reassign import (
 from tfchirp.ridge import RidgeParams, extract_ridges
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from tfchirp.synth import add_student_t_noise
-from tfchirp.transform import PHASE_BLOCK, TfcTensor, resolvable_slots, streamed_bank_transform
+from tfchirp.transform import (
+    PHASE_BLOCK,
+    TfcTensor,
+    chirplet_transform,
+    resolvable_slots,
+    streamed_bank_transform,
+)
 
 from conftest import traced_volumes
 import reference
@@ -62,7 +68,11 @@ def test_streamed_field_matches_stored_bank(analysis):
     streamed = streamed_bank_transform(signal, bank, grid)
     assert np.array_equal(streamed.rows, np.flatnonzero(resolvable_slots(grid, bank)))
     assert np.array_equal(streamed.values, stored.h.values.reshape(-1, grid.n_time)[streamed.rows])
-    assert streamed.peak == np.abs(stored.h.values).max()  # over every row, the aliased ones too
+    # over every row, the aliased ones too, to the bit: from one pass of its own, or from the CT baseline's
+    want = float(np.abs(chirplet_transform(signal, bank.h, grid).values).max()).hex()
+    tiled = streamed_bank_transform(signal, bank, grid)
+    tiled.magnitude_tiles()
+    assert float(streamed.peak).hex() == float(tiled.peak).hex() == want
     nu = nu_rel * np.abs(stored.h.values).max()
     ref = reassignment_field(stored, nu=nu)
     field = reassignment_field(streamed, nu=nu)
@@ -341,7 +351,7 @@ def test_the_resolvable_rows_give_the_whole_grid_outputs(request, fixture):
         assert np.array_equal(part, expected)
     for min_per_frame in (0, 3):
         params = RidgeParams(seed=0, min_per_frame=min_per_frame)
-        ridges = ct_ridges(field, 2, params)
+        ridges = ct_ridges(field.banks, 2, params)
         expected = extract_ridges(TfcTensor(h, grid), 2, params)
         for name in ("omega_hz", "mu_hzps", "valid", "observed"):
             assert np.array_equal(getattr(ridges, name), getattr(expected, name)), (min_per_frame, name)
@@ -384,7 +394,7 @@ def test_the_analysis_builds_no_estimate_volume(crossing_scene, crossing_grid):
     # source tracing recomputes the estimates of the landed entries alone
     field = run_sct(crossing_scene.signal(), WindowFamily(2, 1.0), crossing_grid)
     extract_ridges(field, 2, RidgeParams(seed=0))
-    ct_ridges(field, 2, RidgeParams(seed=0))
+    ct_ridges(field.banks, 2, RidgeParams(seed=0))
     assert not {"omega", "mu"} & field.__dict__.keys()
 
 
@@ -430,17 +440,17 @@ def test_extract_ridges_memory_budget(crossing_sct_g2, min_per_frame):
 @pytest.mark.parametrize("fixture", ["crossing_sct_g0", "crossing_sct_g2"])
 def test_ct_ridges_memory_budget(request, fixture, min_per_frame):
     # the CT baseline reads |T^h| on every row: the aliased rows are summed
-    # again into float64 magnitudes (0.30 volumes at n = 0, 0.34 at n = 2),
+    # into float64 magnitudes (0.30 volumes at n = 0, 0.34 at n = 2),
     # beside the window's segments over all frames (0.17 volumes at 861 taps)
-    # and one product's phases and sums; no complex volume (measured 0.66 and
-    # 0.70 volumes, at min_per_frame 0 and 3 alike), and nothing is kept
+    # and one product's phases and sums; no complex volume (measured 0.69 at
+    # n = 0 and 0.73 at n = 2, at min_per_frame 0 and 3 alike), and nothing is kept
     import scipy.spatial
     import scipy.sparse.linalg  # noqa: F401  (the embedding's imports stay out of the trace)
 
     field = request.getfixturevalue(fixture)
     volume = field.defined.size * 16
     params = RidgeParams(seed=0, min_per_frame=min_per_frame)
-    ridges, peak, retained = traced_volumes(lambda: ct_ridges(field, 2, params), volume)
+    ridges, peak, retained = traced_volumes(lambda: ct_ridges(field.banks, 2, params), volume)
     assert ridges.n_components == 2
     assert peak < 0.75
     assert retained < 0.01
