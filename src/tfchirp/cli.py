@@ -62,7 +62,7 @@ _CONFIG_DOMAINS = {
     "alpha_w": (lambda v: 0 < v < np.inf, "must be positive and finite"),
     "half_len": (lambda v: v >= 0, "must be >= 0"),
     "alpha_sq": (lambda v: 0 < v <= 0.5, "must lie in (0, 0.5]"),
-    "nu_rel": (lambda v: v > 0, "must be positive"),
+    "nu_rel": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
     "q": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
     "sigma_pct": (lambda v: 0 < v <= 100, "must lie in (0, 100]"),
     "min_per_frame": (lambda v: v >= 0, "must be >= 0"),

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .signal import Signal, TfcGrid, WindowBank, round_half_away
+from .signal import Signal, TfcGrid, WindowBank, _frame_range, round_half_away
 from .transform import StreamedBank, TfcTensor, TfMatrix, _companions, _windowed_sums, _zero_chirp_rows
 
 M2_GUARD = 1e-12
@@ -258,9 +258,7 @@ def synchrosqueeze(field: ReassignmentField, frames: slice = slice(None)) -> Tfc
     conserved over the contributing set.
     """
     grid = field.grid
-    start, stop = frames.start or 0, grid.n_time if frames.stop is None else frames.stop
-    if frames.step not in (None, 1) or not 0 <= start < stop <= grid.n_time:
-        raise ParameterError(f"frames must be a unit-step range within the {grid.n_time} frames, got {frames}")
+    start, stop = _frame_range(frames, grid.n_time)
     width = stop - start
     out = np.zeros(grid.n_chirp * grid.n_freq * width, dtype=np.complex128)
     # blocks of at most ENTRY_BLOCK entries (one row, if wider), rows ascending:

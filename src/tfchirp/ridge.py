@@ -411,20 +411,15 @@ def _local_linear_curve(t_pts, y_pts, w_pts, t_eval, half_width, iters, clip):
     out = np.full(t_eval.shape, np.nan)
     lo = np.searchsorted(t_pts, t_eval - half_width)
     hi = np.searchsorted(t_pts, t_eval + half_width)
-    # scratch rows for the residuals, their magnitudes and the weights
-    scratch = np.empty((3, int((hi - lo).max(initial=0))))
     for i, tc in enumerate(t_eval):
         n = hi[i] - lo[i]
-        if n <= 0:
-            continue
         ts = t_pts[lo[i] : hi[i]] - tc
         ys = y_pts[lo[i] : hi[i]]
         base = w_pts[lo[i] : hi[i]] * (1 - (ts / half_width) ** 2)
         w0 = base.sum()
-        if w0 <= 0:
+        if w0 <= 0:  # also an empty window
             continue
         ts2, tys = ts * ts, ts * ys
-        resid, abs_resid, ws = scratch[0, :n], scratch[1, :n], scratch[2, :n]
         mid = (n - 1) // 2  # the median's lower order statistic
         w = base
         for it in range(iters + 1):
@@ -437,24 +432,16 @@ def _local_linear_curve(t_pts, y_pts, w_pts, t_eval, half_width, iters, clip):
                 a, b = y0 / w0, 0.0
             if it == iters:
                 break  # the last fit's reweighting would never be used
-            np.multiply(ts, b, out=resid)
-            resid += a
-            np.subtract(ys, resid, out=resid)
-            np.abs(resid, out=abs_resid)
+            resid = ys - (ts * b + a)
             # np.median to the bit: one partition, the upper order statistic
             # of an even count is the least entry above the lower one (a
             # third of the time of partitioning at both)
+            abs_resid = np.abs(resid)
             abs_resid.partition(mid)
             upper = abs_resid[mid] if n % 2 else abs_resid[mid + 1 :].min()
             scale = (abs_resid[mid] + upper) / 2 + 1e-12
-            # bisquare in place: base * max(1 - (resid / (clip * scale))^2, 0)^2
-            np.divide(resid, clip * scale, out=ws)
-            np.square(ws, out=ws)
-            np.subtract(1, ws, out=ws)
-            np.maximum(ws, 0, out=ws)
-            np.square(ws, out=ws)
-            ws *= base
-            w, w0 = ws, ws.sum()
+            w = base * np.maximum(1 - (resid / (clip * scale)) ** 2, 0) ** 2
+            w0 = w.sum()
             if w0 <= 0:
                 w, w0 = base, base.sum()
         out[i] = a
@@ -525,6 +512,9 @@ def extract_ridges(
     if n_components == 1:
         labels = np.zeros(len(core), dtype=int)
     else:
+        if len(core) < 2 * n_components:  # spectral_embed's minimum: the cloud fails, and a lower q mends it
+            raise ExtractionError(f"a core cloud of {len(core)} points is too small to embed {n_components} "
+                                  f"ridges; lower q (now {params.q}) for a larger cloud")
         try:
             embedding = spectral_embed(core, n_components, params.sigma_pct)
         except MemoryError:

@@ -205,6 +205,16 @@ def grid_from_resolution(alpha_sq: float, n_time: int, sample_rate_hz: float) ->
     return TfcGrid(alpha_sq=alpha_sq, M=M, n_time=n_time, sample_rate_hz=sample_rate_hz)
 
 
+def _frame_range(frames: slice, n_time: int) -> tuple:
+    """(start, stop) of the slice ``frames`` of a record of ``n_time`` frames, a ``None`` bound meaning that
+    end of the record: the one rule of the tile readers, which refuse a non-unit step or a range that is
+    empty or runs outside the record."""
+    start, stop = frames.start or 0, n_time if frames.stop is None else frames.stop
+    if frames.step not in (None, 1) or not 0 <= start < stop <= n_time:
+        raise ParameterError(f"frames must be a unit-step range within the {n_time} frames, got {frames}")
+    return start, stop
+
+
 def round_half_away(x):
     """Deterministic round-half-away-from-zero (scalar or array)."""
     return np.sign(x) * np.floor(np.abs(x) + 0.5)

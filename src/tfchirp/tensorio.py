@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .errors import FormatError, ParameterError
-from .signal import Signal, grid_from_resolution
+from .signal import Signal, _frame_range, grid_from_resolution
 from .transform import TfcTensor
 
 TFC1_MAGIC = b"TFC1"
@@ -168,10 +168,10 @@ class TensorFile:
                     raise FormatError("TFC1 payload contains non-finite entries")
 
     def read(self, frames: slice) -> np.ndarray:
-        """The payload over the frames of the unit-step slice ``frames``, [n_chirp * n_freq, width], in
-        the file's byte order, one read per row."""
+        """The payload over the frames of the unit-step slice ``frames`` (``_frame_range``), [n_chirp * n_freq,
+        width], in the file's byte order, one read per row."""
         grid, itemsize = self.grid, self.dtype.itemsize
-        start, stop, _ = frames.indices(grid.n_time)
+        start, stop = _frame_range(frames, grid.n_time)
         out = np.empty((grid.n_chirp * grid.n_freq, stop - start), self.dtype.newbyteorder("<"))
         view, span = memoryview(out.reshape(-1).view(np.uint8)), out[0].nbytes
         with open(self.path, "rb", buffering=0) as fh:
@@ -246,15 +246,15 @@ def write_signal_csv(path: str, signal: Signal):
 
 
 def read_signal_raw(path: str, sample_rate_hz: float, interleaved_complex: bool = False) -> Signal:
-    """Raw little-endian float64 samples; optionally interleaved (re, im)."""
-    data = np.fromfile(path, dtype="<f8")
-    if data.size == 0:
+    """Raw little-endian float64 samples, or interleaved (re, im) float64 pairs: a whole number of them."""
+    raw = np.fromfile(path, dtype=np.uint8)
+    if raw.size == 0:
         raise FormatError(f"no samples in {path}")
-    if interleaved_complex:
-        if data.size % 2:
-            raise FormatError("odd number of floats for complex data")
-        data = data[0::2] + 1j * data[1::2]
-    return Signal(data, sample_rate_hz, 0.0)
+    if raw.size % 8:
+        raise FormatError(f"{raw.size} bytes is not a whole number of float64 values")
+    if interleaved_complex and raw.size % 16:
+        raise FormatError("odd number of floats for complex data")
+    return Signal(raw.view("<c16" if interleaved_complex else "<f8"), sample_rate_hz, 0.0)
 
 
 def _cell(v) -> str:

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ParameterError, ShapeError, UnsupportedWindowError
-from .signal import Signal, TfcGrid, WindowBank, WindowFamily
+from .signal import Signal, TfcGrid, WindowBank, WindowFamily, _frame_range
 
 PHASE_BLOCK = 1 << 17  # phase entries (rows x taps) per block of a full volume
 ALIAS_TOL = 1e-3  # window mass share beyond Nyquist above which a slot's atom counts as undersampled
@@ -98,7 +98,8 @@ class StreamedBank:
         self.__dict__.setdefault("peak", float(np.max(magnitudes, initial=self.rows_peak)))
 
         def tile(cols):
-            out = np.empty((len(range(grid.n_time)[cols]), grid.n_chirp * grid.n_freq))
+            cols = slice(*_frame_range(cols, grid.n_time))
+            out = np.empty((cols.stop - cols.start, grid.n_chirp * grid.n_freq))
             out[:, self.rows] = np.abs(self.h_rows(cols=cols)).T
             out[:, aliased] = magnitudes[:, cols].T
             return out

@@ -167,7 +167,7 @@ def test_ridge_reads_tiles_to_the_bits_of_the_whole_tensor(crossing_sct, tmp_pat
                  "--output", str(out)]) == 0
     tensor, t0 = read_tensor(path)
     grid = tensor.grid
-    tile = TensorFile(path).magnitude_tiles()(slice(0, 64))
+    tile = TensorFile(path).magnitude_tiles()(slice(0, min(64, grid.n_time)))
     assert tile.dtype == tensor.values.real.dtype and tile.shape == (min(64, grid.n_time), grid.n_chirp * grid.n_freq)
     whole = extract_ridges(tensor, n_components, RidgeParams())
     columns = [t0 + np.arange(grid.n_time) / grid.sample_rate_hz]
@@ -398,6 +398,25 @@ def test_clustering_out_of_memory_exits_3_naming_the_cloud(crossing_csv, crossin
     assert code == 3
     assert capsys.readouterr().err == f"error: {caught.value}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, config, size", [("ridge", {"q": 0.999999}, 3), ("reconstruct", {"alpha_sq": 0.5}, 1)]
+)
+def test_a_core_cloud_too_small_to_embed_exits_3_naming_q(crossing_csv, crossing_sct, tmp_path, capsys, command,
+                                                           config, size):
+    # every key lies in its domain: the cloud is what fails, and lowering q is what mends it
+    args = {
+        "ridge": ["--tensor", crossing_sct, "--output", str(tmp_path / "r.csv")],
+        "reconstruct": ["--input", crossing_csv, "--rate", "100", "--ridge-csv", str(tmp_path / "r.csv"),
+                        "--mode-prefix", str(tmp_path / "mode")],
+    }
+    code = main(["--config", write_config(tmp_path, **config), command, *args[command]])
+    assert code == 3
+    q = config.get("q", RidgeParams().q)
+    assert capsys.readouterr().err == (f"error: a core cloud of {size} points is too small to embed 2 ridges; "
+                                       f"lower q (now {q}) for a larger cloud\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize(
@@ -699,6 +718,8 @@ def test_reconstruct_reads_truth_files_before_the_sct(crossing_csv, tmp_path, mo
         ({"sigma_pct": 101}, [], "sigma_pct"),
         ({"sigma_pct": "nan"}, [], "sigma_pct"),
         ({"n_components": 0}, [], "n_components"),
+        ({"nu_rel": 1.0}, [], "nu_rel"),  # at 1 or above no entry exceeds nu_rel times the peak
+        ({"nu_rel": "inf"}, [], "nu_rel"),
     ],
 )
 def test_window_and_threshold_errors_name_their_flag_or_key(tmp_path, capsys, config, flags, name):
@@ -734,12 +755,16 @@ def test_bad_rate_or_t0_exits_1_before_the_input_is_read(tmp_path, capsys, comma
 def test_input_errors_name_the_flag_and_the_file(tmp_path, capsys, command):
     nan_csv = tmp_path / "nan.csv"
     nan_csv.write_text("re,im\n1.0,0.0\nnan,0.0\n2.0,0.0\n")
+    partial = tmp_path / "partial.f64"  # three float64 values and three stray bytes
+    partial.write_bytes(np.arange(3.0).astype("<f8").tobytes() + b"\0\0\0")
     outputs = {"reconstruct": ["--ridge-csv", str(tmp_path / "r.csv"), "--mode-prefix", str(tmp_path / "mode")]}
-    for flags, code in ((["--rate", "100"], 1), (["--format", "wav"], 2)):
-        got = main([command, "--input", str(nan_csv), *flags, *outputs.get(command, ["--output", str(tmp_path / "o")])])
+    cases = ((nan_csv, ["--rate", "100"], 1), (nan_csv, ["--format", "wav"], 2),
+             (partial, ["--format", "raw", "--rate", "100"], 2))
+    for path, flags, code in cases:
+        got = main([command, "--input", str(path), *flags, *outputs.get(command, ["--output", str(tmp_path / "o")])])
         err = capsys.readouterr().err
         assert got == code
-        assert err.startswith(f"error: --input {nan_csv}: ") and err.count("\n") == 1, err
+        assert err.startswith(f"error: --input {path}: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("value", ["left", "centered"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tfchirp import reassign, ridge, transform
+from tfchirp import reassign, ridge, tensorio, transform
 from tfchirp.errors import ParameterError
 from tfchirp.pipeline import ct_ridges, run_sct
 from tfchirp.reassign import (
@@ -154,6 +154,22 @@ def test_squeeze_rejects_a_frame_range_outside_the_record_or_strided(crossing_sc
     assert crossing_sct_g2.grid.n_time == 401
     with pytest.raises(ParameterError, match="frames"):
         synchrosqueeze(crossing_sct_g2, frames)
+
+
+def test_tile_readers_share_one_frame_range_rule(crossing_sct_g2, crossing_s_g2, tmp_path):
+    # the squeeze, a TFC1 file's reader and the bank's tiles refuse a strided range and one past the record alike
+    path = str(tmp_path / "s.tfc1")
+    tensorio.write_tensor(path, crossing_s_g2)
+    readers = [
+        lambda frames: synchrosqueeze(crossing_sct_g2, frames),
+        tensorio.TensorFile(path).read,
+        crossing_sct_g2.banks.magnitude_tiles(),
+    ]
+    for frames in (slice(0, 64, 2), slice(401, 401 + 64)):
+        for read in readers:
+            with pytest.raises(ParameterError) as refused:
+                read(frames)
+            assert str(refused.value) == f"frames must be a unit-step range within the 401 frames, got {frames}"
 
 
 def _random_bank_field():

@@ -159,6 +159,20 @@ def test_signal_raw(tmp_path):
     assert np.array_equal(sig2.samples, data - 1j * data)
 
 
+@pytest.mark.parametrize("interleaved_complex", [False, True])
+def test_signal_raw_refuses_a_partial_float(tmp_path, interleaved_complex):
+    path = tmp_path / "partial.f64"  # three float64 values and three stray bytes
+    path.write_bytes(np.arange(3.0).astype("<f8").tobytes() + b"\0\0\0")
+    with pytest.raises(FormatError, match="27 bytes is not a whole number of float64 values"):
+        read_signal_raw(str(path), 10.0, interleaved_complex=interleaved_complex)
+    path.write_bytes(path.read_bytes()[:24])  # whole floats, but an odd count of them
+    if interleaved_complex:
+        with pytest.raises(FormatError, match="odd number of floats"):
+            read_signal_raw(str(path), 10.0, interleaved_complex=True)
+    else:
+        assert np.array_equal(read_signal_raw(str(path), 10.0).samples, np.arange(3.0))
+
+
 def test_tensor_rejects_nonfinite_payload(tmp_path, monkeypatch):
     # a non-finite real or imaginary part in any block of the check, the last one short
     monkeypatch.setattr(tensorio, "_BLOCK", 14)
