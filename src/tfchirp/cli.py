@@ -160,13 +160,14 @@ def _memory_guard(grid, *windows, q=None):
     """Turn a ``MemoryError`` into a one-line error naming the grid, ``q`` of a ridge cloud clustered under the
     guard, and each window built under it, given as (label, half length, the knob that shortens it); a window of
     more than ``MAX_TAPS`` taps, or a grid whose complex volume no array can size, fails so on entry: such a grid
-    names ``alpha_sq`` alone, as no other knob shrinks it."""
+    names ``alpha_sq`` alone, as no other knob shrinks it; then a grid whose steps leave the float range is refused."""
     taps = [(label, 2 * half_len + 1) for label, half_len, _ in windows]
     volume = grid.n_chirp * grid.n_freq * grid.n_time * np.dtype(np.complex128).itemsize
     unsizable = volume > np.iinfo(np.intp).max
     try:
         if unsizable or any(n > MAX_TAPS for _, n in taps):
             raise MemoryError
+        grid._check_domain()
         yield
     except MemoryError:
         if unsizable:

@@ -36,7 +36,7 @@ def run_sct(
     field's ``banks``; the field sums the companions block by block over those
     rows and keeps only each entry's int16 (int32 on grids taller than 32767
     rows) squeeze code.  Entries at or below ``nu_rel`` times the peak of
-    |T^h| over every row are undefined.  S is ``synchrosqueeze(field)``.
+    |T^h| over those rows are undefined.  S is ``synchrosqueeze(field)``.
     """
     banks = _streamed_bank(signal, family, grid, half_len)
     return reassignment_field(banks, nu=default_threshold(banks.peak, nu_rel))
@@ -99,7 +99,7 @@ def crossing_study(
     params = ridge_params or RidgeParams(seed=seed)
     k = scene.components.shape[0]
 
-    # the CT baseline runs first: its aliased magnitudes give the bank's peak, and are freed before the codes exist
+    # the CT baseline runs first: a seed's peak RSS moves with the order of its 10-30 MB allocations
     banks = _streamed_bank(signal, analysis_family, grid, half_len)
     ridges_ct = ct_ridges(banks, k, params)
     ridges_sct = extract_ridges(reassignment_field(banks), k, params)

@@ -67,7 +67,7 @@ class ReassignmentField:
     """
 
     codes: np.ndarray  # int16 or int32 [banks.rows.size, n_time]
-    banks: StreamedBank  # or any holder of ``rows``, ``grid``, ``bank``, ``peak``, ``h_rows()``, ``companion_blocks()``
+    banks: StreamedBank  # or any holder of ``values``, ``rows``, ``grid``, ``bank``, ``peak``, ``companion_blocks()``
     nu: float
 
     def __post_init__(self):
@@ -200,7 +200,7 @@ def _field_blocks(banks, rows=None, cols=slice(None)):
     ``banks.rows`` (all of them by default): T^h and its companions on those rows over the frames of the
     slice ``cols`` (all by default), and their chirp rate and frequency, [rows, 1].  Each product of
     ``banks.companion_blocks`` is split into blocks of about ``ENTRY_BLOCK`` entries; T^h is read once per
-    block through ``banks.h_rows``, as a view when ``rows`` is all.
+    block from ``banks.values``, as a view when ``rows`` is all.
     """
     grid, every = banks.grid, rows is None
     rows = np.arange(banks.rows.size) if every else rows
@@ -209,7 +209,7 @@ def _field_blocks(banks, rows=None, cols=slice(None)):
         for lo in range(at.start, at.stop, block):
             part = slice(lo, min(lo + block, at.stop))
             r = banks.rows[rows[part]]
-            T = banks.h_rows(part if every else rows[part], cols)
+            T = banks.values[part if every else rows[part], cols]
             companions = companions_of(slice(lo - at.start, part.stop - at.start), T)
             yield part, (T, *companions, grid.chirps_hzps[r // grid.n_freq, None], grid.freqs_hz[r % grid.n_freq, None])
 
@@ -230,9 +230,10 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
 
     ``banks`` holds T^h on those rows and supplies the companions through
     ``companion_blocks()``.  ``nu`` is the hard modulus threshold below which
-    entries are undefined; ``None`` applies ``default_threshold`` to the peak
-    of |T^h| over every row.  The estimates are computed a block of rows at a
-    time and only their codes are kept: the aliased rows are never evaluated.
+    entries are undefined; ``None`` applies ``default_threshold`` to
+    ``banks.peak``, the peak of |T^h| over those same rows.  The estimates are
+    computed a block of rows at a time and only their codes are kept: the
+    aliased rows are never evaluated.
     """
     grid = banks.grid
     if nu is None:
@@ -267,7 +268,7 @@ def synchrosqueeze(field: ReassignmentField, frames: slice = slice(None)) -> Tfc
     for lo in range(0, field.codes.shape[0], rows_per):
         codes = field.codes[lo : lo + rows_per, start:stop]
         moves = codes >= 0
-        values = field.banks.h_rows(slice(lo, lo + rows_per), slice(start, stop))
+        values = field.banks.values[lo : lo + rows_per, start:stop]
         np.add.at(out, codes[moves].astype(np.intp) * width + np.flatnonzero(moves) % width, values[moves])
     return TfcTensor(out.reshape(grid.n_chirp, grid.n_freq, width), replace(grid, n_time=width))
 
@@ -278,7 +279,7 @@ def squeeze_conservation(field: ReassignmentField, squeezed: TfcTensor) -> np.nd
     The contributing entries are those with a destination code (``codes >= 0``).
     """
     lhs = squeezed.values.sum(axis=(0, 1))
-    rhs = np.sum(field.banks.h_rows(), axis=0, where=field.codes >= 0)  # no masked copy of T^h
+    rhs = np.sum(field.banks.values, axis=0, where=field.codes >= 0)  # no masked copy of T^h
     scale = np.maximum(np.abs(rhs), 1e-300)
     return np.abs(lhs - rhs) / scale
 

@@ -55,9 +55,11 @@ def _atomic_write(path: str, write_fn):
 
 
 def _check_writable(*paths):
-    """Fail as ``_atomic_write`` would on the first of ``paths`` it could not write:
-    a temp file beside each is made and removed, and a directory is refused."""
-    for path in paths:
+    """Fail as ``_atomic_write`` would on the first of ``paths`` it could not write: a temp file beside each
+    is made and removed, and a directory is refused; two paths that resolve to one file are refused too."""
+    for i, path in enumerate(paths):
+        if os.path.realpath(path) in map(os.path.realpath, paths[:i]):
+            raise ParameterError(f"{path} is named by two outputs: one would overwrite the other")
         with _temp_beside(path):
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))

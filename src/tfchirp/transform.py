@@ -14,7 +14,6 @@ transform on the (frequency x chirp-rate) product grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,29 +54,14 @@ class TfMatrix:
 @dataclass(frozen=True)
 class StreamedBank:
     """T^h of a signal on ``rows``, the ascending flat rows ``resolvable_slots`` keeps, [rows.size, n_time],
-    and ``rows_peak``, max |T^h| over them; the companion transforms are formed per row block.  ``h_rows`` is
-    the one reader of T^h."""
+    and ``peak``, max |T^h| over them; the companion transforms are formed per row block."""
 
     values: np.ndarray
     rows: np.ndarray
-    rows_peak: float
+    peak: float
     grid: TfcGrid
     signal: Signal
     bank: WindowBank
-
-    @cached_property
-    def peak(self) -> float:
-        """max |T^h| over every row: the aliased rows are summed once, here or by ``magnitude_tiles``."""
-        peaks = [np.abs(sums).max() for _, sums in _row_blocks(self.signal, [self.bank.h], self.grid, self._aliased)]
-        return float(np.max(peaks, initial=self.rows_peak))
-
-    @property
-    def _aliased(self) -> np.ndarray:
-        return np.setdiff1d(np.arange(self.grid.n_chirp * self.grid.n_freq), self.rows, assume_unique=True)
-
-    def h_rows(self, rows=slice(None), cols=slice(None)) -> np.ndarray:
-        """T^h on the rows ``self.rows[rows]`` over the frames of the slice ``cols``: a view for slices."""
-        return self.values[rows, cols]
 
     def companion_blocks(self, rows: np.ndarray, cols=slice(None)):
         """``(part, companions_of)``, one per product of ``_row_blocks`` over the flat (chirp, frequency)
@@ -89,18 +73,17 @@ class StreamedBank:
 
     def magnitude_tiles(self):
         """``tile(cols)``: |T^h| on every row over the frames ``cols``, frame-major, [width, n_chirp * n_freq];
-        the aliased rows are summed, once, into float64 magnitudes that ``tile`` holds, and give ``peak``
-        if nothing has yet."""
-        grid, aliased = self.grid, self._aliased
+        the aliased rows are summed, once, into float64 magnitudes that ``tile`` holds."""
+        grid = self.grid
+        aliased = np.setdiff1d(np.arange(grid.n_chirp * grid.n_freq), self.rows, assume_unique=True)
         magnitudes = np.empty((aliased.size, grid.n_time))
         for part, sums in _row_blocks(self.signal, [self.bank.h], grid, aliased):
             magnitudes[part] = np.abs(sums[:, 0])
-        self.__dict__.setdefault("peak", float(np.max(magnitudes, initial=self.rows_peak)))
 
         def tile(cols):
             cols = slice(*_frame_range(cols, grid.n_time))
             out = np.empty((cols.stop - cols.start, grid.n_chirp * grid.n_freq))
-            out[:, self.rows] = np.abs(self.h_rows(cols=cols)).T
+            out[:, self.rows] = np.abs(self.values[:, cols]).T
             out[:, aliased] = magnitudes[:, cols].T
             return out
 
@@ -211,8 +194,8 @@ def chirplet_transform(signal: Signal, window: np.ndarray, grid: TfcGrid) -> Tfc
 
 
 def streamed_bank_transform(signal: Signal, bank: WindowBank, grid: TfcGrid) -> StreamedBank:
-    """T^h on the resolvable rows, as ``chirplet_transform(signal, bank.h, ...)``; the aliased rows are left
-    to ``peak`` or ``magnitude_tiles``, whichever comes first."""
+    """T^h on the resolvable rows, as ``chirplet_transform(signal, bank.h, ...)``, and its peak there; the
+    aliased rows are left to ``magnitude_tiles``."""
     bank.check_rate(signal)
     rows = np.flatnonzero(resolvable_slots(grid, bank))
     values, peaks = np.empty((rows.size, grid.n_time), np.complex128), []

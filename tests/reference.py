@@ -110,13 +110,15 @@ class BankTensors:
         """The resolvable rows, as ``StreamedBank.rows``."""
         return np.flatnonzero(resolvable_slots(self.grid, self.bank))
 
+    @cached_property
+    def values(self):
+        """T^h on the resolvable rows, as ``StreamedBank.values``."""
+        return self.h.values.reshape(-1, self.grid.n_time)[self.rows]
+
     @property
     def peak(self):
-        return float(np.abs(self.h.values).max())
-
-    def h_rows(self, rows=slice(None), cols=slice(None)):
-        """T^h on the rows ``self.rows[rows]``, as ``StreamedBank.h_rows``."""
-        return self.h.values.reshape(-1, self.grid.n_time)[self.rows[rows], cols]
+        """max |T^h| over the resolvable rows, as ``StreamedBank.peak``."""
+        return float(np.abs(self.values).max(initial=0.0))
 
     def companion_blocks(self, rows, cols=slice(None)):
         """The companions, as ``StreamedBank.companion_blocks``, in one block: ``companions_of(sub, T)``

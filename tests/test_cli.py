@@ -514,6 +514,8 @@ def test_tfc1_header_outside_its_domain_exits_2(tmp_path, capsys, dims, alpha_sq
         # a --rate that puts the grid's steps, or the window's samples, outside the float range
         *[(c, "half_len", 10, r, 1) for c in ("transform", "sct") for r in ("1e160", "1e-200")],
         ("reconstruct", "half_len", 10, "1e-200", 1),
+        # a --rate whose sample spacing 1/rate is inf, at the automatic window (half_len 0) and at an explicit one
+        *[(c, "half_len", h, "5e-324", 1) for c in ("transform", "sct", "reconstruct") for h in (0, 5)],
     ],
 )
 def test_grid_outside_the_float_range_ends_in_one_line(tmp_path, capsys, command, key, value, rate, code):
@@ -536,6 +538,7 @@ def test_grid_outside_the_float_range_ends_in_one_line(tmp_path, capsys, command
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300, err
     assert not caught and "Traceback" not in err and "Warning" not in err
     assert ("alpha_sq" in err) == (code == 3)
+    assert rate != "5e-324" or "sample_rate_hz 5e-324 puts the grid's steps outside the float range" in err, err
     assert sorted(path.name for path in tmp_path.iterdir()) == ["run.cfg", "s.csv", "t.tfc1"]
 
 
@@ -834,6 +837,27 @@ def test_unwritable_output_leaves_no_other_output(crossing_csv, tmp_path, monkey
     assert code == 2 and err.startswith(f"error: cannot write {named.format(out=out, bad=bad)}: "), err
     assert err.count("\n") == 1
     assert sorted(os.listdir(out)) == ["adir"]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        ("sct --output {out}/x --summary {out}/x", "{out}/x"),
+        ("sct --output {out}/o.tfc1 --summary {out}/../out/o.tfc1", "{out}/../out/o.tfc1"),
+        ("reconstruct --ridge-csv {out}/m0.csv --mode-prefix {out}/m", "{out}/m0.csv"),
+    ],
+    ids=["sct-summary", "sct-summary-resolved", "reconstruct-mode"],
+)
+def test_two_outputs_naming_one_file_exit_1_before_the_input_is_read(tmp_path, monkeypatch, capsys, args, named):
+    # one would overwrite the other: refused before the input (missing here) is read, and nothing is written
+    _no_analysis(monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = args.format(out=out).split() + ["--input", str(tmp_path / "missing.csv"), "--rate", "100"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {named.format(out=out)} is named by two outputs: one would overwrite the other\n", err
+    assert os.listdir(out) == []
 
 
 def _child_env(**extra):

@@ -47,12 +47,11 @@ def test_crossing_study_rows_and_sanity():
     assert max(by["sct"].rel_errors) < 0.5
 
 
-def test_crossing_study_sums_each_row_against_h_once(monkeypatch):
-    # T^h's pass sums the resolvable rows and the CT baseline's magnitudes the aliased ones, which also
-    # give the threshold's peak: no row of the grid is summed against the analysis window twice
-    scene = small_crossing_scene()
-    x, dt, family = scene.times_s, 1 / scene.sample_rate_hz, WindowFamily(2, 1.0)
-    grid = grid_from_resolution(0.02, x.size, scene.sample_rate_hz)
+def _h_sums(monkeypatch, scene, family):
+    """The grid and bank of ``small_crossing_scene`` at ``alpha_sq`` 0.02 and the default window, and the list
+    that gathers the rows of each ``_row_blocks`` call against that bank's ``h`` alone from here on."""
+    dt = 1 / scene.sample_rate_hz
+    grid = grid_from_resolution(0.02, scene.times_s.size, scene.sample_rate_hz)
     bank = make_window_bank(family, family.default_half_len(dt), dt)
     summed, row_blocks = [], transform._row_blocks
 
@@ -62,11 +61,29 @@ def test_crossing_study_sums_each_row_against_h_once(monkeypatch):
         return row_blocks(signal, windows, grid, rows, cols)
 
     monkeypatch.setattr(transform, "_row_blocks", spy)
+    return grid, bank, summed
+
+
+def test_crossing_study_sums_each_row_against_h_once(monkeypatch):
+    # T^h's pass sums the resolvable rows and the CT baseline's magnitudes the aliased ones:
+    # no row of the grid is summed against the analysis window twice
+    scene, family = small_crossing_scene(), WindowFamily(2, 1.0)
+    x = scene.times_s
+    grid, bank, summed = _h_sums(monkeypatch, scene, family)
     crossing_study(scene, (x >= 1.0) & (x <= 5.0), family, WindowFamily(0, 1.0), alpha_sq=0.02,
                    ridge_params=RidgeParams(seed=0))
     aliased = np.flatnonzero(~resolvable_slots(grid, bank))
     assert len(summed) == 2 and aliased.size > 0 and np.array_equal(summed[1], aliased)
     assert np.array_equal(np.bincount(np.concatenate(summed)), np.ones(grid.n_chirp * grid.n_freq, dtype=int))
+
+
+def test_run_sct_sums_no_aliased_row(monkeypatch):
+    # the threshold's peak is taken in T^h's own pass: each resolvable row is summed against h once, no other row
+    scene, family = small_crossing_scene(), WindowFamily(2, 1.0)
+    grid, bank, summed = _h_sums(monkeypatch, scene, family)
+    field = run_sct(scene.signal(), family, grid)
+    assert np.array_equal(field.banks.rows, np.flatnonzero(resolvable_slots(grid, bank)))
+    assert (~resolvable_slots(grid, bank)).any() and np.array_equal(np.concatenate(summed), field.banks.rows)
 
 
 def test_ct_ridges_baseline_tracks():

@@ -68,12 +68,10 @@ def test_streamed_field_matches_stored_bank(analysis):
     streamed = streamed_bank_transform(signal, bank, grid)
     assert np.array_equal(streamed.rows, np.flatnonzero(resolvable_slots(grid, bank)))
     assert np.array_equal(streamed.values, stored.h.values.reshape(-1, grid.n_time)[streamed.rows])
-    # over every row, the aliased ones too, to the bit: from one pass of its own, or from the CT baseline's
-    want = float(np.abs(chirplet_transform(signal, bank.h, grid).values).max()).hex()
-    tiled = streamed_bank_transform(signal, bank, grid)
-    tiled.magnitude_tiles()
-    assert float(streamed.peak).hex() == float(tiled.peak).hex() == want
-    nu = nu_rel * np.abs(stored.h.values).max()
+    # the peak over the resolvable rows alone, to the bit, as the stand-in bank takes it
+    want = np.abs(chirplet_transform(signal, bank.h, grid).values)[resolvable_slots(grid, bank)].max(initial=0.0)
+    assert float(streamed.peak).hex() == float(stored.peak).hex() == float(want).hex()
+    nu = nu_rel * want
     ref = reassignment_field(stored, nu=nu)
     field = reassignment_field(streamed, nu=nu)
     assert np.array_equal(field.defined, ref.defined)
@@ -89,10 +87,29 @@ def test_run_sct_keeps_bank_h_and_conserves_mass(analysis):
     # criterion 06 over random grids, windows and thresholds
     signal, grid, bank, nu_rel = analysis
     field = run_sct(signal, bank.family, grid, bank.half_len, nu_rel=nu_rel)
-    h = chirplet_bank_transform(signal, bank, grid).h.values
+    h = chirplet_transform(signal, bank.h, grid).values
     assert np.array_equal(field.banks.values, h.reshape(-1, grid.n_time)[field.banks.rows])
-    assert field.nu == nu_rel * np.abs(h).max() or not np.abs(h).max()
+    peak = np.abs(h)[resolvable_slots(grid, bank)].max(initial=0.0)
+    assert float(field.nu).hex() == float(nu_rel * peak).hex() or not peak
     assert squeeze_conservation(field, synchrosqueeze(field)).max() <= 1e-10
+
+
+def test_threshold_follows_the_kept_rows_when_an_aliased_row_peaks():
+    # white noise whose largest |T^h| (16.19) sits on an aliased row, 1.2x the resolvable rows' (13.53):
+    # nu is nu_rel times the latter, and the kept entries between the two thresholds stay above it
+    rng = np.random.default_rng(3)
+    signal = Signal(rng.standard_normal(40) + 1j * rng.standard_normal(40), FS)
+    grid = grid_from_resolution(0.1, 40, FS)
+    bank = make_window_bank(WindowFamily(0, 1.0), 10, 1 / FS)
+    h = np.abs(chirplet_transform(signal, bank.h, grid).values)
+    kept = h[resolvable_slots(grid, bank)].max()
+    assert h.max() > 1.15 * kept
+    field = run_sct(signal, bank.family, grid, bank.half_len, nu_rel=0.5)
+    assert float(field.nu).hex() == float(0.5 * kept).hex()
+    h_kept = h.reshape(-1, grid.n_time)[field.banks.rows]
+    between = (h_kept > 0.5 * kept) & (h_kept <= 0.5 * h.max())
+    assert between.any() and not (field.codes[between] == BELOW).any()
+    assert np.array_equal(field.codes == BELOW, h_kept <= field.nu)
 
 
 @pytest.mark.parametrize("n", [0, 2])
