@@ -118,8 +118,8 @@ def _naming(flag: str, path: str):
         raise ParameterError(f"{flag} {path}: {exc}") from None
 
 
-def _read_signal(args, *outputs) -> Signal:
-    """The ``--input`` signal, read once its flags are checked and its non-empty ``outputs`` writable."""
+def _read_signal(args, *outputs, truths=()) -> Signal:
+    """The ``--input`` signal, read once its flags are checked and its non-empty ``outputs`` writable, not inputs."""
     fmt = args.format
     if args.rate is not None and not 0 < args.rate < np.inf:
         raise ParameterError(f"--rate must be positive and finite, got {args.rate}")
@@ -129,7 +129,7 @@ def _read_signal(args, *outputs) -> Signal:
         raise ParameterError(f"--downsample must be >= 1, got {args.downsample}")
     if fmt != "wav" and args.rate is None:
         raise ParameterError(f"--rate is required for format {fmt!r}")
-    tensorio._check_writable(*filter(None, outputs))
+    tensorio._check_writable(*filter(None, outputs), inputs=[args.input, *truths])
     with _naming("--input", args.input):
         if fmt == "wav":
             sig = tensorio.read_wav(args.input, downsample=args.downsample)
@@ -265,7 +265,7 @@ def _write_ridges(path: str, ridges, times_s: np.ndarray):
 
 def cmd_ridge(args) -> int:
     config = _config(args)
-    tensorio._check_writable(args.output)
+    tensorio._check_writable(args.output, inputs=[args.tensor])
     with _naming("--tensor", args.tensor):
         source = tensorio.TensorFile(args.tensor)
     grid = source.grid
@@ -303,7 +303,7 @@ def cmd_reconstruct(args) -> int:
             f"--truth: {len(args.truth)} files for {config.n_components} modes (n_components)"
         )
     modes_csv = [f"{args.mode_prefix}{k}.csv" for k in range(config.n_components)]
-    signal = _read_signal(args, args.ridge_csv, *modes_csv, args.truth and args.report)
+    signal = _read_signal(args, args.ridge_csv, *modes_csv, args.truth and args.report, truths=args.truth or ())
     truths = _read_truths(args.truth or (), signal)
     grid = grid_from_resolution(config.alpha_sq, len(signal), signal.sample_rate_hz)
     recon_half_len = _default_half_len(recon_family, signal)

@@ -48,7 +48,7 @@ def _streamed_bank(signal: Signal, family: WindowFamily, grid: TfcGrid, half_len
 
 
 def ct_ridges(banks: StreamedBank, n_components: int, params: RidgeParams | None = None) -> RidgeSet:
-    """Baseline: the same extraction applied to |T^h| over every row (``StreamedBank.magnitude_tiles``)."""
+    """Baseline: the same extraction on |T^h| over the resolvable rows, 0 on the aliased rows as in the field."""
     return extract_ridges(banks, n_components, params)
 
 

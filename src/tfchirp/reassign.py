@@ -105,9 +105,9 @@ class ReassignmentField:
         self.__dict__.update(omega=omega.reshape(shape), mu=mu.reshape(shape))
         return self.__dict__[name]
 
-    def magnitude_tiles(self):
-        """``tile(cols)``: |S| over the frames ``cols``, frame-major, squeezed from those frames alone."""
-        return lambda cols: np.abs(synchrosqueeze(self, cols).values.transpose(2, 0, 1), order="C")
+    def magnitude_tile(self, frames):
+        """|S| over the frames ``frames``, frame-major, squeezed from those frames alone."""
+        return np.abs(synchrosqueeze(self, frames).values.transpose(2, 0, 1), order="C")
 
     def sources(self, bins: np.ndarray) -> tuple:
         """(src, which, omega, mu, magnitude): the flat entries of the grid that the squeeze moves onto the

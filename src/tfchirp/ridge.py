@@ -4,9 +4,9 @@ Pipeline: quantile selection of high-energy entries, Gaussian-kernel
 spectral embedding of the selected (time, frequency, chirp-rate) points,
 k-means on the embedding, then per-frame aggregation of each cluster into a
 single (frequency, chirp-rate) curve.  The selection is one walk over the
-64-frame time tiles of |S| (``FRAME_CHUNK``); from a field, each tile of S
-is squeezed when the walk reaches it, and from a TFC1 file it is read when
-the walk reaches it, so S is never held whole.
+64-frame time tiles of |S| (``FRAME_CHUNK``): a field squeezes each tile of
+S and a TFC1 file reads it when the walk reaches it, so S is never held
+whole; a bank's tile (the CT baseline) is |T^h|, 0 on the aliased rows.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def select_high_energy(
     """Entries with |S| above the q-quantile, as a normalized point cloud.
 
     ``source`` is S itself, a reassignment field whose S is squeezed a tile at a time, a TFC1 file
-    whose S is read a tile at a time, or a bank whose |T^h| on every row takes the place of |S|.
+    whose S is read a tile at a time, or a bank whose |T^h| (0 on the aliased rows) stands for |S|.
     ``min_per_frame`` additionally admits each frame's strongest nonzero entries, so that frames whose
     ridge mass falls below the global threshold (the threshold chases the loudest spikes) still
     contribute; the quantile entries are then marked in ``core``, and the normalization is fitted to them.
@@ -140,7 +140,7 @@ def select_high_energy(
 def _tile_walk(source, q: float, count: int) -> tuple:
     """(``np.quantile(|S|, q)``, the ascending flat indices above it and of each frame's ``count``
     strongest separated peaks, |S| there), in one walk over the ``FRAME_CHUNK``-frame tiles of a
-    volume ``source``, or of a field's, a TFC1 file's or a bank's ``magnitude_tiles()``, frame-major.
+    volume ``source``, or the ``magnitude_tile`` of a field, a TFC1 file or a bank, frame-major.
 
     A tile's magnitudes, frame-major, feed the quantile ``ENTRY_BLOCK`` at a
     time: those above a rising floor are held with their indices, the rest
@@ -155,7 +155,7 @@ def _tile_walk(source, q: float, count: int) -> tuple:
     if isinstance(source, np.ndarray):  # magnitudes frame-major, for the peaks, which peel them in place
         shape, tile_of = source.shape, lambda frames: np.abs(source[..., frames].transpose(2, 0, 1), order="C")
     else:
-        shape, tile_of = (source.grid.n_chirp, source.grid.n_freq, source.grid.n_time), source.magnitude_tiles()
+        shape, tile_of = (source.grid.n_chirp, source.grid.n_freq, source.grid.n_time), source.magnitude_tile
     (n_chirp, n_freq, n_time), n = shape, int(np.prod(shape))
     virtual = (n - 1) * q
     prev = int(np.floor(virtual))
@@ -495,7 +495,7 @@ def extract_ridges(
     Returns exactly ``n_components`` curves or raises ``ExtractionError``.
     ``n_components == 1`` bypasses the clustering and treats every selected
     point as one ridge.  From a volume ``source`` (a ``TfcTensor``, or a TFC1
-    file read a tile at a time) or a bank (its |T^h|) the curves are the
+    file read a tile at a time) or a bank (its |T^h| on the resolvable rows) the curves are the
     per-frame centroids of the selected bins.
     From a reassignment field, the selection squeezes S a tile at a time
     and never holds it whole; the curves are aggregated from

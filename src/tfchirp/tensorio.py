@@ -54,12 +54,22 @@ def _atomic_write(path: str, write_fn):
         os.replace(tmp, path)
 
 
-def _check_writable(*paths):
+def _check_writable(*paths, inputs=()):
     """Fail as ``_atomic_write`` would on the first of ``paths`` it could not write: a temp file beside each
-    is made and removed, and a directory is refused; two paths that resolve to one file are refused too."""
+    is made and removed, and a directory is refused.  A path that names the same file as an earlier path or
+    one of the command's ``inputs`` is refused too: ``os.path.samefile`` where both exist, else the real paths."""
+
+    def same(a, b):
+        try:
+            return os.path.samefile(a, b)
+        except OSError:
+            return os.path.realpath(a) == os.path.realpath(b)
+
     for i, path in enumerate(paths):
-        if os.path.realpath(path) in map(os.path.realpath, paths[:i]):
+        if any(same(path, other) for other in paths[:i]):
             raise ParameterError(f"{path} is named by two outputs: one would overwrite the other")
+        if any(same(path, other) for other in inputs):
+            raise ParameterError(f"{path} is an input of the command: the output would overwrite it")
         with _temp_beside(path):
             if os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
@@ -182,10 +192,10 @@ class TensorFile:
                 _read_into(fh, view[row * span : (row + 1) * span], offset)
         return out
 
-    def magnitude_tiles(self):
-        """``tile(frames)``: |S| over the frames of the unit-step slice ``frames``, frame-major,
-        [width, n_chirp * n_freq], in the file's precision (float32 for complex64)."""
-        return lambda frames: np.abs(self.read(frames).T, order="C")
+    def magnitude_tile(self, frames):
+        """|S| over the frames of the unit-step slice ``frames``, frame-major, [width, n_chirp * n_freq],
+        in the file's precision (float32 for complex64)."""
+        return np.abs(self.read(frames).T, order="C")
 
 
 def read_tensor(path: str):

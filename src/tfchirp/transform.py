@@ -54,7 +54,7 @@ class TfMatrix:
 @dataclass(frozen=True)
 class StreamedBank:
     """T^h of a signal on ``rows``, the ascending flat rows ``resolvable_slots`` keeps, [rows.size, n_time],
-    and ``peak``, max |T^h| over them; the companion transforms are formed per row block."""
+    and ``peak``, max |T^h| over them; the companion transforms are formed per row block, never on an aliased row."""
 
     values: np.ndarray
     rows: np.ndarray
@@ -71,23 +71,13 @@ class StreamedBank:
         for part, sums in _row_blocks(self.signal, [bank.th, bank.t2h, *bank.basis], self.grid, rows, cols):
             yield part, lambda sub, T, sums=sums: _companions(bank.family, T, sums[sub])
 
-    def magnitude_tiles(self):
-        """``tile(cols)``: |T^h| on every row over the frames ``cols``, frame-major, [width, n_chirp * n_freq];
-        the aliased rows are summed, once, into float64 magnitudes that ``tile`` holds."""
-        grid = self.grid
-        aliased = np.setdiff1d(np.arange(grid.n_chirp * grid.n_freq), self.rows, assume_unique=True)
-        magnitudes = np.empty((aliased.size, grid.n_time))
-        for part, sums in _row_blocks(self.signal, [self.bank.h], grid, aliased):
-            magnitudes[part] = np.abs(sums[:, 0])
-
-        def tile(cols):
-            cols = slice(*_frame_range(cols, grid.n_time))
-            out = np.empty((cols.stop - cols.start, grid.n_chirp * grid.n_freq))
-            out[:, self.rows] = np.abs(self.values[:, cols]).T
-            out[:, aliased] = magnitudes[:, cols].T
-            return out
-
-        return tile
+    def magnitude_tile(self, frames):
+        """|T^h| over the frames of the unit-step slice ``frames``, frame-major, [width, n_chirp * n_freq]:
+        the resolvable rows' magnitudes, and 0 on every aliased row, which the field leaves undefined."""
+        start, stop = _frame_range(frames, self.grid.n_time)
+        out = np.zeros((stop - start, self.grid.n_chirp * self.grid.n_freq))
+        out[:, self.rows] = np.abs(self.values[:, start:stop]).T
+        return out
 
 
 def _companions(family: WindowFamily, T, sums) -> tuple:
@@ -194,8 +184,7 @@ def chirplet_transform(signal: Signal, window: np.ndarray, grid: TfcGrid) -> Tfc
 
 
 def streamed_bank_transform(signal: Signal, bank: WindowBank, grid: TfcGrid) -> StreamedBank:
-    """T^h on the resolvable rows, as ``chirplet_transform(signal, bank.h, ...)``, and its peak there; the
-    aliased rows are left to ``magnitude_tiles``."""
+    """T^h on the resolvable rows alone, as ``chirplet_transform(signal, bank.h, ...)``, and its peak there."""
     bank.check_rate(signal)
     rows = np.flatnonzero(resolvable_slots(grid, bank))
     values, peaks = np.empty((rows.size, grid.n_time), np.complex128), []

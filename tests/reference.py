@@ -10,7 +10,8 @@ straightforward forms it is checked against:
   stored volumes, each one call of ``chirplet_transform``;
 - ``whole_h`` and ``whole_codes``: T^h and a field's codes on every row of
   the grid, the aliased rows included, where the library keeps the
-  resolvable rows alone;
+  resolvable rows alone; ``resolvable_h``: that T^h with the aliased rows
+  zero, the CT baseline's volume;
 - ``squeeze_destinations`` and ``conservation_full_volume``: the squeeze's
   rounding and the conservation residual over the whole volume in one pass;
 - ``squeeze_whole``, ``conservation_whole`` and ``sources_whole``: the
@@ -142,6 +143,11 @@ def whole_h(banks) -> np.ndarray:
     if isinstance(banks, BankTensors):
         return banks.h.values
     return chirplet_transform(banks.signal, banks.bank.h, banks.grid).values
+
+
+def resolvable_h(banks) -> np.ndarray:
+    """``whole_h`` with every aliased row 0, [n_chirp, n_freq, n_time]: the volume the CT baseline selects from."""
+    return np.where(resolvable_slots(banks.grid, banks.bank)[..., None], whole_h(banks), 0)
 
 
 def whole_codes(field) -> np.ndarray:

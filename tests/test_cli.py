@@ -167,7 +167,7 @@ def test_ridge_reads_tiles_to_the_bits_of_the_whole_tensor(crossing_sct, tmp_pat
                  "--output", str(out)]) == 0
     tensor, t0 = read_tensor(path)
     grid = tensor.grid
-    tile = TensorFile(path).magnitude_tiles()(slice(0, min(64, grid.n_time)))
+    tile = TensorFile(path).magnitude_tile(slice(0, min(64, grid.n_time)))
     assert tile.dtype == tensor.values.real.dtype and tile.shape == (min(64, grid.n_time), grid.n_chirp * grid.n_freq)
     whole = extract_ridges(tensor, n_components, RidgeParams())
     columns = [t0 + np.arange(grid.n_time) / grid.sample_rate_hz]
@@ -857,6 +857,42 @@ def test_two_outputs_naming_one_file_exit_1_before_the_input_is_read(tmp_path, m
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {named.format(out=out)} is named by two outputs: one would overwrite the other\n", err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        ("sct --input {inp}/s.csv --output {out}/o.tfc1 --summary {inp}/s.csv", "{inp}/s.csv"),
+        ("sct --input {inp}/s.csv --output {out}/o.tfc1 --summary {inp}/../in/s.csv", "{inp}/../in/s.csv"),
+        ("sct --input {inp}/s.csv --output {out}/o.tfc1 --summary {inp}/hard.csv", "{inp}/hard.csv"),
+        ("transform --input {inp}/s.csv --output {out}/o.tfc1 --tf-csv {inp}/s.csv", "{inp}/s.csv"),
+        ("reconstruct --input {inp}/s.csv --ridge-csv {out}/r.csv --mode-prefix {out}/m --truth {inp}/t0.csv "
+         "--report {inp}/t0.csv", "{inp}/t0.csv"),
+        ("reconstruct --input {inp}/s.csv --ridge-csv {out}/r.csv --mode-prefix {inp}/t --truth {inp}/t0.csv",
+         "{inp}/t0.csv"),
+        ("ridge --tensor {inp}/y.tfc1 --output {inp}/y.tfc1", "{inp}/y.tfc1"),
+    ],
+    ids=["sct-summary", "sct-summary-resolved", "sct-summary-hard-link", "transform-tf-csv", "reconstruct-report",
+         "reconstruct-mode", "ridge-output"],
+)
+def test_an_output_naming_an_input_exits_1_before_the_input_is_read(tmp_path, monkeypatch, capsys, args, named):
+    # writing it would replace the input: refused with one line, the inputs' bytes kept and nothing written
+    _no_analysis(monkeypatch)
+    inp, out = tmp_path / "in", tmp_path / "out"
+    inp.mkdir()
+    out.mkdir()
+    signal = Signal(crossing_chirp_pair().components[0], 100.0)
+    write_signal_csv(str(inp / "s.csv"), signal)
+    write_signal_csv(str(inp / "t0.csv"), signal)
+    os.link(inp / "s.csv", inp / "hard.csv")
+    (inp / "y.tfc1").write_bytes(b"TFC1 bytes no command reads")
+    before = {p.name: p.read_bytes() for p in inp.iterdir()}
+    argv = args.format(inp=inp, out=out).split() + ([] if args.startswith("ridge") else ["--rate", "100"])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {named.format(inp=inp)} is an input of the command: the output would overwrite it\n", err
+    assert {p.name: p.read_bytes() for p in inp.iterdir()} == before
     assert os.listdir(out) == []
 
 

@@ -64,26 +64,21 @@ def _h_sums(monkeypatch, scene, family):
     return grid, bank, summed
 
 
-def test_crossing_study_sums_each_row_against_h_once(monkeypatch):
-    # T^h's pass sums the resolvable rows and the CT baseline's magnitudes the aliased ones:
-    # no row of the grid is summed against the analysis window twice
+@pytest.mark.parametrize("analysis", ["crossing_study", "run_sct"])
+def test_no_analysis_sums_an_aliased_row_against_h(monkeypatch, analysis):
+    # T^h's pass sums each resolvable row against the analysis window once, and no other pass sums a row
+    # against it: the field and the CT baseline read those sums, and the aliased rows are never summed
     scene, family = small_crossing_scene(), WindowFamily(2, 1.0)
     x = scene.times_s
     grid, bank, summed = _h_sums(monkeypatch, scene, family)
-    crossing_study(scene, (x >= 1.0) & (x <= 5.0), family, WindowFamily(0, 1.0), alpha_sq=0.02,
-                   ridge_params=RidgeParams(seed=0))
-    aliased = np.flatnonzero(~resolvable_slots(grid, bank))
-    assert len(summed) == 2 and aliased.size > 0 and np.array_equal(summed[1], aliased)
-    assert np.array_equal(np.bincount(np.concatenate(summed)), np.ones(grid.n_chirp * grid.n_freq, dtype=int))
-
-
-def test_run_sct_sums_no_aliased_row(monkeypatch):
-    # the threshold's peak is taken in T^h's own pass: each resolvable row is summed against h once, no other row
-    scene, family = small_crossing_scene(), WindowFamily(2, 1.0)
-    grid, bank, summed = _h_sums(monkeypatch, scene, family)
-    field = run_sct(scene.signal(), family, grid)
-    assert np.array_equal(field.banks.rows, np.flatnonzero(resolvable_slots(grid, bank)))
-    assert (~resolvable_slots(grid, bank)).any() and np.array_equal(np.concatenate(summed), field.banks.rows)
+    if analysis == "crossing_study":
+        crossing_study(scene, (x >= 1.0) & (x <= 5.0), family, WindowFamily(0, 1.0), alpha_sq=0.02,
+                       ridge_params=RidgeParams(seed=0))
+    else:
+        field = run_sct(scene.signal(), family, grid)
+        assert np.array_equal(field.banks.rows, np.flatnonzero(resolvable_slots(grid, bank)))
+    assert (~resolvable_slots(grid, bank)).any()
+    assert np.array_equal(np.concatenate(summed), np.flatnonzero(resolvable_slots(grid, bank)))
 
 
 def test_ct_ridges_baseline_tracks():

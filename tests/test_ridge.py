@@ -317,10 +317,10 @@ def test_blocked_selection_equals_the_whole_volume_selection(
     crossing_sct_g2, crossing_s_g2, monkeypatch, volume, q, min_per_frame
 ):
     # a field's S is squeezed tile by tile inside the selection; a bank's |T^h|
-    # joins its resolvable rows to the aliased rows' magnitudes summed again
+    # is its resolvable rows', with every aliased row 0
     banks = crossing_sct_g2.banks
     source = {"sct": crossing_s_g2, "ct": banks, "field": crossing_sct_g2}[volume]
-    whole = TfcTensor(reference.whole_h(banks), banks.grid) if volume == "ct" else crossing_s_g2
+    whole = TfcTensor(reference.resolvable_h(banks), banks.grid) if volume == "ct" else crossing_s_g2
     want = reference.select_high_energy(whole, q, min_per_frame)
     assert (want.core is None) == (min_per_frame == 0)
     # 997 entries: block edges fall inside the rows of every frame

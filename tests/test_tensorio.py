@@ -198,7 +198,7 @@ def test_tensor_file_tiles_and_short_reads(tmp_path):
     write_tensor(str(path), tensor, t0_s=0.5)
     source = TensorFile(str(path))
     assert source.t0_s == 0.5 and source.grid.n_time == 6
-    tile = source.magnitude_tiles()
+    tile = source.magnitude_tile
     assert np.array_equal(tile(slice(2, 5)), np.abs(tensor.values[..., 2:5].transpose(2, 0, 1)).reshape(3, -1))
     path.write_bytes(path.read_bytes()[:-16])  # one entry gone once the file was checked
     with pytest.raises(FormatError, match="truncated"):
