@@ -268,10 +268,9 @@ def cmd_ridge(args) -> int:
     tensorio._check_writable(args.output, inputs=[args.tensor])
     with _naming("--tensor", args.tensor):
         source = tensorio.TensorFile(args.tensor)
-    grid = source.grid
-    with _memory_guard(grid, q=config.q):
-        ridges = extract_ridges(source, config.n_components, config.ridge_params())
-    _write_ridges(args.output, ridges, source.t0_s + np.arange(grid.n_time) / grid.sample_rate_hz)
+        with _memory_guard(source.grid, q=config.q):  # the walk reads the payload: a refusal in it names the file
+            ridges = extract_ridges(source, config.n_components, config.ridge_params())
+    _write_ridges(args.output, ridges, source.t0_s + np.arange(ridges.n_time) / source.grid.sample_rate_hz)
     return 0
 
 
@@ -361,13 +360,14 @@ def cmd_compare(args) -> int:
 
 
 def cmd_info(args) -> int:
-    with _naming("--tensor", args.tensor), open(args.tensor, "rb") as fh:
-        grid, dtype, t0 = tensorio._read_header(fh)
+    with _naming("--tensor", args.tensor):
+        source = tensorio.TensorFile(args.tensor)
+    grid = source.grid
     print(f"dims: {grid.n_chirp} x {grid.n_freq} x {grid.n_time}")
     print(f"alpha_sq: {grid.alpha_sq}")
     print(f"sample_rate_hz: {grid.sample_rate_hz}")
-    print(f"t0_s: {t0}")
-    print(f"dtype: {dtype}")
+    print(f"t0_s: {source.t0_s}")
+    print(f"dtype: {source.dtype}")
     return 0
 
 

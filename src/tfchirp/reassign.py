@@ -266,11 +266,14 @@ def synchrosqueeze(field: ReassignmentField, frames: slice = slice(None)) -> Tfc
     # each bin receives its sources (of its own frame) in ascending row order, as in one pass
     rows_per = max(1, ENTRY_BLOCK // width)
     for lo in range(0, field.codes.shape[0], rows_per):
-        codes = field.codes[lo : lo + rows_per, start:stop]
-        moves = codes >= 0
-        values = field.banks.values[lo : lo + rows_per, start:stop]
-        np.add.at(out, codes[moves].astype(np.intp) * width + np.flatnonzero(moves) % width, values[moves])
+        _scatter(out, field.codes[lo : lo + rows_per, start:stop], field.banks.values[lo : lo + rows_per, start:stop])
     return TfcTensor(out.reshape(grid.n_chirp, grid.n_freq, width), replace(grid, n_time=width))
+
+
+def _scatter(out: np.ndarray, codes: np.ndarray, values: np.ndarray):
+    """Add, in row-major order, each entry of ``values`` whose code moves it (>= 0) to its bin and column of ``out``."""
+    moves, width = codes >= 0, codes.shape[1]
+    np.add.at(out, codes[moves].astype(np.intp) * width + np.flatnonzero(moves) % width, values[moves])
 
 
 def squeeze_conservation(field: ReassignmentField, squeezed: TfcTensor) -> np.ndarray:
@@ -297,14 +300,9 @@ def _stft_transforms(signal: Signal, bank: WindowBank, grid: TfcGrid) -> tuple:
 
 
 def _squeeze_matrix(W: np.ndarray, omega: np.ndarray, grid: TfcGrid) -> np.ndarray:
-    defined = ~np.isnan(omega)
-    m_dest = round_half_away(omega[defined] / grid.freq_step_hz)
-    frames = np.broadcast_to(np.arange(grid.n_time), defined.shape)[defined]
-    vals = W[defined]
-    ok = (m_dest >= 0) & (m_dest < grid.n_freq)
-    flat = m_dest[ok].astype(np.intp) * grid.n_time + frames[ok]
+    """The STFT ``W`` squeezed onto the bins of ``omega`` (NaN: none) by ``_codes`` on the zero-chirp row."""
     out = np.zeros(grid.n_freq * grid.n_time, dtype=np.complex128)
-    np.add.at(out, flat, vals[ok])
+    _scatter(out, _codes(grid, 0.0, omega, False) - (grid.M - 1) * grid.n_freq, W)  # the causes stay negative
     return out.reshape(grid.n_freq, grid.n_time)
 
 

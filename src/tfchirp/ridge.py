@@ -501,7 +501,8 @@ def extract_ridges(
     and never holds it whole; the curves are aggregated from
     the entries of the field's T^h behind each selected bin (sub-bin
     precision).  Clustering that runs out of memory raises
-    ``ResourceError`` naming the core cloud's size and its affinity's bytes.
+    ``ResourceError`` naming the core cloud's size and its affinity's bytes;
+    an embedding whose eigensolver does not converge raises ``ExtractionError``.
     """
     params = params or RidgeParams()
     # per-frame peaks keep starved stretches represented in the curve fit,
@@ -512,17 +513,22 @@ def extract_ridges(
     if n_components == 1:
         labels = np.zeros(len(core), dtype=int)
     else:
-        if len(core) < 2 * n_components:  # spectral_embed's minimum: the cloud fails, and a lower q mends it
-            raise ExtractionError(f"a core cloud of {len(core)} points is too small to embed {n_components} "
+        n = len(core)
+        if n < 2 * n_components:  # spectral_embed's minimum: the cloud fails, and a lower q mends it
+            raise ExtractionError(f"a core cloud of {n} points is too small to embed {n_components} "
                                   f"ridges; lower q (now {params.q}) for a larger cloud")
+        from scipy.sparse.linalg import ArpackNoConvergence  # spectral_embed's eigsh loads it in any case
+
         try:
             embedding = spectral_embed(core, n_components, params.sigma_pct)
         except MemoryError:
-            n = len(core)
             raise ResourceError(
                 f"out of memory clustering the {n}-point ridge cloud ({8 * n * n} bytes of affinity); "
                 f"raise q (now {params.q}) for a smaller cloud"
             ) from None
+        except ArpackNoConvergence:
+            raise ExtractionError(f"the spectral embedding of the {n}-point ridge cloud did not converge; "
+                                  f"raise sigma_pct (now {params.sigma_pct}) or change q (now {params.q})") from None
         labels = kmeans_cluster(embedding, n_components, seed=params.seed)
         found = np.unique(labels).size
         if found != n_components:

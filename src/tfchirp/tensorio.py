@@ -163,25 +163,18 @@ class TensorFile:
     """A TFC1 file, read from the file one range of frames at a time: ridge selection
     (``extract_ridges``) takes it in place of a ``TfcTensor`` and never holds the payload.
 
-    Opening checks the header (``_read_header``), then reads the payload once, ``_BLOCK`` floats at a
-    time, and refuses a non-finite entry.
+    Opening reads and checks the header alone (``_read_header``); each ``read`` refuses a non-finite
+    entry among those it returns, so a walk over every frame checks every entry and reads each once.
     """
 
     def __init__(self, path: str):
         self.path = path
         with open(path, "rb", buffering=0) as fh:
             self.grid, self.dtype, self.t0_s = _read_header(fh)
-            count = self.grid.n_chirp * self.grid.n_freq * self.grid.n_time
-            block = np.empty(_BLOCK // 2, self.dtype.newbyteorder("<"))
-            for lo in range(0, count, block.size):
-                part = block[: count - lo]
-                _read_into(fh, memoryview(part.view(np.uint8)), _HEADER.size + lo * self.dtype.itemsize)
-                if not _all_finite(part):
-                    raise FormatError("TFC1 payload contains non-finite entries")
 
     def read(self, frames: slice) -> np.ndarray:
         """The payload over the frames of the unit-step slice ``frames`` (``_frame_range``), [n_chirp * n_freq,
-        width], in the file's byte order, one read per row."""
+        width], in the file's byte order, one read per row; a non-finite entry among them raises ``FormatError``."""
         grid, itemsize = self.grid, self.dtype.itemsize
         start, stop = _frame_range(frames, grid.n_time)
         out = np.empty((grid.n_chirp * grid.n_freq, stop - start), self.dtype.newbyteorder("<"))
@@ -190,6 +183,8 @@ class TensorFile:
             for row in range(out.shape[0]):
                 offset = _HEADER.size + (row * grid.n_time + start) * itemsize
                 _read_into(fh, view[row * span : (row + 1) * span], offset)
+        if not _all_finite(out):
+            raise FormatError("TFC1 payload contains non-finite entries")
         return out
 
     def magnitude_tile(self, frames):
@@ -199,7 +194,7 @@ class TensorFile:
 
 
 def read_tensor(path: str):
-    """Read a TFC1 file; returns (TfcTensor, t0_s): a checked ``TensorFile``'s whole record."""
+    """Read a TFC1 file; returns (TfcTensor, t0_s): a ``TensorFile``'s whole record, checked as it is read."""
     source = TensorFile(path)
     grid = source.grid
     values = source.read(slice(None)).astype(source.dtype, copy=False)

@@ -1,8 +1,10 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -178,19 +180,23 @@ def test_ridge_reads_tiles_to_the_bits_of_the_whole_tensor(crossing_sct, tmp_pat
 
 
 def test_ridge_refuses_a_nonfinite_entry_in_the_last_tile(tmp_path, monkeypatch, capsys):
-    from tfchirp import cli
+    # the extraction's walk reads the last tile, and refuses its entry, before anything is clustered
+    from tfchirp import cli, ridge
 
     grid = grid_from_resolution(0.25, 100, 4.0)
     path, out = tmp_path / "t.tfc1", tmp_path / "r.csv"
-    write_tensor(str(path), TfcTensor(np.ones((grid.n_chirp, grid.n_freq, 100), dtype=complex), grid))
+    rng = np.random.default_rng(0)
+    write_tensor(str(path), TfcTensor(rng.standard_normal((grid.n_chirp, grid.n_freq, 100)) + 0j, grid))
     raw = bytearray(path.read_bytes())
     raw[-8:] = np.array(np.nan, "<f8").tobytes()  # the imaginary part of the last row's last frame
     path.write_bytes(bytes(raw))
-    extracted = []
-    monkeypatch.setattr(cli, "extract_ridges", lambda *args, **kwargs: extracted.append(args))
-    assert main(["ridge", "--tensor", str(path), "--output", str(out)]) == 2
+    extracted, embedded = [], []
+    monkeypatch.setattr(cli, "extract_ridges", lambda *args: extracted.append(args) or extract_ridges(*args))
+    monkeypatch.setattr(ridge, "spectral_embed", lambda *args: embedded.append(args))
+    cfg = write_config(tmp_path, q=0.99)  # a core cloud of 12 points: large enough to embed
+    assert main(["--config", cfg, "ridge", "--tensor", str(path), "--output", str(out)]) == 2
     assert capsys.readouterr().err == f"error: --tensor {path}: TFC1 payload contains non-finite entries\n"
-    assert not extracted and not out.exists()
+    assert extracted and not embedded and not out.exists()
 
 
 def test_ridge_holds_one_tile_and_no_payload(crossing_sct, tmp_path):
@@ -417,6 +423,45 @@ def test_a_core_cloud_too_small_to_embed_exits_3_naming_q(crossing_csv, crossing
     assert capsys.readouterr().err == (f"error: a core cloud of {size} points is too small to embed 2 ridges; "
                                        f"lower q (now {q}) for a larger cloud\n")
     assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("command", ["ridge", "reconstruct"])
+def test_an_embedding_that_does_not_converge_exits_3_naming_sigma_pct_and_q(crossing_csv, crossing_sct, tmp_path,
+                                                                             monkeypatch, capsys, command):
+    # eigsh's own failure, as sigma_pct 0.5 gives on a plain chirp's SCT after most of a minute
+    import scipy.sparse.linalg
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    args = {
+        "ridge": ["--tensor", crossing_sct, "--output", str(tmp_path / "r.csv")],
+        "reconstruct": ["--input", crossing_csv, "--rate", "100", "--ridge-csv", str(tmp_path / "r.csv"),
+                        "--mode-prefix", str(tmp_path / "mode")],
+    }
+    assert main([command, *args[command]]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: the spectral embedding of the \d+-point ridge cloud did not converge; "
+                        r"raise sigma_pct \(now 15\.0\) or change q \(now 0\.9995\)\n", err), err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "amplitude",
+    [1.0, *(pytest.param(a, marks=pytest.mark.xfail(strict=True, reason="S is all zero: ROADMAP item 9"))
+            for a in (1e300, 1e-310))],
+)
+def test_sct_of_a_chirp_at_any_amplitude(tmp_path, amplitude):
+    # near either end of the float range the squeeze loses the chirp, and numpy warns on the way
+    x = np.arange(200) / 50.0
+    src, out = tmp_path / "chirp.csv", tmp_path / "s.tfc1"
+    write_signal_csv(str(src), Signal(amplitude * np.cos(2 * np.pi * (5 * x + x**2)), 50.0))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sct", "--input", str(src), "--rate", "50", "--output", str(out)])
+    assert code == 0 and not caught, [str(w.message) for w in caught[:3]]
+    assert np.count_nonzero(read_tensor(str(out))[0].values)
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 
 from tfchirp import tensorio
 from tfchirp.errors import FormatError, ParameterError
+from tfchirp.ridge import extract_ridges
 from tfchirp.signal import Signal, grid_from_resolution
 from tfchirp.tensorio import (
     read_signal_csv,
@@ -174,7 +175,8 @@ def test_signal_raw_refuses_a_partial_float(tmp_path, interleaved_complex):
 
 
 def test_tensor_rejects_nonfinite_payload(tmp_path, monkeypatch):
-    # a non-finite real or imaginary part in any block of the check, the last one short
+    # a non-finite real or imaginary part in any block of the check, the last one short: refused by the
+    # read that returns it, the whole record's or its frame's, and by no read of the other frames
     monkeypatch.setattr(tensorio, "_BLOCK", 14)
     path = tmp_path / "nan.tfc1"
     for dtype in (np.complex64, np.complex128):
@@ -187,9 +189,35 @@ def test_tensor_rejects_nonfinite_payload(tmp_path, monkeypatch):
             raw = bytearray(good)
             raw[44 + at * real.itemsize : 44 + (at + 1) * real.itemsize] = np.array(np.nan if at else np.inf, real).tobytes()
             path.write_bytes(bytes(raw))
-            for read in (read_tensor, TensorFile):
+            source, frame = TensorFile(str(path)), at // 2 % 6
+            for read in (lambda: read_tensor(str(path)), lambda: source.read(slice(None)),
+                         lambda: source.read(slice(frame, frame + 1))):
                 with pytest.raises(FormatError, match="non-finite"):
-                    read(str(path))
+                    read()
+            for other in set(range(6)) - {frame}:
+                assert np.isfinite(source.read(slice(other, other + 1))).all()
+
+
+def test_a_ridge_walk_reads_each_payload_byte_once(tmp_path, monkeypatch):
+    # opening reads the header alone; the walk's reads, each checked as it is made, cover the payload once
+    grid = grid_from_resolution(0.25, 150, 4.0)  # three 64-frame tiles, the last one short
+    values = np.random.default_rng(1).standard_normal((grid.n_chirp, grid.n_freq, grid.n_time)) + 0j
+    path = str(tmp_path / "t.tfc1")
+    write_tensor(path, TfcTensor(values, grid))
+    spans, read_into = [], tensorio._read_into
+
+    def spy(fh, view, offset):
+        spans.append((offset, len(view)))
+        read_into(fh, view, offset)
+
+    monkeypatch.setattr(tensorio, "_read_into", spy)
+    source = TensorFile(path)
+    assert not spans
+    extract_ridges(source, 1)
+    reads = np.zeros(os.path.getsize(path), dtype=int)
+    for offset, size in spans:
+        reads[offset : offset + size] += 1
+    assert not reads[:44].any() and (reads[44:] == 1).all()
 
 
 def test_tensor_file_tiles_and_short_reads(tmp_path):
