@@ -245,7 +245,6 @@ def reassignment_field(banks: StreamedBank, nu: float | None = None) -> Reassign
     codes = np.empty((banks.rows.size, grid.n_time), dtype=dtype)
     for part, inputs in _field_blocks(banks):
         estimates = _mu_omega(*inputs, nu)
-        del inputs  # the block's sums are not kept alive beside the codes' temporaries
         codes[part] = _codes(grid, *estimates)
     return ReassignmentField(codes=codes, banks=banks, nu=nu)
 
@@ -295,7 +294,7 @@ def _stft_transforms(signal: Signal, bank: WindowBank, grid: TfcGrid) -> tuple:
     """The STFT and its companions (W, W1, W2, U, U1, V): the bank's zero-chirp rows."""
     bank.check_rate(signal)
     windows = [bank.h, bank.th, bank.t2h, *bank.basis]
-    sums = _windowed_sums(signal, windows, grid)(_zero_chirp_rows(grid))
+    sums = np.concatenate([block for _, block in _windowed_sums(signal, windows, grid, _zero_chirp_rows(grid))])
     return (sums[:, 0], *_companions(bank.family, sums[:, 0], sums[:, 1:]))
 
 

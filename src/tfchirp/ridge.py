@@ -96,6 +96,7 @@ class RidgeParams:
 
 KMEANS_RESTARTS = 50
 LLOYD_MAX_ITER = 300
+LANCZOS_MAXITER = 100  # eigsh restarts before a non-converging embedding is refused
 # robust local-linear smoothing of the curves built from source entries
 FIT_HALF_WIDTH_S = 0.5
 FIT_ITERS = 4
@@ -252,7 +253,7 @@ def spectral_embed(cloud: TfcPointCloud, n_components: int, sigma_pct: float = R
     # Lanczos for the top n_dim+1 eigenpairs; the fixed start vector makes
     # the result repeatable and is not the trivial eigenvector sqrt(d)
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, len(cloud))
-    _, vecs = eigsh(sym, k=n_dim + 1, which="LA", v0=v0)
+    _, vecs = eigsh(sym, k=n_dim + 1, which="LA", v0=v0, maxiter=LANCZOS_MAXITER)
     # ascending order; drop the trivial top eigenvector
     vecs = vecs[:, ::-1][:, 1:]
     embedding = d_isqrt[:, None] * vecs

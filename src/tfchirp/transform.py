@@ -64,11 +64,11 @@ class StreamedBank:
     bank: WindowBank
 
     def companion_blocks(self, rows: np.ndarray, cols=slice(None)):
-        """``(part, companions_of)``, one per product of ``_row_blocks`` over the flat (chirp, frequency)
+        """``(part, companions_of)``, one per product of ``_windowed_sums`` over the flat (chirp, frequency)
         rows ``rows`` and the frames of the slice ``cols``: ``companions_of(sub, T)`` is the tuple
         (T1, T2, U, U1, V) of the rows ``rows[part][sub]``, given T^h there, ``T``."""
         bank = self.bank
-        for part, sums in _row_blocks(self.signal, [bank.th, bank.t2h, *bank.basis], self.grid, rows, cols):
+        for part, sums in _windowed_sums(self.signal, [bank.th, bank.t2h, *bank.basis], self.grid, rows, cols):
             yield part, lambda sub, T, sums=sums: _companions(bank.family, T, sums[sub])
 
     def magnitude_tile(self, frames):
@@ -130,14 +130,16 @@ def _padded_segments(signal: Signal, half_len: int) -> np.ndarray:
     return sliding_window_view(fp, n)  # row k is fp[k : k + n]
 
 
-def _windowed_sums(signal: Signal, windows, grid: TfcGrid, cols=slice(None)):
-    """The module docstring's sum against several windows of one length, over the frames of the slice ``cols``.
+def _windowed_sums(signal: Signal, windows, grid: TfcGrid, rows: np.ndarray, cols=slice(None)):
+    """The module docstring's sum against several windows of one length, on the flat (chirp, frequency)
+    rows ``rows`` (flat row ``l_slot * n_freq + m``) over the frames of the slice ``cols``.
 
-    Returns ``sums(rows)``, [rows.size, len(windows), width]: the flat
-    (chirp, frequency) rows ``rows`` (flat row ``l_slot * n_freq + m``) against
-    each window, in one matrix product of the rows' phases (never the whole
-    grid's) with the windowed segments ``hstack(w * S)`` of those frames,
-    stacked once, here.  A row's sums depend neither on the other rows nor on the range.
+    Yields ``(part, sums)`` for consecutive exact slices ``part`` of ``rows``: ``sums``, [part size,
+    len(windows), width], holds the rows ``rows[part]`` against each window, in one matrix product of
+    those rows' phases (never the whole grid's) with the windowed segments ``hstack(w * S)`` of those
+    frames, stacked once, here.  A product takes at most ``PHASE_BLOCK // taps`` rows, which bounds its
+    phases as T^h's.  A row's sums depend neither on the other rows nor on the range.  A full volume
+    passes one window: stacking windows changes how BLAS blocks the product and with it the last bits.
     """
     if grid.n_time != len(signal):
         raise ShapeError(f"grid.n_time={grid.n_time} != signal length {len(signal)}")
@@ -147,27 +149,15 @@ def _windowed_sums(signal: Signal, windows, grid: TfcGrid, cols=slice(None)):
     S = _padded_segments(signal, half_len)[:, cols]
     # [2K+1, len(windows), width] viewed as [2K+1, len(windows) * width]
     stacked = np.multiply(np.stack(windows, axis=1)[:, :, None], S[:, None]).reshape(S.shape[0], -1)
-
-    def sums(rows):
-        # one row would run as a matrix-vector product, whose bits differ from
-        # the same row's in a larger product: sum it twice and keep one
-        fetched = np.repeat(rows, 2) if rows.size == 1 else rows
-        E = chirp_phase[fetched // grid.n_freq]
-        E *= freq_phase[fetched % grid.n_freq]
-        return (E @ stacked)[: rows.size].reshape(rows.size, len(windows), S.shape[1])
-
-    return sums
-
-
-def _row_blocks(signal: Signal, windows, grid: TfcGrid, rows: np.ndarray, cols=slice(None)):
-    """``(part, sums)`` for consecutive exact slices ``part`` of the flat rows ``rows``: ``_windowed_sums``
-    against ``windows`` on ``rows[part]`` over the frames of the slice ``cols``, ``PHASE_BLOCK // taps`` rows
-    per product, which bounds its phases as T^h's.  A full volume passes one window: stacking windows changes
-    how BLAS blocks the product and with it the last bits of each volume.
-    """
-    sums, step = _windowed_sums(signal, windows, grid, cols), max(1, PHASE_BLOCK // windows[0].size)
+    step = max(1, PHASE_BLOCK // windows[0].size)
     for lo in range(0, rows.size, step):
-        yield slice(lo, min(lo + step, rows.size)), sums(rows[lo : lo + step])
+        block = rows[lo : lo + step]
+        # one row would run as a matrix-vector product, whose bits differ from
+        # the same row's in a larger product: sum it twice and keep one; the
+        # phases die with the product, so none is held across the yield
+        fetched = np.repeat(block, 2) if block.size == 1 else block
+        sums = (chirp_phase[fetched // grid.n_freq] * freq_phase[fetched % grid.n_freq]) @ stacked
+        yield slice(lo, lo + block.size), sums[: block.size].reshape(block.size, len(windows), S.shape[1])
 
 
 def chirplet_transform(signal: Signal, window: np.ndarray, grid: TfcGrid) -> TfcTensor:
@@ -178,7 +168,7 @@ def chirplet_transform(signal: Signal, window: np.ndarray, grid: TfcGrid) -> Tfc
     carry a 1/dt scale relative to the continuous-integral transform.
     """
     values = np.empty((grid.n_chirp * grid.n_freq, grid.n_time), dtype=np.complex128)
-    for part, sums in _row_blocks(signal, [_check_window(window)], grid, np.arange(values.shape[0])):
+    for part, sums in _windowed_sums(signal, [_check_window(window)], grid, np.arange(values.shape[0])):
         values[part] = sums[:, 0]
     return TfcTensor(values.reshape(grid.n_chirp, grid.n_freq, grid.n_time), grid)
 
@@ -188,7 +178,7 @@ def streamed_bank_transform(signal: Signal, bank: WindowBank, grid: TfcGrid) -> 
     bank.check_rate(signal)
     rows = np.flatnonzero(resolvable_slots(grid, bank))
     values, peaks = np.empty((rows.size, grid.n_time), np.complex128), []
-    for part, sums in _row_blocks(signal, [bank.h], grid, rows):
+    for part, sums in _windowed_sums(signal, [bank.h], grid, rows):
         values[part] = sums[:, 0]
         peaks.append(np.abs(sums).max())
     return StreamedBank(values, rows, float(np.max(peaks, initial=0.0)), grid, signal, bank)
@@ -220,8 +210,8 @@ def _zero_chirp_rows(grid: TfcGrid) -> np.ndarray:
 
 def stft(signal: Signal, window: np.ndarray, grid: TfcGrid) -> TfMatrix:
     """Short-time Fourier transform: the zero-chirp slice of the sum."""
-    sums = _windowed_sums(signal, [_check_window(window)], grid)
-    return TfMatrix(values=sums(_zero_chirp_rows(grid))[:, 0], grid=grid)
+    sums = _windowed_sums(signal, [_check_window(window)], grid, _zero_chirp_rows(grid))
+    return TfMatrix(values=np.concatenate([block[:, 0] for _, block in sums]), grid=grid)
 
 
 def project_tfc_to_tf(tensor: TfcTensor) -> TfMatrix:

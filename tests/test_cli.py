@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -425,26 +426,40 @@ def test_a_core_cloud_too_small_to_embed_exits_3_naming_q(crossing_csv, crossing
     assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
 
 
-@pytest.mark.parametrize("command", ["ridge", "reconstruct"])
+@pytest.mark.parametrize("command, patched", [pytest.param("ridge", True, id="ridge"),
+                                              pytest.param("reconstruct", True, id="reconstruct"),
+                                              pytest.param("ridge", False, id="ridge-sigma_pct-0.5")])
 def test_an_embedding_that_does_not_converge_exits_3_naming_sigma_pct_and_q(crossing_csv, crossing_sct, tmp_path,
-                                                                             monkeypatch, capsys, command):
-    # eigsh's own failure, as sigma_pct 0.5 gives on a plain chirp's SCT after most of a minute
+                                                                             monkeypatch, capsys, command, patched):
+    # eigsh's own failure: patched in, or the real one that sigma_pct 0.5 gives on a plain chirp's SCT
+    # within LANCZOS_MAXITER restarts
     import scipy.sparse.linalg
 
     def no_convergence(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", np.empty(0), np.empty((0, 0)))
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    sigma_pct, tensor, flags = RidgeParams().sigma_pct, crossing_sct, []
+    if patched:
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    else:
+        x = np.arange(400) / 100.0
+        chirp, tensor = tmp_path / "chirp.csv", str(tmp_path / "s.tfc1")
+        write_signal_csv(str(chirp), Signal(np.exp(2j * np.pi * (10 * x + 2 * x**2)), 100.0))
+        assert main(["sct", "--input", str(chirp), "--rate", "100", "--output", tensor]) == 0
+        sigma_pct, flags = 0.5, ["--config", write_config(tmp_path, sigma_pct=0.5)]
+        outputs = sorted(tmp_path.iterdir())
     args = {
-        "ridge": ["--tensor", crossing_sct, "--output", str(tmp_path / "r.csv")],
+        "ridge": ["--tensor", tensor, "--output", str(tmp_path / "r.csv")],
         "reconstruct": ["--input", crossing_csv, "--rate", "100", "--ridge-csv", str(tmp_path / "r.csv"),
                         "--mode-prefix", str(tmp_path / "mode")],
     }
-    assert main([command, *args[command]]) == 3
+    start = time.perf_counter()
+    assert main([*flags, command, *args[command]]) == 3
+    assert patched or time.perf_counter() - start < 15  # under 1 s on a 2-core Xeon; 44 s with eigsh's default bound
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: the spectral embedding of the \d+-point ridge cloud did not converge; "
-                        r"raise sigma_pct \(now 15\.0\) or change q \(now 0\.9995\)\n", err), err
-    assert not list(tmp_path.iterdir())
+                        rf"raise sigma_pct \(now {re.escape(str(sigma_pct))}\) or change q \(now 0\.9995\)\n", err), err
+    assert sorted(tmp_path.iterdir()) == ([] if patched else outputs)
 
 
 @pytest.mark.parametrize(

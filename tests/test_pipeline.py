@@ -49,18 +49,18 @@ def test_crossing_study_rows_and_sanity():
 
 def _h_sums(monkeypatch, scene, family):
     """The grid and bank of ``small_crossing_scene`` at ``alpha_sq`` 0.02 and the default window, and the list
-    that gathers the rows of each ``_row_blocks`` call against that bank's ``h`` alone from here on."""
+    that gathers the rows of each ``_windowed_sums`` call against that bank's ``h`` alone from here on."""
     dt = 1 / scene.sample_rate_hz
     grid = grid_from_resolution(0.02, scene.times_s.size, scene.sample_rate_hz)
     bank = make_window_bank(family, family.default_half_len(dt), dt)
-    summed, row_blocks = [], transform._row_blocks
+    summed, windowed_sums = [], transform._windowed_sums
 
     def spy(signal, windows, grid, rows, cols=slice(None)):
         if len(windows) == 1 and np.array_equal(windows[0], bank.h):
             summed.append(rows)
-        return row_blocks(signal, windows, grid, rows, cols)
+        return windowed_sums(signal, windows, grid, rows, cols)
 
-    monkeypatch.setattr(transform, "_row_blocks", spy)
+    monkeypatch.setattr(transform, "_windowed_sums", spy)
     return grid, bank, summed
 
 

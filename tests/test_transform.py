@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tfchirp import transform
 from tfchirp.errors import UnsupportedWindowError
+from tfchirp.reassign import sst1, sst2
 from tfchirp.signal import Signal, WindowFamily, grid_from_resolution, make_window_bank
 from tfchirp.transform import (
     chirplet_transform,
@@ -241,7 +243,7 @@ def test_windowed_sums_match_the_docstring_sum(case, data):
     rows = np.array(
         data.draw(st.lists(st.integers(0, grid.n_chirp * grid.n_freq - 1), min_size=1, max_size=12, unique=True))
     )
-    got = _windowed_sums(signal, windows, grid)(rows)
+    got = np.concatenate([sums for _, sums in _windowed_sums(signal, windows, grid, rows)])
 
     f = np.concatenate((np.zeros(K), signal.samples, np.zeros(K)))
     p = np.arange(2 * K + 1) - K
@@ -262,11 +264,29 @@ def test_a_fetch_keeps_the_bits_of_a_larger_fetch(crossing_scene, crossing_grid,
     family = WindowFamily(n, 1.0)
     bank = make_window_bank(family, family.default_half_len(1 / FS), 1 / FS)
     for windows in ([bank.h], [bank.th, bank.t2h, *bank.basis]):
-        sums = _windowed_sums(crossing_scene.signal(), windows, crossing_grid)
         rows = np.arange(2000, 2005)
-        full = sums(rows)
+        ((_, full),) = _windowed_sums(crossing_scene.signal(), windows, crossing_grid, rows)
         for k in (1, 2, 3):
-            assert np.array_equal(sums(rows[:k]), full[:k])
+            ((part, sums),) = _windowed_sums(crossing_scene.signal(), windows, crossing_grid, rows[:k])
+            assert part == slice(0, k) and np.array_equal(sums, full[:k])
+
+
+@pytest.mark.parametrize("n", [0, 2])
+def test_blocks_of_rows_keep_the_bits_of_one_product(crossing_scene, crossing_grid, n, monkeypatch):
+    # the parts tile the rows in order, at most PHASE_BLOCK // taps rows each (one when taps exceed it);
+    # the STFT and both SSTs split their 51 zero-chirp rows into ten products of 5 rows and one of a single row
+    signal, grid, family = crossing_scene.signal(), crossing_grid, WindowFamily(n, 1.0)
+    bank = make_window_bank(family, family.default_half_len(1 / FS), 1 / FS)
+    baselines = (lambda: stft(signal, bank.h, grid), lambda: sst1(signal, bank, grid), lambda: sst2(signal, bank, grid))
+    want = [baseline().values for baseline in baselines]
+    rows = np.arange(grid.n_chirp * grid.n_freq)[::-7]
+    for cap, block in ((0, 1), (5, 5)):
+        monkeypatch.setattr(transform, "PHASE_BLOCK", cap * bank.h.size)
+        parts = [part for part, _ in _windowed_sums(signal, [bank.h], grid, rows)]
+        assert parts == [slice(lo, min(lo + block, rows.size)) for lo in range(0, rows.size, block)]
+    assert grid.n_freq % 5 == 1
+    for baseline, values in zip(baselines, want):
+        assert np.array_equal(baseline().values, values)
 
 
 @pytest.mark.parametrize("n", [0, 2])
